@@ -10,8 +10,9 @@ size p:
 
 Trainers treat the three weight matrices as one flat parameter vector
 theta = [W_a | W_b | W_c], each matrix unrolled column by column
-(column-major). Every trainer in this package uses the same
-flatten/unflatten pair so that gradient indices never drift.
+(column-major). Every trainer in this package uses this one layout, through
+`flatten_params`/`unflatten_params` and the update `sgd_update`, so that
+gradient indices never drift.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "loss",
     "tanh_prime",
     "clip_gradient",
+    "sgd_update",
     "flatten_params",
     "unflatten_params",
     "save_params",
@@ -104,9 +106,11 @@ class RnnParams:
 
 @dataclass(frozen=True)
 class StepCache:
-    """Intermediates of one forward step: pre-activation z, new hidden
-    state x_next = tanh(z), and prediction y = W_c x_next."""
+    """Intermediates of one forward step: input drive wb_u = W_b u,
+    pre-activation z = W_a x + wb_u, new hidden state x_next = tanh(z), and
+    prediction y = W_c x_next."""
 
+    wb_u: np.ndarray
     z: np.ndarray
     x_next: np.ndarray
     y: np.ndarray
@@ -137,10 +141,11 @@ def forward(params: RnnParams, x: np.ndarray, u: np.ndarray) -> StepCache:
         raise ValueError(
             f"input has shape {u.shape}, expected ({params.w_b.shape[1]},)"
         )
-    z = params.w_a @ x + params.w_b @ u
+    wb_u = params.w_b @ u
+    z = params.w_a @ x + wb_u
     x_next = np.tanh(z)
     y = params.w_c @ x_next
-    return StepCache(z=z, x_next=x_next, y=y)
+    return StepCache(wb_u=wb_u, z=z, x_next=x_next, y=y)
 
 
 def loss(y: np.ndarray, y_star: np.ndarray) -> tuple[np.ndarray, float]:
@@ -165,17 +170,68 @@ def clip_gradient(g: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError(f"tau must be > 0, got {tau}")
     norm = float(np.linalg.norm(g))
     if norm > tau:
-        clipped = g * (tau / norm)
-        # Rounding of the rescaling can overshoot tau by an ulp; nudging
-        # toward just below tau strictly shrinks the vector each pass, so
-        # this terminates (in practice after at most one pass).
-        below_tau = float(np.nextafter(tau, 0.0))
-        excess = float(np.linalg.norm(clipped))
-        while excess > tau:
-            clipped *= below_tau / excess
-            excess = float(np.linalg.norm(clipped))
-        return clipped
+        return _rescale(g, tau, norm)
     return g
+
+
+def _rescale(g: np.ndarray, tau: float, norm: float) -> np.ndarray:
+    """A new array g * (tau / norm) with norm at most tau, for norm = ||g||
+    > tau."""
+    clipped = g * (tau / norm)
+    # Rounding of the rescaling can overshoot tau by an ulp; nudging
+    # toward just below tau strictly shrinks the vector each pass, so
+    # this terminates (in practice after at most one pass).
+    below_tau = float(np.nextafter(tau, 0.0))
+    excess = float(np.linalg.norm(clipped))
+    while excess > tau:
+        clipped *= below_tau / excess
+        excess = float(np.linalg.norm(clipped))
+    return clipped
+
+
+def sgd_update(
+    params: RnnParams,
+    grad: np.ndarray,
+    grad_norm: float,
+    eta: float,
+    tau: float,
+) -> RnnParams:
+    """One clipped SGD step on the weights: W - eta * clip(grad, tau).
+
+    Gives the same values as
+    `unflatten_params(flatten_params(params) - eta * clip_gradient(grad, tau), dims)`
+    without the flat copy of `params`: eta * clip(grad) goes into one fresh
+    flat buffer, and each weight matrix is subtracted into its column-major
+    view of that buffer. Neither `params` nor `grad` is written to.
+
+    Args:
+        params: current weights.
+        grad: flat gradient of length |W| in the [W_a | W_b | W_c] layout.
+        grad_norm: its Euclidean norm, sqrt(grad . grad), which the caller
+            has already computed to check the gradient for finiteness.
+        eta: learning rate.
+        tau: clip threshold, > 0.
+
+    Returns:
+        New RnnParams whose matrices are views into one flat vector, as
+        `unflatten_params` returns them.
+    """
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    if grad_norm > tau:
+        theta = _rescale(grad, tau, grad_norm)
+        theta *= eta
+    else:
+        theta = grad * eta
+    blocks = []
+    start = 0
+    for w in (params.w_a, params.w_b, params.w_c):
+        stop = start + w.size
+        block = theta[start:stop].reshape(w.shape, order="F")
+        np.subtract(w, block, out=block)
+        blocks.append(block)
+        start = stop
+    return RnnParams(*blocks)
 
 
 def flatten_params(params: RnnParams) -> np.ndarray:

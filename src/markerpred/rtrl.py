@@ -20,6 +20,7 @@ here as the exactness oracle for UORO's rank-one estimator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,10 @@ from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
     RnnParams,
-    clip_gradient,
-    flatten_params,
     forward,
     loss,
+    sgd_update,
     tanh_prime,
-    unflatten_params,
 )
 from markerpred.uoro import delta_theta, grad_x_loss
 
@@ -136,19 +135,29 @@ def rtrl_step(
     if not np.isfinite(loss_value):
         raise NonFiniteError("loss")
 
+    # Recursion (i): the d(state map)/dtheta term is block-diagonal, so it
+    # is added in place through the [i, :, i] views that `jac_state_theta`
+    # fills, instead of as a dense q x |W| matrix.
     new_influence = jac_state_x(params, cache.z) @ influence
-    new_influence += jac_state_theta(x, u, cache.z, dims)
+    d = tanh_prime(cache.z)
+    idx = np.arange(dims.q)
+    block_a = new_influence[:, : dims.n_wa].reshape(dims.q, dims.q, dims.q)
+    block_a[idx, :, idx] += d[:, None] * x[None, :]
+    block_b = new_influence[:, dims.n_wa : dims.n_wa + dims.n_wb].reshape(
+        dims.q, dims.m + 1, dims.q
+    )
+    block_b[idx, :, idx] += d[:, None] * u[None, :]
     if not np.isfinite(new_influence).all():
         raise NonFiniteError("influence")
 
     grad = grad_x_loss(e, params.w_c) @ new_influence
     grad += delta_theta(e, cache.x_next, dims)
-    if not np.isfinite(grad).all():
+    # A finite norm proves every element finite (see uoro_step).
+    grad_norm = math.sqrt(grad.dot(grad))
+    if not math.isfinite(grad_norm) and not np.isfinite(grad).all():
         raise NonFiniteError("gradient")
 
-    grad = clip_gradient(grad, tau)
-    theta = flatten_params(params) - eta * grad
-    new_params = unflatten_params(theta, dims)
+    new_params = sgd_update(params, grad, grad_norm, eta, tau)
 
     return RtrlStepResult(
         params=new_params,

@@ -34,10 +34,23 @@ Step 4 deliberately uses the pre-update memory; moving it after step 9
 changes the estimator. The normalizers in step 8 are implemented exactly
 as stated, including the additive guards inside and outside the square
 roots.
+
+The closed forms `delta_theta`, `delta_theta_g` and `tangent_propagate`
+are the tested reference: the tests check them against finite differences
+and brute-force Jacobians, and compose them into a step that `uoro_step`
+must match bit for bit. `uoro_step` runs the same arithmetic in the same
+order but does not call them, so that it makes fewer passes over the
+|W|-length vectors: it adds the direct gradient into the W_c block alone,
+writes the blocks of dtheta_g in place, shares W_b u between stages 1 and
+6, computes each norm once, and checks the gradient and the new
+theta_tilde for finiteness through norms it already has, scanning an array
+only when such a norm is not finite.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,12 +59,10 @@ from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
     RnnParams,
-    clip_gradient,
-    flatten_params,
     forward,
     loss,
+    sgd_update,
     tanh_prime,
-    unflatten_params,
 )
 
 __all__ = [
@@ -72,6 +83,10 @@ __all__ = [
 EPS_NORM = 1e-7
 # Step size of the finite-difference tangent propagation.
 EPS_PROP = 1e-7
+# Up to rounding, far less than a factor of 2, no element of the new
+# theta_tilde exceeds ||theta_tilde|| / rho0 + ||dtheta_g|| / rho1. A bound
+# at most half the largest double therefore proves it finite unscanned.
+_FINITE_BOUND = 0.5 * sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -257,49 +272,79 @@ def uoro_step(
             updated memory).
     """
     dims = params.dims
+    q, p = dims.q, dims.p
+    n_wa, b_end = dims.n_wa, dims.n_wa + dims.n_wb
 
+    # 1-2. The forward pass's W_b u is reused in stage 6.
     cache = forward(params, x, u)
+    x_next = cache.x_next
     e, loss_value = loss(cache.y, y_star)
     if not np.isfinite(loss_value):
         raise NonFiniteError("loss")
 
-    dtheta = delta_theta(e, cache.x_next, dims)
+    # 3-4. delta_theta is non-zero only in the W_c block, so it is added
+    # into that slice alone; the slice viewed as q x p is W_c transposed.
     grad = (grad_x_loss(e, params.w_c) @ memory.x_tilde) * memory.theta_tilde
-    grad += dtheta
-    if not np.isfinite(grad).all():
+    grad_wc = grad[b_end:].reshape(q, p)
+    grad_wc += np.multiply.outer(x_next, -e)
+    # A finite norm proves every element finite; an infinite one may come
+    # from overflow of the squares alone, so only then is the array scanned.
+    grad_norm = math.sqrt(grad.dot(grad))
+    if not math.isfinite(grad_norm) and not np.isfinite(grad).all():
         raise NonFiniteError("gradient")
 
+    # 5. sign draw
     if nu is None:
-        nu = 2.0 * rng.integers(0, 2, size=dims.q) - 1.0
-    x_fwd = tangent_propagate(
-        params, x, memory.x_tilde, u, cache.x_next, memory.eps_prop
-    )
-    dtheta_g = delta_theta_g(nu, cache.z, x, u, dims)
+        nu = 2.0 * rng.integers(0, 2, size=q) - 1.0
+    elif nu.shape != (q,):
+        raise ValueError(f"nu has shape {nu.shape}, expected ({q},)")
 
+    # 6. tangent propagation
+    eps_prop = memory.eps_prop
+    if not eps_prop > 0:
+        raise ValueError(f"eps_prop must be > 0, got {eps_prop}")
+    shifted = np.tanh(params.w_a @ (x + eps_prop * memory.x_tilde) + cache.wb_u)
+    x_fwd = (shifted - x_next) / eps_prop
+
+    # 7. The W_a and W_b blocks are written in place as the C-order outer
+    # products x a^T and u a^T, which are the column-major a x^T and a u^T.
+    a = nu * tanh_prime(cache.z)
+    dtheta_g = np.empty(dims.n_params)
+    np.multiply.outer(x, a, out=dtheta_g[:n_wa].reshape(q, q))
+    np.multiply.outer(u, a, out=dtheta_g[n_wa:b_end].reshape(dims.m + 1, q))
+    dtheta_g[b_end:] = 0.0
+
+    # 8. Numpy scalars keep a zero denominator (eps_norm = 0) an inf or a
+    # NaN that the checks below report, as np.linalg.norm did.
     eps = memory.eps_norm
-    rho0 = np.sqrt(
-        np.linalg.norm(memory.theta_tilde) / (np.linalg.norm(x_fwd) + eps)
-    ) + eps
-    rho1 = np.sqrt(np.linalg.norm(dtheta_g) / (np.linalg.norm(nu) + eps)) + eps
-    if not np.isfinite(rho0):
+    theta_tilde_norm = math.sqrt(memory.theta_tilde.dot(memory.theta_tilde))
+    dtheta_g_norm = math.sqrt(dtheta_g.dot(dtheta_g))
+    rho0 = np.sqrt(theta_tilde_norm / (np.sqrt(x_fwd.dot(x_fwd)) + eps)) + eps
+    rho1 = np.sqrt(dtheta_g_norm / (np.sqrt(nu.dot(nu)) + eps)) + eps
+    if not math.isfinite(rho0):
         raise NonFiniteError("rho0")
-    if not np.isfinite(rho1):
+    if not math.isfinite(rho1):
         raise NonFiniteError("rho1")
 
+    # 9. memory update
     x_tilde = rho0 * x_fwd + rho1 * nu
-    theta_tilde = memory.theta_tilde / rho0 + dtheta_g / rho1
+    theta_tilde = memory.theta_tilde / rho0
+    dtheta_g /= rho1
+    theta_tilde += dtheta_g
     if not np.isfinite(x_tilde).all():
         raise NonFiniteError("x_tilde")
-    if not np.isfinite(theta_tilde).all():
+    if not (
+        theta_tilde_norm / rho0 + dtheta_g_norm / rho1 <= _FINITE_BOUND
+        or np.isfinite(theta_tilde).all()
+    ):
         raise NonFiniteError("theta_tilde")
 
-    grad = clip_gradient(grad, hyper.tau)
-    theta = flatten_params(params) - hyper.eta * grad
-    new_params = unflatten_params(theta, dims)
+    # 10. clipped SGD
+    new_params = sgd_update(params, grad, grad_norm, hyper.eta, hyper.tau)
 
     return UoroStepResult(
         params=new_params,
-        x=cache.x_next,
+        x=x_next,
         memory=UoroMemory(
             x_tilde=x_tilde,
             theta_tilde=theta_tilde,

@@ -1,14 +1,19 @@
 """Tests for RTRL: Jacobian factors against finite differences, the
-influence recursion's exactness along frozen trajectories, and the exact
-per-step gradient."""
+influence recursion's exactness along frozen trajectories, the exact
+per-step gradient, and the step against a reference built from the dense
+Jacobians."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from markerpred.harness import CLIP_TAU
 from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
     RnnParams,
+    clip_gradient,
     flatten_params,
     forward,
     init_params,
@@ -16,11 +21,13 @@ from markerpred.rnn import (
     unflatten_params,
 )
 from markerpred.rtrl import (
+    RtrlStepResult,
     init_influence,
     jac_state_theta,
     jac_state_x,
     rtrl_step,
 )
+from markerpred.signal import build_io, fit_normalizer, synthetic_record
 from markerpred.uoro import delta_theta, grad_x_loss
 
 
@@ -246,3 +253,130 @@ def test_init_influence_zero():
     J = init_influence(dims)
     assert J.shape == (5, dims.n_params)
     assert not J.any()
+
+
+# ------------------ rtrl_step against the dense Jacobians ------------------
+
+
+def _reference_rtrl_step(params, x, influence, u, y_star, eta, tau):
+    """Recursions (i) and (ii) with the dense q x |W| parameter Jacobian
+    and a flatten/unflatten SGD update: the reference that `rtrl_step` must
+    match bit for bit."""
+    dims = params.dims
+    if influence.shape != (dims.q, dims.n_params):
+        raise ValueError(
+            f"influence has shape {influence.shape}, "
+            f"expected ({dims.q}, {dims.n_params})"
+        )
+
+    cache = forward(params, x, u)
+    e, loss_value = loss(cache.y, y_star)
+    if not np.isfinite(loss_value):
+        raise NonFiniteError("loss")
+
+    new_influence = jac_state_x(params, cache.z) @ influence
+    new_influence += jac_state_theta(x, u, cache.z, dims)
+    if not np.isfinite(new_influence).all():
+        raise NonFiniteError("influence")
+
+    grad = grad_x_loss(e, params.w_c) @ new_influence
+    grad += delta_theta(e, cache.x_next, dims)
+    if not np.isfinite(grad).all():
+        raise NonFiniteError("gradient")
+
+    grad = clip_gradient(grad, tau)
+    theta = flatten_params(params) - eta * grad
+    new_params = unflatten_params(theta, dims)
+
+    return RtrlStepResult(
+        params=new_params,
+        x=cache.x_next,
+        influence=new_influence,
+        y=cache.y,
+        loss=loss_value,
+    )
+
+
+def _assert_same_step(got, want):
+    for name in ("w_a", "w_b", "w_c"):
+        np.testing.assert_array_equal(
+            getattr(got.params, name), getattr(want.params, name)
+        )
+    np.testing.assert_array_equal(got.x, want.x)
+    np.testing.assert_array_equal(got.y, want.y)
+    np.testing.assert_array_equal(got.influence, want.influence)
+    assert got.loss == want.loss
+
+
+# The shipped clip threshold clips most steps; at eta = 0.01 no gradient
+# norm on these streams comes near 1e3, so nothing is clipped.
+@pytest.mark.parametrize("q, L", [(10, 10), (25, 25)])
+@pytest.mark.parametrize("eta, tau, clips", [(0.1, CLIP_TAU, True), (0.01, 1e3, False)])
+def test_rtrl_step_matches_reference_over_chained_steps(q, L, eta, tau, clips):
+    record = synthetic_record(duration_s=200.0, seed=3)
+    normalizer = fit_normalizer(record, range(300))
+    samples = [build_io(record, normalizer, L, 5, n) for n in range(1000)]
+    dims = RnnDims(q=q, m=samples[0].u.size - 1, p=samples[0].target.size)
+    params = ref_params = init_params(dims, 0.02, 7)
+    x = ref_x = np.zeros(q)
+    influence = ref_influence = init_influence(dims)
+    n_clipped = 0
+    for sample in samples:
+        got = rtrl_step(params, x, influence, sample.u, sample.target, eta, tau)
+        want = _reference_rtrl_step(ref_params, ref_x, ref_influence, sample.u,
+                                    sample.target, eta, tau)
+        np.testing.assert_array_equal(got.y, want.y)
+        update = np.linalg.norm(flatten_params(ref_params)
+                                - flatten_params(want.params))
+        n_clipped += bool(update >= eta * tau * (1 - 1e-9))
+        params, x, influence = got.params, got.x, got.influence
+        ref_params, ref_x, ref_influence = want.params, want.x, want.influence
+    _assert_same_step(got, want)
+    assert (n_clipped > 0) == clips
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.integers(1, 5),
+    m=st.integers(1, 6),
+    p=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.sampled_from([1e-3, CLIP_TAU, 1e12]),
+)
+def test_rtrl_step_property_equals_reference_and_leaves_inputs(q, m, p, seed, tau):
+    dims, params, x, _, _, rng = _instance(q=q, m=m, p=p, seed=seed % 2**31)
+    influence = rng.standard_normal((q, dims.n_params))
+    inputs = rng.uniform(-1.0, 1.0, size=(4, m + 1))
+    inputs[:, 0] = 1.0
+    targets = rng.uniform(-1.0, 1.0, size=(4, p))
+    ref = (params, x, influence)
+    for u, y_star in zip(inputs, targets):
+        arrays = [params.w_a, params.w_b, params.w_c, x, influence, u, y_star]
+        before = [a.copy() for a in arrays]
+        got = rtrl_step(params, x, influence, u, y_star, eta=0.1, tau=tau)
+        for old, now in zip(before, arrays):
+            np.testing.assert_array_equal(now, old)
+        want = _reference_rtrl_step(*ref, u, y_star, eta=0.1, tau=tau)
+        _assert_same_step(got, want)
+        params, x, influence = got.params, got.x, got.influence
+        ref = (want.params, want.x, want.influence)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e300, np.inf])
+def test_rtrl_step_huge_influence_matches_reference(scale):
+    # Past about 1e154 the gradient's squared norm overflows although the
+    # gradient is finite; the step must then scan it and clip to zero as
+    # the reference does, and raise where the reference raises.
+    dims, params, x, u, y_star, rng = _instance(seed=10)
+    influence = scale * rng.standard_normal((dims.q, dims.n_params))
+    outcomes = []
+    for step in (rtrl_step, _reference_rtrl_step):
+        try:
+            with np.errstate(all="ignore"):
+                result = step(params, x, influence, u, y_star, eta=0.1, tau=2.0)
+        except NonFiniteError as err:
+            outcomes.append(err.quantity)
+        else:
+            outcomes.append([flatten_params(result.params).tobytes(),
+                             result.influence.tobytes()])
+    assert outcomes[0] == outcomes[1]

@@ -1,12 +1,17 @@
 """Tests for the UORO trainer: closed-form gradient pieces against
-finite-difference oracles, the frozen step order, and estimator propertie."""
+finite-difference oracles, the frozen step order, estimator properties, and
+the step against a reference composed from the closed forms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from markerpred.harness import CLIP_TAU
 from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
+    clip_gradient,
     flatten_params,
     forward,
     init_params,
@@ -14,10 +19,12 @@ from markerpred.rnn import (
     unflatten_params,
 )
 from markerpred.rtrl import jac_state_theta, jac_state_x
+from markerpred.signal import build_io, fit_normalizer, synthetic_record
 from markerpred.uoro import (
     EPS_NORM,
     UoroHyper,
     UoroMemory,
+    UoroStepResult,
     delta_theta,
     delta_theta_g,
     grad_x_loss,
@@ -370,3 +377,240 @@ def test_uoro_memory_defaults():
     assert np.array_equal(memory.theta_tilde, np.zeros(dims.n_params))
     assert memory.eps_norm == EPS_NORM == 1e-7
     assert memory.eps_prop == 1e-7
+
+
+# ------------------- uoro_step against the closed forms -------------------
+
+
+def _reference_uoro_step(params, x, memory, u, y_star, hyper, rng, *, nu=None):
+    """The ten stages composed from the public closed forms, one function
+    per stage, with whole-vector temporaries: the reference that
+    `uoro_step` must match bit for bit."""
+    dims = params.dims
+
+    cache = forward(params, x, u)
+    e, loss_value = loss(cache.y, y_star)
+    if not np.isfinite(loss_value):
+        raise NonFiniteError("loss")
+
+    dtheta = delta_theta(e, cache.x_next, dims)
+    grad = (grad_x_loss(e, params.w_c) @ memory.x_tilde) * memory.theta_tilde
+    grad += dtheta
+    if not np.isfinite(grad).all():
+        raise NonFiniteError("gradient")
+
+    if nu is None:
+        nu = 2.0 * rng.integers(0, 2, size=dims.q) - 1.0
+    x_fwd = tangent_propagate(
+        params, x, memory.x_tilde, u, cache.x_next, memory.eps_prop
+    )
+    dtheta_g = delta_theta_g(nu, cache.z, x, u, dims)
+
+    eps = memory.eps_norm
+    rho0 = np.sqrt(
+        np.linalg.norm(memory.theta_tilde) / (np.linalg.norm(x_fwd) + eps)
+    ) + eps
+    rho1 = np.sqrt(np.linalg.norm(dtheta_g) / (np.linalg.norm(nu) + eps)) + eps
+    if not np.isfinite(rho0):
+        raise NonFiniteError("rho0")
+    if not np.isfinite(rho1):
+        raise NonFiniteError("rho1")
+
+    x_tilde = rho0 * x_fwd + rho1 * nu
+    theta_tilde = memory.theta_tilde / rho0 + dtheta_g / rho1
+    if not np.isfinite(x_tilde).all():
+        raise NonFiniteError("x_tilde")
+    if not np.isfinite(theta_tilde).all():
+        raise NonFiniteError("theta_tilde")
+
+    grad = clip_gradient(grad, hyper.tau)
+    theta = flatten_params(params) - hyper.eta * grad
+    new_params = unflatten_params(theta, dims)
+
+    return UoroStepResult(
+        params=new_params,
+        x=cache.x_next,
+        memory=UoroMemory(
+            x_tilde=x_tilde,
+            theta_tilde=theta_tilde,
+            eps_norm=memory.eps_norm,
+            eps_prop=memory.eps_prop,
+        ),
+        y=cache.y,
+        loss=loss_value,
+    )
+
+
+def _assert_same_step(got, want):
+    for name in ("w_a", "w_b", "w_c"):
+        np.testing.assert_array_equal(
+            getattr(got.params, name), getattr(want.params, name)
+        )
+    np.testing.assert_array_equal(got.x, want.x)
+    np.testing.assert_array_equal(got.y, want.y)
+    np.testing.assert_array_equal(got.memory.x_tilde, want.memory.x_tilde)
+    np.testing.assert_array_equal(got.memory.theta_tilde, want.memory.theta_tilde)
+    assert got.loss == want.loss
+
+
+def _marker_stream(L, n_steps, h=5, seed=3):
+    """Normalized (u, y*) pairs of a 3-marker synthetic record, as the
+    harness feeds them to the trainers."""
+    record = synthetic_record(duration_s=200.0, seed=seed)
+    normalizer = fit_normalizer(record, range(300))
+    samples = [build_io(record, normalizer, L, h, n) for n in range(n_steps)]
+    return [s.u for s in samples], [s.target for s in samples]
+
+
+@pytest.mark.parametrize("q, L", [(10, 10), (30, 30), (90, 10), (10, 90)])
+# The shipped clip threshold clips most steps; at eta = 0.01 no gradient
+# norm on these streams comes near 1e3, so nothing is clipped.
+@pytest.mark.parametrize("eta, tau, clips", [(0.1, CLIP_TAU, True), (0.01, 1e3, False)])
+def test_uoro_step_matches_reference_over_chained_steps(q, L, eta, tau, clips):
+    n_steps = 1000
+    inputs, targets = _marker_stream(L, n_steps)
+    dims = RnnDims(q=q, m=len(inputs[0]) - 1, p=len(targets[0]))
+    hyper = UoroHyper(eta=eta, tau=tau, sigma_init=0.02, L=L, q=q)
+    start = (init_params(dims, hyper.sigma_init, 7), np.zeros(q), init_memory(dims))
+    got = want = None
+    params, x, memory = start
+    ref_params, ref_x, ref_memory = start
+    rng, ref_rng = np.random.default_rng([7, 1]), np.random.default_rng([7, 1])
+    n_clipped = 0
+    for u, y_star in zip(inputs, targets):
+        got = uoro_step(params, x, memory, u, y_star, hyper, rng)
+        want = _reference_uoro_step(ref_params, ref_x, ref_memory, u, y_star,
+                                    hyper, ref_rng)
+        np.testing.assert_array_equal(got.y, want.y)
+        # An unclipped update has norm eta*||grad|| <= eta*tau; a clipped
+        # one lands within rounding of eta*tau.
+        update = np.linalg.norm(flatten_params(ref_params)
+                                - flatten_params(want.params))
+        n_clipped += bool(update >= hyper.eta * tau * (1 - 1e-9))
+        params, x, memory = got.params, got.x, got.memory
+        ref_params, ref_x, ref_memory = want.params, want.x, want.memory
+    _assert_same_step(got, want)
+    assert (n_clipped > 0) == clips
+
+
+def _random_instance(q, m, p, seed, theta_scale=1.0):
+    rng = np.random.default_rng(seed)
+    dims = RnnDims(q=q, m=m, p=p)
+    params = init_params(dims, sigma_init=0.4, seed=seed)
+    x = np.tanh(rng.standard_normal(q))
+    memory = UoroMemory(
+        x_tilde=rng.standard_normal(q),
+        theta_tilde=theta_scale * rng.standard_normal(dims.n_params),
+    )
+    inputs = rng.uniform(-1.0, 1.0, size=(4, m + 1))
+    inputs[:, 0] = 1.0
+    targets = rng.uniform(-1.0, 1.0, size=(4, p))
+    return params, x, memory, inputs, targets
+
+
+def _arrays(params, x, memory, u, y_star):
+    return [params.w_a, params.w_b, params.w_c, x, memory.x_tilde,
+            memory.theta_tilde, u, y_star]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(1, 6),
+    m=st.integers(1, 8),
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    tau=st.sampled_from([1e-3, CLIP_TAU, 1e12]),
+)
+def test_uoro_step_property_equals_reference_and_leaves_inputs(q, m, p, seed, tau):
+    params, x, memory, inputs, targets = _random_instance(q, m, p, seed)
+    hyper = UoroHyper(eta=0.1, tau=tau, sigma_init=0.4, L=1, q=q)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref = (params, x, memory)
+    for u, y_star in zip(inputs, targets):
+        before = [a.copy() for a in _arrays(params, x, memory, u, y_star)]
+        got = uoro_step(params, x, memory, u, y_star, hyper, rng)
+        for old, now in zip(before, _arrays(params, x, memory, u, y_star)):
+            np.testing.assert_array_equal(now, old)
+        want = _reference_uoro_step(*ref, u, y_star, hyper, ref_rng)
+        _assert_same_step(got, want)
+        params, x, memory = got.params, got.x, got.memory
+        ref = (want.params, want.x, want.memory)
+
+
+def _outcome(step, params, x, memory, u, y_star, hyper, n_steps=4):
+    """Per step, the new state's theta_tilde and x_tilde, until the first
+    NonFiniteError, whose step and quantity end the list."""
+    rng = np.random.default_rng(0)
+    out = []
+    for i in range(n_steps):
+        try:
+            with np.errstate(all="ignore"):
+                result = step(params, x, memory, u, y_star, hyper, rng)
+        except NonFiniteError as err:
+            return out + [(i, err.quantity)]
+        params, x, memory = result.params, result.x, result.memory
+        out.append((memory.theta_tilde.tobytes(), memory.x_tilde.tobytes()))
+    return out
+
+
+def _huge_memory_instance(theta_tilde, eps, x_tilde_scale):
+    """A state whose prediction is exact (zero error, zero gradient), so
+    that a huge but finite memory reaches the normalizers and stage 9."""
+    dims, params, x, u, _, rng = _instance(seed=16)
+    y_star = forward(params, x, u).y
+    memory = UoroMemory(
+        x_tilde=x_tilde_scale * rng.standard_normal(dims.q),
+        theta_tilde=theta_tilde(dims.n_params, rng),
+        eps_norm=eps,
+        eps_prop=eps,
+    )
+    return params, x, memory, u, y_star, _hyper(dims)
+
+
+def test_uoro_step_nonfinite_rho0_when_theta_tilde_norm_overflows():
+    # theta_tilde and the gradient are finite, but their squared norms
+    # overflow: the gradient falls back to a full scan and passes, and
+    # rho0 is infinite.
+    dims, params, x, u, y_star, rng = _instance(seed=16)
+    memory = UoroMemory(
+        x_tilde=np.full(dims.q, 1e-3),
+        theta_tilde=np.full(dims.n_params, 1e200),
+    )
+    for step in (uoro_step, _reference_uoro_step):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+            step(params, x, memory, u, y_star, _hyper(dims),
+                 np.random.default_rng(0))
+        assert info.value.quantity == "rho0"
+
+
+def test_uoro_step_nonfinite_theta_tilde_detected():
+    # With eps_prop = eps_norm = 1e-300 the tangent overflows ||x_fwd||, so
+    # rho0 falls to eps_norm and theta_tilde / rho0 overflows, while rho0,
+    # rho1 and x_tilde stay finite.
+    state = _huge_memory_instance(
+        lambda n, rng: np.full(n, 1e10), eps=1e-300, x_tilde_scale=1e300
+    )
+    for step in (uoro_step, _reference_uoro_step):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+            step(*state, np.random.default_rng(0))
+        assert info.value.quantity == "theta_tilde"
+
+
+@pytest.mark.parametrize(
+    "theta_tilde, eps, x_tilde_scale",
+    [
+        # The scalar bound on the new theta_tilde overflows while every
+        # element stays finite: the full scan must let the step pass.
+        (lambda n, rng: np.full(n, 3e7), 1e-300, 1e300),
+        (lambda n, rng: np.full(n, 1e7), 1e-300, 1e300),
+        (lambda n, rng: np.full(n, 2e8), 1e-300, 1e300),
+        (lambda n, rng: 1e150 * rng.standard_normal(n), EPS_NORM, 1.0),
+        (lambda n, rng: 1e154 * rng.standard_normal(n), EPS_NORM, 1.0),
+    ],
+)
+def test_uoro_step_huge_finite_memory_raises_where_reference_raises(
+    theta_tilde, eps, x_tilde_scale
+):
+    state = _huge_memory_instance(theta_tilde, eps, x_tilde_scale)
+    got = _outcome(uoro_step, *state)
+    assert got == _outcome(_reference_uoro_step, *state)
