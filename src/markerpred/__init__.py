@@ -39,6 +39,7 @@ from markerpred.signal import (
     Partition,
     build_io,
     fit_normalizer,
+    iter_windows,
     load_record,
     make_partition,
     synthetic_record,
@@ -66,6 +67,7 @@ __all__ = [
     "write_record",
     "synthetic_record",
     "fit_normalizer",
+    "iter_windows",
     "build_io",
     "make_partition",
     # metrics

@@ -10,13 +10,14 @@ the bias column carries the intercept.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from markerpred.rnn import NonFiniteError, clip_gradient, loss
+from markerpred.rnn import NonFiniteError, _rescale, loss
 from markerpred.signal import MarkerRecord, WindowedSample
 
 __all__ = [
@@ -59,7 +60,6 @@ class LinearRegressor:
     """Fitted least-squares map y = W u, W of shape p x (m+1)."""
 
     w: np.ndarray
-    fitted: bool = True
 
 
 def init_lms(m: int, p: int, eta: float, tau: float = 2.0) -> LmsFilter:
@@ -73,7 +73,10 @@ def lms_step(filter: LmsFilter, u: np.ndarray, y_star: np.ndarray) -> LmsStepRes
     Predicts y = W u, then descends the instantaneous square loss whose
     gradient in W is -e u^T (e = y* - y), clipped at tau in the norm of the
     flattened matrix (the Frobenius norm) to match the RNN trainers'
-    treatment.
+    treatment. Equal, bit for bit, to `clip_gradient` on the outer product
+    followed by a full finiteness scan of the new weights: the norm is
+    taken once, and a finite norm of the new weights proves them finite
+    (the scan runs only when it overflows or is NaN).
 
     Raises:
         NonFiniteError: loss or updated weights stopped being finite.
@@ -85,11 +88,16 @@ def lms_step(filter: LmsFilter, u: np.ndarray, y_star: np.ndarray) -> LmsStepRes
         raise ValueError(f"y_star has shape {y_star.shape}, expected ({p},)")
     y = filter.w @ u
     e, loss_value = loss(y, y_star)
-    if not np.isfinite(loss_value):
+    if not math.isfinite(loss_value):
         raise NonFiniteError("loss")
-    grad = clip_gradient(np.outer(-e, u), filter.tau)
+    grad = np.outer(-e, u)
+    flat = grad.ravel()
+    grad_norm = math.sqrt(flat.dot(flat))
+    if grad_norm > filter.tau:
+        grad = _rescale(grad, filter.tau, grad_norm)
     new_w = filter.w - filter.eta * grad
-    if not np.isfinite(new_w).all():
+    flat = new_w.ravel()
+    if not math.isfinite(flat.dot(flat)) and not np.isfinite(new_w).all():
         raise NonFiniteError("weights")
     return LmsStepResult(
         filter=LmsFilter(w=new_w, eta=filter.eta, tau=filter.tau),
@@ -119,12 +127,10 @@ def fit_linreg(samples: Sequence[WindowedSample]) -> LinearRegressor:
             stacklevel=2,
         )
     coeffs, _, _, _ = np.linalg.lstsq(U, Y, rcond=None)
-    return LinearRegressor(w=coeffs.T, fitted=True)
+    return LinearRegressor(w=coeffs.T)
 
 
 def predict_linreg(model: LinearRegressor, u: np.ndarray) -> np.ndarray:
-    if not model.fitted:
-        raise RuntimeError("linear regressor was not fitted")
     if u.shape != (model.w.shape[1],):
         raise ValueError(f"u has shape {u.shape}, expected ({model.w.shape[1]},)")
     return model.w @ u

@@ -8,8 +8,9 @@ Subcommands:
     forecast report --in results/
 
 Horizons and signal history lengths are given in seconds on the command
-line and converted to steps by rounding against the sequence's sampling
-period (or --rate for the benchmark, which has no sequence).
+line and converted to steps against the sequence's sampling period (or
+--rate for the benchmark, which has no sequence); a value that is not a
+whole number of steps is rejected.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from markerpred.harness import (
     run_experiment,
     write_cv_csv,
 )
-from markerpred.signal import load_record
+from markerpred.signal import load_record, whole_steps
 
 logger = logging.getLogger(__name__)
 
@@ -122,9 +123,7 @@ def _cmd_cv(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    L = round(args.shl * args.rate)
-    if L < 1:
-        raise ValueError(f"--shl {args.shl}s is below one step at {args.rate} Hz")
+    L = whole_steps(args.shl, 1.0 / args.rate, "--shl")
     ms = bench_step_time(
         args.algo, q=args.q, L=L, n_markers=args.markers, n_steps=args.steps,
     )

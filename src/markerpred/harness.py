@@ -65,11 +65,13 @@ from markerpred.rnn import NonFiniteError, RnnDims, init_params
 from markerpred.rtrl import init_influence, rtrl_step
 from markerpred.signal import (
     MarkerRecord,
+    Normalizer,
     Partition,
-    build_io,
     fit_normalizer,
+    iter_windows,
     load_record,
     make_partition,
+    whole_steps,
 )
 from markerpred.uoro import UoroHyper, init_memory, uoro_step
 
@@ -237,11 +239,15 @@ class CvResult:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One evaluation run; a diverged run keeps the quantity that went
+    non-finite and the anchor step of the sample it happened on."""
+
     run_index: int
     seed: int
     diverged: bool
     diverged_quantity: str | None
     metrics: MetricSet | None
+    diverged_at: int | None = None
 
 
 @dataclass(frozen=True)
@@ -326,10 +332,17 @@ def partition_scheme(algorithm: str) -> str:
 
 
 def _trace_from_steps(
-    record: MarkerRecord, preds: list[np.ndarray], ks: list[int]
+    record: MarkerRecord,
+    preds: list[np.ndarray],
+    ks: list[int],
+    normalizer: Normalizer | None = None,
 ) -> PredictionTrace:
+    """Pair the predictions for steps ks with the record, mapping them back
+    to mm through `normalizer` when they are normalized."""
     n_m = record.n_markers
     pred = np.stack(preds).reshape(len(preds), n_m, 3)
+    if normalizer is not None:
+        pred = normalizer.denormalize(pred)
     true = record.positions[ks[0] : ks[-1] + 1]
     return PredictionTrace(pred=pred, true=true, k_min=ks[0])
 
@@ -386,29 +399,27 @@ def run_sequence_online(
     if L is None:
         raise ValueError(f"{algorithm} requires a signal history length L")
     p = 3 * n_m
+    lag = L + h - 1
 
     if algorithm == "linreg":
-        train_samples = [
-            build_io(record, normalizer, L, h, n)
-            for n in range(max(0, partition.train.stop - (L + h - 1)))
-        ]
-        model = fit_linreg(train_samples)
+        model = fit_linreg(list(iter_windows(
+            record, normalizer, L, h, range(max(0, partition.train.stop - lag))
+        )))
         preds, ks = [], []
-        for k in scoring:
-            n = k - (L + h - 1)
-            if n < 0:
-                continue
-            sample = build_io(record, normalizer, L, h, n)
-            y = predict_linreg(model, sample.u)
-            preds.append(normalizer.denormalize(y.reshape(n_m, 3)).ravel())
-            ks.append(k)
+        for sample in iter_windows(
+            record, normalizer, L, h,
+            range(max(0, scoring.start - lag), scoring.stop - lag),
+        ):
+            preds.append(predict_linreg(model, sample.u))
+            ks.append(sample.target_index)
         return RunResult(
-            trace=_trace_from_steps(record, preds, ks), losses=None, loss_start=None
+            trace=_trace_from_steps(record, preds, ks, normalizer),
+            losses=None, loss_start=None,
         )
 
     # Online trainers: uoro, rtrl, lms.
     first_n = 0
-    last_n = scoring.stop - (L + h - 1) - 1
+    last_n = scoring.stop - lag - 1
     if last_n < first_n:
         raise ValueError(
             f"scoring range {scoring} unreachable with L={L}, h={h}"
@@ -435,8 +446,9 @@ def run_sequence_online(
     ks: list[int] = []
     losses = np.empty(last_n - first_n + 1) if collect_loss else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(first_n, last_n + 1):
-            sample = build_io(record, normalizer, L, h, n)
+        for sample in iter_windows(
+            record, normalizer, L, h, range(first_n, last_n + 1)
+        ):
             try:
                 if algorithm == "uoro":
                     step = uoro_step(
@@ -455,20 +467,19 @@ def run_sequence_online(
             except NonFiniteError as err:
                 return RunResult(
                     trace=None, losses=None, loss_start=None,
-                    diverged=True, diverged_at=n, diverged_quantity=err.quantity,
+                    diverged=True, diverged_at=sample.time_index,
+                    diverged_quantity=err.quantity,
                 )
             if collect_loss:
-                losses[n - first_n] = step.loss
+                losses[sample.time_index - first_n] = step.loss
             if sample.target_index in scoring:
-                preds.append(
-                    normalizer.denormalize(step.y.reshape(n_m, 3)).ravel()
-                )
+                preds.append(step.y)
                 ks.append(sample.target_index)
 
     return RunResult(
-        trace=_trace_from_steps(record, preds, ks),
+        trace=_trace_from_steps(record, preds, ks, normalizer),
         losses=losses,
-        loss_start=first_n + L + h - 1 if collect_loss else None,
+        loss_start=first_n + lag if collect_loss else None,
     )
 
 
@@ -501,7 +512,7 @@ def grid_search(
     n_runs = _n_runs(algorithm, config.n_cv)
     results: dict[float, CvResult] = {}
     for h_s in horizons_s:
-        h = _horizon_steps(h_s, record)
+        h = whole_steps(h_s, record.sample_period, "horizon")
         entries = []
         for hyper in grid:
             rmses, n_div = [], 0
@@ -552,16 +563,6 @@ def grid_search(
     return results
 
 
-def _horizon_steps(h_s: float, record: MarkerRecord) -> int:
-    h = round(h_s / record.sample_period)
-    if h < 1:
-        raise ValueError(
-            f"horizon {h_s}s is below one step at "
-            f"{1.0 / record.sample_period:g} Hz"
-        )
-    return h
-
-
 # ------------------------------ evaluation ---------------------------------
 
 
@@ -579,7 +580,7 @@ def evaluate(
     non-diverged runs (absent when fewer than two survive).
     """
     partition = make_partition(record, partition_scheme(algorithm))
-    h = _horizon_steps(h_s, record)
+    h = whole_steps(h_s, record.sample_period, "horizon")
     n_runs = _n_runs(algorithm, config.n_test)
     runs: list[RunRecord] = []
     loss_sum, loss_count, loss_start = None, 0, None
@@ -595,6 +596,7 @@ def evaluate(
             runs.append(RunRecord(
                 run_index=r, seed=seed, diverged=True,
                 diverged_quantity=outcome.diverged_quantity, metrics=None,
+                diverged_at=outcome.diverged_at,
             ))
             continue
         runs.append(RunRecord(
@@ -608,11 +610,6 @@ def evaluate(
             loss_sum += outcome.losses
             loss_count += 1
 
-    alive = [r.metrics for r in runs if not r.diverged]
-    ci: dict[str, CiSummary | None] = {}
-    for name in METRIC_NAMES:
-        values = np.array([getattr(m, name) for m in alive])
-        ci[name] = ci_per_condition(values) if values.size >= 2 else None
     return EvalResult(
         algorithm=algorithm,
         sequence=record.label,
@@ -620,11 +617,22 @@ def evaluate(
         horizon_s=h_s,
         hyper=hyper,
         runs=tuple(runs),
-        ci=ci,
+        ci=_run_cis(runs),
         n_diverged=sum(r.diverged for r in runs),
         mean_loss_trace=None if loss_sum is None else loss_sum / loss_count,
         loss_trace_start=loss_start,
     )
+
+
+def _run_cis(runs: list[RunRecord]) -> dict[str, CiSummary | None]:
+    """Per-metric 95% interval over the runs that did not diverge, absent
+    when fewer than two survive."""
+    alive = [r.metrics for r in runs if not r.diverged]
+    ci: dict[str, CiSummary | None] = {}
+    for name in METRIC_NAMES:
+        values = np.array([getattr(m, name) for m in alive])
+        ci[name] = ci_per_condition(values) if values.size >= 2 else None
+    return ci
 
 
 # ------------------------------ aggregation --------------------------------
@@ -815,14 +823,14 @@ def write_runs_csv(path: Path, result: EvalResult) -> None:
         writer.writerow(
             ["algorithm", "sequence", "breathing_class", "horizon_s", "hyper",
              "run_index", "seed", "diverged", "diverged_quantity",
-             *METRIC_NAMES]
+             "diverged_at", *METRIC_NAMES]
         )
         for r in result.runs:
             base = [
                 result.algorithm, result.sequence, result.breathing_class,
                 repr(result.horizon_s), result.hyper.key(),
                 r.run_index, r.seed, int(r.diverged),
-                r.diverged_quantity or "",
+                r.diverged_quantity or "", _opt(r.diverged_at),
             ]
             if r.diverged:
                 writer.writerow(base + [""] * len(METRIC_NAMES))
@@ -830,6 +838,39 @@ def write_runs_csv(path: Path, result: EvalResult) -> None:
                 writer.writerow(
                     base + [repr(getattr(r.metrics, n)) for n in METRIC_NAMES]
                 )
+
+
+def read_runs_csv(path: Path) -> EvalResult | None:
+    """Inverse of `write_runs_csv` for what aggregation needs: the runs,
+    their intervals and the condition; the tuple is not kept (its hyper is
+    the default HyperChoice). None when the file holds no runs."""
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    if not rows:
+        return None
+    runs = []
+    for row in rows:
+        diverged = row["diverged"] == "1"
+        metrics = None
+        if not diverged:
+            metrics = MetricSet(**{n: float(row[n]) for n in METRIC_NAMES})
+        runs.append(RunRecord(
+            run_index=int(row["run_index"]), seed=int(row["seed"]),
+            diverged=diverged,
+            diverged_quantity=row["diverged_quantity"] or None,
+            metrics=metrics,
+            # Files written before the column existed lack it.
+            diverged_at=(int(row["diverged_at"])
+                         if row.get("diverged_at") else None),
+        ))
+    first = rows[0]
+    return EvalResult(
+        algorithm=first["algorithm"], sequence=first["sequence"],
+        breathing_class=first["breathing_class"],
+        horizon_s=float(first["horizon_s"]),
+        hyper=HyperChoice(), runs=tuple(runs), ci=_run_cis(runs),
+        n_diverged=sum(r.diverged for r in runs),
+    )
 
 
 def write_loss_csv(path: Path, result: EvalResult) -> None:
@@ -886,6 +927,10 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     tuples.
     """
     records, cohort_exclude = load_dataset(config.data_manifest)
+    # Reject a horizon off any sequence's step grid before hours of runs.
+    for record in records:
+        for h_s in config.horizons_s:
+            whole_steps(h_s, record.sample_period, "horizon")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -959,39 +1004,13 @@ def report_from_dir(in_dir: str | Path) -> dict[str, AggregateReport]:
     per_algo: dict[str, dict[tuple[str, float], EvalResult]] = {}
     classes: dict[str, str] = {}
     for path in sorted(in_dir.glob("runs_*.csv")):
-        with open(path, newline="") as f:
-            rows = list(csv.DictReader(f))
-        if not rows:
+        result = read_runs_csv(path)
+        if result is None:
             continue
-        algo = rows[0]["algorithm"]
-        label = rows[0]["sequence"]
-        h_s = float(rows[0]["horizon_s"])
-        classes[label] = rows[0]["breathing_class"]
-        runs = []
-        for row in rows:
-            diverged = row["diverged"] == "1"
-            metrics = None
-            if not diverged:
-                metrics = MetricSet(
-                    **{n: float(row[n]) for n in METRIC_NAMES}
-                )
-            runs.append(RunRecord(
-                run_index=int(row["run_index"]), seed=int(row["seed"]),
-                diverged=diverged,
-                diverged_quantity=row["diverged_quantity"] or None,
-                metrics=metrics,
-            ))
-        alive = [r.metrics for r in runs if not r.diverged]
-        ci = {}
-        for name in METRIC_NAMES:
-            values = np.array([getattr(m, name) for m in alive])
-            ci[name] = ci_per_condition(values) if values.size >= 2 else None
-        per_algo.setdefault(algo, {})[(label, h_s)] = EvalResult(
-            algorithm=algo, sequence=label,
-            breathing_class=classes[label], horizon_s=h_s,
-            hyper=HyperChoice(), runs=tuple(runs), ci=ci,
-            n_diverged=sum(r.diverged for r in runs),
-        )
+        classes[result.sequence] = result.breathing_class
+        per_algo.setdefault(result.algorithm, {})[
+            (result.sequence, result.horizon_s)
+        ] = result
 
     if not per_algo:
         raise ValueError(f"no runs_*.csv files under {in_dir}")

@@ -17,6 +17,7 @@ gradient indices never drift.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -168,7 +169,7 @@ def clip_gradient(g: np.ndarray, tau: float) -> np.ndarray:
     floating-point rounding of the rescaling."""
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    norm = float(np.linalg.norm(g))
+    norm = _norm(g)
     if norm > tau:
         return _rescale(g, tau, norm)
     return g
@@ -182,11 +183,18 @@ def _rescale(g: np.ndarray, tau: float, norm: float) -> np.ndarray:
     # toward just below tau strictly shrinks the vector each pass, so
     # this terminates (in practice after at most one pass).
     below_tau = float(np.nextafter(tau, 0.0))
-    excess = float(np.linalg.norm(clipped))
+    excess = _norm(clipped)
     while excess > tau:
         clipped *= below_tau / excess
-        excess = float(np.linalg.norm(clipped))
+        excess = _norm(clipped)
     return clipped
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of v's entries: the value `np.linalg.norm(v)` gives
+    for real v (the same dot over the same order), without its overhead."""
+    flat = v.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def sgd_update(

@@ -23,6 +23,7 @@ import logging
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -38,8 +39,10 @@ __all__ = [
     "load_record",
     "write_record",
     "fit_normalizer",
+    "iter_windows",
     "build_io",
     "make_partition",
+    "whole_steps",
     "synthetic_record",
 ]
 
@@ -52,6 +55,10 @@ SCALE_FLOOR_MM = 1e-6
 _TRAIN_CV_END_S = 60.0
 _ONLINE_TRAIN_END_S = 30.0
 _OFFLINE_TRAIN_END_S = 54.0
+
+# A duration names a whole number of steps when its step count lies this
+# close to an integer, relative to the count.
+WHOLE_STEP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -305,6 +312,57 @@ def fit_normalizer(record: MarkerRecord, window: range) -> Normalizer:
     return Normalizer(offset=offset, scale=scale)
 
 
+def iter_windows(
+    record: MarkerRecord, normalizer: Normalizer, L: int, h: int, anchors: range
+) -> Iterator[WindowedSample]:
+    """The forecasting examples anchored at each step of `anchors`, in order.
+
+    The record span the examples read, from the first anchor to the last
+    target, is normalized once. The (L, n_M, 3) window at anchor n is one
+    contiguous run of that span flattened, so each input is the bias 1
+    followed by a copy of that run, and each target a copy of its row;
+    every example gets arrays of its own. `build_io` is the one-anchor
+    case. Arguments are checked at the call, before any example is made.
+
+    Raises:
+        ValueError: L < 1, h < 1, or an anchor < 0.
+        IndexError: the last window's target falls outside the record.
+    """
+    if L < 1 or h < 1:
+        raise ValueError(f"L and h must be >= 1, got L={L}, h={h}")
+    if not anchors:
+        return iter(())
+    first, last = sorted((anchors[0], anchors[-1]))
+    if first < 0:
+        raise ValueError(f"n must be >= 0, got {first}")
+    last_target = last + L + h - 1
+    if last_target >= record.n_steps:
+        raise IndexError(
+            f"window at n={last} with L={L}, h={h} needs step {last_target}, "
+            f"record has {record.n_steps}"
+        )
+    flat = normalizer.normalize(record.positions[first : last_target + 1]).ravel()
+    return _windows(flat, 3 * record.n_markers, L, h, first, anchors)
+
+
+def _windows(
+    flat: np.ndarray, c: int, L: int, h: int, first: int, anchors: range
+) -> Iterator[WindowedSample]:
+    """Slice the examples of `iter_windows` out of its normalized span,
+    `flat`, whose row k (c = 3 * n_M entries) is record step first + k."""
+    width = L * c
+    for n in anchors:
+        i = (n - first) * c
+        u = np.empty(1 + width)
+        u[0] = 1.0
+        u[1:] = flat[i : i + width]
+        t = i + (L + h - 1) * c
+        yield WindowedSample(
+            u=u, target=flat[t : t + c].copy(), time_index=n,
+            target_index=n + L + h - 1,
+        )
+
+
 def build_io(
     record: MarkerRecord, normalizer: Normalizer, L: int, h: int, n: int
 ) -> WindowedSample:
@@ -312,28 +370,34 @@ def build_io(
 
     The input stacks the normalized coordinates of steps n .. n+L-1 behind
     a leading bias 1; the target is the normalized coordinate vector at
-    step n + L + h - 1.
+    step n + L + h - 1. This is `iter_windows` over the single anchor n.
 
     Raises:
         ValueError: L < 1, h < 1, or n < 0.
         IndexError: the window or target falls outside the record.
     """
-    if L < 1 or h < 1:
-        raise ValueError(f"L and h must be >= 1, got L={L}, h={h}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    target_index = n + L + h - 1
-    if target_index >= record.n_steps:
-        raise IndexError(
-            f"window at n={n} with L={L}, h={h} needs step {target_index}, "
-            f"record has {record.n_steps}"
+    return next(iter_windows(record, normalizer, L, h, range(n, n + 1)))
+
+
+def whole_steps(duration_s: float, sample_period: float, name: str) -> int:
+    """The number of steps, at least one, that duration_s spans.
+
+    Raises:
+        ValueError: duration_s / sample_period rounds to less than one, or
+            is not within WHOLE_STEP_RTOL (relative) of a whole number; the
+            message names the duration (as `name`) and the sampling rate.
+    """
+    exact = duration_s / sample_period
+    steps = round(exact)
+    rate_hz = 1.0 / sample_period
+    if steps < 1:
+        raise ValueError(f"{name} {duration_s}s is below one step at {rate_hz:g} Hz")
+    if abs(exact - steps) > WHOLE_STEP_RTOL * exact:
+        raise ValueError(
+            f"{name} {duration_s}s is {exact:.6g} steps at {rate_hz:g} Hz, "
+            f"not a whole number of steps"
         )
-    window = normalizer.normalize(record.positions[n : n + L])
-    u = np.empty(1 + window.size)
-    u[0] = 1.0
-    u[1:] = window.ravel()
-    target = normalizer.normalize(record.positions[target_index]).ravel()
-    return WindowedSample(u=u, target=target, time_index=n, target_index=target_index)
+    return steps
 
 
 def make_partition(

@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 from markerpred.baselines import (
-    LinearRegressor,
+    LmsFilter,
+    LmsStepResult,
     fit_linreg,
     init_lms,
     lms_step,
     no_prediction,
     predict_linreg,
 )
-from markerpred.rnn import NonFiniteError
-from markerpred.signal import MarkerRecord, WindowedSample
+from markerpred.rnn import NonFiniteError, clip_gradient, loss
+from markerpred.signal import (
+    MarkerRecord,
+    WindowedSample,
+    fit_normalizer,
+    iter_windows,
+    synthetic_record,
+)
 
 
 def _samples(n, m, p, seed=0, w_true=None, noise=0.0):
@@ -106,6 +113,73 @@ def test_lms_step_nonfinite_detected():
         lms_step(f, np.array([1.0, np.inf, 0.0, 0.0]), np.ones(2))
 
 
+def _reference_lms_step(filter, u, y_star):
+    """The LMS step as composed before its norm was shared: clip_gradient
+    on the outer product, then a full finiteness scan of the weights."""
+    y = filter.w @ u
+    e, loss_value = loss(y, y_star)
+    if not np.isfinite(loss_value):
+        raise NonFiniteError("loss")
+    grad = clip_gradient(np.outer(-e, u), filter.tau)
+    new_w = filter.w - filter.eta * grad
+    if not np.isfinite(new_w).all():
+        raise NonFiniteError("weights")
+    return LmsStepResult(
+        filter=LmsFilter(w=new_w, eta=filter.eta, tau=filter.tau),
+        y=y, loss=loss_value,
+    )
+
+
+@pytest.mark.parametrize("eta, tau, clipping", [(0.1, 0.5, True), (0.005, 1e3, False)])
+def test_lms_step_matches_reference_over_chained_steps(eta, tau, clipping):
+    record = synthetic_record(duration_s=110.0, seed=21)
+    norm = fit_normalizer(record, range(0, 300))
+    L, h = 10, 5
+    samples = list(iter_windows(record, norm, L, h, range(1000)))
+    got = want = init_lms(m=3 * record.n_markers * L, p=3 * record.n_markers,
+                          eta=eta, tau=tau)
+    n_clipped = 0
+    for s in samples:
+        e = s.target - want.w @ s.u
+        n_clipped += np.linalg.norm(np.outer(-e, s.u)) > tau
+        a = lms_step(got, s.u, s.target)
+        b = _reference_lms_step(want, s.u, s.target)
+        np.testing.assert_array_equal(a.y, b.y)
+        assert a.loss == b.loss
+        got, want = a.filter, b.filter
+    np.testing.assert_array_equal(got.w, want.w)
+    assert (n_clipped > 500) if clipping else (n_clipped == 0)
+
+
+def test_lms_step_accepts_huge_finite_weights():
+    # The new weights' squared norm overflows, so finiteness falls back to
+    # the full scan, which passes.
+    w = np.full((2, 4), 1e200)
+    w[:, 0] = 0.0
+    f = LmsFilter(w=w, eta=0.1, tau=2.0)
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    y_star = np.array([3.0, -1.0])
+    with np.errstate(over="ignore"):
+        result = lms_step(f, u, y_star)
+        want = _reference_lms_step(f, u, y_star)
+        assert np.isinf(np.linalg.norm(result.filter.w))
+    np.testing.assert_array_equal(result.filter.w, want.filter.w)
+
+
+@pytest.mark.parametrize("eta", [1.5e308, np.inf])
+def test_lms_step_overflowing_weights_raise(eta):
+    # A finite loss and a clipped gradient, but eta * grad overflows to inf
+    # (and is NaN where the gradient is 0 and eta is inf).
+    f = LmsFilter(w=np.zeros((2, 4)), eta=eta, tau=2.0)
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError) as err:
+            lms_step(f, u, np.full(2, 10.0))
+        with pytest.raises(NonFiniteError) as ref:
+            _reference_lms_step(f, u, np.full(2, 10.0))
+    assert err.value.quantity == ref.value.quantity == "weights"
+
+
 # --------------------------- linear regression -----------------------------
 
 
@@ -163,12 +237,6 @@ def test_predict_linreg_bias_only_returns_intercept():
     u = np.zeros(5)
     u[0] = 1.0
     assert np.allclose(predict_linreg(model, u), model.w[:, 0])
-
-
-def test_predict_linreg_requires_fit():
-    model = LinearRegressor(w=np.zeros((2, 5)), fitted=False)
-    with pytest.raises(RuntimeError):
-        predict_linreg(model, np.zeros(5))
 
 
 # ----------------------------- no prediction -------------------------------

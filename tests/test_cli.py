@@ -117,6 +117,20 @@ def test_bench_command_rejects_subsecond_step_history():
               "--steps", "5"])
 
 
+@pytest.mark.parametrize("shl", ["0.25", "0.35", "0.45"])
+def test_bench_command_rejects_history_between_steps(shl):
+    with pytest.raises(ValueError, match=rf"--shl {shl}s is .* at 10 Hz"):
+        main(["bench", "--algo", "uoro", "--q", "10", "--shl", shl,
+              "--steps", "5"])
+
+
+def test_bench_command_accepts_float_rounded_history(capsys):
+    # 0.3 s at 10 Hz is 2.9999999999999996 steps in floating point.
+    assert main(["bench", "--algo", "uoro", "--q", "10", "--shl", "0.3",
+                 "--steps", "5"]) == 0
+    assert "L=3" in capsys.readouterr().out
+
+
 def test_report_command_rebuilds_tables(dataset, capsys):
     config = _write_config(dataset, algorithms=["none"])
     assert main(["run", "--config", str(config)]) == 0

@@ -30,9 +30,11 @@ from markerpred.harness import (
     iter_grid,
     load_dataset,
     partition_scheme,
+    read_runs_csv,
     report_from_dir,
     run_experiment,
     run_sequence_online,
+    write_runs_csv,
 )
 from markerpred.baselines import no_prediction
 from markerpred.metrics import MetricSet, ci_per_condition, compute_metrics
@@ -40,6 +42,7 @@ from markerpred.signal import (
     MarkerRecord,
     make_partition,
     synthetic_record,
+    whole_steps,
     write_record,
 )
 
@@ -384,6 +387,47 @@ def test_grid_search_raises_when_every_tuple_diverges():
             grid_search("uoro", record, (0.4,), cfg)
 
 
+@pytest.mark.parametrize("h_s", [0.25, 0.35, 0.45])
+def test_horizon_between_steps_is_rejected(h_s):
+    # round() used to map these to 2, 3 and 4 steps at 10 Hz without a word.
+    record = _quick_record()
+    cfg = ExperimentConfig(
+        algorithm="none", horizons_s=(h_s,), data_manifest="x", out_dir="y",
+    )
+    pattern = rf"horizon {h_s}s is .* steps at 10 Hz, not a whole number"
+    with pytest.raises(ValueError, match=pattern):
+        grid_search("none", record, (h_s,), cfg)
+    hyper = HyperChoice()
+    with pytest.raises(ValueError, match=pattern):
+        evaluate("none", record, hyper, h_s, cfg)
+
+
+def test_run_experiment_rejects_off_grid_horizon_before_any_run(tmp_path):
+    manifest = _write_dataset(tmp_path, duration=70.0)
+    cfg = ExperimentConfig(
+        algorithm="none", horizons_s=(0.4, 0.25), data_manifest=manifest,
+        out_dir=tmp_path / "out",
+    )
+    with pytest.raises(ValueError, match="horizon 0.25s"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_tenth_of_a_second_is_a_whole_horizon():
+    record = _quick_record()
+    assert 0.3 / record.sample_period == 2.9999999999999996
+    for k in range(1, 21):
+        for h_s in (k * 0.1, k / 10):
+            assert whole_steps(h_s, record.sample_period, "horizon") == k
+    cfg = ExperimentConfig(
+        algorithm="none", horizons_s=(0.3,), data_manifest="x", out_dir="y",
+    )
+    result = evaluate("none", record, HyperChoice(), 0.3, cfg)
+    partition = make_partition(record, "online_30_30")
+    direct = run_sequence_online("none", record, partition, HyperChoice(), 3, 0)
+    assert result.runs[0].metrics == compute_metrics(direct.trace)
+
+
 def test_grid_search_rejects_subsecond_step_horizon():
     record = _quick_record()
     cfg = ExperimentConfig(
@@ -468,6 +512,7 @@ def test_evaluate_counts_diverged_runs_and_uses_survivors(monkeypatch):
     result = evaluate("uoro", record, hyper, 0.4, cfg)
     assert result.n_diverged == 1
     assert result.runs[1].diverged and result.runs[1].diverged_quantity == "loss"
+    assert result.runs[1].diverged_at == 10
     assert result.runs[1].metrics is None
     for name in METRIC_NAMES:
         assert result.ci[name].n_runs == 2
@@ -722,6 +767,34 @@ def test_report_from_dir_round_trips_aggregation(tmp_path):
     for name in METRIC_NAMES:
         assert row.means[name] == pytest.approx(report.rows[0].means[name],
                                                 rel=1e-12)
+
+
+def test_runs_csv_round_trips_divergence_step(tmp_path):
+    metrics = MetricSet(mae=1.0, rmse=1.5, nrmse=0.25, max_error=3.0, jitter=0.5)
+    runs = (
+        RunRecord(0, 11, False, None, metrics),
+        RunRecord(1, 12, True, "theta_tilde", None, diverged_at=417),
+        RunRecord(2, 13, False, None,
+                  MetricSet(mae=2.0, rmse=2.5, nrmse=0.5, max_error=4.0,
+                            jitter=1.5)),
+    )
+    result = EvalResult(
+        algorithm="uoro", sequence="seq", breathing_class="regular",
+        horizon_s=0.4, hyper=HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10),
+        runs=runs, ci={}, n_diverged=1,
+    )
+    path = tmp_path / "runs_uoro_seq_h0.4.csv"
+    write_runs_csv(path, result)
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["diverged_at"] for r in rows] == ["", "417", ""]
+    back = read_runs_csv(path)
+    assert back.runs == runs
+    assert (back.algorithm, back.sequence, back.breathing_class,
+            back.horizon_s, back.n_diverged) == ("uoro", "seq", "regular", 0.4, 1)
+    assert back.ci["rmse"].n_runs == 2
+    report = report_from_dir(tmp_path)
+    assert report["uoro"].rows[0].means["rmse"] == 2.0
 
 
 def test_report_from_dir_rejects_empty_directory(tmp_path):

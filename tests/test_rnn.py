@@ -6,6 +6,7 @@ import pytest
 from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
+    _norm,
     clip_gradient,
     flatten_params,
     forward,
@@ -114,6 +115,17 @@ def test_clip_gradient_under_threshold_identity():
     g = np.array([0.3, -0.4, 0.1])
     clipped = clip_gradient(g, tau=2.0)
     assert clipped is g
+
+
+def test_norm_equals_numpy_norm_bit_for_bit():
+    # The clip and its overshoot guard take norms through `_norm`; it must
+    # give np.linalg.norm's value for every memory layout.
+    rng = np.random.default_rng(8)
+    for shape in ((1,), (17,), (9, 31), (4, 5, 6)):
+        for _ in range(20):
+            v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150)
+            for arr in (v, np.asfortranarray(v), v[..., ::2], v.T):
+                assert _norm(arr) == float(np.linalg.norm(arr))
 
 
 def test_clip_gradient_randomized():

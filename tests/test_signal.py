@@ -4,14 +4,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markerpred.signal import (
     SCALE_FLOOR_MM,
     MarkerRecord,
     Normalizer,
     Partition,
+    WindowedSample,
     build_io,
     fit_normalizer,
+    iter_windows,
     load_record,
     make_partition,
     synthetic_record,
@@ -255,6 +259,111 @@ def test_build_io_out_of_range():
         build_io(record, norm, L=0, h=1, n=0)
     with pytest.raises(ValueError):
         build_io(record, norm, L=1, h=0, n=0)
+
+
+def _reference_build_io(record, normalizer, L, h, n):
+    """The per-sample window assembly that `iter_windows` replaced: the
+    window and the target are normalized on their own at every anchor."""
+    if L < 1 or h < 1:
+        raise ValueError(f"L and h must be >= 1, got L={L}, h={h}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    target_index = n + L + h - 1
+    if target_index >= record.n_steps:
+        raise IndexError(
+            f"window at n={n} with L={L}, h={h} needs step {target_index}, "
+            f"record has {record.n_steps}"
+        )
+    window = normalizer.normalize(record.positions[n : n + L])
+    u = np.empty(1 + window.size)
+    u[0] = 1.0
+    u[1:] = window.ravel()
+    target = normalizer.normalize(record.positions[target_index]).ravel()
+    return WindowedSample(u=u, target=target, time_index=n, target_index=target_index)
+
+
+def _assert_same_sample(got, want):
+    np.testing.assert_array_equal(got.u, want.u)
+    np.testing.assert_array_equal(got.target, want.target)
+    assert got.u.shape == want.u.shape and got.target.shape == want.target.shape
+    assert (got.time_index, got.target_index) == (want.time_index, want.target_index)
+
+
+def _raised(fn):
+    """The exception type and message fn raises, or None."""
+    try:
+        fn()
+    except (IndexError, ValueError) as err:
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rate_hz=st.sampled_from([1.0, 7.0, 10.0, 25.0, 30.0]),
+    duration_s=st.floats(0.5, 6.0),
+    n_markers=st.integers(1, 4),
+    L=st.integers(1, 12),
+    h=st.integers(1, 12),
+    start=st.integers(0, 60),
+    count=st.integers(0, 40),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_iter_windows_equals_per_sample_reference(
+    rate_hz, duration_s, n_markers, L, h, start, count, seed
+):
+    # Every window served from the once-normalized span equals, bit for
+    # bit, the window normalized on its own; the same arguments that make
+    # the per-sample path raise make `iter_windows` and `build_io` raise
+    # the same error.
+    period = 1.0 / rate_hz
+    n_steps = max(1, round(duration_s * rate_hz))
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-80.0, 80.0, size=(n_steps, n_markers, 3))
+    record = MarkerRecord(positions=positions, sample_period=period)
+    norm = Normalizer(
+        offset=rng.uniform(-10.0, 10.0, size=(n_markers, 3)),
+        scale=rng.uniform(0.5, 40.0, size=(n_markers, 3)),
+    )
+    anchors = range(start, start + count)
+    lag = L + h - 1
+    if count and start + count - 1 + lag >= n_steps:
+        last = start + count - 1
+        want = _raised(lambda: _reference_build_io(record, norm, L, h, last))
+        assert _raised(lambda: iter_windows(record, norm, L, h, anchors)) == want
+        assert _raised(lambda: build_io(record, norm, L, h, last)) == want
+        anchors = range(start, max(start, n_steps - lag))
+    samples = list(iter_windows(record, norm, L, h, anchors))
+    assert [s.time_index for s in samples] == list(anchors)
+    for n, sample in zip(anchors, samples):
+        want = _reference_build_io(record, norm, L, h, n)
+        _assert_same_sample(sample, want)
+        _assert_same_sample(build_io(record, norm, L, h, n), want)
+
+
+def test_iter_windows_rejects_bad_arguments_like_build_io():
+    record = _record(n_steps=20)
+    norm = fit_normalizer(record, range(0, 20))
+    for L, h, n in ((0, 1, 0), (1, 0, 0), (2, 1, -1)):
+        want = _raised(lambda: _reference_build_io(record, norm, L, h, n))
+        assert want is not None and want[0] is ValueError
+        assert _raised(lambda: iter_windows(record, norm, L, h, range(n, 5))) == want
+        assert _raised(lambda: build_io(record, norm, L, h, n)) == want
+    # An empty anchor range yields nothing, even past the record's end.
+    assert list(iter_windows(record, norm, 2, 1, range(30, 30))) == []
+
+
+def test_iter_windows_samples_own_their_arrays():
+    # Writing into one example's arrays must not reach any other example,
+    # though all are cut from one normalized span.
+    record = _record(n_steps=30, seed=3)
+    norm = fit_normalizer(record, range(0, 30))
+    samples = list(iter_windows(record, norm, 3, 2, range(0, 10)))
+    samples[0].u[:] = 0.0
+    samples[0].target[:] = 0.0
+    for n, s in enumerate(samples[1:], start=1):
+        assert s.u.flags.owndata and s.target.flags.owndata
+        _assert_same_sample(s, _reference_build_io(record, norm, 3, 2, n))
 
 
 # -------------------------- partitions -----------------------------------
