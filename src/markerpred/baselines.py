@@ -75,8 +75,10 @@ def lms_step(filter: LmsFilter, u: np.ndarray, y_star: np.ndarray) -> LmsStepRes
     flattened matrix (the Frobenius norm) to match the RNN trainers'
     treatment. Equal, bit for bit, to `clip_gradient` on the outer product
     followed by a full finiteness scan of the new weights: the norm is
-    taken once, and a finite norm of the new weights proves them finite
-    (the scan runs only when it overflows or is NaN).
+    taken once, eta times the clipped gradient and then the new weights are
+    written into the fresh gradient buffer, as `sgd_update` does, and a
+    finite norm of the new weights proves them finite (the scan runs only
+    when it overflows or is NaN).
 
     Raises:
         NonFiniteError: loss or updated weights stopped being finite.
@@ -95,7 +97,8 @@ def lms_step(filter: LmsFilter, u: np.ndarray, y_star: np.ndarray) -> LmsStepRes
     grad_norm = math.sqrt(flat.dot(flat))
     if grad_norm > filter.tau:
         grad = _rescale(grad, filter.tau, grad_norm)
-    new_w = filter.w - filter.eta * grad
+    grad *= filter.eta
+    new_w = np.subtract(filter.w, grad, out=grad)
     flat = new_w.ravel()
     if not math.isfinite(flat.dot(flat)) and not np.isfinite(new_w).all():
         raise NonFiniteError("weights")

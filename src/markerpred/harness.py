@@ -39,6 +39,7 @@ import platform
 import re
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -200,9 +201,10 @@ class ExperimentConfig:
                 )
         if self.n_cv < 1 or self.n_test < 1:
             raise ValueError("n_cv and n_test must be >= 1")
-        if self.grid is not None and self.algorithm != "none":
+        if self.grid is not None:
             if not all(len(v) > 0 for v in self.grid.values()):
                 raise ValueError("grid axes must be non-empty")
+            _check_grid_axes(self.algorithm, self.grid)
 
     def effective_grid(self) -> dict[str, tuple]:
         return DEFAULT_GRIDS[self.algorithm] if self.grid is None else self.grid
@@ -306,14 +308,27 @@ def derive_seed(master_seed: int, *parts) -> int:
 # ------------------------------ grids --------------------------------------
 
 
+def _check_grid_axes(algorithm: str, grid: dict[str, tuple]) -> None:
+    """A grid must have exactly the axes of the algorithm's shipped grid: a
+    missing axis would fail at the first run, and an extra one would repeat
+    the same run under keys that differ only in a value nothing reads."""
+    axes = list(DEFAULT_GRIDS[algorithm])
+    missing = [k for k in axes if k not in grid]
+    unknown = sorted(set(grid) - set(axes))
+    if missing or unknown:
+        raise ValueError(
+            f"{algorithm} grid must have axes {axes}: missing {missing}, "
+            f"unknown grid axes {unknown}"
+        )
+
+
 def iter_grid(algorithm: str, grid: dict[str, tuple]) -> list[HyperChoice]:
-    """Expand a grid specification into an ordered list of tuples."""
+    """Expand a grid specification, whose axes must be the algorithm's
+    (`_check_grid_axes`), into an ordered list of tuples."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    _check_grid_axes(algorithm, grid)
     keys = [k for k in _GRID_KEYS if k in grid]
-    unknown = set(grid) - set(_GRID_KEYS)
-    if unknown:
-        raise ValueError(f"unknown grid axes {sorted(unknown)}")
     if not keys:
         return [HyperChoice()]
     choices = []
@@ -345,6 +360,57 @@ def _trace_from_steps(
         pred = normalizer.denormalize(pred)
     true = record.positions[ks[0] : ks[-1] + 1]
     return PredictionTrace(pred=pred, true=true, k_min=ks[0])
+
+
+def _online_learner(
+    algorithm: str, hyper: HyperChoice, m: int, p: int, seed: int
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float]]:
+    """A fresh "uoro", "rtrl" or "lms" learner (the callers check the
+    name): step(u, y_star) -> (y, loss) trains on one sample, u of length
+    m + 1 and y_star of length p, and keeps the learner state in its closure.
+    RNN weights are drawn from `seed`, UORO's signs from [seed, 1].
+    """
+    if algorithm == "lms":
+        lms = init_lms(m=m, p=p, eta=hyper.eta, tau=CLIP_TAU)
+
+        def step(u, y_star):
+            nonlocal lms
+            result = lms_step(lms, u, y_star)
+            lms = result.filter
+            return result.y, result.loss
+
+        return step
+
+    dims = RnnDims(q=hyper.q, m=m, p=p)
+    params = init_params(dims, hyper.sigma_init, seed)
+    x = np.zeros(dims.q)
+    if algorithm == "uoro":
+        memory = init_memory(dims)
+        uoro_hyper = UoroHyper(
+            eta=hyper.eta, tau=CLIP_TAU, sigma_init=hyper.sigma_init,
+            L=hyper.L, q=hyper.q,
+        )
+        nu_rng = np.random.default_rng([seed, 1])
+
+        def step(u, y_star):
+            nonlocal params, x, memory
+            result = uoro_step(params, x, memory, u, y_star, uoro_hyper, nu_rng)
+            params, x, memory = result.params, result.x, result.memory
+            return result.y, result.loss
+
+        return step
+
+    influence = init_influence(dims)
+
+    def step(u, y_star):
+        nonlocal params, x, influence
+        result = rtrl_step(
+            params, x, influence, u, y_star, eta=hyper.eta, tau=CLIP_TAU
+        )
+        params, x, influence = result.params, result.x, result.influence
+        return result.y, result.loss
+
+    return step
 
 
 def run_sequence_online(
@@ -424,24 +490,7 @@ def run_sequence_online(
         raise ValueError(
             f"scoring range {scoring} unreachable with L={L}, h={h}"
         )
-    if algorithm == "uoro":
-        dims = RnnDims(q=hyper.q, m=3 * n_m * L, p=p)
-        params = init_params(dims, hyper.sigma_init, seed)
-        x = np.zeros(dims.q)
-        memory = init_memory(dims)
-        uoro_hyper = UoroHyper(
-            eta=hyper.eta, tau=CLIP_TAU, sigma_init=hyper.sigma_init,
-            L=L, q=hyper.q,
-        )
-        nu_rng = np.random.default_rng([seed, 1])
-    elif algorithm == "rtrl":
-        dims = RnnDims(q=hyper.q, m=3 * n_m * L, p=p)
-        params = init_params(dims, hyper.sigma_init, seed)
-        x = np.zeros(dims.q)
-        influence = init_influence(dims)
-    else:
-        lms = init_lms(m=3 * n_m * L, p=p, eta=hyper.eta, tau=CLIP_TAU)
-
+    step = _online_learner(algorithm, hyper, 3 * n_m * L, p, seed)
     preds: list[np.ndarray] = []
     ks: list[int] = []
     losses = np.empty(last_n - first_n + 1) if collect_loss else None
@@ -450,20 +499,7 @@ def run_sequence_online(
             record, normalizer, L, h, range(first_n, last_n + 1)
         ):
             try:
-                if algorithm == "uoro":
-                    step = uoro_step(
-                        params, x, memory, sample.u, sample.target, uoro_hyper, nu_rng
-                    )
-                    params, x, memory = step.params, step.x, step.memory
-                elif algorithm == "rtrl":
-                    step = rtrl_step(
-                        params, x, influence, sample.u, sample.target,
-                        eta=hyper.eta, tau=CLIP_TAU,
-                    )
-                    params, x, influence = step.params, step.x, step.influence
-                else:
-                    step = lms_step(lms, sample.u, sample.target)
-                    lms = step.filter
+                y, loss = step(sample.u, sample.target)
             except NonFiniteError as err:
                 return RunResult(
                     trace=None, losses=None, loss_start=None,
@@ -471,9 +507,9 @@ def run_sequence_online(
                     diverged_quantity=err.quantity,
                 )
             if collect_loss:
-                losses[sample.time_index - first_n] = step.loss
+                losses[sample.time_index - first_n] = loss
             if sample.target_index in scoring:
-                preds.append(step.y)
+                preds.append(y)
                 ks.append(sample.target_index)
 
     return RunResult(
@@ -726,39 +762,26 @@ def bench_step_time(
 ) -> float:
     """Median wall-clock milliseconds per training step.
 
-    Chains real steps on synthetic bounded inputs (10 unmeasured warm-up
-    steps, then n_steps measured ones) so caches and allocator are warm.
-    Only the recurrent trainers are worth timing here.
+    Chains real steps of `run_sequence_online`'s learner on synthetic
+    bounded inputs (10 unmeasured warm-up steps, then n_steps measured ones)
+    so caches and allocator are warm. Only the recurrent trainers are worth
+    timing here.
     """
     if algorithm not in STOCHASTIC_ALGORITHMS:
         raise ValueError("step-time benchmark supports 'uoro' and 'rtrl' only")
-    dims = RnnDims(q=q, m=3 * n_markers * L, p=3 * n_markers)
-    params = init_params(dims, sigma_init=0.02, seed=seed)
+    m, p = 3 * n_markers * L, 3 * n_markers
+    hyper = HyperChoice(eta=0.05, sigma_init=0.02, L=L, q=q)
+    step = _online_learner(algorithm, hyper, m, p, seed)
     rng = np.random.default_rng([seed, 2])
-    x = np.zeros(dims.q)
     warmup = 10
-    inputs = rng.uniform(-1.0, 1.0, size=(n_steps + warmup, dims.m + 1))
+    inputs = rng.uniform(-1.0, 1.0, size=(n_steps + warmup, m + 1))
     inputs[:, 0] = 1.0
-    targets = rng.uniform(-1.0, 1.0, size=(n_steps + warmup, dims.p))
-
-    if algorithm == "uoro":
-        memory = init_memory(dims)
-        hyper = UoroHyper(eta=0.05, tau=CLIP_TAU, sigma_init=0.02, L=L, q=q)
-    else:
-        influence = init_influence(dims)
+    targets = rng.uniform(-1.0, 1.0, size=(n_steps + warmup, p))
 
     elapsed = np.empty(n_steps)
     for i in range(n_steps + warmup):
         t0 = time.perf_counter()
-        if algorithm == "uoro":
-            step = uoro_step(params, x, memory, inputs[i], targets[i], hyper, rng)
-            params, x, memory = step.params, step.x, step.memory
-        else:
-            step = rtrl_step(
-                params, x, influence, inputs[i], targets[i],
-                eta=0.05, tau=CLIP_TAU,
-            )
-            params, x, influence = step.params, step.x, step.influence
+        step(inputs[i], targets[i])
         t1 = time.perf_counter()
         if i >= warmup:
             elapsed[i - warmup] = t1 - t0

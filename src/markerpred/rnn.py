@@ -18,9 +18,7 @@ gradient indices never drift.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,8 +35,6 @@ __all__ = [
     "sgd_update",
     "flatten_params",
     "unflatten_params",
-    "save_params",
-    "load_params",
 ]
 
 
@@ -266,27 +262,3 @@ def unflatten_params(theta: np.ndarray, dims: RnnDims) -> RnnParams:
     w_c = theta[b_end:].reshape((dims.p, dims.q), order="F")
     return RnnParams(w_a=w_a, w_b=w_b, w_c=w_c)
 
-
-# Checkpoint format: little-endian header of three int64 (q, m, p) followed
-# by the flat parameter vector as little-endian float64.
-_HEADER = struct.Struct("<3q")
-
-
-def save_params(path: str | Path, params: RnnParams) -> None:
-    dims = params.dims
-    theta = flatten_params(params).astype("<f8")
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(dims.q, dims.m, dims.p))
-        f.write(theta.tobytes())
-
-
-def load_params(path: str | Path) -> RnnParams:
-    with open(path, "rb") as f:
-        q, m, p = _HEADER.unpack(f.read(_HEADER.size))
-        dims = RnnDims(q=q, m=m, p=p)
-        theta = np.frombuffer(f.read(), dtype="<f8").astype(np.float64)
-    if theta.shape != (dims.n_params,):
-        raise ValueError(
-            f"checkpoint holds {theta.size} weights, expected {dims.n_params}"
-        )
-    return unflatten_params(theta, dims)

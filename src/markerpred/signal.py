@@ -257,7 +257,13 @@ def write_record(
     path: str | Path, record: MarkerRecord, manifest_path: str | Path | None = None
 ) -> None:
     """Inverse of `load_record`: CSV with derived time stamps plus a JSON
-    manifest (defaults to the CSV path with a .json suffix)."""
+    manifest (defaults to the CSV path with a .json suffix).
+
+    Positions, label and class come back exactly, and so does the period
+    1/r of an integer rate r Hz (checked for r = 1 to 250). The manifest
+    stores rate_hz = 1/period, so another period may come back one ulp off
+    (about one random period in six does).
+    """
     path = Path(path)
     header = ["t_seconds"]
     for j in range(record.n_markers):

@@ -45,6 +45,10 @@ writes the blocks of dtheta_g in place, shares W_b u between stages 1 and
 6, computes each norm once, and checks the gradient and the new
 theta_tilde for finiteness through norms it already has, scanning an array
 only when such a norm is not finite.
+
+The guard eps of step 8 and the finite-difference step eps of step 6 are
+the module constants EPS_NORM and EPS_PROP, which `uoro_step` reads on
+every call.
 """
 
 from __future__ import annotations
@@ -96,8 +100,6 @@ class UoroMemory:
 
     x_tilde: np.ndarray
     theta_tilde: np.ndarray
-    eps_norm: float = EPS_NORM
-    eps_prop: float = EPS_PROP
 
 
 @dataclass(frozen=True)
@@ -300,11 +302,8 @@ def uoro_step(
         raise ValueError(f"nu has shape {nu.shape}, expected ({q},)")
 
     # 6. tangent propagation
-    eps_prop = memory.eps_prop
-    if not eps_prop > 0:
-        raise ValueError(f"eps_prop must be > 0, got {eps_prop}")
-    shifted = np.tanh(params.w_a @ (x + eps_prop * memory.x_tilde) + cache.wb_u)
-    x_fwd = (shifted - x_next) / eps_prop
+    shifted = np.tanh(params.w_a @ (x + EPS_PROP * memory.x_tilde) + cache.wb_u)
+    x_fwd = (shifted - x_next) / EPS_PROP
 
     # 7. The W_a and W_b blocks are written in place as the C-order outer
     # products x a^T and u a^T, which are the column-major a x^T and a u^T.
@@ -314,9 +313,9 @@ def uoro_step(
     np.multiply.outer(u, a, out=dtheta_g[n_wa:b_end].reshape(dims.m + 1, q))
     dtheta_g[b_end:] = 0.0
 
-    # 8. Numpy scalars keep a zero denominator (eps_norm = 0) an inf or a
+    # 8. Numpy scalars keep a zero denominator (EPS_NORM = 0) an inf or a
     # NaN that the checks below report, as np.linalg.norm did.
-    eps = memory.eps_norm
+    eps = EPS_NORM
     theta_tilde_norm = math.sqrt(memory.theta_tilde.dot(memory.theta_tilde))
     dtheta_g_norm = math.sqrt(dtheta_g.dot(dtheta_g))
     rho0 = np.sqrt(theta_tilde_norm / (np.sqrt(x_fwd.dot(x_fwd)) + eps)) + eps
@@ -345,12 +344,7 @@ def uoro_step(
     return UoroStepResult(
         params=new_params,
         x=x_next,
-        memory=UoroMemory(
-            x_tilde=x_tilde,
-            theta_tilde=theta_tilde,
-            eps_norm=memory.eps_norm,
-            eps_prop=memory.eps_prop,
-        ),
+        memory=UoroMemory(x_tilde=x_tilde, theta_tilde=theta_tilde),
         y=cache.y,
         loss=loss_value,
     )

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from markerpred.harness import (
     HyperChoice,
     RunRecord,
     RunResult,
+    _online_learner,
     aggregate,
     bench_step_time,
     derive_seed,
@@ -36,15 +38,20 @@ from markerpred.harness import (
     run_sequence_online,
     write_runs_csv,
 )
-from markerpred.baselines import no_prediction
+from markerpred.baselines import init_lms, lms_step, no_prediction
 from markerpred.metrics import MetricSet, ci_per_condition, compute_metrics
+from markerpred.rnn import RnnDims, init_params
+from markerpred.rtrl import init_influence, rtrl_step
 from markerpred.signal import (
     MarkerRecord,
+    fit_normalizer,
+    iter_windows,
     make_partition,
     synthetic_record,
     whole_steps,
     write_record,
 )
+from markerpred.uoro import UoroHyper, init_memory, uoro_step
 
 
 def _quick_record(seed=0, duration=80.0, label="seq"):
@@ -171,6 +178,28 @@ def test_config_rejects_empty_horizons_and_bad_counts(tmp_path):
         _config("uoro", tmp_path, n_cv=0)
     with pytest.raises(ValueError, match="non-empty"):
         _config("uoro", tmp_path, grid={"eta": ()})
+
+
+@pytest.mark.parametrize(
+    "algorithm, grid, missing, unknown",
+    [
+        # Used to fail with a TypeError at the first run.
+        ("uoro", {"eta": (0.1,), "L": (10,), "q": (10,)}, ["sigma_init"], []),
+        # Used to run identical tuples under different keys.
+        ("lms", {"eta": (0.1,), "L": (10,), "q": (10, 30)}, [], ["q"]),
+        ("linreg", {"eta": (0.1, 0.2), "L": (10,)}, [], ["eta"]),
+        ("none", {"L": (10,)}, [], ["L"]),
+        ("rtrl", {"eta": (0.1,), "sigma_init": (0.02,), "L": (10,),
+                  "momentum": (0.9,)}, ["q"], ["momentum"]),
+    ],
+)
+def test_grid_axes_must_match_algorithm(tmp_path, algorithm, grid, missing,
+                                        unknown):
+    message = re.escape(f"missing {missing}, unknown grid axes {unknown}")
+    with pytest.raises(ValueError, match=message):
+        _config(algorithm, tmp_path, grid=grid)
+    with pytest.raises(ValueError, match=message):
+        iter_grid(algorithm, grid)
 
 
 def test_config_default_grid_lookup(tmp_path):
@@ -303,6 +332,45 @@ def test_collect_loss_returns_aligned_trace():
     last_target = record.n_steps - 1
     assert out.loss_start + len(out.losses) - 1 == last_target
     assert np.all(np.isfinite(out.losses))
+
+
+@pytest.mark.parametrize("algorithm, hyper", [
+    ("uoro", HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10)),
+    ("rtrl", HyperChoice(eta=0.1, sigma_init=0.02, L=5, q=5)),
+    ("lms", HyperChoice(eta=0.05, L=10)),
+])
+def test_online_learner_equals_direct_step_chain(algorithm, hyper):
+    # The reference chains the step functions with the initialization that
+    # run_sequence_online used before it drove them through the learner.
+    record = _quick_record(seed=4)
+    samples = iter_windows(record, fit_normalizer(record, range(300)),
+                           hyper.L, 4, range(300))
+    m, p, seed = 3 * record.n_markers * hyper.L, 3 * record.n_markers, 11
+    step = _online_learner(algorithm, hyper, m, p, seed)
+    if algorithm == "lms":
+        lms = init_lms(m=m, p=p, eta=hyper.eta, tau=CLIP_TAU)
+    else:
+        dims = RnnDims(q=hyper.q, m=m, p=p)
+        params, x = init_params(dims, hyper.sigma_init, seed), np.zeros(hyper.q)
+        memory, influence = init_memory(dims), init_influence(dims)
+        uoro_hyper = UoroHyper(eta=hyper.eta, tau=CLIP_TAU,
+                               sigma_init=hyper.sigma_init, L=hyper.L, q=hyper.q)
+        nu_rng = np.random.default_rng([seed, 1])
+    for sample in samples:
+        y, loss_value = step(sample.u, sample.target)
+        if algorithm == "uoro":
+            want = uoro_step(params, x, memory, sample.u, sample.target,
+                             uoro_hyper, nu_rng)
+            params, x, memory = want.params, want.x, want.memory
+        elif algorithm == "rtrl":
+            want = rtrl_step(params, x, influence, sample.u, sample.target,
+                             eta=hyper.eta, tau=CLIP_TAU)
+            params, x, influence = want.params, want.x, want.influence
+        else:
+            want = lms_step(lms, sample.u, sample.target)
+            lms = want.filter
+        np.testing.assert_array_equal(y, want.y)
+        np.testing.assert_array_equal(loss_value, want.loss)
 
 
 # ------------------------------ grid search ---------------------------------

@@ -1,7 +1,11 @@
 """Tests for the metric suite against literal loop-based recomputation."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markerpred.metrics import (
     CiSummary,
@@ -140,6 +144,31 @@ def test_nrmse_translation_invariance():
     shift = np.array([13.0, -4.0, 2.0])
     moved = PredictionTrace(pred=trace.pred + shift, true=trace.true + shift)
     assert nrmse(moved) == pytest.approx(nrmse(trace), rel=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    K=st.integers(2, 40),
+    n_m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    error_scale=st.floats(0.1, 10.0),
+    shift=st.tuples(*[st.floats(-200.0, 200.0)] * 3),
+)
+def test_metrics_invariant_under_translation_and_marker_permutation(
+    K, n_m, seed, error_scale, shift
+):
+    # Every metric is a function of the errors and of the predictions'
+    # and true positions' motion, all blind to a common translation and
+    # to the order of the markers.
+    trace = _trace(K=K, n_m=n_m, seed=seed, error_scale=error_scale)
+    want = astuple(compute_metrics(trace))
+    moved = PredictionTrace(pred=trace.pred + np.array(shift),
+                            true=trace.true + np.array(shift))
+    assert astuple(compute_metrics(moved)) == pytest.approx(want, rel=1e-9)
+    order = np.random.default_rng(seed).permutation(n_m)
+    permuted = PredictionTrace(pred=trace.pred[:, order],
+                               true=trace.true[:, order])
+    assert astuple(compute_metrics(permuted)) == pytest.approx(want, rel=1e-12)
 
 
 def test_jitter_constant_prediction_is_zero():

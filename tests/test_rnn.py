@@ -1,4 +1,4 @@
-"""Tests for the shared RNN core: shapes, flattening, clipping, I/O."""
+"""Tests for the shared RNN core: shapes, flattening, clipping."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,7 @@ from markerpred.rnn import (
     flatten_params,
     forward,
     init_params,
-    load_params,
     loss,
-    save_params,
     tanh_prime,
     unflatten_params,
 )
@@ -171,27 +169,6 @@ def test_flatten_unflatten_roundtrip():
 def test_unflatten_rejects_wrong_length():
     with pytest.raises(ValueError):
         unflatten_params(np.zeros(11), RnnDims(q=2, m=1, p=1))
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    dims = RnnDims(q=5, m=9, p=3)
-    params = init_params(dims, sigma_init=0.1, seed=9)
-    path = tmp_path / "weights.bin"
-    save_params(path, params)
-    back = load_params(path)
-    assert back.dims == dims
-    assert np.array_equal(flatten_params(back), flatten_params(params))
-
-
-def test_checkpoint_rejects_truncated(tmp_path):
-    dims = RnnDims(q=5, m=9, p=3)
-    params = init_params(dims, sigma_init=0.1, seed=9)
-    path = tmp_path / "weights.bin"
-    save_params(path, params)
-    data = path.read_bytes()
-    path.write_bytes(data[:-16])
-    with pytest.raises(ValueError):
-        load_params(path)
 
 
 def test_nonfinite_error_carries_quantity():

@@ -1,13 +1,17 @@
 """Tests for record ingestion, normalization, windowing, and partitions."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from markerpred.signal import (
+    BREATHING_CLASSES,
     SCALE_FLOOR_MM,
     MarkerRecord,
     Normalizer,
@@ -123,6 +127,32 @@ def test_round_trip_parse_serialize_parse(tmp_path):
     assert loaded.label == reloaded.label
     assert loaded.breathing_class == reloaded.breathing_class
     assert np.array_equal(original.positions, loaded.positions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rate_hz=st.integers(1, 250),
+    positions=st.tuples(st.integers(1, 20), st.integers(1, 4), st.just(3))
+    .flatmap(lambda shape: hnp.arrays(
+        np.float64, shape,
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    )),
+    label=st.text(max_size=12),
+    breathing_class=st.sampled_from(BREATHING_CLASSES),
+)
+def test_write_load_round_trip_at_integer_rates(
+    rate_hz, positions, label, breathing_class
+):
+    record = MarkerRecord(positions=positions, sample_period=1.0 / rate_hz,
+                          label=label, breathing_class=breathing_class)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seq.csv"
+        write_record(path, record)
+        back = load_record(path)
+    np.testing.assert_array_equal(back.positions, record.positions)
+    assert back.sample_period == record.sample_period
+    assert back.label == label
+    assert back.breathing_class == breathing_class
 
 
 def test_marker_record_rejects_nonfinite():

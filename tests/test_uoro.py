@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markerpred import uoro
 from markerpred.harness import CLIP_TAU
 from markerpred.rnn import (
     NonFiniteError,
@@ -22,6 +23,7 @@ from markerpred.rtrl import jac_state_theta, jac_state_x
 from markerpred.signal import build_io, fit_normalizer, synthetic_record
 from markerpred.uoro import (
     EPS_NORM,
+    EPS_PROP,
     UoroHyper,
     UoroMemory,
     UoroStepResult,
@@ -375,8 +377,7 @@ def test_uoro_memory_defaults():
     memory = init_memory(dims)
     assert np.array_equal(memory.x_tilde, np.zeros(3))
     assert np.array_equal(memory.theta_tilde, np.zeros(dims.n_params))
-    assert memory.eps_norm == EPS_NORM == 1e-7
-    assert memory.eps_prop == 1e-7
+    assert EPS_NORM == EPS_PROP == 1e-7
 
 
 # ------------------- uoro_step against the closed forms -------------------
@@ -385,7 +386,8 @@ def test_uoro_memory_defaults():
 def _reference_uoro_step(params, x, memory, u, y_star, hyper, rng, *, nu=None):
     """The ten stages composed from the public closed forms, one function
     per stage, with whole-vector temporaries: the reference that
-    `uoro_step` must match bit for bit."""
+    `uoro_step` must match bit for bit. Like the step, it reads the eps
+    constants from the module at call time."""
     dims = params.dims
 
     cache = forward(params, x, u)
@@ -402,11 +404,11 @@ def _reference_uoro_step(params, x, memory, u, y_star, hyper, rng, *, nu=None):
     if nu is None:
         nu = 2.0 * rng.integers(0, 2, size=dims.q) - 1.0
     x_fwd = tangent_propagate(
-        params, x, memory.x_tilde, u, cache.x_next, memory.eps_prop
+        params, x, memory.x_tilde, u, cache.x_next, uoro.EPS_PROP
     )
     dtheta_g = delta_theta_g(nu, cache.z, x, u, dims)
 
-    eps = memory.eps_norm
+    eps = uoro.EPS_NORM
     rho0 = np.sqrt(
         np.linalg.norm(memory.theta_tilde) / (np.linalg.norm(x_fwd) + eps)
     ) + eps
@@ -430,12 +432,7 @@ def _reference_uoro_step(params, x, memory, u, y_star, hyper, rng, *, nu=None):
     return UoroStepResult(
         params=new_params,
         x=cache.x_next,
-        memory=UoroMemory(
-            x_tilde=x_tilde,
-            theta_tilde=theta_tilde,
-            eps_norm=memory.eps_norm,
-            eps_prop=memory.eps_prop,
-        ),
+        memory=UoroMemory(x_tilde=x_tilde, theta_tilde=theta_tilde),
         y=cache.y,
         loss=loss_value,
     )
@@ -553,16 +550,17 @@ def _outcome(step, params, x, memory, u, y_star, hyper, n_steps=4):
     return out
 
 
-def _huge_memory_instance(theta_tilde, eps, x_tilde_scale):
+def _huge_memory_instance(monkeypatch, theta_tilde, eps, x_tilde_scale):
     """A state whose prediction is exact (zero error, zero gradient), so
-    that a huge but finite memory reaches the normalizers and stage 9."""
+    that a huge but finite memory reaches the normalizers and stage 9; both
+    eps constants are set to eps for the rest of the test."""
+    monkeypatch.setattr(uoro, "EPS_NORM", eps)
+    monkeypatch.setattr(uoro, "EPS_PROP", eps)
     dims, params, x, u, _, rng = _instance(seed=16)
     y_star = forward(params, x, u).y
     memory = UoroMemory(
         x_tilde=x_tilde_scale * rng.standard_normal(dims.q),
         theta_tilde=theta_tilde(dims.n_params, rng),
-        eps_norm=eps,
-        eps_prop=eps,
     )
     return params, x, memory, u, y_star, _hyper(dims)
 
@@ -583,12 +581,13 @@ def test_uoro_step_nonfinite_rho0_when_theta_tilde_norm_overflows():
         assert info.value.quantity == "rho0"
 
 
-def test_uoro_step_nonfinite_theta_tilde_detected():
-    # With eps_prop = eps_norm = 1e-300 the tangent overflows ||x_fwd||, so
-    # rho0 falls to eps_norm and theta_tilde / rho0 overflows, while rho0,
+def test_uoro_step_nonfinite_theta_tilde_detected(monkeypatch):
+    # With EPS_PROP = EPS_NORM = 1e-300 the tangent overflows ||x_fwd||, so
+    # rho0 falls to EPS_NORM and theta_tilde / rho0 overflows, while rho0,
     # rho1 and x_tilde stay finite.
     state = _huge_memory_instance(
-        lambda n, rng: np.full(n, 1e10), eps=1e-300, x_tilde_scale=1e300
+        monkeypatch, lambda n, rng: np.full(n, 1e10), eps=1e-300,
+        x_tilde_scale=1e300,
     )
     for step in (uoro_step, _reference_uoro_step):
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
@@ -609,8 +608,8 @@ def test_uoro_step_nonfinite_theta_tilde_detected():
     ],
 )
 def test_uoro_step_huge_finite_memory_raises_where_reference_raises(
-    theta_tilde, eps, x_tilde_scale
+    monkeypatch, theta_tilde, eps, x_tilde_scale
 ):
-    state = _huge_memory_instance(theta_tilde, eps, x_tilde_scale)
+    state = _huge_memory_instance(monkeypatch, theta_tilde, eps, x_tilde_scale)
     got = _outcome(uoro_step, *state)
     assert got == _outcome(_reference_uoro_step, *state)
