@@ -16,6 +16,7 @@ whole number of steps is rejected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -42,37 +43,32 @@ def _config_from_file(path: Path) -> list[ExperimentConfig]:
     """Expand a JSON experiment file into one config per algorithm.
 
     The file carries either "algorithm" (a string) or "algorithms" (a
-    list); "grids" optionally maps algorithm names to grid overrides.
+    list); "grids" optionally maps algorithm names to grid overrides. Every
+    other key must be an `ExperimentConfig` field (ValueError otherwise).
     Relative paths are resolved against the config file's directory.
     """
     with open(path) as f:
         raw = json.load(f)
-    if "algorithms" in raw:
-        algorithms = raw["algorithms"]
-    elif "algorithm" in raw:
-        algorithms = [raw["algorithm"]]
-    else:
-        raise ValueError(f"{path}: config needs 'algorithm' or 'algorithms'")
-    base = path.parent
-    grids = raw.get("grids", {})
-    configs = []
-    for algo in algorithms:
-        grid = grids.get(algo)
-        if grid is not None:
-            grid = {k: tuple(v) for k, v in grid.items()}
-        configs.append(ExperimentConfig(
-            algorithm=algo,
-            horizons_s=tuple(raw["horizons_s"]),
-            data_manifest=base / raw["data_manifest"],
-            out_dir=base / raw["out_dir"],
-            grid=grid,
-            n_cv=raw.get("n_cv", 50),
-            n_test=raw.get("n_test", 300),
-            master_seed=raw.get("master_seed", 0),
-            max_horizon_s=raw.get("max_horizon_s", 2.0),
-            save_loss_traces=raw.get("save_loss_traces", False),
-        ))
-    return configs
+    if ("algorithm" in raw) == ("algorithms" in raw):
+        raise ValueError(f"{path}: config needs one of 'algorithm' and 'algorithms'")
+    if "algorithm" in raw:
+        raw["algorithms"] = [raw.pop("algorithm")]
+    algorithms = raw.pop("algorithms")
+    grids = {
+        algo: {k: tuple(v) for k, v in grid.items()}
+        for algo, grid in raw.pop("grids", {}).items()
+    }
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"grid"}
+    unknown = sorted(set(raw) - fields)
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys {unknown}")
+    raw["horizons_s"] = tuple(raw["horizons_s"])
+    raw["data_manifest"] = path.parent / raw["data_manifest"]
+    raw["out_dir"] = path.parent / raw["out_dir"]
+    return [
+        ExperimentConfig(algorithm=algo, grid=grids.get(algo), **raw)
+        for algo in algorithms
+    ]
 
 
 def _print_report(report: AggregateReport) -> None:

@@ -39,7 +39,7 @@ import platform
 import re
 import time
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -136,7 +136,13 @@ DEFAULT_GRIDS: dict[str, dict[str, tuple]] = {
     "none": {},
 }
 
-_GRID_KEYS = ("eta", "sigma_init", "L", "q")
+# Grid axes in canonical order, with what each one sets.
+_GRID_KEYS = {
+    "eta": "learning rate",
+    "sigma_init": "initial weight scale",
+    "L": "signal history length",
+    "q": "hidden state size",
+}
 
 
 @dataclass(frozen=True)
@@ -212,11 +218,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one seeded pass over a sequence."""
+    """Outcome of one seeded pass over a sequence; the loss trace and its
+    first target step are set only when the run collects them."""
 
     trace: PredictionTrace | None
-    losses: np.ndarray | None
-    loss_start: int | None
+    losses: np.ndarray | None = None
+    loss_start: int | None = None
     diverged: bool = False
     diverged_at: int | None = None
     diverged_quantity: str | None = None
@@ -329,8 +336,6 @@ def iter_grid(algorithm: str, grid: dict[str, tuple]) -> list[HyperChoice]:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     _check_grid_axes(algorithm, grid)
     keys = [k for k in _GRID_KEYS if k in grid]
-    if not keys:
-        return [HyperChoice()]
     choices = []
     for combo in itertools.product(*(sorted(set(grid[k])) for k in keys)):
         choices.append(HyperChoice(**dict(zip(keys, combo))))
@@ -436,7 +441,7 @@ def run_sequence_online(
         algorithm: one of ALGORITHMS.
         record: the sequence, in mm.
         partition: step ranges from `make_partition`.
-        hyper: grid point; fields irrelevant to the algorithm are ignored.
+        hyper: grid point; must set the algorithm's grid axes, others ignored.
         h: horizon in steps (>= 1).
         seed: seed for weight initialization and sign draws.
         scoring_range: defaults to the partition's test range.
@@ -450,20 +455,21 @@ def run_sequence_online(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
+    missing = [k for k in DEFAULT_GRIDS[algorithm] if getattr(hyper, k) is None]
+    if missing:
+        raise ValueError(f"{algorithm} requires " + ", ".join(
+            f"{k} ({_GRID_KEYS[k]})" for k in missing
+        ))
     scoring = partition.test if scoring_range is None else scoring_range
 
     if algorithm == "none":
         ks = [k for k in scoring if k - h >= 0]
         preds = [no_prediction(record, h, k - h) for k in ks]
-        return RunResult(
-            trace=_trace_from_steps(record, preds, ks), losses=None, loss_start=None
-        )
+        return RunResult(trace=_trace_from_steps(record, preds, ks))
 
     normalizer = fit_normalizer(record, partition.train)
     n_m = record.n_markers
     L = hyper.L
-    if L is None:
-        raise ValueError(f"{algorithm} requires a signal history length L")
     p = 3 * n_m
     lag = L + h - 1
 
@@ -478,36 +484,29 @@ def run_sequence_online(
         ):
             preds.append(predict_linreg(model, sample.u))
             ks.append(sample.target_index)
-        return RunResult(
-            trace=_trace_from_steps(record, preds, ks, normalizer),
-            losses=None, loss_start=None,
-        )
+        return RunResult(trace=_trace_from_steps(record, preds, ks, normalizer))
 
     # Online trainers: uoro, rtrl, lms.
-    first_n = 0
     last_n = scoring.stop - lag - 1
-    if last_n < first_n:
+    if last_n < 0:
         raise ValueError(
             f"scoring range {scoring} unreachable with L={L}, h={h}"
         )
     step = _online_learner(algorithm, hyper, 3 * n_m * L, p, seed)
     preds: list[np.ndarray] = []
     ks: list[int] = []
-    losses = np.empty(last_n - first_n + 1) if collect_loss else None
+    losses = np.empty(last_n + 1) if collect_loss else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for sample in iter_windows(
-            record, normalizer, L, h, range(first_n, last_n + 1)
-        ):
+        for sample in iter_windows(record, normalizer, L, h, range(last_n + 1)):
             try:
                 y, loss = step(sample.u, sample.target)
             except NonFiniteError as err:
                 return RunResult(
-                    trace=None, losses=None, loss_start=None,
-                    diverged=True, diverged_at=sample.time_index,
+                    trace=None, diverged=True, diverged_at=sample.time_index,
                     diverged_quantity=err.quantity,
                 )
             if collect_loss:
-                losses[sample.time_index - first_n] = loss
+                losses[sample.time_index] = loss
             if sample.target_index in scoring:
                 preds.append(y)
                 ks.append(sample.target_index)
@@ -515,16 +514,41 @@ def run_sequence_online(
     return RunResult(
         trace=_trace_from_steps(record, preds, ks, normalizer),
         losses=losses,
-        loss_start=first_n + lag if collect_loss else None,
+        loss_start=lag if collect_loss else None,
     )
 
 
 # ------------------------------ grid search --------------------------------
 
 
-def _n_runs(algorithm: str, requested: int) -> int:
-    """Methods without random initialization need a single run."""
-    return requested if algorithm in STOCHASTIC_ALGORITHMS else 1
+def _seeded_runs(
+    algorithm: str, record: MarkerRecord, partition: Partition,
+    hyper: HyperChoice, h_s: float, config: ExperimentConfig, phase: str,
+) -> Iterator[tuple[RunRecord, RunResult]]:
+    """One tuple's seeded runs in phase "cv" (n_cv runs scoring the
+    cross-validation range) or "test" (n_test runs scoring the test range,
+    with loss traces when the config saves them); methods without random
+    initialization run once. Yields each run's record and result."""
+    h = whole_steps(h_s, record.sample_period, "horizon")
+    cv = phase == "cv"
+    n_runs = config.n_cv if cv else config.n_test
+    if algorithm not in STOCHASTIC_ALGORITHMS:
+        n_runs = 1
+    for r in range(n_runs):
+        seed = derive_seed(
+            config.master_seed, record.label, h, hyper.key(), r, phase
+        )
+        outcome = run_sequence_online(
+            algorithm, record, partition, hyper, h, seed,
+            scoring_range=partition.cross_validation if cv else None,
+            collect_loss=config.save_loss_traces and not cv,
+        )
+        yield RunRecord(
+            run_index=r, seed=seed, diverged=outcome.diverged,
+            diverged_quantity=outcome.diverged_quantity,
+            metrics=None if outcome.diverged else compute_metrics(outcome.trace),
+            diverged_at=outcome.diverged_at,
+        ), outcome
 
 
 def grid_search(
@@ -545,39 +569,28 @@ def grid_search(
     """
     partition = make_partition(record, partition_scheme(algorithm))
     grid = iter_grid(algorithm, config.effective_grid())
-    n_runs = _n_runs(algorithm, config.n_cv)
     results: dict[float, CvResult] = {}
     for h_s in horizons_s:
-        h = whole_steps(h_s, record.sample_period, "horizon")
         entries = []
         for hyper in grid:
-            rmses, n_div = [], 0
-            for r in range(n_runs):
-                seed = derive_seed(
-                    config.master_seed, record.label, h, hyper.key(), r, "cv"
-                )
-                outcome = run_sequence_online(
-                    algorithm, record, partition, hyper, h, seed,
-                    scoring_range=partition.cross_validation,
-                )
-                if outcome.diverged:
-                    n_div += 1
-                else:
-                    rmses.append(compute_metrics(outcome.trace).rmse)
+            runs = [run for run, _ in _seeded_runs(
+                algorithm, record, partition, hyper, h_s, config, "cv"
+            )]
+            rmses = [run.metrics.rmse for run in runs if not run.diverged]
             if rmses:
                 mean_rmse = float(np.mean(rmses))
             else:
                 mean_rmse = float("nan")
                 warnings.warn(
                     f"{algorithm} tuple ({hyper.key()}) diverged in all "
-                    f"{n_runs} cross-validation runs on {record.label!r} "
+                    f"{len(runs)} cross-validation runs on {record.label!r} "
                     f"at h={h_s}s; excluded",
                     stacklevel=2,
                 )
-            entries.append(
-                CvEntry(hyper=hyper, mean_rmse=mean_rmse, n_diverged=n_div,
-                        n_runs=n_runs)
-            )
+            entries.append(CvEntry(
+                hyper=hyper, mean_rmse=mean_rmse,
+                n_diverged=len(runs) - len(rmses), n_runs=len(runs),
+            ))
         alive = [e for e in entries if not np.isnan(e.mean_rmse)]
         if not alive:
             raise RuntimeError(
@@ -616,34 +629,15 @@ def evaluate(
     non-diverged runs (absent when fewer than two survive).
     """
     partition = make_partition(record, partition_scheme(algorithm))
-    h = whole_steps(h_s, record.sample_period, "horizon")
-    n_runs = _n_runs(algorithm, config.n_test)
     runs: list[RunRecord] = []
     loss_sum, loss_count, loss_start = None, 0, None
-    for r in range(n_runs):
-        seed = derive_seed(
-            config.master_seed, record.label, h, hyper.key(), r, "test"
-        )
-        outcome = run_sequence_online(
-            algorithm, record, partition, hyper, h, seed,
-            collect_loss=config.save_loss_traces,
-        )
-        if outcome.diverged:
-            runs.append(RunRecord(
-                run_index=r, seed=seed, diverged=True,
-                diverged_quantity=outcome.diverged_quantity, metrics=None,
-                diverged_at=outcome.diverged_at,
-            ))
-            continue
-        runs.append(RunRecord(
-            run_index=r, seed=seed, diverged=False, diverged_quantity=None,
-            metrics=compute_metrics(outcome.trace),
-        ))
-        if config.save_loss_traces and outcome.losses is not None:
-            if loss_sum is None:
-                loss_sum = np.zeros_like(outcome.losses)
-                loss_start = outcome.loss_start
-            loss_sum += outcome.losses
+    for run, outcome in _seeded_runs(
+        algorithm, record, partition, hyper, h_s, config, "test"
+    ):
+        runs.append(run)
+        if outcome.losses is not None:
+            loss_sum = outcome.losses if loss_sum is None else loss_sum + outcome.losses
+            loss_start = outcome.loss_start
             loss_count += 1
 
     return EvalResult(
@@ -945,9 +939,10 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
 
     Produces, under config.out_dir: one cross-validation surface CSV and
     one per-run metrics CSV per (sequence, horizon); optional loss-trace
-    CSVs; a Table-3-style summary CSV; a per-horizon curve CSV; and a
-    manifest.json recording the configuration, seeds, versions, and chosen
-    tuples.
+    CSVs; a manifest_<algo>.json recording the configuration, seeds,
+    versions, cohort exclusions and chosen tuples; and, from the results and
+    that manifest, a Table-3-style summary CSV and a per-horizon curve CSV
+    (`_write_tables`, which `report_from_dir` shares).
     """
     records, cohort_exclude = load_dataset(config.data_manifest)
     # Reject a horizon off any sequence's step grid before hours of runs.
@@ -974,16 +969,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
             results[(record.label, h_s)] = result
             chosen_map[record.label][f"{h_s:g}"] = cv.chosen.key()
 
-    report = aggregate(
-        results,
-        sequences=tuple(r.label for r in records),
-        horizons_s=config.horizons_s,
-        classes={r.label: r.breathing_class for r in records},
-        cohort_exclude=cohort_exclude,
-    )
-    write_summary_csv(out_dir / f"summary_{config.algorithm}.csv", report)
-    write_curve_csv(out_dir / f"curve_{config.algorithm}.csv", report)
-
     manifest = {
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "package_version": markerpred.__version__,
@@ -1009,7 +994,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     with open(manifest_file, "w") as f:
         json.dump(manifest, f, indent=2)
         f.write("\n")
-    return report
+    return _write_tables(out_dir, results)
 
 
 # ------------------------------ reporting ----------------------------------
@@ -1019,30 +1004,45 @@ def report_from_dir(in_dir: str | Path) -> dict[str, AggregateReport]:
     """Rebuild summary and curve CSVs from stored per-run CSVs.
 
     Scans in_dir for runs_*.csv files (self-contained rows), reconstructs
-    the per-condition statistics, re-aggregates per algorithm, and
-    rewrites the summary and curve files. Returns the reports keyed by
-    algorithm.
+    the per-condition statistics, and rewrites the tables through
+    `run_experiment`'s own writer, byte for byte as the run wrote them.
+    Returns the reports keyed by algorithm.
     """
     in_dir = Path(in_dir)
     per_algo: dict[str, dict[tuple[str, float], EvalResult]] = {}
-    classes: dict[str, str] = {}
     for path in sorted(in_dir.glob("runs_*.csv")):
         result = read_runs_csv(path)
-        if result is None:
-            continue
-        classes[result.sequence] = result.breathing_class
-        per_algo.setdefault(result.algorithm, {})[
-            (result.sequence, result.horizon_s)
-        ] = result
-
+        if result is not None:
+            per_algo.setdefault(result.algorithm, {})[
+                (result.sequence, result.horizon_s)
+            ] = result
     if not per_algo:
         raise ValueError(f"no runs_*.csv files under {in_dir}")
-    reports = {}
-    for algo, results in per_algo.items():
-        labels = tuple(sorted({k[0] for k in results}))
-        horizons = tuple(sorted({k[1] for k in results}))
-        report = aggregate(results, labels, horizons, classes)
-        write_summary_csv(in_dir / f"summary_{algo}.csv", report)
-        write_curve_csv(in_dir / f"curve_{algo}.csv", report)
-        reports[algo] = report
-    return reports
+    return {
+        algo: _write_tables(in_dir, results) for algo, results in per_algo.items()
+    }
+
+
+def _write_tables(
+    out_dir: Path, results: dict[tuple[str, float], EvalResult]
+) -> AggregateReport:
+    """Aggregate one algorithm's results into summary_<algo>.csv and
+    curve_<algo>.csv under out_dir, sequences ordered by label and horizons
+    by value. Cohort rows skip the labels that out_dir's
+    manifest_<algo>.json lists in "cohort_exclude"; with no manifest,
+    nothing is excluded."""
+    algorithm = next(iter(results.values())).algorithm
+    manifest_file = out_dir / f"manifest_{algorithm}.json"
+    cohort_exclude = ()
+    if manifest_file.exists():
+        cohort_exclude = json.loads(manifest_file.read_text())["cohort_exclude"]
+    report = aggregate(
+        results,
+        sequences=tuple(sorted({label for label, _ in results})),
+        horizons_s=tuple(sorted({h_s for _, h_s in results})),
+        classes={r.sequence: r.breathing_class for r in results.values()},
+        cohort_exclude=tuple(cohort_exclude),
+    )
+    write_summary_csv(out_dir / f"summary_{algorithm}.csv", report)
+    write_curve_csv(out_dir / f"curve_{algorithm}.csv", report)
+    return report

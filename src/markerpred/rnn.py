@@ -171,18 +171,30 @@ def clip_gradient(g: np.ndarray, tau: float) -> np.ndarray:
     return g
 
 
+# Passes of `_rescale`'s overshoot guard that may leave the norm unchanged
+# before the guard shrinks geometrically.
+_MAX_STALLS = 16
+
+
 def _rescale(g: np.ndarray, tau: float, norm: float) -> np.ndarray:
     """A new array g * (tau / norm) with norm at most tau, for norm = ||g||
     > tau."""
     clipped = g * (tau / norm)
-    # Rounding of the rescaling can overshoot tau by an ulp; nudging
-    # toward just below tau strictly shrinks the vector each pass, so
-    # this terminates (in practice after at most one pass).
+    # Rounding of the rescaling can overshoot tau by an ulp; each pass
+    # nudges the norm toward just below tau (in practice one pass ends it).
+    # A nudge can leave the computed norm where it was, rarely for normal
+    # numbers and on every pass when the squares fall below the normal
+    # range (norms under about 1.5e-154); after _MAX_STALLS such passes
+    # each pass squares the shrink factor, which must end the loop.
     below_tau = float(np.nextafter(tau, 0.0))
     excess = _norm(clipped)
+    stalls = 0
     while excess > tau:
-        clipped *= below_tau / excess
+        shrink = below_tau / excess if stalls < _MAX_STALLS else shrink * shrink
+        clipped *= shrink
+        last = excess
         excess = _norm(clipped)
+        stalls += excess >= last
     return clipped
 
 

@@ -13,9 +13,11 @@ and computes the exact instantaneous loss gradient
 
     dL/dtheta = grad_x_loss . J_{n+1} + delta_theta                (ii)
 
-with grad_x_loss and delta_theta shared with the UORO module. The per-step
-cost is O(q^3 (q + L)), which confines RTRL to small networks; it doubles
-here as the exactness oracle for UORO's rank-one estimator.
+with grad_x_loss and delta_theta as defined in the UORO module (the step
+adds delta_theta into its W_c block in place; the function stays as the
+reference). The per-step cost is O(q^3 (q + L)), which confines RTRL to
+small networks; it doubles here as the exactness oracle for UORO's
+rank-one estimator.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from markerpred.rnn import (
     sgd_update,
     tanh_prime,
 )
-from markerpred.uoro import delta_theta, grad_x_loss
+from markerpred.uoro import grad_x_loss
 
 __all__ = [
     "RtrlStepResult",
@@ -150,8 +152,14 @@ def rtrl_step(
     if not np.isfinite(new_influence).all():
         raise NonFiniteError("influence")
 
+    # delta_theta is non-zero only in the W_c block, so it is added into
+    # that slice alone, as uoro_step does; the slice viewed as q x p is W_c
+    # transposed. Adding the dense vector would turn a -0.0 in the W_a/W_b
+    # blocks into +0.0; the two differ only for a weight that is exactly
+    # -0.0.
     grad = grad_x_loss(e, params.w_c) @ new_influence
-    grad += delta_theta(e, cache.x_next, dims)
+    grad_wc = grad[dims.n_wa + dims.n_wb :].reshape(dims.q, dims.p)
+    grad_wc += np.multiply.outer(cache.x_next, -e)
     # A finite norm proves every element finite (see uoro_step).
     grad_norm = math.sqrt(grad.dot(grad))
     if not math.isfinite(grad_norm) and not np.isfinite(grad).all():

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from markerpred.cli import build_parser, main
+from markerpred.cli import _config_from_file, build_parser, main
+from markerpred.harness import ExperimentConfig
 from markerpred.signal import MarkerRecord, synthetic_record, write_record
 
 
@@ -92,6 +93,70 @@ def test_run_command_requires_algorithm_key(dataset):
     config.write_text(json.dumps(raw))
     with pytest.raises(ValueError, match="algorithm"):
         main(["run", "--config", str(config)])
+
+
+def test_run_command_rejects_both_algorithm_keys(dataset):
+    config = _write_config(dataset, algorithm="none")
+    with pytest.raises(ValueError, match="one of 'algorithm' and 'algorithms'"):
+        main(["run", "--config", str(config)])
+
+
+def test_run_command_rejects_unknown_config_key(dataset):
+    # A misspelt key must not leave n_test at its default of 300 runs.
+    config = _write_config(dataset, n_tests=1)
+    with pytest.raises(ValueError, match=r"exp\.json: unknown config keys \['n_tests'\]"):
+        main(["run", "--config", str(config)])
+    assert not (dataset / "out").exists()
+
+
+def test_config_file_keys_pass_through_to_experiment_config(dataset):
+    config = _write_config(dataset, horizons_s=[2.5], max_horizon_s=3.0,
+                           save_loss_traces=True)
+    raw = json.loads(config.read_text())
+    del raw["n_test"]
+    config.write_text(json.dumps(raw))
+    lms, none = _config_from_file(config)
+    defaults = ExperimentConfig(algorithm="none", horizons_s=(0.4,),
+                                data_manifest="d", out_dir="o")
+    assert (lms.algorithm, none.algorithm) == ("lms", "none")
+    assert lms.grid == {"eta": (0.02, 0.05), "L": (10,)} and none.grid is None
+    assert lms.horizons_s == (2.5,) and lms.max_horizon_s == 3.0
+    assert lms.save_loss_traces and lms.n_cv == 1 and lms.master_seed == 3
+    assert lms.n_test == defaults.n_test
+    assert lms.data_manifest == dataset / "dataset.json"
+    assert lms.out_dir == dataset / "out"
+
+
+def test_report_rebuilds_run_tables_byte_for_byte(tmp_path, capsys):
+    # Three sequences listed out of label order, one left out of the cohort
+    # rows, and horizons out of order: report must rewrite exactly the
+    # tables run wrote.
+    paths = []
+    for i, cls in enumerate(("regular", "regular", "irregular")):
+        rec = synthetic_record(duration_s=70.0, seed=70 + i, label=f"s{i}")
+        rec = MarkerRecord(positions=rec.positions,
+                           sample_period=rec.sample_period,
+                           label=rec.label, breathing_class=cls)
+        write_record(tmp_path / f"s{i}.csv", rec)
+        paths.append(f"s{i}.csv")
+    (tmp_path / "dataset.json").write_text(
+        json.dumps({"sequences": paths[::-1], "cohort_exclude": ["s1"]})
+    )
+    config = _write_config(tmp_path, horizons_s=[2.0, 0.5])
+    assert main(["run", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    tables = [out / f"{kind}_{algo}.csv"
+              for kind in ("summary", "curve") for algo in ("lms", "none")]
+    written = [path.read_bytes() for path in tables]
+    assert main(["report", "--in", str(out)]) == 0
+    assert [path.read_bytes() for path in tables] == written
+
+    summary = written[0].decode().splitlines()
+    assert [line.split(",")[1:4] for line in summary[1:]] == [
+        ["all", "3", "6"], ["regular", "1", "2"], ["irregular", "1", "2"]
+    ]
+    curve = written[2].decode().splitlines()
+    assert [line.split(",")[1] for line in curve[1:]] == ["0.5", "2.0"]
 
 
 def test_cv_command_prints_choice_and_writes_surface(dataset, capsys):

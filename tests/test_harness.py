@@ -322,6 +322,39 @@ def test_run_rejects_bad_arguments():
         run_sequence_online("lms", record, partition, HyperChoice(eta=0.1), 4, 0)
 
 
+@pytest.mark.parametrize("algorithm, field", [
+    (algorithm, field) for algorithm in ALGORITHMS
+    for field in DEFAULT_GRIDS[algorithm]
+])
+def test_run_names_missing_hyper_field(algorithm, field):
+    # Each field of the algorithm's shipped grid is required, and a call
+    # without one must say which, not fail later inside RnnDims or
+    # init_params.
+    record = _quick_record()
+    partition = make_partition(record, partition_scheme(algorithm))
+    full = {k: values[0] for k, values in DEFAULT_GRIDS[algorithm].items()}
+    hyper = HyperChoice(**{**full, field: None})
+    with pytest.raises(ValueError, match=rf"^{algorithm} requires {field} \("):
+        run_sequence_online(algorithm, record, partition, hyper, 4, 0)
+
+
+def test_run_names_every_missing_field_and_ignores_extra_ones():
+    record = _quick_record()
+    partition = make_partition(record, "online_30_30")
+    with pytest.raises(ValueError) as info:
+        run_sequence_online("uoro", record, partition, HyperChoice(L=10), 4, 0)
+    assert str(info.value) == (
+        "uoro requires eta (learning rate), sigma_init (initial weight "
+        "scale), q (hidden state size)"
+    )
+    plain = run_sequence_online("lms", record, partition,
+                                HyperChoice(eta=0.05, L=10), 4, 0)
+    extra = run_sequence_online("lms", record, partition,
+                                HyperChoice(eta=0.05, L=10, q=7,
+                                            sigma_init=0.3), 4, 0)
+    np.testing.assert_array_equal(extra.trace.pred, plain.trace.pred)
+
+
 def test_collect_loss_returns_aligned_trace():
     record = _quick_record(seed=9)
     partition = make_partition(record, "online_30_30")
@@ -863,6 +896,26 @@ def test_runs_csv_round_trips_divergence_step(tmp_path):
     assert back.ci["rmse"].n_runs == 2
     report = report_from_dir(tmp_path)
     assert report["uoro"].rows[0].means["rmse"] == 2.0
+
+
+def test_report_without_manifest_excludes_no_cohort_label(tmp_path):
+    manifest = _write_dataset(tmp_path, classes=("regular", "regular"),
+                              duration=70.0)
+    raw = json.loads(manifest.read_text())
+    raw["cohort_exclude"] = ["seq1"]
+    manifest.write_text(json.dumps(raw))
+    cfg = ExperimentConfig(algorithm="none", horizons_s=(0.4,),
+                           data_manifest=manifest, out_dir=tmp_path / "out")
+    ran = run_experiment(cfg)
+    assert [(r.cohort, r.n_sequences) for r in ran.rows] == [
+        ("all", 2), ("regular", 1)
+    ]
+    assert report_from_dir(tmp_path / "out")["none"] == ran
+    (tmp_path / "out" / "manifest_none.json").unlink()
+    rebuilt = report_from_dir(tmp_path / "out")["none"]
+    assert [(r.cohort, r.n_sequences) for r in rebuilt.rows] == [
+        ("all", 2), ("regular", 2)
+    ]
 
 
 def test_report_from_dir_rejects_empty_directory(tmp_path):

@@ -1,7 +1,11 @@
-"""Tests for the shared RNN core: shapes, flattening, clipping."""
+"""Tests for the shared RNN core: shapes, flattening, clipping, the SGD
+update."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from markerpred.rnn import (
     NonFiniteError,
@@ -12,6 +16,7 @@ from markerpred.rnn import (
     forward,
     init_params,
     loss,
+    sgd_update,
     tanh_prime,
     unflatten_params,
 )
@@ -138,6 +143,122 @@ def test_clip_gradient_randomized():
             assert np.linalg.norm(out) <= tau + 1e-12
         else:
             assert out is g
+
+
+# Gradients over many magnitudes, zeros and signed zeros included; the
+# scale keeps every squared norm finite, and 1e-160 puts the squares below
+# the normal range, where the computed norm is coarse.
+_gradients = st.builds(
+    lambda g, scale: g * scale,
+    arrays(np.float64, st.integers(1, 40),
+           elements=st.floats(-1e3, 1e3, allow_nan=False)),
+    st.sampled_from([1e-160, 1e-150, 1e-8, 1.0, 1e8, 1e150]),
+)
+
+
+def _assert_positive_multiple(out, g):
+    """out = c * g for one c > 0, up to the rounding of the rescaling: every
+    entry keeps its sign or underflows to zero, and the entries that stay
+    normal numbers share one positive ratio to a few ulps."""
+    assert np.all(out * g >= 0) and np.all(out[g == 0] == 0)
+    tiny = np.finfo(np.float64).tiny
+    normal = (np.abs(g) >= tiny) & (np.abs(out) >= tiny)
+    ratios = out[normal] / g[normal]
+    assert np.all(ratios > 0)
+    if ratios.size:
+        assert ratios.max() <= ratios.min() * (1 + 1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_gradients, tau=st.floats(1e-6, 1e6))
+def test_clip_gradient_contract(g, tau):
+    norm = _norm(g)
+    assume(norm > 0)
+    tau *= norm  # taus from far below to far above the norm
+    out = clip_gradient(g, tau)
+    assert _norm(out) <= tau
+    if norm <= tau:
+        assert out is g
+    else:
+        assert not np.shares_memory(out, g)
+        _assert_positive_multiple(out, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_gradients, ulps=st.integers(1, 4))
+def test_clip_gradient_just_above_tau(g, ulps):
+    # A norm a few ulps above tau: the plain rescaling often lands one ulp
+    # over tau, and the overshoot guard must bring it back under.
+    norm = _norm(g)
+    assume(norm > 0)
+    tau = norm
+    for _ in range(ulps):
+        tau = float(np.nextafter(tau, 0.0))
+    out = clip_gradient(g, tau)
+    assert out is not g
+    assert _norm(out) <= tau
+    _assert_positive_multiple(out, g)
+
+
+def test_clip_gradient_overshoot_guard_is_exercised():
+    # The property test above reaches the guard only if the plain rescaling
+    # overshoots for some inputs; count those cases on a fixed sample.
+    rng = np.random.default_rng(3)
+    guarded = 0
+    for _ in range(500):
+        g = rng.standard_normal(rng.integers(1, 30))
+        norm = _norm(g)
+        tau = float(np.nextafter(norm, 0.0))
+        if _norm(g * (tau / norm)) > tau:
+            guarded += 1
+            out = clip_gradient(g, tau)
+            assert _norm(out) <= tau
+            _assert_positive_multiple(out, g)
+    assert guarded > 0
+
+
+def test_clip_gradient_ends_when_squares_are_subnormal():
+    # Each nudge of the overshoot guard shrinks these entries by an ulp
+    # while the norm of their subnormal squares stays put; the guard must
+    # still end.
+    g = np.array([-3.2386068177416028e-158, 1.126318626198672e-158])
+    tau = 3.4288726681155298e-158
+    assert _norm(g) > tau
+    out = clip_gradient(g, tau)
+    assert _norm(out) <= tau
+    _assert_positive_multiple(out, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.integers(1, 6),
+    m=st.integers(1, 8),
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    eta=st.floats(1e-4, 1.0),
+    tau=st.sampled_from([1e-3, 2.0, 1e12]),
+)
+def test_sgd_update_equals_flat_clipped_step(q, m, p, seed, scale, eta, tau):
+    dims = RnnDims(q=q, m=m, p=p)
+    params = init_params(dims, sigma_init=0.5, seed=seed)
+    grad = np.random.default_rng(seed).standard_normal(dims.n_params) * scale
+    before = [w.tobytes() for w in (params.w_a, params.w_b, params.w_c)]
+    grad_before = grad.tobytes()
+
+    out = sgd_update(params, grad, _norm(grad), eta, tau)
+    ref = unflatten_params(
+        flatten_params(params) - eta * clip_gradient(grad, tau), dims
+    )
+    for got, want in zip((out.w_a, out.w_b, out.w_c),
+                         (ref.w_a, ref.w_b, ref.w_c)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert [w.tobytes() for w in (params.w_a, params.w_b, params.w_c)] == before
+    assert grad.tobytes() == grad_before
+    for w in (out.w_a, out.w_b, out.w_c):
+        for source in (params.w_a, params.w_b, params.w_c, grad):
+            assert not np.shares_memory(w, source)
 
 
 def test_flatten_is_column_major():
