@@ -4,27 +4,25 @@ the no-prediction hold.
 All three share the windowed input convention of the RNN trainers: a flat
 vector u with a leading bias 1 followed by L time steps of normalized
 marker coordinates, predicting the coordinate vector h steps past the end
-of the window. The linear models are y = W u with W of shape p x (m+1);
-the bias column carries the intercept.
+of the window. The linear models are y = W u, and a model is nothing but
+its weight array W of shape p x (m+1), whose bias column carries the
+intercept: `lms_step` takes W and returns the updated W, `fit_linreg`
+returns W, and `predict_linreg` applies it. The caller holds W between
+steps, as it holds the RNN trainers' parameters.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from markerpred.rnn import NonFiniteError, _rescale, loss
+from markerpred.rnn import NonFiniteError, _finite_norm, _norm, _rescale, loss
 from markerpred.signal import MarkerRecord, WindowedSample
 
 __all__ = [
-    "LmsFilter",
-    "LmsStepResult",
-    "LinearRegressor",
-    "init_lms",
     "lms_step",
     "fit_linreg",
     "predict_linreg",
@@ -32,85 +30,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LmsFilter:
-    """Least-mean-squares filter: weights W (p x (m+1)), learning rate eta,
-    clip threshold tau."""
-
-    w: np.ndarray
-    eta: float
-    tau: float
-
-    def __post_init__(self):
-        if self.w.ndim != 2:
-            raise ValueError(f"W must be a matrix, got shape {self.w.shape}")
-        if not (self.eta >= 0 and self.tau > 0):
-            raise ValueError(f"need eta >= 0 and tau > 0, got {self}")
-
-
-@dataclass(frozen=True)
-class LmsStepResult:
-    filter: LmsFilter
-    y: np.ndarray
-    loss: float
-
-
-@dataclass(frozen=True)
-class LinearRegressor:
-    """Fitted least-squares map y = W u, W of shape p x (m+1)."""
-
-    w: np.ndarray
-
-
-def init_lms(m: int, p: int, eta: float, tau: float = 2.0) -> LmsFilter:
-    """Zero-weight filter, the conventional LMS starting point."""
-    return LmsFilter(w=np.zeros((p, m + 1)), eta=eta, tau=tau)
-
-
-def lms_step(filter: LmsFilter, u: np.ndarray, y_star: np.ndarray) -> LmsStepResult:
-    """One LMS update.
+def lms_step(
+    w: np.ndarray, u: np.ndarray, y_star: np.ndarray, eta: float, tau: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One LMS update of the weights w (p x (m+1)) on the pair (u, y*).
 
     Predicts y = W u, then descends the instantaneous square loss whose
     gradient in W is -e u^T (e = y* - y), clipped at tau in the norm of the
     flattened matrix (the Frobenius norm) to match the RNN trainers'
-    treatment. Equal, bit for bit, to `clip_gradient` on the outer product
-    followed by a full finiteness scan of the new weights: the norm is
-    taken once, eta times the clipped gradient and then the new weights are
-    written into the fresh gradient buffer, as `sgd_update` does, and a
-    finite norm of the new weights proves them finite (the scan runs only
-    when it overflows or is NaN).
+    treatment, at learning rate eta. Equal, bit for bit, to `clip_gradient`
+    on the outer product followed by a full finiteness scan of the new
+    weights: the norm is taken once, eta times the clipped gradient and
+    then the new weights are written into the fresh gradient buffer, as
+    `sgd_update` does, and a finite norm of the new weights proves them
+    finite (the scan runs only when it overflows or is NaN). Neither w nor
+    u is written to.
+
+    Returns:
+        (new_w, y, loss): the updated weights in a fresh array, the
+        prediction made before the update, and its loss.
 
     Raises:
+        ValueError: w is not a matrix, eta < 0, tau <= 0, or u or y_star
+            does not fit w.
         NonFiniteError: loss or updated weights stopped being finite.
     """
-    p, n_in = filter.w.shape
+    if w.ndim != 2:
+        raise ValueError(f"W must be a matrix, got shape {w.shape}")
+    if not (eta >= 0 and tau > 0):
+        raise ValueError(f"need eta >= 0 and tau > 0, got eta={eta}, tau={tau}")
+    p, n_in = w.shape
     if u.shape != (n_in,):
         raise ValueError(f"u has shape {u.shape}, expected ({n_in},)")
     if y_star.shape != (p,):
         raise ValueError(f"y_star has shape {y_star.shape}, expected ({p},)")
-    y = filter.w @ u
+    y = w @ u
     e, loss_value = loss(y, y_star)
     if not math.isfinite(loss_value):
         raise NonFiniteError("loss")
     grad = np.outer(-e, u)
-    flat = grad.ravel()
-    grad_norm = math.sqrt(flat.dot(flat))
-    if grad_norm > filter.tau:
-        grad = _rescale(grad, filter.tau, grad_norm)
-    grad *= filter.eta
-    new_w = np.subtract(filter.w, grad, out=grad)
-    flat = new_w.ravel()
-    if not math.isfinite(flat.dot(flat)) and not np.isfinite(new_w).all():
-        raise NonFiniteError("weights")
-    return LmsStepResult(
-        filter=LmsFilter(w=new_w, eta=filter.eta, tau=filter.tau),
-        y=y,
-        loss=loss_value,
-    )
+    grad_norm = _norm(grad)
+    if grad_norm > tau:
+        grad = _rescale(grad, tau, grad_norm)
+    grad *= eta
+    new_w = np.subtract(w, grad, out=grad)
+    _finite_norm(new_w, "weights")
+    return new_w, y, loss_value
 
 
-def fit_linreg(samples: Sequence[WindowedSample]) -> LinearRegressor:
-    """Ordinary least squares over a batch of windowed samples.
+def fit_linreg(samples: Sequence[WindowedSample]) -> np.ndarray:
+    """Ordinary least squares over a batch of windowed samples: the weights
+    W (p x (m+1)) of the least-squares map y = W u.
 
     Solves min_W sum ||y* - W u||^2 by singular value decomposition
     (`numpy.linalg.lstsq`), which returns the minimal-norm W when the
@@ -130,13 +100,14 @@ def fit_linreg(samples: Sequence[WindowedSample]) -> LinearRegressor:
             stacklevel=2,
         )
     coeffs, _, _, _ = np.linalg.lstsq(U, Y, rcond=None)
-    return LinearRegressor(w=coeffs.T)
+    return coeffs.T
 
 
-def predict_linreg(model: LinearRegressor, u: np.ndarray) -> np.ndarray:
-    if u.shape != (model.w.shape[1],):
-        raise ValueError(f"u has shape {u.shape}, expected ({model.w.shape[1]},)")
-    return model.w @ u
+def predict_linreg(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The prediction W u of fitted weights w (p x (m+1))."""
+    if u.shape != (w.shape[1],):
+        raise ValueError(f"u has shape {u.shape}, expected ({w.shape[1]},)")
+    return w @ u
 
 
 def no_prediction(record: MarkerRecord, h: int, n: int) -> np.ndarray:

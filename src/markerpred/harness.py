@@ -49,7 +49,6 @@ import numpy as np
 import markerpred
 from markerpred.baselines import (
     fit_linreg,
-    init_lms,
     lms_step,
     no_prediction,
     predict_linreg,
@@ -200,11 +199,13 @@ class ExperimentConfig:
             )
         if not self.horizons_s:
             raise ValueError("horizons_s must be non-empty")
-        for h in self.horizons_s:
+        for i, h in enumerate(self.horizons_s):
             if not 0 < h <= self.max_horizon_s:
                 raise ValueError(
                     f"horizon {h}s outside (0, {self.max_horizon_s}]s"
                 )
+            if h in self.horizons_s[:i]:
+                raise ValueError(f"horizon {h}s is listed more than once")
         if self.n_cv < 1 or self.n_test < 1:
             raise ValueError("n_cv and n_test must be >= 1")
         if self.grid is not None:
@@ -376,13 +377,12 @@ def _online_learner(
     RNN weights are drawn from `seed`, UORO's signs from [seed, 1].
     """
     if algorithm == "lms":
-        lms = init_lms(m=m, p=p, eta=hyper.eta, tau=CLIP_TAU)
+        w = np.zeros((p, m + 1))
 
         def step(u, y_star):
-            nonlocal lms
-            result = lms_step(lms, u, y_star)
-            lms = result.filter
-            return result.y, result.loss
+            nonlocal w
+            w, y, loss = lms_step(w, u, y_star, hyper.eta, CLIP_TAU)
+            return y, loss
 
         return step
 
@@ -474,7 +474,7 @@ def run_sequence_online(
     lag = L + h - 1
 
     if algorithm == "linreg":
-        model = fit_linreg(list(iter_windows(
+        w = fit_linreg(list(iter_windows(
             record, normalizer, L, h, range(max(0, partition.train.stop - lag))
         )))
         preds, ks = [], []
@@ -482,7 +482,7 @@ def run_sequence_online(
             record, normalizer, L, h,
             range(max(0, scoring.start - lag), scoring.stop - lag),
         ):
-            preds.append(predict_linreg(model, sample.u))
+            preds.append(predict_linreg(w, sample.u))
             ks.append(sample.target_index)
         return RunResult(trace=_trace_from_steps(record, preds, ks, normalizer))
 
@@ -551,6 +551,21 @@ def _seeded_runs(
         ), outcome
 
 
+def _check_horizons(horizons_s: tuple[float, ...], record: MarkerRecord) -> None:
+    """Reject a horizon off the record's step grid, and two horizons that
+    span the same number of steps, which would run the whole protocol
+    twice for one result."""
+    seen: dict[int, float] = {}
+    for h_s in horizons_s:
+        h = whole_steps(h_s, record.sample_period, "horizon")
+        if h in seen:
+            raise ValueError(
+                f"horizons {seen[h]}s and {h_s}s both span {h} steps on "
+                f"{record.label!r}; list each horizon once"
+            )
+        seen[h] = h_s
+
+
 def grid_search(
     algorithm: str,
     record: MarkerRecord,
@@ -565,8 +580,11 @@ def grid_search(
     the surviving means is chosen with the deterministic tie-break.
 
     Raises:
+        ValueError: a horizon is off the record's step grid, or two span
+            the same number of steps.
         RuntimeError: every tuple diverged for some horizon.
     """
+    _check_horizons(horizons_s, record)
     partition = make_partition(record, partition_scheme(algorithm))
     grid = iter_grid(algorithm, config.effective_grid())
     results: dict[float, CvResult] = {}
@@ -945,10 +963,9 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     (`_write_tables`, which `report_from_dir` shares).
     """
     records, cohort_exclude = load_dataset(config.data_manifest)
-    # Reject a horizon off any sequence's step grid before hours of runs.
+    # Reject bad horizons on every sequence before hours of runs.
     for record in records:
-        for h_s in config.horizons_s:
-            whole_steps(h_s, record.sample_period, "horizon")
+        _check_horizons(config.horizons_s, record)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

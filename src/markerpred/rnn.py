@@ -205,6 +205,21 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(flat.dot(flat))
 
 
+def _finite_norm(v: np.ndarray, quantity: str) -> float:
+    """`_norm(v)`, after checking that every entry of v is finite.
+
+    A finite norm proves every entry finite; an infinite or NaN one may
+    come from overflow of the squares alone, so only then is v scanned.
+
+    Raises:
+        NonFiniteError: naming `quantity`, when an entry is NaN or infinite.
+    """
+    norm = _norm(v)
+    if not math.isfinite(norm) and not np.isfinite(v).all():
+        raise NonFiniteError(quantity)
+    return norm
+
+
 def sgd_update(
     params: RnnParams,
     grad: np.ndarray,

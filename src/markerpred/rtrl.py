@@ -22,7 +22,6 @@ rank-one estimator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
     RnnParams,
+    _finite_norm,
     forward,
     loss,
     sgd_update,
@@ -160,10 +160,7 @@ def rtrl_step(
     grad = grad_x_loss(e, params.w_c) @ new_influence
     grad_wc = grad[dims.n_wa + dims.n_wb :].reshape(dims.q, dims.p)
     grad_wc += np.multiply.outer(cache.x_next, -e)
-    # A finite norm proves every element finite (see uoro_step).
-    grad_norm = math.sqrt(grad.dot(grad))
-    if not math.isfinite(grad_norm) and not np.isfinite(grad).all():
-        raise NonFiniteError("gradient")
+    grad_norm = _finite_norm(grad, "gradient")
 
     new_params = sgd_update(params, grad, grad_norm, eta, tau)
 

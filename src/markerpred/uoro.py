@@ -63,6 +63,7 @@ from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
     RnnParams,
+    _finite_norm,
     forward,
     loss,
     sgd_update,
@@ -289,11 +290,7 @@ def uoro_step(
     grad = (grad_x_loss(e, params.w_c) @ memory.x_tilde) * memory.theta_tilde
     grad_wc = grad[b_end:].reshape(q, p)
     grad_wc += np.multiply.outer(x_next, -e)
-    # A finite norm proves every element finite; an infinite one may come
-    # from overflow of the squares alone, so only then is the array scanned.
-    grad_norm = math.sqrt(grad.dot(grad))
-    if not math.isfinite(grad_norm) and not np.isfinite(grad).all():
-        raise NonFiniteError("gradient")
+    grad_norm = _finite_norm(grad, "gradient")
 
     # 5. sign draw
     if nu is None:

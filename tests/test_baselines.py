@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from markerpred.baselines import (
-    LmsFilter,
-    LmsStepResult,
     fit_linreg,
-    init_lms,
     lms_step,
     no_prediction,
     predict_linreg,
@@ -42,44 +39,56 @@ def _samples(n, m, p, seed=0, w_true=None, noise=0.0):
 
 
 def test_lms_step_zero_error_keeps_weights():
-    f = init_lms(m=4, p=2, eta=0.1)
-    u = np.ones(5)
-    result = lms_step(f, u, np.zeros(2))
-    assert np.array_equal(result.filter.w, f.w)
-    assert result.loss == 0.0
+    w = np.zeros((2, 5))
+    new_w, _, loss_value = lms_step(w, np.ones(5), np.zeros(2), eta=0.1, tau=2.0)
+    assert np.array_equal(new_w, w)
+    assert loss_value == 0.0
 
 
 def test_lms_step_zero_rate_keeps_weights():
     rng = np.random.default_rng(1)
-    f = init_lms(m=4, p=2, eta=0.0)
-    f = f.__class__(w=rng.standard_normal((2, 5)), eta=0.0, tau=2.0)
+    w = rng.standard_normal((2, 5))
     u = rng.standard_normal(5)
     y_star = rng.standard_normal(2)
-    result = lms_step(f, u, y_star)
-    assert np.array_equal(result.filter.w, f.w)
-    assert np.array_equal(result.y, f.w @ u)
+    new_w, y, _ = lms_step(w, u, y_star, eta=0.0, tau=2.0)
+    assert np.array_equal(new_w, w)
+    assert np.array_equal(y, w @ u)
+
+
+def test_lms_step_leaves_inputs_untouched_and_returns_fresh_weights():
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal((3, 6))
+    u = rng.standard_normal(6)
+    y_star = rng.standard_normal(3)
+    w_before, u_before = w.copy(), u.copy()
+    for tau in (1e-3, 1e3):  # clipped and unclipped
+        new_w, _, _ = lms_step(w, u, y_star, eta=0.5, tau=tau)
+        np.testing.assert_array_equal(w, w_before)
+        np.testing.assert_array_equal(u, u_before)
+        assert not np.shares_memory(new_w, w)
+        assert not np.shares_memory(new_w, u)
+        assert not np.array_equal(new_w, w)
 
 
 def test_lms_step_descends_on_fixed_pair():
     rng = np.random.default_rng(2)
-    f = init_lms(m=6, p=3, eta=0.01)
+    w = np.zeros((3, 7))
     u = rng.standard_normal(7)
     u[0] = 1.0
     y_star = rng.standard_normal(3)
     losses = []
     for _ in range(10):
-        result = lms_step(f, u, y_star)
-        losses.append(result.loss)
-        f = result.filter
+        w, _, loss_value = lms_step(w, u, y_star, eta=0.01, tau=2.0)
+        losses.append(loss_value)
     assert all(b < a for a, b in zip(losses, losses[1:]))
 
 
 def test_lms_step_clips_flattened_gradient():
-    f = init_lms(m=3, p=2, eta=1.0, tau=2.0)
+    w = np.zeros((2, 4))
     u = np.full(4, 10.0)
     y_star = np.full(2, 10.0)
-    result = lms_step(f, u, y_star)
-    update = (f.w - result.filter.w) / f.eta
+    new_w, _, _ = lms_step(w, u, y_star, eta=1.0, tau=2.0)
+    update = w - new_w  # eta = 1
     assert np.linalg.norm(update) <= 2.0 * (1 + 1e-12)
 
 
@@ -90,44 +99,51 @@ def test_lms_realizable_tracks_true_weights():
     m, p = 5, 2
     w_true = rng.standard_normal((p, m + 1))
     batch = _samples(20, m, p, seed=4, w_true=w_true)
-    f = init_lms(m=m, p=p, eta=0.02, tau=1e12)
-    dist = [np.linalg.norm(f.w - w_true)]
+    w = np.zeros((p, m + 1))
+    dist = [np.linalg.norm(w - w_true)]
     for _ in range(15):
         for s in batch:
-            f = lms_step(f, s.u, s.target).filter
-        dist.append(np.linalg.norm(f.w - w_true))
+            w, _, _ = lms_step(w, s.u, s.target, eta=0.02, tau=1e12)
+        dist.append(np.linalg.norm(w - w_true))
     assert all(b < a for a, b in zip(dist, dist[1:]))
 
 
 def test_lms_step_shape_checks():
-    f = init_lms(m=3, p=2, eta=0.1)
-    with pytest.raises(ValueError):
-        lms_step(f, np.zeros(3), np.zeros(2))
-    with pytest.raises(ValueError):
-        lms_step(f, np.zeros(4), np.zeros(3))
+    w = np.zeros((2, 4))
+    with pytest.raises(ValueError, match="u has shape"):
+        lms_step(w, np.zeros(3), np.zeros(2), eta=0.1, tau=2.0)
+    with pytest.raises(ValueError, match="y_star has shape"):
+        lms_step(w, np.zeros(4), np.zeros(3), eta=0.1, tau=2.0)
+    with pytest.raises(ValueError, match="W must be a matrix"):
+        lms_step(np.zeros(4), np.zeros(4), np.zeros(1), eta=0.1, tau=2.0)
+
+
+@pytest.mark.parametrize("eta, tau", [
+    (-0.1, 2.0), (np.nan, 2.0), (0.1, 0.0), (0.1, -1.0), (0.1, np.nan),
+])
+def test_lms_step_rejects_bad_rate_or_clip(eta, tau):
+    with pytest.raises(ValueError, match="need eta >= 0 and tau > 0"):
+        lms_step(np.zeros((2, 4)), np.ones(4), np.ones(2), eta=eta, tau=tau)
 
 
 def test_lms_step_nonfinite_detected():
-    f = init_lms(m=3, p=2, eta=0.1)
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-        lms_step(f, np.array([1.0, np.inf, 0.0, 0.0]), np.ones(2))
+        lms_step(np.zeros((2, 4)), np.array([1.0, np.inf, 0.0, 0.0]),
+                 np.ones(2), eta=0.1, tau=2.0)
 
 
-def _reference_lms_step(filter, u, y_star):
+def _reference_lms_step(w, u, y_star, eta, tau):
     """The LMS step as composed before its norm was shared: clip_gradient
     on the outer product, then a full finiteness scan of the weights."""
-    y = filter.w @ u
+    y = w @ u
     e, loss_value = loss(y, y_star)
     if not np.isfinite(loss_value):
         raise NonFiniteError("loss")
-    grad = clip_gradient(np.outer(-e, u), filter.tau)
-    new_w = filter.w - filter.eta * grad
+    grad = clip_gradient(np.outer(-e, u), tau)
+    new_w = w - eta * grad
     if not np.isfinite(new_w).all():
         raise NonFiniteError("weights")
-    return LmsStepResult(
-        filter=LmsFilter(w=new_w, eta=filter.eta, tau=filter.tau),
-        y=y, loss=loss_value,
-    )
+    return new_w, y, loss_value
 
 
 @pytest.mark.parametrize("eta, tau, clipping", [(0.1, 0.5, True), (0.005, 1e3, False)])
@@ -136,18 +152,17 @@ def test_lms_step_matches_reference_over_chained_steps(eta, tau, clipping):
     norm = fit_normalizer(record, range(0, 300))
     L, h = 10, 5
     samples = list(iter_windows(record, norm, L, h, range(1000)))
-    got = want = init_lms(m=3 * record.n_markers * L, p=3 * record.n_markers,
-                          eta=eta, tau=tau)
+    got = want = np.zeros((3 * record.n_markers, 3 * record.n_markers * L + 1))
     n_clipped = 0
     for s in samples:
-        e = s.target - want.w @ s.u
+        e = s.target - want @ s.u
         n_clipped += np.linalg.norm(np.outer(-e, s.u)) > tau
-        a = lms_step(got, s.u, s.target)
-        b = _reference_lms_step(want, s.u, s.target)
-        np.testing.assert_array_equal(a.y, b.y)
-        assert a.loss == b.loss
-        got, want = a.filter, b.filter
-    np.testing.assert_array_equal(got.w, want.w)
+        got, y, loss_value = lms_step(got, s.u, s.target, eta, tau)
+        want, want_y, want_loss = _reference_lms_step(want, s.u, s.target,
+                                                      eta, tau)
+        np.testing.assert_array_equal(y, want_y)
+        assert loss_value == want_loss
+    np.testing.assert_array_equal(got, want)
     assert (n_clipped > 500) if clipping else (n_clipped == 0)
 
 
@@ -156,27 +171,26 @@ def test_lms_step_accepts_huge_finite_weights():
     # the full scan, which passes.
     w = np.full((2, 4), 1e200)
     w[:, 0] = 0.0
-    f = LmsFilter(w=w, eta=0.1, tau=2.0)
     u = np.array([1.0, 0.0, 0.0, 0.0])
     y_star = np.array([3.0, -1.0])
     with np.errstate(over="ignore"):
-        result = lms_step(f, u, y_star)
-        want = _reference_lms_step(f, u, y_star)
-        assert np.isinf(np.linalg.norm(result.filter.w))
-    np.testing.assert_array_equal(result.filter.w, want.filter.w)
+        new_w, _, _ = lms_step(w, u, y_star, eta=0.1, tau=2.0)
+        want, _, _ = _reference_lms_step(w, u, y_star, eta=0.1, tau=2.0)
+        assert np.isinf(np.linalg.norm(new_w))
+    np.testing.assert_array_equal(new_w, want)
 
 
 @pytest.mark.parametrize("eta", [1.5e308, np.inf])
 def test_lms_step_overflowing_weights_raise(eta):
     # A finite loss and a clipped gradient, but eta * grad overflows to inf
     # (and is NaN where the gradient is 0 and eta is inf).
-    f = LmsFilter(w=np.zeros((2, 4)), eta=eta, tau=2.0)
+    w = np.zeros((2, 4))
     u = np.array([1.0, 0.0, 0.0, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError) as err:
-            lms_step(f, u, np.full(2, 10.0))
+            lms_step(w, u, np.full(2, 10.0), eta=eta, tau=2.0)
         with pytest.raises(NonFiniteError) as ref:
-            _reference_lms_step(f, u, np.full(2, 10.0))
+            _reference_lms_step(w, u, np.full(2, 10.0), eta=eta, tau=2.0)
     assert err.value.quantity == ref.value.quantity == "weights"
 
 
@@ -187,9 +201,9 @@ def test_fit_linreg_realizable_residual():
     rng = np.random.default_rng(5)
     w_true = rng.standard_normal((3, 8))
     samples = _samples(50, m=7, p=3, seed=6, w_true=w_true)
-    model = fit_linreg(samples)
+    w = fit_linreg(samples)
     residual = max(
-        np.linalg.norm(predict_linreg(model, s.u) - s.target) for s in samples
+        np.linalg.norm(predict_linreg(w, s.u) - s.target) for s in samples
     )
     assert residual <= 1e-8
 
@@ -197,17 +211,17 @@ def test_fit_linreg_realizable_residual():
 def test_fit_linreg_single_sample_exact():
     sample = _samples(1, m=3, p=2, seed=7)[0]
     with pytest.warns(UserWarning, match="under-determined"):
-        model = fit_linreg([sample])
-    assert np.allclose(predict_linreg(model, sample.u), sample.target, atol=1e-10)
+        w = fit_linreg([sample])
+    assert np.allclose(predict_linreg(w, sample.u), sample.target, atol=1e-10)
 
 
 def test_fit_linreg_orthogonal_residuals():
     # Least-squares residuals are orthogonal to the design columns.
     samples = _samples(60, m=9, p=4, seed=8)
-    model = fit_linreg(samples)
+    w = fit_linreg(samples)
     U = np.stack([s.u for s in samples])
     Y = np.stack([s.target for s in samples])
-    R = Y - U @ model.w.T
+    R = Y - U @ w.T
     assert np.linalg.norm(U.T @ R) <= 1e-8 * np.linalg.norm(Y)
 
 
@@ -233,10 +247,13 @@ def test_fit_linreg_rejects_empty():
 
 def test_predict_linreg_bias_only_returns_intercept():
     samples = _samples(30, m=4, p=2, seed=10)
-    model = fit_linreg(samples)
+    w = fit_linreg(samples)
+    assert w.shape == (2, 5)
     u = np.zeros(5)
     u[0] = 1.0
-    assert np.allclose(predict_linreg(model, u), model.w[:, 0])
+    assert np.allclose(predict_linreg(w, u), w[:, 0])
+    with pytest.raises(ValueError, match="u has shape"):
+        predict_linreg(w, np.zeros(4))
 
 
 # ----------------------------- no prediction -------------------------------

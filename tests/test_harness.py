@@ -38,7 +38,7 @@ from markerpred.harness import (
     run_sequence_online,
     write_runs_csv,
 )
-from markerpred.baselines import init_lms, lms_step, no_prediction
+from markerpred.baselines import lms_step, no_prediction
 from markerpred.metrics import MetricSet, ci_per_condition, compute_metrics
 from markerpred.rnn import RnnDims, init_params
 from markerpred.rtrl import init_influence, rtrl_step
@@ -200,6 +200,11 @@ def test_grid_axes_must_match_algorithm(tmp_path, algorithm, grid, missing,
         _config(algorithm, tmp_path, grid=grid)
     with pytest.raises(ValueError, match=message):
         iter_grid(algorithm, grid)
+
+
+def test_config_rejects_repeated_horizon(tmp_path):
+    with pytest.raises(ValueError, match=r"horizon 0\.4s is listed more than once"):
+        _config("lms", tmp_path, horizons_s=(0.4, 1.0, 0.4))
 
 
 def test_config_default_grid_lookup(tmp_path):
@@ -381,7 +386,7 @@ def test_online_learner_equals_direct_step_chain(algorithm, hyper):
     m, p, seed = 3 * record.n_markers * hyper.L, 3 * record.n_markers, 11
     step = _online_learner(algorithm, hyper, m, p, seed)
     if algorithm == "lms":
-        lms = init_lms(m=m, p=p, eta=hyper.eta, tau=CLIP_TAU)
+        w = np.zeros((p, m + 1))
     else:
         dims = RnnDims(q=hyper.q, m=m, p=p)
         params, x = init_params(dims, hyper.sigma_init, seed), np.zeros(hyper.q)
@@ -395,15 +400,17 @@ def test_online_learner_equals_direct_step_chain(algorithm, hyper):
             want = uoro_step(params, x, memory, sample.u, sample.target,
                              uoro_hyper, nu_rng)
             params, x, memory = want.params, want.x, want.memory
+            want_y, want_loss = want.y, want.loss
         elif algorithm == "rtrl":
             want = rtrl_step(params, x, influence, sample.u, sample.target,
                              eta=hyper.eta, tau=CLIP_TAU)
             params, x, influence = want.params, want.x, want.influence
+            want_y, want_loss = want.y, want.loss
         else:
-            want = lms_step(lms, sample.u, sample.target)
-            lms = want.filter
-        np.testing.assert_array_equal(y, want.y)
-        np.testing.assert_array_equal(loss_value, want.loss)
+            w, want_y, want_loss = lms_step(w, sample.u, sample.target,
+                                            hyper.eta, CLIP_TAU)
+        np.testing.assert_array_equal(y, want_y)
+        np.testing.assert_array_equal(loss_value, want_loss)
 
 
 # ------------------------------ grid search ---------------------------------
@@ -510,6 +517,35 @@ def test_run_experiment_rejects_off_grid_horizon_before_any_run(tmp_path):
         out_dir=tmp_path / "out",
     )
     with pytest.raises(ValueError, match="horizon 0.25s"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_search_rejects_repeated_horizon_before_any_run(monkeypatch):
+    # A repeat would run the whole grid once per copy for one result.
+    record = _quick_record()
+    cfg = ExperimentConfig(
+        algorithm="lms", horizons_s=(0.4,), data_manifest="x", out_dir="y",
+        grid={"eta": (0.05,), "L": (10,)},
+    )
+    calls = []
+    monkeypatch.setattr("markerpred.harness.run_sequence_online",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=r"horizons 0\.4s and 0\.4s both span 4"):
+        grid_search("lms", record, (0.4, 0.4), cfg)
+    assert calls == []
+
+
+def test_run_experiment_rejects_horizons_on_one_step_before_any_run(tmp_path):
+    # Distinct values, so the config accepts them, but on a 10 Hz record
+    # both are 4 steps (within WHOLE_STEP_RTOL of a whole number).
+    manifest = _write_dataset(tmp_path, duration=70.0)
+    h_near = 0.4 * (1 + 1e-12)
+    cfg = ExperimentConfig(
+        algorithm="none", horizons_s=(0.4, h_near), data_manifest=manifest,
+        out_dir=tmp_path / "out",
+    )
+    with pytest.raises(ValueError, match=rf"horizons 0\.4s and {h_near}s both span 4"):
         run_experiment(cfg)
     assert not (tmp_path / "out").exists()
 
