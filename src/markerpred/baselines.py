@@ -78,14 +78,18 @@ def lms_step(
     return new_w, y, loss_value
 
 
-def fit_linreg(samples: Sequence[WindowedSample]) -> np.ndarray:
+def fit_linreg(
+    samples: Sequence[WindowedSample], context: str | None = None
+) -> np.ndarray:
     """Ordinary least squares over a batch of windowed samples: the weights
     W (p x (m+1)) of the least-squares map y = W u.
 
     Solves min_W sum ||y* - W u||^2 by singular value decomposition
     (`numpy.linalg.lstsq`), which returns the minimal-norm W when the
     design is rank-deficient. Fitting with fewer samples than inputs is
-    allowed but warned about, since the system is then under-determined.
+    allowed but warned about, since the system is then under-determined;
+    `context`, when given, says in the warning what was fit (the harness
+    names the sequence, L and h).
     """
     if not samples:
         raise ValueError("cannot fit on an empty sample collection")
@@ -94,9 +98,10 @@ def fit_linreg(samples: Sequence[WindowedSample]) -> np.ndarray:
     if not (np.isfinite(U).all() and np.isfinite(Y).all()):
         raise ValueError("design matrix contains non-finite values")
     if U.shape[0] < U.shape[1]:
+        where = "" if context is None else f" ({context})"
         warnings.warn(
             f"under-determined least squares: {U.shape[0]} samples for "
-            f"{U.shape[1]} inputs; using the minimal-norm solution",
+            f"{U.shape[1]} inputs{where}; using the minimal-norm solution",
             stacklevel=2,
         )
     coeffs, _, _, _ = np.linalg.lstsq(U, Y, rcond=None)

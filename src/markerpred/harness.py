@@ -62,7 +62,7 @@ from markerpred.metrics import (
     compute_metrics,
 )
 from markerpred.rnn import NonFiniteError, RnnDims, init_params
-from markerpred.rtrl import init_influence, rtrl_step
+from markerpred.rtrl import RtrlWorkspace, init_influence, rtrl_step
 from markerpred.signal import (
     MarkerRecord,
     Normalizer,
@@ -73,7 +73,7 @@ from markerpred.signal import (
     make_partition,
     whole_steps,
 )
-from markerpred.uoro import UoroHyper, init_memory, uoro_step
+from markerpred.uoro import UoroHyper, UoroWorkspace, init_memory, uoro_step
 
 logger = logging.getLogger(__name__)
 
@@ -375,6 +375,9 @@ def _online_learner(
     name): step(u, y_star) -> (y, loss) trains on one sample, u of length
     m + 1 and y_star of length p, and keeps the learner state in its closure.
     RNN weights are drawn from `seed`, UORO's signs from [seed, 1].
+
+    The RNN learners own one workspace each and step in place (see the uoro
+    and rtrl module docstrings); every y they return is a fresh array.
     """
     if algorithm == "lms":
         w = np.zeros((p, m + 1))
@@ -396,21 +399,25 @@ def _online_learner(
             L=hyper.L, q=hyper.q,
         )
         nu_rng = np.random.default_rng([seed, 1])
+        workspace = UoroWorkspace(dims)
 
         def step(u, y_star):
             nonlocal params, x, memory
-            result = uoro_step(params, x, memory, u, y_star, uoro_hyper, nu_rng)
+            result = uoro_step(params, x, memory, u, y_star, uoro_hyper, nu_rng,
+                               workspace=workspace)
             params, x, memory = result.params, result.x, result.memory
             return result.y, result.loss
 
         return step
 
     influence = init_influence(dims)
+    workspace = RtrlWorkspace(dims)
 
     def step(u, y_star):
         nonlocal params, x, influence
         result = rtrl_step(
-            params, x, influence, u, y_star, eta=hyper.eta, tau=CLIP_TAU
+            params, x, influence, u, y_star, eta=hyper.eta, tau=CLIP_TAU,
+            workspace=workspace,
         )
         params, x, influence = result.params, result.x, result.influence
         return result.y, result.loss
@@ -474,9 +481,11 @@ def run_sequence_online(
     lag = L + h - 1
 
     if algorithm == "linreg":
-        w = fit_linreg(list(iter_windows(
-            record, normalizer, L, h, range(max(0, partition.train.stop - lag))
-        )))
+        w = fit_linreg(
+            list(iter_windows(record, normalizer, L, h,
+                              range(max(0, partition.train.stop - lag)))),
+            context=f"sequence {record.label!r}, L={L}, h={h} steps",
+        )
         preds, ks = [], []
         for sample in iter_windows(
             record, normalizer, L, h,

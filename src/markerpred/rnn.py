@@ -27,6 +27,7 @@ __all__ = [
     "RnnDims",
     "RnnParams",
     "StepCache",
+    "Workspace",
     "init_params",
     "forward",
     "loss",
@@ -88,7 +89,9 @@ class RnnParams:
     """Weight matrices W_a (q x q), W_b (q x (m+1)), W_c (p x q).
 
     Treated as immutable: trainers never write into the arrays, they build
-    new instances from an updated flat parameter vector.
+    new instances from an updated flat parameter vector. The one exception
+    is a `Workspace`'s own weights, which a step given that workspace
+    overwrites with the next ones.
     """
 
     w_a: np.ndarray
@@ -111,6 +114,24 @@ class StepCache:
     z: np.ndarray
     x_next: np.ndarray
     y: np.ndarray
+
+
+class Workspace:
+    """Buffers a learner owns so that a trainer step writes its new weights
+    into them instead of into fresh arrays: `params`, the column-major
+    matrix views of one flat |W| buffer (the layout `unflatten_params`
+    gives), and the flat gradient `grad`. The uoro and rtrl modules extend
+    it with the buffers of their own learner state."""
+
+    def __init__(self, dims: RnnDims):
+        self.dims = dims
+        self.params = unflatten_params(np.empty(dims.n_params), dims)
+        self.grad = np.empty(dims.n_params)
+
+    def check(self, dims: RnnDims) -> None:
+        """Raise ValueError unless the buffers fit a network of `dims`."""
+        if dims != self.dims:
+            raise ValueError(f"workspace is for {self.dims}, network is {dims}")
 
 
 def init_params(dims: RnnDims, sigma_init: float, seed: int) -> RnnParams:
@@ -176,10 +197,12 @@ def clip_gradient(g: np.ndarray, tau: float) -> np.ndarray:
 _MAX_STALLS = 16
 
 
-def _rescale(g: np.ndarray, tau: float, norm: float) -> np.ndarray:
-    """A new array g * (tau / norm) with norm at most tau, for norm = ||g||
-    > tau."""
-    clipped = g * (tau / norm)
+def _rescale(
+    g: np.ndarray, tau: float, norm: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """g * (tau / norm) with norm at most tau, for norm = ||g|| > tau: a new
+    array, or `out` (which may be g itself) overwritten."""
+    clipped = np.multiply(g, tau / norm, out=out)
     # Rounding of the rescaling can overshoot tau by an ulp; each pass
     # nudges the norm toward just below tau (in practice one pass ends it).
     # A nudge can leave the computed norm where it was, rarely for normal
@@ -226,14 +249,22 @@ def sgd_update(
     grad_norm: float,
     eta: float,
     tau: float,
+    out: RnnParams | None = None,
 ) -> RnnParams:
     """One clipped SGD step on the weights: W - eta * clip(grad, tau).
 
     Gives the same values as
     `unflatten_params(flatten_params(params) - eta * clip_gradient(grad, tau), dims)`
-    without the flat copy of `params`: eta * clip(grad) goes into one fresh
-    flat buffer, and each weight matrix is subtracted into its column-major
-    view of that buffer. Neither `params` nor `grad` is written to.
+    without the flat copy of `params`: eta * clip(grad) goes into one flat
+    buffer, and each weight matrix is subtracted into its column-major view
+    of that buffer, or into its matrix in `out`.
+
+    Without `out`, the buffer is fresh and neither `params` nor `grad` is
+    written to. With `out`, `grad` is the buffer (it is left holding
+    eta * clip(grad)) and the new weights are written into `out`'s
+    matrices, which may be `params`' own: every entry is computed from the
+    same entries of `params` and `grad` alone, so the update can run in
+    place.
 
     Args:
         params: current weights.
@@ -242,25 +273,27 @@ def sgd_update(
             has already computed to check the gradient for finiteness.
         eta: learning rate.
         tau: clip threshold, > 0.
+        out: weights of params' shapes to write the result into.
 
     Returns:
-        New RnnParams whose matrices are views into one flat vector, as
-        `unflatten_params` returns them.
+        New RnnParams over `out`'s matrices, or over column-major views into
+        one fresh flat vector, as `unflatten_params` returns them.
     """
     if not tau > 0:
         raise ValueError(f"tau must be > 0, got {tau}")
+    scratch = None if out is None else grad
     if grad_norm > tau:
-        theta = _rescale(grad, tau, grad_norm)
+        theta = _rescale(grad, tau, grad_norm, out=scratch)
         theta *= eta
     else:
-        theta = grad * eta
+        theta = np.multiply(grad, eta, out=scratch)
+    dests = (None,) * 3 if out is None else (out.w_a, out.w_b, out.w_c)
     blocks = []
     start = 0
-    for w in (params.w_a, params.w_b, params.w_c):
+    for w, dest in zip((params.w_a, params.w_b, params.w_c), dests):
         stop = start + w.size
         block = theta[start:stop].reshape(w.shape, order="F")
-        np.subtract(w, block, out=block)
-        blocks.append(block)
+        blocks.append(np.subtract(w, block, out=block if dest is None else dest))
         start = stop
     return RnnParams(*blocks)
 

@@ -18,10 +18,22 @@ adds delta_theta into its W_c block in place; the function stays as the
 reference). The per-step cost is O(q^3 (q + L)), which confines RTRL to
 small networks; it doubles here as the exactness oracle for UORO's
 rank-one estimator.
+
+Called alone, `rtrl_step` is pure: it writes to none of its inputs and
+returns the new weights and influence matrix in fresh arrays. A learner
+instead passes an `RtrlWorkspace`, which it allocates once per run, on
+every step. The workspace holds two influence buffers used in turn: each
+step writes the new influence into the one its input is not, and the
+gradient and new weights into the workspace's own buffers, in the same
+arithmetic order, so the results are bit-identical. As in UORO, the new
+weights are column-major views of one flat buffer, and the first step must
+be given `init_params`' C-order matrices themselves, since a
+matrix-vector product over a column-major matrix rounds differently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +42,8 @@ from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
     RnnParams,
-    _finite_norm,
+    Workspace,
+    _norm,
     forward,
     loss,
     sgd_update,
@@ -40,6 +53,7 @@ from markerpred.uoro import grad_x_loss
 
 __all__ = [
     "RtrlStepResult",
+    "RtrlWorkspace",
     "init_influence",
     "jac_state_x",
     "jac_state_theta",
@@ -54,6 +68,17 @@ class RtrlStepResult:
     influence: np.ndarray
     y: np.ndarray
     loss: float
+
+
+class RtrlWorkspace(Workspace):
+    """An RTRL learner's buffers (see `Workspace`): the weights, the gradient
+    and two q x |W| influence matrices."""
+
+    def __init__(self, dims: RnnDims):
+        super().__init__(dims)
+        self.influence = tuple(
+            np.empty((dims.q, dims.n_params)) for _ in range(2)
+        )
 
 
 def init_influence(dims: RnnDims) -> np.ndarray:
@@ -113,6 +138,7 @@ def rtrl_step(
     y_star: np.ndarray,
     eta: float,
     tau: float,
+    workspace: RtrlWorkspace | None = None,
 ) -> RtrlStepResult:
     """One exact online training step.
 
@@ -120,6 +146,12 @@ def rtrl_step(
     assembles the exact gradient (ii), clips it at tau, and applies SGD
     with rate eta. With eta = 0 the influence matrix still advances, so a
     frozen network can be differentiated exactly along its trajectory.
+
+    With `workspace`, the new weights, influence and gradient are written
+    into its buffers, and `params` and `influence` may be the ones it
+    returned last step (see the module docstring). Without it, they are
+    fresh arrays and no input is written to. The prediction and the hidden
+    state are fresh arrays either way.
 
     Raises:
         NonFiniteError: names the first non-finite quantity (loss,
@@ -131,6 +163,13 @@ def rtrl_step(
             f"influence has shape {influence.shape}, "
             f"expected ({dims.q}, {dims.n_params})"
         )
+    if workspace is None:
+        new_influence = grad = new_params = None
+    else:
+        workspace.check(dims)
+        first, second = workspace.influence
+        new_influence = second if influence is first else first
+        grad, new_params = workspace.grad, workspace.params
 
     cache = forward(params, x, u)
     e, loss_value = loss(cache.y, y_star)
@@ -140,7 +179,9 @@ def rtrl_step(
     # Recursion (i): the d(state map)/dtheta term is block-diagonal, so it
     # is added in place through the [i, :, i] views that `jac_state_theta`
     # fills, instead of as a dense q x |W| matrix.
-    new_influence = jac_state_x(params, cache.z) @ influence
+    new_influence = np.matmul(
+        jac_state_x(params, cache.z), influence, out=new_influence
+    )
     d = tanh_prime(cache.z)
     idx = np.arange(dims.q)
     block_a = new_influence[:, : dims.n_wa].reshape(dims.q, dims.q, dims.q)
@@ -149,20 +190,28 @@ def rtrl_step(
         dims.q, dims.m + 1, dims.q
     )
     block_b[idx, :, idx] += d[:, None] * u[None, :]
-    if not np.isfinite(new_influence).all():
-        raise NonFiniteError("influence")
 
     # delta_theta is non-zero only in the W_c block, so it is added into
     # that slice alone, as uoro_step does; the slice viewed as q x p is W_c
     # transposed. Adding the dense vector would turn a -0.0 in the W_a/W_b
     # blocks into +0.0; the two differ only for a weight that is exactly
     # -0.0.
-    grad = grad_x_loss(e, params.w_c) @ new_influence
+    grad = np.matmul(grad_x_loss(e, params.w_c), new_influence, out=grad)
     grad_wc = grad[dims.n_wa + dims.n_wb :].reshape(dims.q, dims.p)
     grad_wc += np.multiply.outer(cache.x_next, -e)
-    grad_norm = _finite_norm(grad, "gradient")
 
-    new_params = sgd_update(params, grad, grad_norm, eta, tau)
+    # A non-finite influence entry makes its column of the gradient
+    # non-finite, even under a zero multiplier (0 * inf is NaN), so a finite
+    # gradient norm proves the influence finite; only a non-finite norm,
+    # which the squares' overflow alone can cause, calls for the scans.
+    grad_norm = _norm(grad)
+    if not math.isfinite(grad_norm):
+        if not np.isfinite(new_influence).all():
+            raise NonFiniteError("influence")
+        if not np.isfinite(grad).all():
+            raise NonFiniteError("gradient")
+
+    new_params = sgd_update(params, grad, grad_norm, eta, tau, out=new_params)
 
     return RtrlStepResult(
         params=new_params,

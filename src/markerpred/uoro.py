@@ -49,6 +49,20 @@ only when such a norm is not finite.
 The guard eps of step 8 and the finite-difference step eps of step 6 are
 the module constants EPS_NORM and EPS_PROP, which `uoro_step` reads on
 every call.
+
+Called alone, `uoro_step` is pure: it writes to none of its inputs and
+returns the new weights and theta_tilde in fresh |W|-length arrays. A
+learner instead passes a `UoroWorkspace`, which it allocates once per run,
+on every step. The step then writes the gradient, dtheta_g, theta_tilde
+and the new weights into the workspace's buffers, in the same arithmetic
+order, so the results are bit-identical; the caller feeds the returned
+params and memory, which live in the workspace, back into the next step.
+The new weights are column-major views of one flat buffer, the layout the
+pure step also returns. The first step must be given `init_params`'
+C-order matrices themselves, not a column-major copy: a matrix-vector
+product over a column-major matrix rounds differently, so only the
+original layout reproduces the pure chain bit for bit. Its update is
+subtracted into the workspace's views.
 """
 
 from __future__ import annotations
@@ -63,6 +77,7 @@ from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
     RnnParams,
+    Workspace,
     _finite_norm,
     forward,
     loss,
@@ -76,6 +91,7 @@ __all__ = [
     "UoroMemory",
     "UoroHyper",
     "UoroStepResult",
+    "UoroWorkspace",
     "init_memory",
     "grad_x_loss",
     "delta_theta",
@@ -133,6 +149,16 @@ class UoroStepResult:
     memory: UoroMemory
     y: np.ndarray
     loss: float
+
+
+class UoroWorkspace(Workspace):
+    """A UORO learner's buffers (see `Workspace`): the weights, the gradient,
+    theta_tilde and dtheta_g, each of length |W|."""
+
+    def __init__(self, dims: RnnDims):
+        super().__init__(dims)
+        self.theta_tilde = np.empty(dims.n_params)
+        self.dtheta_g = np.empty(dims.n_params)
 
 
 def init_memory(dims: RnnDims) -> UoroMemory:
@@ -250,6 +276,7 @@ def uoro_step(
     rng: np.random.Generator,
     *,
     nu: np.ndarray | None = None,
+    workspace: UoroWorkspace | None = None,
 ) -> UoroStepResult:
     """One UORO training step (the ten-stage sequence in the module
     docstring).
@@ -264,10 +291,16 @@ def uoro_step(
         rng: source of the Rademacher draw.
         nu: optional fixed sign vector replacing the draw; intended for
             estimator tests that resample or mirror nu explicitly.
+        workspace: buffers to step in place, as a learner does: the new
+            weights and theta_tilde are written into it, and `params` and
+            `memory` may be the ones it returned last step. Without it,
+            every |W|-length result is a fresh array and no input is
+            written to.
 
     Returns:
         UoroStepResult with updated params, state, memory, the prediction
-        made this step, and its loss.
+        made this step, and its loss. The prediction and the hidden states
+        are fresh arrays either way.
 
     Raises:
         NonFiniteError: a NaN or infinity appeared; the message names the
@@ -277,6 +310,12 @@ def uoro_step(
     dims = params.dims
     q, p = dims.q, dims.p
     n_wa, b_end = dims.n_wa, dims.n_wa + dims.n_wb
+    if workspace is None:
+        grad = dtheta_g = theta_tilde = new_params = None
+    else:
+        workspace.check(dims)
+        grad, dtheta_g = workspace.grad, workspace.dtheta_g
+        theta_tilde, new_params = workspace.theta_tilde, workspace.params
 
     # 1-2. The forward pass's W_b u is reused in stage 6.
     cache = forward(params, x, u)
@@ -287,7 +326,10 @@ def uoro_step(
 
     # 3-4. delta_theta is non-zero only in the W_c block, so it is added
     # into that slice alone; the slice viewed as q x p is W_c transposed.
-    grad = (grad_x_loss(e, params.w_c) @ memory.x_tilde) * memory.theta_tilde
+    grad = np.multiply(
+        grad_x_loss(e, params.w_c) @ memory.x_tilde, memory.theta_tilde,
+        out=grad,
+    )
     grad_wc = grad[b_end:].reshape(q, p)
     grad_wc += np.multiply.outer(x_next, -e)
     grad_norm = _finite_norm(grad, "gradient")
@@ -305,7 +347,8 @@ def uoro_step(
     # 7. The W_a and W_b blocks are written in place as the C-order outer
     # products x a^T and u a^T, which are the column-major a x^T and a u^T.
     a = nu * tanh_prime(cache.z)
-    dtheta_g = np.empty(dims.n_params)
+    if dtheta_g is None:
+        dtheta_g = np.empty(dims.n_params)
     np.multiply.outer(x, a, out=dtheta_g[:n_wa].reshape(q, q))
     np.multiply.outer(u, a, out=dtheta_g[n_wa:b_end].reshape(dims.m + 1, q))
     dtheta_g[b_end:] = 0.0
@@ -324,7 +367,7 @@ def uoro_step(
 
     # 9. memory update
     x_tilde = rho0 * x_fwd + rho1 * nu
-    theta_tilde = memory.theta_tilde / rho0
+    theta_tilde = np.divide(memory.theta_tilde, rho0, out=theta_tilde)
     dtheta_g /= rho1
     theta_tilde += dtheta_g
     if not np.isfinite(x_tilde).all():
@@ -336,7 +379,9 @@ def uoro_step(
         raise NonFiniteError("theta_tilde")
 
     # 10. clipped SGD
-    new_params = sgd_update(params, grad, grad_norm, hyper.eta, hyper.tau)
+    new_params = sgd_update(
+        params, grad, grad_norm, hyper.eta, hyper.tau, out=new_params
+    )
 
     return UoroStepResult(
         params=new_params,

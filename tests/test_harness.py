@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from markerpred import harness, rnn, uoro
 from markerpred.harness import (
     ALGORITHMS,
     CLIP_TAU,
@@ -52,6 +53,7 @@ from markerpred.signal import (
     write_record,
 )
 from markerpred.uoro import UoroHyper, init_memory, uoro_step
+from test_uoro import _reference_uoro_step
 
 
 def _quick_record(seed=0, duration=80.0, label="seq"):
@@ -411,6 +413,206 @@ def test_online_learner_equals_direct_step_chain(algorithm, hyper):
                                             hyper.eta, CLIP_TAU)
         np.testing.assert_array_equal(y, want_y)
         np.testing.assert_array_equal(loss_value, want_loss)
+
+
+# ------------------------------ in-place learners ---------------------------
+
+
+def _spy(monkeypatch, name):
+    """Wrap harness.<name> (uoro_step or rtrl_step, which the learners call
+    by that name) so that each call's result is appended to the list
+    returned."""
+    results = []
+    real = getattr(harness, name)
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, name, spy)
+    return results
+
+
+def _pure_chain(algorithm, hyper, m, p, seed, tau):
+    """A step function over the pure kernels, initialized as the learner:
+    the UORO reference composed of the closed forms, or rtrl_step without
+    a workspace. Each call returns the kernel's step result."""
+    dims = RnnDims(q=hyper.q, m=m, p=p)
+    params, x = init_params(dims, hyper.sigma_init, seed), np.zeros(hyper.q)
+    memory, influence = init_memory(dims), init_influence(dims)
+    uoro_hyper = UoroHyper(eta=hyper.eta, tau=tau, sigma_init=hyper.sigma_init,
+                           L=hyper.L, q=hyper.q)
+    nu_rng = np.random.default_rng([seed, 1])
+
+    def step(u, y_star):
+        nonlocal params, x, memory, influence
+        if algorithm == "uoro":
+            out = _reference_uoro_step(params, x, memory, u, y_star,
+                                       uoro_hyper, nu_rng)
+            memory = out.memory
+        else:
+            out = rtrl_step(params, x, influence, u, y_star, eta=hyper.eta,
+                            tau=tau)
+            influence = out.influence
+        params, x = out.params, out.x
+        return out
+
+    return step
+
+
+@pytest.mark.parametrize("algorithm, q, L", [
+    ("uoro", 10, 10), ("uoro", 30, 5), ("rtrl", 5, 5), ("rtrl", 8, 3),
+])
+# The shipped clip threshold clips most steps; at eta = 0.01 no gradient
+# norm on this stream comes near 1e3, so nothing is clipped.
+@pytest.mark.parametrize("eta, tau, clips", [
+    (0.1, CLIP_TAU, True), (0.01, 1e3, False),
+])
+def test_in_place_learner_equals_pure_chain_over_1000_steps(
+    monkeypatch, algorithm, q, L, eta, tau, clips
+):
+    monkeypatch.setattr(harness, "CLIP_TAU", tau)
+    n_clipped = 0
+    rescale = rnn._rescale
+
+    def counting_rescale(*args, **kwargs):
+        nonlocal n_clipped
+        n_clipped += 1
+        return rescale(*args, **kwargs)
+
+    monkeypatch.setattr(rnn, "_rescale", counting_rescale)
+    learner_steps = _spy(monkeypatch, f"{algorithm}_step")
+    record = _quick_record(seed=4, duration=200.0)
+    samples = iter_windows(record, fit_normalizer(record, range(300)), L, 4,
+                           range(1000))
+    hyper = HyperChoice(eta=eta, sigma_init=0.02, L=L, q=q)
+    m, p, seed = 3 * record.n_markers * L, 3 * record.n_markers, 11
+    step = _online_learner(algorithm, hyper, m, p, seed)
+    pure = _pure_chain(algorithm, hyper, m, p, seed, tau)
+    ys, want_ys = [], []
+    for sample in samples:
+        y, loss_value = step(sample.u, sample.target)
+        want = pure(sample.u, sample.target)
+        np.testing.assert_array_equal(y, want.y)
+        np.testing.assert_array_equal(loss_value, want.loss)
+        ys.append(y)
+        want_ys.append(want.y)
+    # Every returned prediction is still its own: later steps wrote into
+    # the workspace, never into an earlier y.
+    np.testing.assert_array_equal(np.stack(ys), np.stack(want_ys))
+    assert len(ys) == len(learner_steps) == 1000
+    final = learner_steps[-1].params
+    for name in ("w_a", "w_b", "w_c"):
+        np.testing.assert_array_equal(getattr(final, name),
+                                      getattr(want.params, name))
+    assert (n_clipped > 0) == clips
+
+
+@pytest.mark.parametrize("algorithm, hyper", [
+    ("uoro", HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10)),
+    ("rtrl", HyperChoice(eta=0.1, sigma_init=0.02, L=5, q=5)),
+])
+def test_learners_stepped_alternately_equal_learners_stepped_alone(
+    algorithm, hyper
+):
+    # Two learners of one shape would diverge from their solo runs if they
+    # shared a buffer.
+    record = _quick_record(seed=5)
+    samples = list(iter_windows(record, fit_normalizer(record, range(300)),
+                                hyper.L, 4, range(200)))
+    m, p = 3 * record.n_markers * hyper.L, 3 * record.n_markers
+    alone = []
+    for seed in (11, 12):
+        step = _online_learner(algorithm, hyper, m, p, seed)
+        alone.append([step(s.u, s.target) for s in samples])
+    pair = [_online_learner(algorithm, hyper, m, p, seed) for seed in (11, 12)]
+    together = ([], [])
+    for s in samples:
+        for step, out in zip(pair, together):
+            out.append(step(s.u, s.target))
+    for got, want in zip(together, alone):
+        for (y, loss_value), (want_y, want_loss) in zip(got, want):
+            np.testing.assert_array_equal(y, want_y)
+            assert loss_value == want_loss
+
+
+def _spiked_record(magnitude, k=400):
+    """_quick_record with one coordinate at step k moved by magnitude mm."""
+    base = _quick_record()
+    positions = base.positions.copy()
+    positions[k, 0, 0] += magnitude
+    return MarkerRecord(positions=positions, sample_period=base.sample_period,
+                        label=base.label, breathing_class=base.breathing_class)
+
+
+@pytest.mark.parametrize("algorithm, eta, eps_norm, magnitude, at, quantity", [
+    # A 1e160 mm spike overflows the loss of the sample that targets it
+    # (step 400 - L - h + 1).
+    ("uoro", 0.1, None, 1e160, 392, "loss"),
+    ("rtrl", 0.1, None, 1e160, 392, "loss"),
+    # A huge normalizer guard inflates theta_tilde until the gradient
+    # overflows; a tiny one lets rho0 run off.
+    ("uoro", 1e3, 1e300, 0.0, 2, "gradient"),
+    ("uoro", 1e3, 1e-300, 0.0, 5, "rho0"),
+])
+def test_in_place_learner_diverges_where_pure_chain_diverges(
+    monkeypatch, algorithm, eta, eps_norm, magnitude, at, quantity
+):
+    if eps_norm is not None:
+        monkeypatch.setattr(uoro, "EPS_NORM", eps_norm)
+    record = _spiked_record(magnitude)
+    partition = make_partition(record, "online_30_30")
+    hyper = HyperChoice(eta=eta, sigma_init=0.02, L=5, q=5)
+
+    def run():
+        return run_sequence_online(algorithm, record, partition, hyper, h=4,
+                                   seed=3)
+
+    in_place = run()
+    # The same harness loop over the pure kernels: the learner's calls
+    # with the workspace dropped.
+    for name in ("uoro_step", "rtrl_step"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name,
+            lambda *args, workspace=None, _real=real, **kw: _real(*args, **kw),
+        )
+    pure = run()
+    assert in_place.diverged and pure.diverged
+    assert (in_place.diverged_at, in_place.diverged_quantity) == (at, quantity)
+    assert (pure.diverged_at, pure.diverged_quantity) == (at, quantity)
+
+
+@pytest.mark.parametrize("algorithm, hyper", [
+    ("uoro", HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10)),
+    ("rtrl", HyperChoice(eta=0.1, sigma_init=0.02, L=5, q=5)),
+])
+def test_learner_calls_its_kernel_by_name_once_per_step(monkeypatch,
+                                                         algorithm, hyper):
+    # perfbench's per-layer spans wrap harness.uoro_step and
+    # harness.rtrl_step, so every learner step must go through them.
+    calls = {name: _spy(monkeypatch, name) for name in ("uoro_step",
+                                                         "rtrl_step")}
+    record = _quick_record(seed=6)
+    partition = make_partition(record, "online_30_30")
+    out = run_sequence_online(algorithm, record, partition, hyper, h=4,
+                              seed=0, collect_loss=True)
+    assert len(calls[f"{algorithm}_step"]) == len(out.losses) > 0
+    other = "rtrl_step" if algorithm == "uoro" else "uoro_step"
+    assert calls[other] == []
+
+
+def test_linreg_underdetermined_warning_names_sequence_history_and_horizon():
+    record = _quick_record(seed=7, label="breath-07")
+    partition = make_partition(record, "offline_54_6")
+    # 54 s of training steps hold 540 - (90 + 4 - 1) = 447 windows of
+    # 3 * 3 * 90 + 1 = 811 inputs.
+    with pytest.warns(UserWarning, match=(
+        r"^under-determined least squares: 447 samples for 811 inputs "
+        r"\(sequence 'breath-07', L=90, h=4 steps\); "
+    )):
+        run_sequence_online("linreg", record, partition, HyperChoice(L=90),
+                            h=4, seed=0)
 
 
 # ------------------------------ grid search ---------------------------------

@@ -261,6 +261,33 @@ def test_sgd_update_equals_flat_clipped_step(q, m, p, seed, scale, eta, tau):
             assert not np.shares_memory(w, source)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    q=st.integers(1, 6),
+    m=st.integers(1, 8),
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    eta=st.floats(1e-4, 1.0),
+    tau=st.sampled_from([1e-3, 2.0, 1e12]),
+)
+def test_sgd_update_into_out_equals_fresh_update(q, m, p, seed, eta, tau):
+    # A learner's first step subtracts from init_params' C-order matrices
+    # into its workspace's column-major views; later steps update those
+    # views in place. Both must give the fresh update's bits.
+    dims = RnnDims(q=q, m=m, p=p)
+    want = init_params(dims, sigma_init=0.5, seed=seed)
+    got = want
+    own = unflatten_params(np.empty(dims.n_params), dims)
+    rng = np.random.default_rng(seed)
+    for scale in (1.0, 1e-3):
+        grad = scale * rng.standard_normal(dims.n_params)
+        want = sgd_update(want, grad, _norm(grad), eta, tau)
+        got = sgd_update(got, grad.copy(), _norm(grad), eta, tau, out=own)
+        for name in ("w_a", "w_b", "w_c"):
+            assert getattr(got, name) is getattr(own, name)
+        assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
+
+
 def test_flatten_is_column_major():
     dims = RnnDims(q=2, m=1, p=1)
     params = init_params(dims, sigma_init=1.0, seed=0)

@@ -22,6 +22,7 @@ from markerpred.rnn import (
 )
 from markerpred.rtrl import (
     RtrlStepResult,
+    RtrlWorkspace,
     init_influence,
     jac_state_theta,
     jac_state_x,
@@ -380,3 +381,48 @@ def test_rtrl_step_huge_influence_matches_reference(scale):
             outcomes.append([flatten_params(result.params).tobytes(),
                              result.influence.tobytes()])
     assert outcomes[0] == outcomes[1]
+
+
+def test_rtrl_step_finds_nonfinite_influence_behind_zero_multiplier():
+    # The step checks the new influence through the gradient norm alone. Here
+    # its only non-finite entry sits in row r, whose gradient multiplier is
+    # exactly 0 (W_c's column r is zero): the step still sees it, because
+    # 0 * inf leaves a NaN in the gradient. A BLAS that skipped zero
+    # multipliers would hide it.
+    q, m, p, r, c = 4, 3, 2, 1, 6
+    dims = RnnDims(q=q, m=m, p=p)
+    rng = np.random.default_rng(3)
+    w_a = np.zeros((q, q))
+    w_a[r] = 0.5
+    w_b = rng.standard_normal((q, m + 1))
+    w_b[r] = 0.0
+    w_c = rng.standard_normal((p, q))
+    w_c[:, r] = 0.0
+    params = RnnParams(w_a=w_a, w_b=w_b, w_c=w_c)
+    x = np.zeros(q)
+    u = np.concatenate([[1.0], rng.standard_normal(m)])
+    y_star = rng.standard_normal(p)
+    # Row r of the state Jacobian sums four 0.5 * 1.5e308 terms, which
+    # overflow; every other row is zero, and 0 * 1.5e308 is 0.
+    influence = np.zeros((q, dims.n_params))
+    influence[:, c] = 1.5e308
+    with np.errstate(over="ignore"):
+        new = jac_state_x(params, forward(params, x, u).z) @ influence
+    assert np.isinf(new[r, c])
+    assert np.isfinite(np.delete(new, r, axis=0)).all()
+    assert (-(y_star - forward(params, x, u).y) @ w_c)[r] == 0.0
+    for step, workspace in ((rtrl_step, None), (rtrl_step, RtrlWorkspace(dims)),
+                            (_reference_rtrl_step, None)):
+        kwargs = {} if workspace is None else {"workspace": workspace}
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+            step(params, x, influence, u, y_star, eta=0.1, tau=CLIP_TAU,
+                 **kwargs)
+        assert info.value.quantity == "influence"
+
+
+def test_rtrl_step_rejects_workspace_of_another_shape():
+    dims, params, x, u, y_star, _ = _instance()
+    other = RnnDims(q=dims.q, m=dims.m + 1, p=dims.p)
+    with pytest.raises(ValueError, match="workspace is for"):
+        rtrl_step(params, x, init_influence(dims), u, y_star, eta=0.1,
+                  tau=CLIP_TAU, workspace=RtrlWorkspace(other))

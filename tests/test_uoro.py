@@ -27,6 +27,7 @@ from markerpred.uoro import (
     UoroHyper,
     UoroMemory,
     UoroStepResult,
+    UoroWorkspace,
     delta_theta,
     delta_theta_g,
     grad_x_loss,
@@ -613,3 +614,11 @@ def test_uoro_step_huge_finite_memory_raises_where_reference_raises(
     state = _huge_memory_instance(monkeypatch, theta_tilde, eps, x_tilde_scale)
     got = _outcome(uoro_step, *state)
     assert got == _outcome(_reference_uoro_step, *state)
+
+
+def test_uoro_step_rejects_workspace_of_another_shape():
+    dims, params, x, u, y_star, rng = _instance()
+    other = RnnDims(q=dims.q, m=dims.m, p=dims.p + 1)
+    with pytest.raises(ValueError, match="workspace is for"):
+        uoro_step(params, x, init_memory(dims), u, y_star, _hyper(dims), rng,
+                  workspace=UoroWorkspace(other))
