@@ -40,8 +40,8 @@ def lms_step(
     flattened matrix (the Frobenius norm) to match the RNN trainers'
     treatment, at learning rate eta. Equal, bit for bit, to `clip_gradient`
     on the outer product followed by a full finiteness scan of the new
-    weights: the norm is taken once, eta times the clipped gradient and
-    then the new weights are written into the fresh gradient buffer, as
+    weights: the norm is taken once, and the clipped gradient, eta times it
+    and then the new weights are written into the fresh gradient buffer, as
     `sgd_update` does, and a finite norm of the new weights proves them
     finite (the scan runs only when it overflows or is NaN). Neither w nor
     u is written to.
@@ -71,7 +71,7 @@ def lms_step(
     grad = np.outer(-e, u)
     grad_norm = _norm(grad)
     if grad_norm > tau:
-        grad = _rescale(grad, tau, grad_norm)
+        _rescale(grad, tau, grad_norm, out=grad)
     grad *= eta
     new_w = np.subtract(w, grad, out=grad)
     _finite_norm(new_w, "weights")

@@ -40,7 +40,7 @@ import re
 import time
 import warnings
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -112,6 +112,11 @@ METRIC_NAMES = ("mae", "rmse", "nrmse", "max_error", "jitter")
 
 # Shared gradient-clipping threshold for every trained method.
 CLIP_TAU = 2.0
+
+# Steps of Rademacher signs a UORO learner draws at once: enough to make the
+# draw's fixed cost negligible per step; 256 raised uoro-protocol's peak
+# memory by about 0.3 MB.
+_SIGN_BLOCK = 64
 
 # Shipped cross-validation ranges per algorithm.
 DEFAULT_GRIDS: dict[str, dict[str, tuple]] = {
@@ -220,7 +225,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of one seeded pass over a sequence; the loss trace and its
-    first target step are set only when the run collects them."""
+    first target step are set only when the run collects them, the weights
+    only by linreg, which fits them on the training range."""
 
     trace: PredictionTrace | None
     losses: np.ndarray | None = None
@@ -228,6 +234,7 @@ class RunResult:
     diverged: bool = False
     diverged_at: int | None = None
     diverged_quantity: str | None = None
+    weights: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -240,11 +247,18 @@ class CvEntry:
 
 @dataclass(frozen=True)
 class CvResult:
+    """The cross-validation surface of one (sequence, horizon). For linreg,
+    `chosen_weights` is the chosen tuple's fit, which `evaluate` can reuse:
+    it is fit on the training range whatever range is scored."""
+
     algorithm: str
     sequence: str
     horizon_s: float
     entries: tuple[CvEntry, ...]
     chosen: HyperChoice
+    chosen_weights: np.ndarray | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -377,7 +391,9 @@ def _online_learner(
     RNN weights are drawn from `seed`, UORO's signs from [seed, 1].
 
     The RNN learners own one workspace each and step in place (see the uoro
-    and rtrl module docstrings); every y they return is a fresh array.
+    and rtrl module docstrings); every y they return is a fresh array. The
+    UORO learner draws its signs _SIGN_BLOCK steps ahead, which gives the
+    signs of one draw per step (see the uoro module docstring).
     """
     if algorithm == "lms":
         w = np.zeros((p, m + 1))
@@ -400,11 +416,16 @@ def _online_learner(
         )
         nu_rng = np.random.default_rng([seed, 1])
         workspace = UoroWorkspace(dims)
+        signs, n_used = np.empty((0, dims.q)), 0
 
         def step(u, y_star):
-            nonlocal params, x, memory
+            nonlocal params, x, memory, signs, n_used
+            if n_used == len(signs):
+                signs = 2.0 * nu_rng.integers(0, 2, size=(_SIGN_BLOCK, dims.q)) - 1.0
+                n_used = 0
             result = uoro_step(params, x, memory, u, y_star, uoro_hyper, nu_rng,
-                               workspace=workspace)
+                               nu=signs[n_used], workspace=workspace)
+            n_used += 1
             params, x, memory = result.params, result.x, result.memory
             return result.y, result.loss
 
@@ -434,6 +455,7 @@ def run_sequence_online(
     seed: int,
     scoring_range: range | None = None,
     collect_loss: bool = False,
+    weights: np.ndarray | None = None,
 ) -> RunResult:
     """One seeded pass over a sequence, scoring one step range.
 
@@ -453,6 +475,9 @@ def run_sequence_online(
         seed: seed for weight initialization and sign draws.
         scoring_range: defaults to the partition's test range.
         collect_loss: also return the per-sample training loss trace.
+        weights: linreg only, the weights an earlier run of this record,
+            partition, L and h fit (`RunResult.weights`), used instead of
+            fitting them again.
 
     Returns:
         RunResult; on divergence the trace is None and the failing step
@@ -481,11 +506,13 @@ def run_sequence_online(
     lag = L + h - 1
 
     if algorithm == "linreg":
-        w = fit_linreg(
-            list(iter_windows(record, normalizer, L, h,
-                              range(max(0, partition.train.stop - lag)))),
-            context=f"sequence {record.label!r}, L={L}, h={h} steps",
-        )
+        w = weights
+        if w is None:
+            w = fit_linreg(
+                list(iter_windows(record, normalizer, L, h,
+                                  range(max(0, partition.train.stop - lag)))),
+                context=f"sequence {record.label!r}, L={L}, h={h} steps",
+            )
         preds, ks = [], []
         for sample in iter_windows(
             record, normalizer, L, h,
@@ -493,7 +520,15 @@ def run_sequence_online(
         ):
             preds.append(predict_linreg(w, sample.u))
             ks.append(sample.target_index)
-        return RunResult(trace=_trace_from_steps(record, preds, ks, normalizer))
+        # The weights go back as a copy made now: fit_linreg's array was
+        # allocated among the fit's large temporaries, and kept by the
+        # caller it would split the heap they freed (measured: about 1 MB
+        # more peak memory over a linreg grid search). The copy keeps the
+        # layout, on which W u's rounding depends.
+        return RunResult(
+            trace=_trace_from_steps(record, preds, ks, normalizer),
+            weights=w.copy(order="K"),
+        )
 
     # Online trainers: uoro, rtrl, lms.
     last_n = scoring.stop - lag - 1
@@ -533,11 +568,13 @@ def run_sequence_online(
 def _seeded_runs(
     algorithm: str, record: MarkerRecord, partition: Partition,
     hyper: HyperChoice, h_s: float, config: ExperimentConfig, phase: str,
+    weights: np.ndarray | None = None,
 ) -> Iterator[tuple[RunRecord, RunResult]]:
     """One tuple's seeded runs in phase "cv" (n_cv runs scoring the
     cross-validation range) or "test" (n_test runs scoring the test range,
     with loss traces when the config saves them); methods without random
-    initialization run once. Yields each run's record and result."""
+    initialization run once. `weights` goes to `run_sequence_online`.
+    Yields each run's record and result."""
     h = whole_steps(h_s, record.sample_period, "horizon")
     cv = phase == "cv"
     n_runs = config.n_cv if cv else config.n_test
@@ -550,7 +587,7 @@ def _seeded_runs(
         outcome = run_sequence_online(
             algorithm, record, partition, hyper, h, seed,
             scoring_range=partition.cross_validation if cv else None,
-            collect_loss=config.save_loss_traces and not cv,
+            collect_loss=config.save_loss_traces and not cv, weights=weights,
         )
         yield RunRecord(
             run_index=r, seed=seed, diverged=outcome.diverged,
@@ -573,6 +610,12 @@ def _check_horizons(horizons_s: tuple[float, ...], record: MarkerRecord) -> None
                 f"{record.label!r}; list each horizon once"
             )
         seen[h] = h_s
+
+
+def _cv_rank(entry: CvEntry) -> tuple:
+    """Selection order of grid points: mean cross-validation RMSE, then
+    the deterministic tie-break."""
+    return (entry.mean_rmse,) + entry.hyper.sort_key()
 
 
 def grid_search(
@@ -598,11 +641,14 @@ def grid_search(
     grid = iter_grid(algorithm, config.effective_grid())
     results: dict[float, CvResult] = {}
     for h_s in horizons_s:
-        entries = []
+        entries, chosen, chosen_weights = [], None, None
         for hyper in grid:
-            runs = [run for run, _ in _seeded_runs(
+            runs, weights = [], None
+            for run, outcome in _seeded_runs(
                 algorithm, record, partition, hyper, h_s, config, "cv"
-            )]
+            ):
+                runs.append(run)
+                weights = outcome.weights
             rmses = [run.metrics.rmse for run in runs if not run.diverged]
             if rmses:
                 mean_rmse = float(np.mean(rmses))
@@ -614,17 +660,21 @@ def grid_search(
                     f"at h={h_s}s; excluded",
                     stacklevel=2,
                 )
-            entries.append(CvEntry(
+            entry = CvEntry(
                 hyper=hyper, mean_rmse=mean_rmse,
                 n_diverged=len(runs) - len(rmses), n_runs=len(runs),
-            ))
-        alive = [e for e in entries if not np.isnan(e.mean_rmse)]
-        if not alive:
+            )
+            entries.append(entry)
+            # The argmin so far; only its linreg fit is kept.
+            if not np.isnan(mean_rmse) and (
+                chosen is None or _cv_rank(entry) < _cv_rank(chosen)
+            ):
+                chosen, chosen_weights = entry, weights
+        if chosen is None:
             raise RuntimeError(
                 f"every {algorithm} tuple diverged on {record.label!r} at "
                 f"h={h_s}s; nothing to select"
             )
-        chosen = min(alive, key=lambda e: (e.mean_rmse,) + e.hyper.sort_key())
         logger.info(
             "%s cv %s h=%.3gs: chose (%s) rmse=%.4f mm",
             algorithm, record.label, h_s, chosen.hyper.key(), chosen.mean_rmse,
@@ -635,6 +685,7 @@ def grid_search(
             horizon_s=h_s,
             entries=tuple(entries),
             chosen=chosen.hyper,
+            chosen_weights=chosen_weights,
         )
     return results
 
@@ -648,18 +699,21 @@ def evaluate(
     hyper: HyperChoice,
     h_s: float,
     config: ExperimentConfig,
+    weights: np.ndarray | None = None,
 ) -> EvalResult:
     """Score the chosen tuple on the test range over n_test seeded runs.
 
     Deterministic methods run once and report no confidence intervals;
     otherwise each metric gets a Gaussian 95% interval over the
-    non-diverged runs (absent when fewer than two survive).
+    non-diverged runs (absent when fewer than two survive). For linreg,
+    `weights` may be the tuple's fit from `grid_search`
+    (`CvResult.chosen_weights`), which is then not refit.
     """
     partition = make_partition(record, partition_scheme(algorithm))
     runs: list[RunRecord] = []
     loss_sum, loss_count, loss_start = None, 0, None
     for run, outcome in _seeded_runs(
-        algorithm, record, partition, hyper, h_s, config, "test"
+        algorithm, record, partition, hyper, h_s, config, "test", weights
     ):
         runs.append(run)
         if outcome.losses is not None:
@@ -988,7 +1042,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         for h_s, cv in cv_results.items():
             stem = _condition_stem(config.algorithm, record.label, h_s)
             write_cv_csv(out_dir / f"cv_{stem}.csv", cv)
-            result = evaluate(config.algorithm, record, cv.chosen, h_s, config)
+            result = evaluate(config.algorithm, record, cv.chosen, h_s, config,
+                              weights=cv.chosen_weights)
             write_runs_csv(out_dir / f"runs_{stem}.csv", result)
             if config.save_loss_traces:
                 write_loss_csv(out_dir / f"loss_{stem}.csv", result)

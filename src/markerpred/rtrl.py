@@ -22,13 +22,17 @@ rank-one estimator.
 Called alone, `rtrl_step` is pure: it writes to none of its inputs and
 returns the new weights and influence matrix in fresh arrays. A learner
 instead passes an `RtrlWorkspace`, which it allocates once per run, on
-every step. The workspace holds two influence buffers used in turn: each
-step writes the new influence into the one its input is not, and the
-gradient and new weights into the workspace's own buffers, in the same
-arithmetic order, so the results are bit-identical. As in UORO, the new
-weights are column-major views of one flat buffer, and the first step must
-be given `init_params`' C-order matrices themselves, since a
-matrix-vector product over a column-major matrix rounds differently.
+every step. The workspace is the per-run plan of the step: the weights and
+gradient buffers with their matrix views, and two influence buffers used
+in turn, each with the views of its block-diagonal entries that recursion
+(i) adds into. Each step writes the new influence into the buffer its
+input is not, and the gradient and new weights into the workspace's own
+buffers. The pure call runs the same code on a fresh one-step workspace
+(see `Workspace`), which has one influence buffer, so the two are
+bit-identical. As in UORO, the new weights are column-major views of one
+flat buffer, and the first step must be given `init_params`' C-order
+matrices themselves, since a matrix-vector product over a column-major
+matrix rounds differently.
 """
 
 from __future__ import annotations
@@ -71,14 +75,32 @@ class RtrlStepResult:
 
 
 class RtrlWorkspace(Workspace):
-    """An RTRL learner's buffers (see `Workspace`): the weights, the gradient
-    and two q x |W| influence matrices."""
+    """An RTRL learner's buffers (see `Workspace`): besides the weights and
+    the gradient, two q x |W| influence matrices used in turn, and for each
+    the views of its entries that recursion (i) adds the state map's
+    parameter Jacobian into (see `_diagonals`), built once. A one-step
+    workspace has one influence matrix, since the step's input is not it."""
 
-    def __init__(self, dims: RnnDims):
-        super().__init__(dims)
+    def __init__(self, dims: RnnDims, one_step: bool = False):
         self.influence = tuple(
-            np.empty((dims.q, dims.n_params)) for _ in range(2)
+            np.empty((dims.q, dims.n_params)) for _ in range(1 if one_step else 2)
         )
+        super().__init__(dims, one_step)
+        self.diagonals = tuple(_diagonals(m, dims) for m in self.influence)
+
+
+def _diagonals(influence: np.ndarray, dims: RnnDims) -> tuple[np.ndarray, np.ndarray]:
+    """Writable q x q and q x (m+1) views of a C-contiguous q x |W|
+    influence matrix whose entry [i, j] is the entry of W_a[i, j], resp.
+    W_b[i, j], in row i: the [i, :, i] diagonals of the W_a and W_b blocks
+    viewed as (q, n_cols, q), the entries `jac_state_theta` fills. In the
+    column-major layout the column of W_a[i, j] is j*q + i."""
+    row, col = influence.strides
+    return tuple(
+        np.ndarray((dims.q, n_cols), buffer=influence, offset=start * col,
+                   strides=(row + col, dims.q * col))
+        for start, n_cols in ((0, dims.q), (dims.n_wa, dims.m + 1))
+    )
 
 
 def init_influence(dims: RnnDims) -> np.ndarray:
@@ -157,48 +179,42 @@ def rtrl_step(
         NonFiniteError: names the first non-finite quantity (loss,
             influence, or gradient).
     """
-    dims = params.dims
+    if workspace is None:
+        # Fresh buffers: the step writes to none of its inputs.
+        workspace = RtrlWorkspace(params.dims, one_step=True)
+    else:
+        workspace.check(params)
+    dims = workspace.dims
     if influence.shape != (dims.q, dims.n_params):
         raise ValueError(
             f"influence has shape {influence.shape}, "
             f"expected ({dims.q}, {dims.n_params})"
         )
-    if workspace is None:
-        new_influence = grad = new_params = None
-    else:
-        workspace.check(dims)
-        first, second = workspace.influence
-        new_influence = second if influence is first else first
-        grad, new_params = workspace.grad, workspace.params
+    k = 1 if influence is workspace.influence[0] else 0
+    new_influence, (diag_a, diag_b) = workspace.influence[k], workspace.diagonals[k]
 
     cache = forward(params, x, u)
     e, loss_value = loss(cache.y, y_star)
-    if not np.isfinite(loss_value):
+    if not math.isfinite(loss_value):
         raise NonFiniteError("loss")
 
-    # Recursion (i): the d(state map)/dtheta term is block-diagonal, so it
-    # is added in place through the [i, :, i] views that `jac_state_theta`
-    # fills, instead of as a dense q x |W| matrix.
-    new_influence = np.matmul(
-        jac_state_x(params, cache.z), influence, out=new_influence
-    )
-    d = tanh_prime(cache.z)
-    idx = np.arange(dims.q)
-    block_a = new_influence[:, : dims.n_wa].reshape(dims.q, dims.q, dims.q)
-    block_a[idx, :, idx] += d[:, None] * x[None, :]
-    block_b = new_influence[:, dims.n_wa : dims.n_wa + dims.n_wb].reshape(
-        dims.q, dims.m + 1, dims.q
-    )
-    block_b[idx, :, idx] += d[:, None] * u[None, :]
+    # Recursion (i), with tanh'(z) = 1 - x_next^2 taken once from the tanh
+    # the forward pass took: d(state map)/dx is `jac_state_x`, and the
+    # d(state map)/dtheta term is block-diagonal, so it is added in place
+    # through the views of the entries `jac_state_theta` fills, instead of
+    # as a dense q x |W| matrix.
+    d = 1.0 - cache.x_next * cache.x_next
+    np.matmul(d[:, None] * params.w_a, influence, out=new_influence)
+    diag_a += d[:, None] * x[None, :]
+    diag_b += d[:, None] * u[None, :]
 
     # delta_theta is non-zero only in the W_c block, so it is added into
-    # that slice alone, as uoro_step does; the slice viewed as q x p is W_c
-    # transposed. Adding the dense vector would turn a -0.0 in the W_a/W_b
-    # blocks into +0.0; the two differ only for a weight that is exactly
-    # -0.0.
-    grad = np.matmul(grad_x_loss(e, params.w_c), new_influence, out=grad)
-    grad_wc = grad[dims.n_wa + dims.n_wb :].reshape(dims.q, dims.p)
-    grad_wc += np.multiply.outer(cache.x_next, -e)
+    # that block alone (`grad_wc`, W_c transposed), as uoro_step does.
+    # Adding the dense vector would turn a -0.0 in the W_a/W_b blocks into
+    # +0.0; the two differ only for a weight that is exactly -0.0.
+    grad = np.matmul(grad_x_loss(e, params.w_c), new_influence,
+                     out=workspace.grad)
+    workspace.grad_wc += np.multiply.outer(cache.x_next, -e)
 
     # A non-finite influence entry makes its column of the gradient
     # non-finite, even under a zero multiplier (0 * inf is NaN), so a finite
@@ -211,7 +227,9 @@ def rtrl_step(
         if not np.isfinite(grad).all():
             raise NonFiniteError("gradient")
 
-    new_params = sgd_update(params, grad, grad_norm, eta, tau, out=new_params)
+    new_params = sgd_update(params, grad, grad_norm, eta, tau,
+                            out=workspace.params,
+                            grad_blocks=workspace.grad_blocks)
 
     return RtrlStepResult(
         params=new_params,

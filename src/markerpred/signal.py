@@ -376,13 +376,32 @@ def build_io(
 
     The input stacks the normalized coordinates of steps n .. n+L-1 behind
     a leading bias 1; the target is the normalized coordinate vector at
-    step n + L + h - 1. This is `iter_windows` over the single anchor n.
+    step n + L + h - 1. This is `iter_windows` over the single anchor n,
+    with its checks and messages, normalizing only the L + 1 rows it reads.
 
     Raises:
         ValueError: L < 1, h < 1, or n < 0.
         IndexError: the window or target falls outside the record.
     """
-    return next(iter_windows(record, normalizer, L, h, range(n, n + 1)))
+    if L < 1 or h < 1:
+        raise ValueError(f"L and h must be >= 1, got L={L}, h={h}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    target_index = n + L + h - 1
+    if target_index >= record.n_steps:
+        raise IndexError(
+            f"window at n={n} with L={L}, h={h} needs step {target_index}, "
+            f"record has {record.n_steps}"
+        )
+    u = np.empty(1 + 3 * record.n_markers * L)
+    u[0] = 1.0
+    window = u[1:].reshape(L, record.n_markers, 3)
+    np.subtract(record.positions[n : n + L], normalizer.offset, out=window)
+    window /= normalizer.scale
+    target = normalizer.normalize(record.positions[target_index]).ravel()
+    return WindowedSample(
+        u=u, target=target, time_index=n, target_index=target_index
+    )
 
 
 def whole_steps(duration_s: float, sample_period: float, name: str) -> int:

@@ -17,7 +17,9 @@ One training step runs, in this fixed order:
     4. gradient estimate       dtheta_est = (grad_x_loss . x_tilde)
                                * theta_tilde + dtheta, using the memory
                                from BEFORE this step
-    5. sign draw               nu ~ uniform on {-1, +1}^q
+    5. sign draw               nu ~ uniform on {-1, +1}^q, as
+                               2 * rng.integers(0, 2, size=q) - 1, or
+                               the nu the caller passes
     6. tangent propagation     x_fwd = (tanh(W_a(x + eps*x_tilde) + W_b u)
                                - x_next) / eps
     7. backward sign gradient  dtheta_g = nu-weighted Jacobian row of the
@@ -42,9 +44,9 @@ must match bit for bit. `uoro_step` runs the same arithmetic in the same
 order but does not call them, so that it makes fewer passes over the
 |W|-length vectors: it adds the direct gradient into the W_c block alone,
 writes the blocks of dtheta_g in place, shares W_b u between stages 1 and
-6, computes each norm once, and checks the gradient and the new
-theta_tilde for finiteness through norms it already has, scanning an array
-only when such a norm is not finite.
+6, takes tanh'(z) in stage 7 as 1 - x_next^2, computes each norm once, and
+checks the gradient and the new theta_tilde for finiteness through norms
+it already has, scanning an array only when such a norm is not finite.
 
 The guard eps of step 8 and the finite-difference step eps of step 6 are
 the module constants EPS_NORM and EPS_PROP, which `uoro_step` reads on
@@ -53,9 +55,11 @@ every call.
 Called alone, `uoro_step` is pure: it writes to none of its inputs and
 returns the new weights and theta_tilde in fresh |W|-length arrays. A
 learner instead passes a `UoroWorkspace`, which it allocates once per run,
-on every step. The step then writes the gradient, dtheta_g, theta_tilde
-and the new weights into the workspace's buffers, in the same arithmetic
-order, so the results are bit-identical; the caller feeds the returned
+on every step. The workspace is the per-run plan of the step: it holds the
+|W|-length buffers (weights, gradient, theta_tilde, dtheta_g) and every
+view of them the step uses, so a step given it does only the arithmetic.
+The pure call runs the same code on a fresh one-step workspace (see
+`Workspace`), so the two are bit-identical; the caller feeds the returned
 params and memory, which live in the workspace, back into the next step.
 The new weights are column-major views of one flat buffer, the layout the
 pure step also returns. The first step must be given `init_params`'
@@ -63,6 +67,12 @@ C-order matrices themselves, not a column-major copy: a matrix-vector
 product over a column-major matrix rounds differently, so only the
 original layout reproduces the pure chain bit for bit. Its update is
 subtracted into the workspace's views.
+
+Stage 5 draws its signs from `rng`, q at a time, unless the caller passes
+them as `nu`. A learner draws them ahead in blocks, as
+`2 * rng.integers(0, 2, size=(B, q)) - 1`, and passes one row per step:
+numpy makes each value of either draw from one 32-bit word of the
+generator, in order, so the rows are the signs that B single draws give.
 """
 
 from __future__ import annotations
@@ -152,13 +162,22 @@ class UoroStepResult:
 
 
 class UoroWorkspace(Workspace):
-    """A UORO learner's buffers (see `Workspace`): the weights, the gradient,
-    theta_tilde and dtheta_g, each of length |W|."""
+    """A UORO learner's buffers (see `Workspace`): besides the weights and
+    the gradient, theta_tilde and dtheta_g, each of length |W|, and the
+    views of dtheta_g that stage 7 writes, built once: `dtheta_g_a` and
+    `dtheta_g_b`, its W_a and W_b blocks viewed as the C-order q x q and
+    (m+1) x q targets of the outer products x a^T and u a^T. The W_c block
+    of dtheta_g is zeroed here once: a step only divides it by rho1, which
+    is finite and positive in every step that returns, so it stays +0.0."""
 
-    def __init__(self, dims: RnnDims):
-        super().__init__(dims)
-        self.theta_tilde = np.empty(dims.n_params)
+    def __init__(self, dims: RnnDims, one_step: bool = False):
+        super().__init__(dims, one_step)
+        n_wa, b_end = dims.n_wa, dims.n_wa + dims.n_wb
         self.dtheta_g = np.empty(dims.n_params)
+        self.dtheta_g[b_end:] = 0.0
+        self.theta_tilde = np.empty(dims.n_params)
+        self.dtheta_g_a = self.dtheta_g[:n_wa].reshape(dims.q, dims.q)
+        self.dtheta_g_b = self.dtheta_g[n_wa:b_end].reshape(dims.m + 1, dims.q)
 
 
 def init_memory(dims: RnnDims) -> UoroMemory:
@@ -288,14 +307,16 @@ def uoro_step(
         u: input vector, length m+1.
         y_star: normalized target, length p.
         hyper: learning rate, clip threshold and sizes.
-        rng: source of the Rademacher draw.
-        nu: optional fixed sign vector replacing the draw; intended for
-            estimator tests that resample or mirror nu explicitly.
+        rng: source of the Rademacher draw; unused when `nu` is given.
+        nu: sign vector replacing the draw (see stage 5 in the module
+            docstring): a learner passes the rows of the signs it drew in
+            blocks, and estimator tests resample or mirror nu explicitly.
         workspace: buffers to step in place, as a learner does: the new
             weights and theta_tilde are written into it, and `params` and
             `memory` may be the ones it returned last step. Without it,
-            every |W|-length result is a fresh array and no input is
-            written to.
+            the step builds fresh ones, so every |W|-length result is a
+            fresh array and no input is written to. After a step raises,
+            the workspace holds no usable state.
 
     Returns:
         UoroStepResult with updated params, state, memory, the prediction
@@ -307,31 +328,27 @@ def uoro_step(
             first affected quantity (loss, gradient, normalizers, or the
             updated memory).
     """
-    dims = params.dims
-    q, p = dims.q, dims.p
-    n_wa, b_end = dims.n_wa, dims.n_wa + dims.n_wb
     if workspace is None:
-        grad = dtheta_g = theta_tilde = new_params = None
+        # Fresh buffers: the step writes to none of its inputs.
+        workspace = UoroWorkspace(params.dims, one_step=True)
     else:
-        workspace.check(dims)
-        grad, dtheta_g = workspace.grad, workspace.dtheta_g
-        theta_tilde, new_params = workspace.theta_tilde, workspace.params
+        workspace.check(params)
+    q = workspace.dims.q
 
     # 1-2. The forward pass's W_b u is reused in stage 6.
     cache = forward(params, x, u)
     x_next = cache.x_next
     e, loss_value = loss(cache.y, y_star)
-    if not np.isfinite(loss_value):
+    if not math.isfinite(loss_value):
         raise NonFiniteError("loss")
 
     # 3-4. delta_theta is non-zero only in the W_c block, so it is added
-    # into that slice alone; the slice viewed as q x p is W_c transposed.
+    # into that block alone (`grad_wc`, W_c transposed).
     grad = np.multiply(
         grad_x_loss(e, params.w_c) @ memory.x_tilde, memory.theta_tilde,
-        out=grad,
+        out=workspace.grad,
     )
-    grad_wc = grad[b_end:].reshape(q, p)
-    grad_wc += np.multiply.outer(x_next, -e)
+    workspace.grad_wc += np.multiply.outer(x_next, -e)
     grad_norm = _finite_norm(grad, "gradient")
 
     # 5. sign draw
@@ -345,13 +362,13 @@ def uoro_step(
     x_fwd = (shifted - x_next) / EPS_PROP
 
     # 7. The W_a and W_b blocks are written in place as the C-order outer
-    # products x a^T and u a^T, which are the column-major a x^T and a u^T.
-    a = nu * tanh_prime(cache.z)
-    if dtheta_g is None:
-        dtheta_g = np.empty(dims.n_params)
-    np.multiply.outer(x, a, out=dtheta_g[:n_wa].reshape(q, q))
-    np.multiply.outer(u, a, out=dtheta_g[n_wa:b_end].reshape(dims.m + 1, q))
-    dtheta_g[b_end:] = 0.0
+    # products x a^T and u a^T, which are the column-major a x^T and a u^T;
+    # the W_c block is the workspace's zeros. tanh'(z) is 1 - x_next^2,
+    # from the tanh the forward pass took.
+    a = nu * (1.0 - x_next * x_next)
+    np.multiply.outer(x, a, out=workspace.dtheta_g_a)
+    np.multiply.outer(u, a, out=workspace.dtheta_g_b)
+    dtheta_g = workspace.dtheta_g
 
     # 8. Numpy scalars keep a zero denominator (EPS_NORM = 0) an inf or a
     # NaN that the checks below report, as np.linalg.norm did.
@@ -367,7 +384,7 @@ def uoro_step(
 
     # 9. memory update
     x_tilde = rho0 * x_fwd + rho1 * nu
-    theta_tilde = np.divide(memory.theta_tilde, rho0, out=theta_tilde)
+    theta_tilde = np.divide(memory.theta_tilde, rho0, out=workspace.theta_tilde)
     dtheta_g /= rho1
     theta_tilde += dtheta_g
     if not np.isfinite(x_tilde).all():
@@ -380,7 +397,8 @@ def uoro_step(
 
     # 10. clipped SGD
     new_params = sgd_update(
-        params, grad, grad_norm, hyper.eta, hyper.tau, out=new_params
+        params, grad, grad_norm, hyper.eta, hyper.tau, out=workspace.params,
+        grad_blocks=workspace.grad_blocks,
     )
 
     return UoroStepResult(

@@ -460,8 +460,12 @@ def _pure_chain(algorithm, hyper, m, p, seed, tau):
     return step
 
 
+# 1000 steps cross many refills of the UORO learner's sign block; at the odd
+# q = 7, the pure chain's draw of one step ends inside a 64-bit word of the
+# generator.
 @pytest.mark.parametrize("algorithm, q, L", [
-    ("uoro", 10, 10), ("uoro", 30, 5), ("rtrl", 5, 5), ("rtrl", 8, 3),
+    ("uoro", 10, 10), ("uoro", 30, 5), ("uoro", 7, 5), ("rtrl", 5, 5),
+    ("rtrl", 8, 3),
 ])
 # The shipped clip threshold clips most steps; at eta = 0.01 no gradient
 # norm on this stream comes near 1e3, so nothing is clipped.
@@ -506,6 +510,24 @@ def test_in_place_learner_equals_pure_chain_over_1000_steps(
         np.testing.assert_array_equal(getattr(final, name),
                                       getattr(want.params, name))
     assert (n_clipped > 0) == clips
+
+
+@pytest.mark.parametrize("q", [1, 7, 10])
+def test_sign_blocks_equal_one_draw_per_step(q):
+    # The UORO learner draws its signs _SIGN_BLOCK steps at a time; its runs
+    # equal the pure chain's, which draws q signs per step, only while
+    # numpy gives a (B, q) draw the values of B size-q draws in order. A
+    # numpy change to that stream fails here.
+    block = harness._SIGN_BLOCK
+    per_step = np.random.default_rng([11, 1])
+    blocked = np.random.default_rng([11, 1])
+    want = np.stack([per_step.integers(0, 2, size=q) for _ in range(2 * block)])
+    got = np.concatenate(
+        [blocked.integers(0, 2, size=(block, q)) for _ in range(2)]
+    )
+    np.testing.assert_array_equal(got, want)
+    # The generators are in one state after the refill, too.
+    assert blocked.bit_generator.state == per_step.bit_generator.state
 
 
 @pytest.mark.parametrize("algorithm, hyper", [
@@ -652,7 +674,7 @@ def test_grid_search_tie_breaks_toward_smaller_q_then_L(monkeypatch):
     fixed = run_sequence_online("none", record, partition, HyperChoice(), 4, 0)
 
     def fake_run(algorithm, rec, part, hyper, h, seed, scoring_range=None,
-                 collect_loss=False):
+                 collect_loss=False, weights=None):
         return fixed
 
     monkeypatch.setattr("markerpred.harness.run_sequence_online", fake_run)
@@ -833,7 +855,7 @@ def test_evaluate_counts_diverged_runs_and_uses_survivors(monkeypatch):
     calls = {"n": 0}
 
     def flaky(algorithm, rec, part, hyper, h, seed, scoring_range=None,
-              collect_loss=False):
+              collect_loss=False, weights=None):
         calls["n"] += 1
         if calls["n"] == 2:
             return RunResult(trace=None, losses=None, loss_start=None,
@@ -1089,6 +1111,49 @@ def test_run_experiment_is_reproducible_byte_for_byte(tmp_path):
         run_experiment(cfg)
         texts.append((tmp_path / out_name / "summary_uoro.csv").read_text())
     assert texts[0] == texts[1]
+
+
+def _counting_fit_linreg(monkeypatch):
+    """Wrap harness.fit_linreg; returns the list its calls append to."""
+    calls = []
+    real = harness.fit_linreg
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_linreg", counting)
+    return calls
+
+
+def test_evaluate_with_the_grid_search_linreg_fit_equals_a_refit(monkeypatch):
+    # linreg fits on the training range whatever range it scores, so the
+    # fit grid_search made for the chosen tuple is the one evaluate would
+    # make.
+    record = _quick_record(seed=21)
+    cfg = ExperimentConfig(
+        algorithm="linreg", horizons_s=(0.4,), data_manifest="x", out_dir="y",
+        grid={"L": (5, 10)}, n_cv=1, n_test=1, master_seed=0,
+    )
+    cv = grid_search("linreg", record, (0.4,), cfg)[0.4]
+    refit = evaluate("linreg", record, cv.chosen, 0.4, cfg)
+    fits = _counting_fit_linreg(monkeypatch)
+    reused = evaluate("linreg", record, cv.chosen, 0.4, cfg,
+                      weights=cv.chosen_weights)
+    assert fits == []
+    assert reused.runs == refit.runs
+
+
+def test_run_experiment_fits_each_linreg_tuple_once(tmp_path, monkeypatch):
+    manifest = _write_dataset(tmp_path, duration=70.0)
+    fits = _counting_fit_linreg(monkeypatch)
+    cfg = ExperimentConfig(
+        algorithm="linreg", horizons_s=(0.4, 0.8), data_manifest=manifest,
+        out_dir=tmp_path / "out", grid={"L": (5, 10, 20)}, n_cv=1, n_test=1,
+    )
+    run_experiment(cfg)
+    # 2 sequences x 2 horizons x 3 tuples, none of them refit for the test.
+    assert len(fits) == 12
 
 
 def test_report_from_dir_round_trips_aggregation(tmp_path):

@@ -464,3 +464,29 @@ def test_synthetic_record_deterministic():
     a = synthetic_record(duration_s=30.0, seed=9)
     b = synthetic_record(duration_s=30.0, seed=9)
     assert np.array_equal(a.positions, b.positions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_steps=st.integers(1, 40),
+    n_markers=st.integers(1, 4),
+    L=st.integers(0, 12),
+    h=st.integers(0, 12),
+    n=st.integers(-2, 40),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_build_io_equals_per_sample_reference(n_steps, n_markers, L, h, n, seed):
+    # build_io's direct one-anchor path gives the per-sample reference's
+    # bits, or raises its error and message.
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-80.0, 80.0, size=(n_steps, n_markers, 3))
+    record = MarkerRecord(positions=positions, sample_period=0.1)
+    norm = Normalizer(
+        offset=rng.uniform(-10.0, 10.0, size=(n_markers, 3)),
+        scale=rng.uniform(0.5, 40.0, size=(n_markers, 3)),
+    )
+    want = _raised(lambda: _reference_build_io(record, norm, L, h, n))
+    assert _raised(lambda: build_io(record, norm, L, h, n)) == want
+    if want is None:
+        _assert_same_sample(build_io(record, norm, L, h, n),
+                            _reference_build_io(record, norm, L, h, n))

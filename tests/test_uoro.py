@@ -622,3 +622,21 @@ def test_uoro_step_rejects_workspace_of_another_shape():
     with pytest.raises(ValueError, match="workspace is for"):
         uoro_step(params, x, init_memory(dims), u, y_star, _hyper(dims), rng,
                   workspace=UoroWorkspace(other))
+
+
+def test_workspace_dtheta_g_wc_block_stays_positive_zero():
+    # The workspace zeroes dtheta_g's W_c block once; every step divides it
+    # by rho1 > 0 and must leave it +0.0, or theta_tilde's W_c block (and
+    # with it the gradient) would drift from the pure step's.
+    dims, params, x, u, y_star, rng = _instance(q=6, m=9, p=4)
+    workspace = UoroWorkspace(dims)
+    wc_block = workspace.dtheta_g[dims.n_wa + dims.n_wb :]
+    memory, hyper = init_memory(dims), _hyper(dims)
+    data = np.random.default_rng(8)
+    for _ in range(300):
+        u[1:] = data.standard_normal(dims.m)
+        out = uoro_step(params, x, memory, u, data.standard_normal(dims.p),
+                        hyper, rng, workspace=workspace)
+        params, x, memory = out.params, out.x, out.memory
+        assert not wc_block.any() and not np.signbit(wc_block).any()
+    assert memory.theta_tilde is workspace.theta_tilde
