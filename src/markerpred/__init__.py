@@ -38,6 +38,7 @@ from markerpred.signal import (
     Normalizer,
     Partition,
     build_io,
+    design_matrix,
     fit_normalizer,
     iter_windows,
     load_record,
@@ -69,6 +70,7 @@ __all__ = [
     "fit_normalizer",
     "iter_windows",
     "build_io",
+    "design_matrix",
     "make_partition",
     # metrics
     "PredictionTrace",

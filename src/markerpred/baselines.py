@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Sequence
 
 import numpy as np
 
 from markerpred.rnn import NonFiniteError, _finite_norm, _norm, _rescale, loss
-from markerpred.signal import MarkerRecord, WindowedSample
+from markerpred.signal import MarkerRecord
 
 __all__ = [
     "lms_step",
@@ -79,10 +78,11 @@ def lms_step(
 
 
 def fit_linreg(
-    samples: Sequence[WindowedSample], context: str | None = None
+    U: np.ndarray, Y: np.ndarray, context: str | None = None
 ) -> np.ndarray:
-    """Ordinary least squares over a batch of windowed samples: the weights
-    W (p x (m+1)) of the least-squares map y = W u.
+    """Ordinary least squares over a design (`signal.design_matrix`): the
+    weights W (p x (m+1)) of the least-squares map y = W u, for inputs u
+    the rows of U (n x (m+1)) and targets y* the rows of Y (n x p).
 
     Solves min_W sum ||y* - W u||^2 by singular value decomposition
     (`numpy.linalg.lstsq`), which returns the minimal-norm W when the
@@ -91,10 +91,13 @@ def fit_linreg(
     `context`, when given, says in the warning what was fit (the harness
     names the sequence, L and h).
     """
-    if not samples:
+    if U.ndim != 2 or Y.ndim != 2 or U.shape[0] != Y.shape[0]:
+        raise ValueError(
+            f"need matrices U and Y with one row per sample, got shapes "
+            f"{U.shape} and {Y.shape}"
+        )
+    if U.shape[0] == 0:
         raise ValueError("cannot fit on an empty sample collection")
-    U = np.stack([s.u for s in samples])
-    Y = np.stack([s.target for s in samples])
     if not (np.isfinite(U).all() and np.isfinite(Y).all()):
         raise ValueError("design matrix contains non-finite values")
     if U.shape[0] < U.shape[1]:

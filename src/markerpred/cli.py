@@ -119,6 +119,8 @@ def _cmd_cv(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if not args.rate > 0:
+        raise ValueError(f"--rate must be > 0 Hz, got {args.rate:g}")
     L = whole_steps(args.shl, 1.0 / args.rate, "--shl")
     ms = bench_step_time(
         args.algo, q=args.q, L=L, n_markers=args.markers, n_steps=args.steps,

@@ -35,6 +35,7 @@ import hashlib
 import itertools
 import json
 import logging
+import numbers
 import platform
 import re
 import time
@@ -67,6 +68,7 @@ from markerpred.signal import (
     MarkerRecord,
     Normalizer,
     Partition,
+    design_matrix,
     fit_normalizer,
     iter_windows,
     load_record,
@@ -333,7 +335,10 @@ def derive_seed(master_seed: int, *parts) -> int:
 def _check_grid_axes(algorithm: str, grid: dict[str, tuple]) -> None:
     """A grid must have exactly the axes of the algorithm's shipped grid: a
     missing axis would fail at the first run, and an extra one would repeat
-    the same run under keys that differ only in a value nothing reads."""
+    the same run under keys that differ only in a value nothing reads.
+    Every value must be one the learners take: eta and sigma_init numbers
+    > 0 (a negative eta would train by gradient ascent), L and q integers
+    >= 1."""
     axes = list(DEFAULT_GRIDS[algorithm])
     missing = [k for k in axes if k not in grid]
     unknown = sorted(set(grid) - set(axes))
@@ -342,6 +347,19 @@ def _check_grid_axes(algorithm: str, grid: dict[str, tuple]) -> None:
             f"{algorithm} grid must have axes {axes}: missing {missing}, "
             f"unknown grid axes {unknown}"
         )
+    for axis in axes:
+        if axis in ("L", "q"):
+            kind, valid = "integers >= 1", lambda v: (
+                isinstance(v, numbers.Integral) and v >= 1)
+        else:
+            kind, valid = "numbers > 0", lambda v: (
+                isinstance(v, numbers.Real) and v > 0)
+        bad = [v for v in grid[axis] if isinstance(v, bool) or not valid(v)]
+        if bad:
+            raise ValueError(
+                f"{algorithm} grid axis {axis} ({_GRID_KEYS[axis]}) takes "
+                f"{kind}, got {bad[0]!r}"
+            )
 
 
 def iter_grid(algorithm: str, grid: dict[str, tuple]) -> list[HyperChoice]:
@@ -509,8 +527,8 @@ def run_sequence_online(
         w = weights
         if w is None:
             w = fit_linreg(
-                list(iter_windows(record, normalizer, L, h,
-                                  range(max(0, partition.train.stop - lag)))),
+                *design_matrix(record, normalizer, L, h,
+                               max(0, partition.train.stop - lag)),
                 context=f"sequence {record.label!r}, L={L}, h={h} steps",
             )
         preds, ks = [], []
@@ -844,6 +862,8 @@ def bench_step_time(
     """
     if algorithm not in STOCHASTIC_ALGORITHMS:
         raise ValueError("step-time benchmark supports 'uoro' and 'rtrl' only")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     m, p = 3 * n_markers * L, 3 * n_markers
     hyper = HyperChoice(eta=0.05, sigma_init=0.02, L=L, q=q)
     step = _online_learner(algorithm, hyper, m, p, seed)

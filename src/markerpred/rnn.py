@@ -91,7 +91,7 @@ class RnnParams:
     Treated as immutable: trainers never write into the arrays, they build
     new instances from an updated flat parameter vector. The one exception
     is a `Workspace`'s own weights, which a step given that workspace
-    overwrites with the next ones.
+    overwrites (see `Workspace`).
     """
 
     w_a: np.ndarray
@@ -116,41 +116,57 @@ class StepCache:
     y: np.ndarray
 
 
+def _aligned_empty(n: int) -> np.ndarray:
+    """An uninitialized vector of n doubles that starts on a 64-byte (cache
+    line) boundary, where malloc guarantees only 16 bytes. A learner's
+    weights and gradient take turns in the two slots, so a slot whose
+    start is off a 32-byte boundary slows every other step: moving slot 1
+    16 bytes off made a q = L = 90 UORO learner step about 3 % slower (a
+    2-vCPU Xeon, OpenBLAS, one thread)."""
+    raw = np.empty(n + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start : start + n]
+
+
 class Workspace:
-    """Buffers a learner owns so that a trainer step writes its new weights
-    into them instead of into fresh arrays, with the views of them that
-    every step uses, built once: `params`, the column-major matrix views of
-    one flat |W| buffer (the layout `unflatten_params` gives); the flat
-    gradient `grad`; `grad_blocks`, its column-major matrix views, which
-    `sgd_update` subtracts; and `grad_wc`, its W_c block viewed as q x p
-    (W_c transposed), which the direct gradient is added into. The uoro
-    and rtrl modules extend it with the buffers of their own learner
-    state.
+    """The buffers a trainer step writes its gradient and new weights into,
+    with the views of them every step uses, built once. There are two
+    slots; slot k is a flat |W| buffer `grad[k]` that starts on a cache
+    line (see `_aligned_empty`), with its column-major weight views
+    `weights[k]` (the layout `unflatten_params` gives) and its W_c block
+    viewed as q x p (W_c transposed), `grad_wc[k]`, which the direct
+    gradient is added into.
 
-    With `one_step`, the buffers serve a single pure step, which the
-    trainers build when called without a workspace: `params` and
-    `grad_blocks` are None, so `sgd_update` returns the new weights in the
-    fresh buffer it scales the gradient into. Writing them into a third,
-    untouched buffer instead made a pure UORO step at q = L = 90 about 6 %
-    slower."""
+    A step writes its gradient into the slot its weights are not in
+    (`slot`), then `sgd_update` writes the new weights over that
+    gradient's views. A learner that feeds each step's weights into the
+    next therefore alternates between the two slots, and the weights a
+    step returns stay intact until the step after next. Weights in
+    neither slot, such as `init_params`' or those of a pure call's fresh
+    workspace, use slot 0. The uoro and rtrl modules extend the workspace
+    with the buffers of their own learner state."""
 
-    def __init__(self, dims: RnnDims, one_step: bool = False):
+    def __init__(self, dims: RnnDims):
         self.dims = dims
-        self.grad = np.empty(dims.n_params)
-        self.grad_wc = self.grad[dims.n_wa + dims.n_wb :].reshape(dims.q, dims.p)
-        if one_step:
-            self.params = self.grad_blocks = None
-        else:
-            self.params = unflatten_params(np.empty(dims.n_params), dims)
-            self.grad_blocks = unflatten_params(self.grad, dims)
+        self.grad = (_aligned_empty(dims.n_params), _aligned_empty(dims.n_params))
+        self.weights = tuple(unflatten_params(g, dims) for g in self.grad)
+        self.grad_wc = tuple(
+            g[dims.n_wa + dims.n_wb :].reshape(dims.q, dims.p) for g in self.grad
+        )
         self._shapes = ((dims.q, dims.q), (dims.q, dims.m + 1), (dims.p, dims.q))
 
-    def check(self, params: RnnParams) -> None:
-        """Raise ValueError unless the buffers fit the network `params`."""
+    def slot(self, params: RnnParams) -> int:
+        """The slot a step from weights `params` writes into: 1 when they
+        are `weights[0]`, else 0.
+
+        Raises:
+            ValueError: the buffers do not fit the network `params`.
+        """
         if (params.w_a.shape, params.w_b.shape, params.w_c.shape) != self._shapes:
             raise ValueError(
                 f"workspace is for {self.dims}, network is {params.dims}"
             )
+        return 1 if params.w_a is self.weights[0].w_a else 0
 
 
 def init_params(dims: RnnDims, sigma_init: float, seed: int) -> RnnParams:
@@ -268,61 +284,45 @@ def sgd_update(
     grad_norm: float,
     eta: float,
     tau: float,
-    out: RnnParams | None = None,
-    grad_blocks: RnnParams | None = None,
+    out: RnnParams,
 ) -> RnnParams:
-    """One clipped SGD step on the weights: W - eta * clip(grad, tau).
+    """One clipped SGD step on the weights, W - eta * clip(grad, tau),
+    written over the gradient.
 
-    Gives the same values as
-    `unflatten_params(flatten_params(params) - eta * clip_gradient(grad, tau), dims)`
-    without the flat copy of `params`: eta * clip(grad) goes into one flat
-    buffer, and each weight matrix is subtracted into its column-major view
-    of that buffer, or into its matrix in `out`.
-
-    Without `out`, the buffer is fresh and neither `params` nor `grad` is
-    written to. With `out`, `grad` is the buffer (it is left holding
-    eta * clip(grad)) and the new weights are written into `out`'s
-    matrices, which may be `params`' own: every entry is computed from the
-    same entries of `params` and `grad` alone, so the update can run in
-    place.
+    `grad` is scaled in place to eta * clip(grad, tau), then each weight
+    matrix of `params` minus its block of that is written into `out`, the
+    column-major matrix views of `grad` (`unflatten_params(grad, dims)`,
+    which a `Workspace` keeps); each entry depends only on the same entries
+    of both, so the subtraction can overwrite its operand. So `out` holds
+    the new weights, `grad` no longer holds the gradient, and `params` is
+    not written to. The values are those of
+    `unflatten_params(flatten_params(params) - eta * clip_gradient(grad, tau), dims)`,
+    without the flat copy of `params`.
 
     Args:
         params: current weights.
         grad: flat gradient of length |W| in the [W_a | W_b | W_c] layout.
         grad_norm: its Euclidean norm, sqrt(grad . grad), which the caller
             has already computed to check the gradient for finiteness.
-        eta: learning rate.
+        eta: learning rate, >= 0.
         tau: clip threshold, > 0.
-        out: weights of params' shapes to write the result into.
-        grad_blocks: `unflatten_params(grad, dims)`, which a learner keeps
-            (see `Workspace`) so that the views are not rebuilt on every
-            step; used only with `out`.
+        out: the column-major matrix views of `grad`.
 
     Returns:
-        `out` itself, or new RnnParams over column-major views into one
-        fresh flat vector, as `unflatten_params` returns them.
+        `out`.
+
+    Raises:
+        ValueError: eta < 0 or tau <= 0.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    scratch = None if out is None else grad
+    if not (eta >= 0 and tau > 0):
+        raise ValueError(f"need eta >= 0 and tau > 0, got eta={eta}, tau={tau}")
     if grad_norm > tau:
-        theta = _rescale(grad, tau, grad_norm, out=scratch)
-        theta *= eta
-    else:
-        theta = np.multiply(grad, eta, out=scratch)
-    if out is None or grad_blocks is None:
-        blocks = []
-        start = 0
-        for w in (params.w_a, params.w_b, params.w_c):
-            stop = start + w.size
-            blocks.append(theta[start:stop].reshape(w.shape, order="F"))
-            start = stop
-        grad_blocks = RnnParams(*blocks)
-    new = grad_blocks if out is None else out
-    np.subtract(params.w_a, grad_blocks.w_a, out=new.w_a)
-    np.subtract(params.w_b, grad_blocks.w_b, out=new.w_b)
-    np.subtract(params.w_c, grad_blocks.w_c, out=new.w_c)
-    return new
+        _rescale(grad, tau, grad_norm, out=grad)
+    grad *= eta
+    np.subtract(params.w_a, out.w_a, out=out.w_a)
+    np.subtract(params.w_b, out.w_b, out=out.w_b)
+    np.subtract(params.w_c, out.w_c, out=out.w_c)
+    return out
 
 
 def flatten_params(params: RnnParams) -> np.ndarray:

@@ -19,20 +19,16 @@ reference). The per-step cost is O(q^3 (q + L)), which confines RTRL to
 small networks; it doubles here as the exactness oracle for UORO's
 rank-one estimator.
 
-Called alone, `rtrl_step` is pure: it writes to none of its inputs and
-returns the new weights and influence matrix in fresh arrays. A learner
-instead passes an `RtrlWorkspace`, which it allocates once per run, on
-every step. The workspace is the per-run plan of the step: the weights and
-gradient buffers with their matrix views, and two influence buffers used
-in turn, each with the views of its block-diagonal entries that recursion
-(i) adds into. Each step writes the new influence into the buffer its
-input is not, and the gradient and new weights into the workspace's own
-buffers. The pure call runs the same code on a fresh one-step workspace
-(see `Workspace`), which has one influence buffer, so the two are
-bit-identical. As in UORO, the new weights are column-major views of one
-flat buffer, and the first step must be given `init_params`' C-order
-matrices themselves, since a matrix-vector product over a column-major
-matrix rounds differently.
+A step runs on an `RtrlWorkspace`, the per-run plan of the step: the two
+slots of `Workspace`, each with an influence buffer and the views of its
+block-diagonal entries that recursion (i) adds into. The step writes the
+new influence, the gradient and then the new weights into the slot the
+current weights are not in, as `uoro_step` does. A learner allocates one
+workspace per run; called without one, `rtrl_step` builds a fresh one, so
+it writes to none of its inputs, and the two calls run one body. As in
+UORO, the first step must be given `init_params`' C-order matrices
+themselves, since a matrix-vector product over a column-major matrix
+rounds differently.
 """
 
 from __future__ import annotations
@@ -75,17 +71,14 @@ class RtrlStepResult:
 
 
 class RtrlWorkspace(Workspace):
-    """An RTRL learner's buffers (see `Workspace`): besides the weights and
-    the gradient, two q x |W| influence matrices used in turn, and for each
+    """An RTRL step's buffers (see `Workspace`): per slot, besides the
+    gradient and weights, a q x |W| influence matrix `influence[k]` and
     the views of its entries that recursion (i) adds the state map's
-    parameter Jacobian into (see `_diagonals`), built once. A one-step
-    workspace has one influence matrix, since the step's input is not it."""
+    parameter Jacobian into, `diagonals[k]` (see `_diagonals`)."""
 
-    def __init__(self, dims: RnnDims, one_step: bool = False):
-        self.influence = tuple(
-            np.empty((dims.q, dims.n_params)) for _ in range(1 if one_step else 2)
-        )
-        super().__init__(dims, one_step)
+    def __init__(self, dims: RnnDims):
+        self.influence = tuple(np.empty((dims.q, dims.n_params)) for _ in range(2))
+        super().__init__(dims)
         self.diagonals = tuple(_diagonals(m, dims) for m in self.influence)
 
 
@@ -171,26 +164,26 @@ def rtrl_step(
 
     With `workspace`, the new weights, influence and gradient are written
     into its buffers, and `params` and `influence` may be the ones it
-    returned last step (see the module docstring). Without it, they are
-    fresh arrays and no input is written to. The prediction and the hidden
-    state are fresh arrays either way.
+    returned last step (see the module docstring). Without it, the step
+    builds a fresh one, so they are fresh arrays and no input is written
+    to. The prediction and the hidden state are fresh arrays either way.
 
     Raises:
+        ValueError: eta < 0 or tau <= 0 (from `sgd_update`), or the
+            workspace or influence does not fit the network.
         NonFiniteError: names the first non-finite quantity (loss,
             influence, or gradient).
     """
     if workspace is None:
         # Fresh buffers: the step writes to none of its inputs.
-        workspace = RtrlWorkspace(params.dims, one_step=True)
-    else:
-        workspace.check(params)
+        workspace = RtrlWorkspace(params.dims)
+    k = workspace.slot(params)
     dims = workspace.dims
     if influence.shape != (dims.q, dims.n_params):
         raise ValueError(
             f"influence has shape {influence.shape}, "
             f"expected ({dims.q}, {dims.n_params})"
         )
-    k = 1 if influence is workspace.influence[0] else 0
     new_influence, (diag_a, diag_b) = workspace.influence[k], workspace.diagonals[k]
 
     cache = forward(params, x, u)
@@ -213,8 +206,9 @@ def rtrl_step(
     # Adding the dense vector would turn a -0.0 in the W_a/W_b blocks into
     # +0.0; the two differ only for a weight that is exactly -0.0.
     grad = np.matmul(grad_x_loss(e, params.w_c), new_influence,
-                     out=workspace.grad)
-    workspace.grad_wc += np.multiply.outer(cache.x_next, -e)
+                     out=workspace.grad[k])
+    grad_wc = workspace.grad_wc[k]
+    grad_wc += np.multiply.outer(cache.x_next, -e)
 
     # A non-finite influence entry makes its column of the gradient
     # non-finite, even under a zero multiplier (0 * inf is NaN), so a finite
@@ -228,8 +222,7 @@ def rtrl_step(
             raise NonFiniteError("gradient")
 
     new_params = sgd_update(params, grad, grad_norm, eta, tau,
-                            out=workspace.params,
-                            grad_blocks=workspace.grad_blocks)
+                            workspace.weights[k])
 
     return RtrlStepResult(
         params=new_params,

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +41,7 @@ __all__ = [
     "write_record",
     "fit_normalizer",
     "iter_windows",
+    "design_matrix",
     "build_io",
     "make_partition",
     "whole_steps",
@@ -318,6 +320,33 @@ def fit_normalizer(record: MarkerRecord, window: range) -> Normalizer:
     return Normalizer(offset=offset, scale=scale)
 
 
+def _check_windows(
+    record: MarkerRecord, L: int, h: int, anchors: range
+) -> tuple[int, int] | None:
+    """Check the windows anchored at each step of `anchors`, and return the
+    record span they read, (first anchor, last target), or None when there
+    are none.
+
+    Raises:
+        ValueError: L < 1, h < 1, or an anchor < 0.
+        IndexError: the last window's target falls outside the record.
+    """
+    if L < 1 or h < 1:
+        raise ValueError(f"L and h must be >= 1, got L={L}, h={h}")
+    if not anchors:
+        return None
+    first, last = sorted((anchors[0], anchors[-1]))
+    if first < 0:
+        raise ValueError(f"n must be >= 0, got {first}")
+    last_target = last + L + h - 1
+    if last_target >= record.n_steps:
+        raise IndexError(
+            f"window at n={last} with L={L}, h={h} needs step {last_target}, "
+            f"record has {record.n_steps}"
+        )
+    return first, last_target
+
+
 def iter_windows(
     record: MarkerRecord, normalizer: Normalizer, L: int, h: int, anchors: range
 ) -> Iterator[WindowedSample]:
@@ -334,19 +363,10 @@ def iter_windows(
         ValueError: L < 1, h < 1, or an anchor < 0.
         IndexError: the last window's target falls outside the record.
     """
-    if L < 1 or h < 1:
-        raise ValueError(f"L and h must be >= 1, got L={L}, h={h}")
-    if not anchors:
+    span = _check_windows(record, L, h, anchors)
+    if span is None:
         return iter(())
-    first, last = sorted((anchors[0], anchors[-1]))
-    if first < 0:
-        raise ValueError(f"n must be >= 0, got {first}")
-    last_target = last + L + h - 1
-    if last_target >= record.n_steps:
-        raise IndexError(
-            f"window at n={last} with L={L}, h={h} needs step {last_target}, "
-            f"record has {record.n_steps}"
-        )
+    first, last_target = span
     flat = normalizer.normalize(record.positions[first : last_target + 1]).ravel()
     return _windows(flat, 3 * record.n_markers, L, h, first, anchors)
 
@@ -369,6 +389,34 @@ def _windows(
         )
 
 
+def design_matrix(
+    record: MarkerRecord, normalizer: Normalizer, L: int, h: int, n_anchors: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The examples `iter_windows` gives at anchors 0 .. n_anchors - 1, as
+    one least-squares design: row n of U is the input u and row n of Y the
+    target of the example anchored at step n.
+
+    The record span is normalized once, as in `iter_windows`; U's bias
+    column is filled, and the windows are copied into the rest of U at
+    once from a strided view of the span.
+
+    Raises:
+        ValueError: L < 1 or h < 1.
+        IndexError: the last window's target falls outside the record.
+    """
+    anchors = range(n_anchors)
+    span = _check_windows(record, L, h, anchors)
+    c = 3 * record.n_markers
+    U = np.empty((len(anchors), 1 + L * c))
+    if span is None:
+        return U, np.empty((0, c))
+    flat = normalizer.normalize(record.positions[: span[1] + 1]).ravel()
+    U[:, 0] = 1.0
+    U[:, 1:] = sliding_window_view(flat, L * c)[::c][: len(anchors)]
+    lag = L + h - 1
+    return U, flat.reshape(-1, c)[lag : lag + len(anchors)]
+
+
 def build_io(
     record: MarkerRecord, normalizer: Normalizer, L: int, h: int, n: int
 ) -> WindowedSample:
@@ -383,16 +431,7 @@ def build_io(
         ValueError: L < 1, h < 1, or n < 0.
         IndexError: the window or target falls outside the record.
     """
-    if L < 1 or h < 1:
-        raise ValueError(f"L and h must be >= 1, got L={L}, h={h}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    target_index = n + L + h - 1
-    if target_index >= record.n_steps:
-        raise IndexError(
-            f"window at n={n} with L={L}, h={h} needs step {target_index}, "
-            f"record has {record.n_steps}"
-        )
+    _, target_index = _check_windows(record, L, h, range(n, n + 1))
     u = np.empty(1 + 3 * record.n_markers * L)
     u[0] = 1.0
     window = u[1:].reshape(L, record.n_markers, 3)

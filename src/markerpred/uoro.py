@@ -52,21 +52,19 @@ The guard eps of step 8 and the finite-difference step eps of step 6 are
 the module constants EPS_NORM and EPS_PROP, which `uoro_step` reads on
 every call.
 
-Called alone, `uoro_step` is pure: it writes to none of its inputs and
-returns the new weights and theta_tilde in fresh |W|-length arrays. A
-learner instead passes a `UoroWorkspace`, which it allocates once per run,
-on every step. The workspace is the per-run plan of the step: it holds the
-|W|-length buffers (weights, gradient, theta_tilde, dtheta_g) and every
-view of them the step uses, so a step given it does only the arithmetic.
-The pure call runs the same code on a fresh one-step workspace (see
-`Workspace`), so the two are bit-identical; the caller feeds the returned
-params and memory, which live in the workspace, back into the next step.
-The new weights are column-major views of one flat buffer, the layout the
-pure step also returns. The first step must be given `init_params`'
-C-order matrices themselves, not a column-major copy: a matrix-vector
-product over a column-major matrix rounds differently, so only the
-original layout reproduces the pure chain bit for bit. Its update is
-subtracted into the workspace's views.
+A step runs on a `UoroWorkspace`, the per-run plan of the step: the
+|W|-length buffers (two gradient slots, theta_tilde, dtheta_g) and every
+view of them the step uses, so the step does only the arithmetic. It
+writes the gradient and then the new weights into the slot the current
+weights are not in (see `Workspace`). A learner allocates one workspace
+per run and feeds the returned params and memory, which live in it, back
+into the next step. Called without one, `uoro_step` builds a fresh
+workspace, so it writes to none of its inputs and returns fresh arrays;
+the two calls run one body and are bit-identical. The new weights are
+column-major views of a flat buffer either way. The first step must be
+given `init_params`' C-order matrices themselves, not a column-major copy:
+a matrix-vector product over a column-major matrix rounds differently, so
+only the original layout reproduces the pure chain bit for bit.
 
 Stage 5 draws its signs from `rng`, q at a time, unless the caller passes
 them as `nu`. A learner draws them ahead in blocks, as
@@ -88,6 +86,7 @@ from markerpred.rnn import (
     RnnDims,
     RnnParams,
     Workspace,
+    _aligned_empty,
     _finite_norm,
     forward,
     loss,
@@ -162,20 +161,21 @@ class UoroStepResult:
 
 
 class UoroWorkspace(Workspace):
-    """A UORO learner's buffers (see `Workspace`): besides the weights and
-    the gradient, theta_tilde and dtheta_g, each of length |W|, and the
+    """A UORO step's buffers (see `Workspace`): besides the two slots,
+    theta_tilde and dtheta_g, each of length |W| and starting on a cache
+    line like the slots, and the
     views of dtheta_g that stage 7 writes, built once: `dtheta_g_a` and
     `dtheta_g_b`, its W_a and W_b blocks viewed as the C-order q x q and
     (m+1) x q targets of the outer products x a^T and u a^T. The W_c block
     of dtheta_g is zeroed here once: a step only divides it by rho1, which
     is finite and positive in every step that returns, so it stays +0.0."""
 
-    def __init__(self, dims: RnnDims, one_step: bool = False):
-        super().__init__(dims, one_step)
+    def __init__(self, dims: RnnDims):
+        super().__init__(dims)
         n_wa, b_end = dims.n_wa, dims.n_wa + dims.n_wb
-        self.dtheta_g = np.empty(dims.n_params)
+        self.dtheta_g = _aligned_empty(dims.n_params)
         self.dtheta_g[b_end:] = 0.0
-        self.theta_tilde = np.empty(dims.n_params)
+        self.theta_tilde = _aligned_empty(dims.n_params)
         self.dtheta_g_a = self.dtheta_g[:n_wa].reshape(dims.q, dims.q)
         self.dtheta_g_b = self.dtheta_g[n_wa:b_end].reshape(dims.m + 1, dims.q)
 
@@ -314,7 +314,7 @@ def uoro_step(
         workspace: buffers to step in place, as a learner does: the new
             weights and theta_tilde are written into it, and `params` and
             `memory` may be the ones it returned last step. Without it,
-            the step builds fresh ones, so every |W|-length result is a
+            the step builds a fresh one, so every |W|-length result is a
             fresh array and no input is written to. After a step raises,
             the workspace holds no usable state.
 
@@ -330,9 +330,8 @@ def uoro_step(
     """
     if workspace is None:
         # Fresh buffers: the step writes to none of its inputs.
-        workspace = UoroWorkspace(params.dims, one_step=True)
-    else:
-        workspace.check(params)
+        workspace = UoroWorkspace(params.dims)
+    k = workspace.slot(params)
     q = workspace.dims.q
 
     # 1-2. The forward pass's W_b u is reused in stage 6.
@@ -346,9 +345,10 @@ def uoro_step(
     # into that block alone (`grad_wc`, W_c transposed).
     grad = np.multiply(
         grad_x_loss(e, params.w_c) @ memory.x_tilde, memory.theta_tilde,
-        out=workspace.grad,
+        out=workspace.grad[k],
     )
-    workspace.grad_wc += np.multiply.outer(x_next, -e)
+    grad_wc = workspace.grad_wc[k]
+    grad_wc += np.multiply.outer(x_next, -e)
     grad_norm = _finite_norm(grad, "gradient")
 
     # 5. sign draw
@@ -396,10 +396,8 @@ def uoro_step(
         raise NonFiniteError("theta_tilde")
 
     # 10. clipped SGD
-    new_params = sgd_update(
-        params, grad, grad_norm, hyper.eta, hyper.tau, out=workspace.params,
-        grad_blocks=workspace.grad_blocks,
-    )
+    new_params = sgd_update(params, grad, grad_norm, hyper.eta, hyper.tau,
+                            workspace.weights[k])
 
     return UoroStepResult(
         params=new_params,

@@ -35,6 +35,12 @@ def _samples(n, m, p, seed=0, w_true=None, noise=0.0):
     return out
 
 
+def _design(samples):
+    """The samples' inputs and targets stacked, one row each, as
+    `signal.design_matrix` gives them."""
+    return np.stack([s.u for s in samples]), np.stack([s.target for s in samples])
+
+
 # ------------------------------- LMS ---------------------------------------
 
 
@@ -201,7 +207,7 @@ def test_fit_linreg_realizable_residual():
     rng = np.random.default_rng(5)
     w_true = rng.standard_normal((3, 8))
     samples = _samples(50, m=7, p=3, seed=6, w_true=w_true)
-    w = fit_linreg(samples)
+    w = fit_linreg(*_design(samples))
     residual = max(
         np.linalg.norm(predict_linreg(w, s.u) - s.target) for s in samples
     )
@@ -211,29 +217,23 @@ def test_fit_linreg_realizable_residual():
 def test_fit_linreg_single_sample_exact():
     sample = _samples(1, m=3, p=2, seed=7)[0]
     with pytest.warns(UserWarning, match="under-determined"):
-        w = fit_linreg([sample])
+        w = fit_linreg(*_design([sample]))
     assert np.allclose(predict_linreg(w, sample.u), sample.target, atol=1e-10)
 
 
 def test_fit_linreg_orthogonal_residuals():
     # Least-squares residuals are orthogonal to the design columns.
-    samples = _samples(60, m=9, p=4, seed=8)
-    w = fit_linreg(samples)
-    U = np.stack([s.u for s in samples])
-    Y = np.stack([s.target for s in samples])
+    U, Y = _design(_samples(60, m=9, p=4, seed=8))
+    w = fit_linreg(U, Y)
     R = Y - U @ w.T
     assert np.linalg.norm(U.T @ R) <= 1e-8 * np.linalg.norm(Y)
 
 
 def test_fit_linreg_affine_equivariance():
     samples = _samples(40, m=5, p=2, seed=9)
-    shifted = [
-        WindowedSample(u=s.u, target=s.target + 7.5, time_index=s.time_index,
-                       target_index=s.target_index)
-        for s in samples
-    ]
-    base = fit_linreg(samples)
-    moved = fit_linreg(shifted)
+    U, Y = _design(samples)
+    base = fit_linreg(U, Y)
+    moved = fit_linreg(U, Y + 7.5)
     for s in samples[:5]:
         assert np.allclose(
             predict_linreg(moved, s.u), predict_linreg(base, s.u) + 7.5, atol=1e-8
@@ -241,13 +241,19 @@ def test_fit_linreg_affine_equivariance():
 
 
 def test_fit_linreg_rejects_empty():
-    with pytest.raises(ValueError):
-        fit_linreg([])
+    with pytest.raises(ValueError, match="empty"):
+        fit_linreg(np.empty((0, 4)), np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("u_shape, y_shape", [((5, 4), (4, 2)), ((5, 4), (5,)),
+                                              ((4,), (1, 2))])
+def test_fit_linreg_rejects_design_of_mismatched_shapes(u_shape, y_shape):
+    with pytest.raises(ValueError, match="one row per sample"):
+        fit_linreg(np.ones(u_shape), np.ones(y_shape))
 
 
 def test_predict_linreg_bias_only_returns_intercept():
-    samples = _samples(30, m=4, p=2, seed=10)
-    w = fit_linreg(samples)
+    w = fit_linreg(*_design(_samples(30, m=4, p=2, seed=10)))
     assert w.shape == (2, 5)
     u = np.zeros(5)
     u[0] = 1.0

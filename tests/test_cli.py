@@ -189,6 +189,21 @@ def test_bench_command_rejects_history_between_steps(shl):
               "--steps", "5"])
 
 
+def test_bench_command_rejects_zero_steps(capsys):
+    with pytest.raises(ValueError, match="n_steps must be >= 1, got 0"):
+        main(["bench", "--algo", "rtrl", "--q", "10", "--shl", "1.0",
+              "--steps", "0"])
+    assert "nan" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rate", ["0", "-10"])
+def test_bench_command_rejects_non_positive_rate(rate):
+    # --rate 0 used to raise ZeroDivisionError in whole_steps.
+    with pytest.raises(ValueError, match=f"--rate must be > 0 Hz, got {rate}"):
+        main(["bench", "--algo", "uoro", "--q", "10", "--shl", "1.0",
+              "--rate", rate, "--steps", "5"])
+
+
 def test_bench_command_accepts_float_rounded_history(capsys):
     # 0.3 s at 10 Hz is 2.9999999999999996 steps in floating point.
     assert main(["bench", "--algo", "uoro", "--q", "10", "--shl", "0.3",

@@ -204,6 +204,46 @@ def test_grid_axes_must_match_algorithm(tmp_path, algorithm, grid, missing,
         iter_grid(algorithm, grid)
 
 
+_RTRL_GRID = {"eta": (0.1,), "sigma_init": (0.02,), "L": (10,), "q": (10,)}
+
+
+@pytest.mark.parametrize(
+    "algorithm, axis, value, kind",
+    [
+        # A negative learning rate used to train RTRL by gradient ascent.
+        ("rtrl", "eta", -0.1, "numbers > 0"),
+        ("uoro", "eta", 0.0, "numbers > 0"),
+        ("lms", "eta", float("nan"), "numbers > 0"),
+        ("rtrl", "sigma_init", 0.0, "numbers > 0"),
+        ("uoro", "sigma_init", -0.02, "numbers > 0"),
+        # Used to fail with a TypeError deep in iter_windows.
+        ("rtrl", "L", 2.5, "integers >= 1"),
+        ("linreg", "L", 0, "integers >= 1"),
+        ("lms", "L", 10.0, "integers >= 1"),
+        ("uoro", "q", -3, "integers >= 1"),
+        ("rtrl", "q", True, "integers >= 1"),
+        ("uoro", "eta", "0.1", "numbers > 0"),
+    ],
+)
+def test_grid_values_must_be_ones_the_learners_take(tmp_path, algorithm, axis,
+                                                    value, kind):
+    grid = {k: v for k, v in _RTRL_GRID.items() if k in DEFAULT_GRIDS[algorithm]}
+    grid[axis] = (grid[axis][0], value)
+    message = re.escape(f"{algorithm} grid axis {axis} (") + ".*" + re.escape(
+        f") takes {kind}, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        _config(algorithm, tmp_path, grid=grid)
+    with pytest.raises(ValueError, match=message):
+        iter_grid(algorithm, grid)
+
+
+def test_grid_accepts_numpy_scalars(tmp_path):
+    grid = {"eta": (np.float64(0.1),), "sigma_init": (0.02,),
+            "L": (np.int64(10),), "q": (10,)}
+    assert _config("rtrl", tmp_path, grid=grid).grid == grid
+    assert len(iter_grid("rtrl", grid)) == 1
+
+
 def test_config_rejects_repeated_horizon(tmp_path):
     with pytest.raises(ValueError, match=r"horizon 0\.4s is listed more than once"):
         _config("lms", tmp_path, horizons_s=(0.4, 1.0, 0.4))
@@ -1014,6 +1054,13 @@ def test_aggregate_half_range_absent_when_any_cell_lacks_ci():
 def test_bench_step_time_returns_positive_median():
     ms = bench_step_time("uoro", q=10, L=10, n_steps=30)
     assert 0 < ms < 1e3
+
+
+@pytest.mark.parametrize("n_steps", [0, -5])
+def test_bench_step_time_rejects_fewer_than_one_step(n_steps):
+    # Used to return nan after numpy's empty-slice warnings.
+    with pytest.raises(ValueError, match=f"n_steps must be >= 1, got {n_steps}"):
+        bench_step_time("uoro", q=10, L=10, n_steps=n_steps)
 
 
 def test_bench_step_time_rejects_non_recurrent_methods():

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
+    Workspace,
     _norm,
     clip_gradient,
     flatten_params,
@@ -240,25 +241,24 @@ def test_clip_gradient_ends_when_squares_are_subnormal():
     tau=st.sampled_from([1e-3, 2.0, 1e12]),
 )
 def test_sgd_update_equals_flat_clipped_step(q, m, p, seed, scale, eta, tau):
+    # The update is written over the gradient, from init_params' C-order
+    # matrices, which it leaves as they were.
     dims = RnnDims(q=q, m=m, p=p)
     params = init_params(dims, sigma_init=0.5, seed=seed)
     grad = np.random.default_rng(seed).standard_normal(dims.n_params) * scale
     before = [w.tobytes() for w in (params.w_a, params.w_b, params.w_c)]
-    grad_before = grad.tobytes()
-
-    out = sgd_update(params, grad, _norm(grad), eta, tau)
     ref = unflatten_params(
         flatten_params(params) - eta * clip_gradient(grad, tau), dims
     )
+
+    own = unflatten_params(grad, dims)
+    out = sgd_update(params, grad, _norm(grad), eta, tau, own)
+    assert out is own
     for got, want in zip((out.w_a, out.w_b, out.w_c),
                          (ref.w_a, ref.w_b, ref.w_c)):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert [w.tobytes() for w in (params.w_a, params.w_b, params.w_c)] == before
-    assert grad.tobytes() == grad_before
-    for w in (out.w_a, out.w_b, out.w_c):
-        for source in (params.w_a, params.w_b, params.w_c, grad):
-            assert not np.shares_memory(w, source)
 
 
 @settings(max_examples=100, deadline=None)
@@ -272,20 +272,44 @@ def test_sgd_update_equals_flat_clipped_step(q, m, p, seed, scale, eta, tau):
 )
 def test_sgd_update_into_out_equals_fresh_update(q, m, p, seed, eta, tau):
     # A learner's first step subtracts from init_params' C-order matrices
-    # into its workspace's column-major views; later steps update those
-    # views in place. Both must give the fresh update's bits.
+    # into one slot's column-major views; each later step subtracts from
+    # the last slot's views into the other slot's. Every step must give the
+    # flat reference's bits.
     dims = RnnDims(q=q, m=m, p=p)
-    want = init_params(dims, sigma_init=0.5, seed=seed)
-    got = want
-    own = unflatten_params(np.empty(dims.n_params), dims)
+    got = init_params(dims, sigma_init=0.5, seed=seed)
+    want = flatten_params(got)
+    slots = (np.empty(dims.n_params), np.empty(dims.n_params))
     rng = np.random.default_rng(seed)
-    for scale in (1.0, 1e-3):
+    for step, scale in enumerate((1.0, 1e-3, 1.0, 1e-3)):
         grad = scale * rng.standard_normal(dims.n_params)
-        want = sgd_update(want, grad, _norm(grad), eta, tau)
-        got = sgd_update(got, grad.copy(), _norm(grad), eta, tau, out=own)
-        for name in ("w_a", "w_b", "w_c"):
-            assert getattr(got, name) is getattr(own, name)
-        assert flatten_params(got).tobytes() == flatten_params(want).tobytes()
+        want = want - eta * clip_gradient(grad, tau)
+        buffer = slots[step % 2]
+        buffer[:] = grad
+        got = sgd_update(got, buffer, _norm(grad), eta, tau,
+                         unflatten_params(buffer, dims))
+        assert np.shares_memory(got.w_a, buffer)
+        assert flatten_params(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("eta", [-0.1, -np.inf, np.nan])
+def test_sgd_update_rejects_negative_or_nan_learning_rate(eta):
+    dims = RnnDims(q=2, m=1, p=1)
+    params = init_params(dims, sigma_init=0.5, seed=0)
+    grad = np.ones(dims.n_params)
+    with pytest.raises(ValueError, match="need eta >= 0"):
+        sgd_update(params, grad, _norm(grad), eta, 1.0,
+                   unflatten_params(grad, dims))
+
+
+@pytest.mark.parametrize("q, m, p", [(1, 1, 1), (5, 7, 2), (90, 810, 9)])
+def test_workspace_slots_start_on_a_cache_line(q, m, p):
+    dims = RnnDims(q=q, m=m, p=p)
+    for _ in range(20):
+        workspace = Workspace(dims)
+        for k in (0, 1):
+            assert workspace.grad[k].ctypes.data % 64 == 0
+            assert workspace.grad[k].shape == (dims.n_params,)
+            assert np.shares_memory(workspace.weights[k].w_a, workspace.grad[k])
 
 
 def test_flatten_is_column_major():

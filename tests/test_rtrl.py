@@ -426,3 +426,39 @@ def test_rtrl_step_rejects_workspace_of_another_shape():
     with pytest.raises(ValueError, match="workspace is for"):
         rtrl_step(params, x, init_influence(dims), u, y_star, eta=0.1,
                   tau=CLIP_TAU, workspace=RtrlWorkspace(other))
+
+
+def test_learner_steps_alternate_between_the_workspace_slots():
+    # Each step writes its influence, gradient and weights into the slot
+    # its weights are not in: init_params' are in neither, so the slots run
+    # 0, 1, 0, 1, ...
+    dims, params, x, u, y_star, _ = _instance()
+    workspace = RtrlWorkspace(dims)
+    influence = init_influence(dims)
+    for step in range(6):
+        out = rtrl_step(params, x, influence, u, y_star, eta=0.1,
+                        tau=CLIP_TAU, workspace=workspace)
+        assert out.params is workspace.weights[step % 2]
+        assert out.influence is workspace.influence[step % 2]
+        params, x, influence = out.params, out.x, out.influence
+
+
+def test_pure_call_then_learner_step_on_the_same_inputs_agree():
+    # |W| = 75 is odd, so slot 1 starts 8 bytes off a 16-byte boundary.
+    dims, params, x, u, y_star, _ = _instance(q=5, m=7, p=2)
+    workspace = RtrlWorkspace(dims)
+    influence = init_influence(dims)
+    for _ in range(3):
+        pure = rtrl_step(params, x, influence, u, y_star, eta=0.1, tau=CLIP_TAU)
+        learner = rtrl_step(params, x, influence, u, y_star, eta=0.1,
+                            tau=CLIP_TAU, workspace=workspace)
+        _assert_same_step(pure, learner)
+        params, x, influence = learner.params, learner.x, learner.influence
+
+
+@pytest.mark.parametrize("eta", [-0.1, -1e-300])
+def test_rtrl_step_rejects_negative_learning_rate(eta):
+    dims, params, x, u, y_star, _ = _instance()
+    with pytest.raises(ValueError, match="need eta >= 0"):
+        rtrl_step(params, x, init_influence(dims), u, y_star, eta=eta,
+                  tau=CLIP_TAU)

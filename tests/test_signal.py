@@ -18,6 +18,7 @@ from markerpred.signal import (
     Partition,
     WindowedSample,
     build_io,
+    design_matrix,
     fit_normalizer,
     iter_windows,
     load_record,
@@ -394,6 +395,41 @@ def test_iter_windows_samples_own_their_arrays():
     for n, s in enumerate(samples[1:], start=1):
         assert s.u.flags.owndata and s.target.flags.owndata
         _assert_same_sample(s, _reference_build_io(record, norm, 3, 2, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_steps=st.integers(1, 40),
+    n_markers=st.integers(1, 4),
+    L=st.integers(0, 12),
+    h=st.integers(0, 12),
+    n_anchors=st.integers(0, 40),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_design_matrix_equals_stacked_windows(n_steps, n_markers, L, h,
+                                              n_anchors, seed):
+    # Row n of the design is the example iter_windows makes at anchor n,
+    # bit for bit; the same arguments make both raise the same error.
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-80.0, 80.0, size=(n_steps, n_markers, 3))
+    record = MarkerRecord(positions=positions, sample_period=0.1)
+    norm = Normalizer(
+        offset=rng.uniform(-10.0, 10.0, size=(n_markers, 3)),
+        scale=rng.uniform(0.5, 40.0, size=(n_markers, 3)),
+    )
+    anchors = range(n_anchors)
+    want = _raised(lambda: iter_windows(record, norm, L, h, anchors))
+    assert _raised(lambda: design_matrix(record, norm, L, h, n_anchors)) == want
+    if want is not None:
+        return
+    U, Y = design_matrix(record, norm, L, h, n_anchors)
+    samples = list(iter_windows(record, norm, L, h, anchors))
+    c = 3 * n_markers
+    assert U.shape == (n_anchors, 1 + L * c) and Y.shape == (n_anchors, c)
+    assert U.flags.c_contiguous and Y.flags.c_contiguous
+    for n, sample in enumerate(samples):
+        assert U[n].tobytes() == sample.u.tobytes()
+        assert Y[n].tobytes() == sample.target.tobytes()
 
 
 # -------------------------- partitions -----------------------------------

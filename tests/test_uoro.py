@@ -640,3 +640,31 @@ def test_workspace_dtheta_g_wc_block_stays_positive_zero():
         params, x, memory = out.params, out.x, out.memory
         assert not wc_block.any() and not np.signbit(wc_block).any()
     assert memory.theta_tilde is workspace.theta_tilde
+
+
+def test_learner_steps_alternate_between_the_workspace_slots():
+    # Each step writes into the slot its weights are not in: init_params'
+    # weights are in neither, so the slots run 0, 1, 0, 1, ...
+    dims, params, x, u, y_star, rng = _instance()
+    workspace = UoroWorkspace(dims)
+    memory, hyper = init_memory(dims), _hyper(dims)
+    for step in range(6):
+        out = uoro_step(params, x, memory, u, y_star, hyper, rng,
+                        workspace=workspace)
+        assert out.params is workspace.weights[step % 2]
+        assert out.memory.theta_tilde is workspace.theta_tilde
+        params, x, memory = out.params, out.x, out.memory
+
+
+def test_pure_call_then_learner_step_on_the_same_inputs_agree():
+    # |W| = 75 is odd, so slot 1 starts 8 bytes off a 16-byte boundary.
+    dims, params, x, u, y_star, rng = _instance(q=5, m=7, p=2)
+    hyper, workspace = _hyper(dims), UoroWorkspace(dims)
+    memory = init_memory(dims)
+    for _ in range(3):
+        nu = 2.0 * rng.integers(0, 2, size=dims.q) - 1.0
+        pure = uoro_step(params, x, memory, u, y_star, hyper, rng, nu=nu)
+        learner = uoro_step(params, x, memory, u, y_star, hyper, rng, nu=nu,
+                            workspace=workspace)
+        _assert_same_step(pure, learner)
+        params, x, memory = learner.params, learner.x, learner.memory
