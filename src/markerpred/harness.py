@@ -332,13 +332,29 @@ def derive_seed(master_seed: int, *parts) -> int:
 # ------------------------------ grids --------------------------------------
 
 
+def _check_axis_values(axis: str, values, where: str) -> None:
+    """Every value of grid axis `axis` must be one the learners take: eta
+    and sigma_init numbers > 0 (a negative eta would train by gradient
+    ascent), L and q integers >= 1. The error names `where` the values
+    came from, then the axis."""
+    if axis in ("L", "q"):
+        kind, valid = "integers >= 1", lambda v: (
+            isinstance(v, numbers.Integral) and v >= 1)
+    else:
+        kind, valid = "numbers > 0", lambda v: (
+            isinstance(v, numbers.Real) and v > 0)
+    bad = [v for v in values if isinstance(v, bool) or not valid(v)]
+    if bad:
+        raise ValueError(
+            f"{where} {axis} ({_GRID_KEYS[axis]}) takes {kind}, got {bad[0]!r}"
+        )
+
+
 def _check_grid_axes(algorithm: str, grid: dict[str, tuple]) -> None:
     """A grid must have exactly the axes of the algorithm's shipped grid: a
     missing axis would fail at the first run, and an extra one would repeat
     the same run under keys that differ only in a value nothing reads.
-    Every value must be one the learners take: eta and sigma_init numbers
-    > 0 (a negative eta would train by gradient ascent), L and q integers
-    >= 1."""
+    Every value must be one the learners take (`_check_axis_values`)."""
     axes = list(DEFAULT_GRIDS[algorithm])
     missing = [k for k in axes if k not in grid]
     unknown = sorted(set(grid) - set(axes))
@@ -348,18 +364,7 @@ def _check_grid_axes(algorithm: str, grid: dict[str, tuple]) -> None:
             f"unknown grid axes {unknown}"
         )
     for axis in axes:
-        if axis in ("L", "q"):
-            kind, valid = "integers >= 1", lambda v: (
-                isinstance(v, numbers.Integral) and v >= 1)
-        else:
-            kind, valid = "numbers > 0", lambda v: (
-                isinstance(v, numbers.Real) and v > 0)
-        bad = [v for v in grid[axis] if isinstance(v, bool) or not valid(v)]
-        if bad:
-            raise ValueError(
-                f"{algorithm} grid axis {axis} ({_GRID_KEYS[axis]}) takes "
-                f"{kind}, got {bad[0]!r}"
-            )
+        _check_axis_values(axis, grid[axis], f"{algorithm} grid axis")
 
 
 def iter_grid(algorithm: str, grid: dict[str, tuple]) -> list[HyperChoice]:
@@ -488,7 +493,8 @@ def run_sequence_online(
         algorithm: one of ALGORITHMS.
         record: the sequence, in mm.
         partition: step ranges from `make_partition`.
-        hyper: grid point; must set the algorithm's grid axes, others ignored.
+        hyper: grid point; must set the algorithm's grid axes to values
+            its grid takes (`_check_axis_values`), others ignored.
         h: horizon in steps (>= 1).
         seed: seed for weight initialization and sign draws.
         scoring_range: defaults to the partition's test range.
@@ -510,6 +516,9 @@ def run_sequence_online(
         raise ValueError(f"{algorithm} requires " + ", ".join(
             f"{k} ({_GRID_KEYS[k]})" for k in missing
         ))
+    for k in DEFAULT_GRIDS[algorithm]:
+        _check_axis_values(k, (getattr(hyper, k),),
+                           f"{algorithm} HyperChoice field")
     scoring = partition.test if scoring_range is None else scoring_range
 
     if algorithm == "none":

@@ -23,30 +23,39 @@ One training step runs, in this fixed order:
     6. tangent propagation     x_fwd = (tanh(W_a(x + eps*x_tilde) + W_b u)
                                - x_next) / eps
     7. backward sign gradient  dtheta_g = nu-weighted Jacobian row of the
-                               state map in theta
+                               state map in theta: with a = nu * tanh'(z),
+                               the blocks a x^T and a u^T, and zero for W_c
     8. normalizers             rho0 = sqrt(||theta_tilde|| / (||x_fwd||
                                + eps)) + eps, rho1 likewise for
-                               dtheta_g / nu
+                               dtheta_g / nu, where ||dtheta_g|| =
+                               ||a|| * sqrt(||x||^2 + ||u||^2)
     9. memory update           x_tilde' = rho0*x_fwd + rho1*nu,
-                               theta_tilde' = theta_tilde/rho0
+                               theta_tilde' = theta_tilde * (1/rho0)
                                + dtheta_g/rho1
    10. clipped SGD             theta' = theta - eta * clip(dtheta_est, tau)
 
 Step 4 deliberately uses the pre-update memory; moving it after step 9
-changes the estimator. The normalizers in step 8 are implemented exactly
-as stated, including the additive guards inside and outside the square
-roots.
+changes the estimator. The normalizers in step 8 keep the additive guards
+inside and outside the square roots. Stage 9 applies its scalars to
+|W|-length vectors only as multiplies, which rounds differently from the
+divisions as stated, so it matches them up to rounding, not bit for bit:
+||dtheta_g|| comes in closed form (`delta_theta_g_norm`), so rho1 is known
+before dtheta_g is written, and dtheta_g / rho1 is written directly as the
+outer products of the q-vector (nu / rho1) * tanh'(z); theta_tilde is
+multiplied by the reciprocal 1 / rho0.
 
-The closed forms `delta_theta`, `delta_theta_g` and `tangent_propagate`
-are the tested reference: the tests check them against finite differences
-and brute-force Jacobians, and compose them into a step that `uoro_step`
-must match bit for bit. `uoro_step` runs the same arithmetic in the same
-order but does not call them, so that it makes fewer passes over the
-|W|-length vectors: it adds the direct gradient into the W_c block alone,
-writes the blocks of dtheta_g in place, shares W_b u between stages 1 and
-6, takes tanh'(z) in stage 7 as 1 - x_next^2, computes each norm once, and
-checks the gradient and the new theta_tilde for finiteness through norms
-it already has, scanning an array only when such a norm is not finite.
+The closed forms `delta_theta`, `delta_theta_g`, `delta_theta_g_norm` and
+`tangent_propagate` are the tested reference: the tests check them against
+finite differences, brute-force Jacobians and the norm of the formed
+vector, and compose them into a step that `uoro_step` must match bit for
+bit. `uoro_step` runs the same arithmetic in the same order but calls only
+`delta_theta_g_norm`, whose inputs are short vectors, so that it makes
+fewer passes over the |W|-length vectors: it adds the direct gradient into
+the W_c block alone, writes the blocks of dtheta_g / rho1 in place, shares
+W_b u between stages 1 and 6, takes tanh'(z) as 1 - x_next^2, computes each
+norm once, and checks the gradient and the new theta_tilde for finiteness
+through norms it already has, scanning an array only when such a norm is
+not finite.
 
 The guard eps of step 8 and the finite-difference step eps of step 6 are
 the module constants EPS_NORM and EPS_PROP, which `uoro_step` reads on
@@ -105,6 +114,7 @@ __all__ = [
     "grad_x_loss",
     "delta_theta",
     "delta_theta_g",
+    "delta_theta_g_norm",
     "tangent_propagate",
     "uoro_step",
 ]
@@ -114,7 +124,7 @@ EPS_NORM = 1e-7
 # Step size of the finite-difference tangent propagation.
 EPS_PROP = 1e-7
 # Up to rounding, far less than a factor of 2, no element of the new
-# theta_tilde exceeds ||theta_tilde|| / rho0 + ||dtheta_g|| / rho1. A bound
+# theta_tilde exceeds ||theta_tilde|| * (1/rho0) + ||dtheta_g|| / rho1. A bound
 # at most half the largest double therefore proves it finite unscanned.
 _FINITE_BOUND = 0.5 * sys.float_info.max
 
@@ -163,12 +173,11 @@ class UoroStepResult:
 class UoroWorkspace(Workspace):
     """A UORO step's buffers (see `Workspace`): besides the two slots,
     theta_tilde and dtheta_g, each of length |W| and starting on a cache
-    line like the slots, and the
-    views of dtheta_g that stage 7 writes, built once: `dtheta_g_a` and
-    `dtheta_g_b`, its W_a and W_b blocks viewed as the C-order q x q and
-    (m+1) x q targets of the outer products x a^T and u a^T. The W_c block
-    of dtheta_g is zeroed here once: a step only divides it by rho1, which
-    is finite and positive in every step that returns, so it stays +0.0."""
+    line like the slots, and the views of dtheta_g that stage 7 writes,
+    built once: `dtheta_g_a` and `dtheta_g_b`, its W_a and W_b blocks viewed
+    as the C-order q x q and (m+1) x q targets of the outer products x a^T
+    and u a^T. The W_c block of dtheta_g is zeroed here once and never
+    written again, so it stays +0.0."""
 
     def __init__(self, dims: RnnDims):
         super().__init__(dims)
@@ -266,6 +275,31 @@ def delta_theta_g(
     return out
 
 
+def delta_theta_g_norm(a: np.ndarray, x: np.ndarray, u: np.ndarray) -> float:
+    """Norm of `delta_theta_g` in closed form, without forming it.
+
+    Its W_a and W_b blocks are a x^T and a u^T, so the norm is
+    ||a|| * sqrt(||x||^2 + ||u||^2). Since nu is +-1, ||a|| = ||tanh'(z)||,
+    and `a` may be tanh'(z) itself.
+
+    Edge rule: a fully saturated a (||a|| = 0) gives 0, the norm of the
+    all-zero delta_theta_g, even where ||x||^2 + ||u||^2 overflows and
+    0 * inf would give NaN; only an infinite or NaN entry of x or u, which
+    makes delta_theta_g itself NaN, gives NaN. Otherwise an overflowing
+    ||x||^2 + ||u||^2 gives inf, which `uoro_step` reports as a non-finite
+    rho1.
+
+    Args:
+        a: nu * tanh'(z) or tanh'(z), length q.
+        x: incoming hidden state, length q.
+        u: input vector, length m+1.
+    """
+    a_norm = math.sqrt(a.dot(a))
+    if a_norm == 0.0 and np.isfinite(x).all() and np.isfinite(u).all():
+        return 0.0
+    return a_norm * math.sqrt(x.dot(x) + u.dot(u))
+
+
 def tangent_propagate(
     params: RnnParams,
     x: np.ndarray,
@@ -361,36 +395,38 @@ def uoro_step(
     shifted = np.tanh(params.w_a @ (x + EPS_PROP * memory.x_tilde) + cache.wb_u)
     x_fwd = (shifted - x_next) / EPS_PROP
 
-    # 7. The W_a and W_b blocks are written in place as the C-order outer
-    # products x a^T and u a^T, which are the column-major a x^T and a u^T;
-    # the W_c block is the workspace's zeros. tanh'(z) is 1 - x_next^2,
-    # from the tanh the forward pass took.
-    a = nu * (1.0 - x_next * x_next)
-    np.multiply.outer(x, a, out=workspace.dtheta_g_a)
-    np.multiply.outer(u, a, out=workspace.dtheta_g_b)
-    dtheta_g = workspace.dtheta_g
-
-    # 8. Numpy scalars keep a zero denominator (EPS_NORM = 0) an inf or a
-    # NaN that the checks below report, as np.linalg.norm did.
+    # 7-8. rho1 comes first, from the closed-form norm of dtheta_g, so
+    # that stage 7 writes dtheta_g / rho1 directly: the W_a and W_b blocks
+    # are the C-order outer products x a^T and u a^T of the q-vector
+    # a = (nu / rho1) * tanh'(z), which are the column-major a x^T and
+    # a u^T; the W_c block is the workspace's zeros. tanh'(z) is
+    # 1 - x_next^2, from the tanh the forward pass took. Numpy scalars keep
+    # a zero denominator (EPS_NORM = 0) an inf or a NaN that the checks
+    # below report, as np.linalg.norm did.
     eps = EPS_NORM
+    d = 1.0 - x_next * x_next
     theta_tilde_norm = math.sqrt(memory.theta_tilde.dot(memory.theta_tilde))
-    dtheta_g_norm = math.sqrt(dtheta_g.dot(dtheta_g))
+    dtheta_g_norm = delta_theta_g_norm(d, x, u)
     rho0 = np.sqrt(theta_tilde_norm / (np.sqrt(x_fwd.dot(x_fwd)) + eps)) + eps
     rho1 = np.sqrt(dtheta_g_norm / (np.sqrt(nu.dot(nu)) + eps)) + eps
     if not math.isfinite(rho0):
         raise NonFiniteError("rho0")
     if not math.isfinite(rho1):
         raise NonFiniteError("rho1")
+    a = (nu / rho1) * d
+    np.multiply.outer(x, a, out=workspace.dtheta_g_a)
+    np.multiply.outer(u, a, out=workspace.dtheta_g_b)
 
-    # 9. memory update
+    # 9. memory update, theta_tilde scaled by the reciprocal of rho0
+    inv_rho0 = 1.0 / rho0
     x_tilde = rho0 * x_fwd + rho1 * nu
-    theta_tilde = np.divide(memory.theta_tilde, rho0, out=workspace.theta_tilde)
-    dtheta_g /= rho1
-    theta_tilde += dtheta_g
+    theta_tilde = np.multiply(memory.theta_tilde, inv_rho0,
+                              out=workspace.theta_tilde)
+    theta_tilde += workspace.dtheta_g
     if not np.isfinite(x_tilde).all():
         raise NonFiniteError("x_tilde")
     if not (
-        theta_tilde_norm / rho0 + dtheta_g_norm / rho1 <= _FINITE_BOUND
+        theta_tilde_norm * inv_rho0 + dtheta_g_norm / rho1 <= _FINITE_BOUND
         or np.isfinite(theta_tilde).all()
     ):
         raise NonFiniteError("theta_tilde")

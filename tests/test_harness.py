@@ -402,6 +402,28 @@ def test_run_names_every_missing_field_and_ignores_extra_ones():
     np.testing.assert_array_equal(extra.trace.pred, plain.trace.pred)
 
 
+@pytest.mark.parametrize("algorithm, field, value, kind", [
+    # L = 2.5 used to fail with a TypeError inside range().
+    ("linreg", "L", 2.5, "integers >= 1"),
+    ("lms", "L", 2.5, "integers >= 1"),
+    ("uoro", "L", 2.5, "integers >= 1"),
+    ("uoro", "q", 0, "integers >= 1"),
+    ("lms", "eta", -0.05, "numbers > 0"),
+    ("uoro", "sigma_init", float("nan"), "numbers > 0"),
+])
+def test_run_rejects_hyper_values_its_grid_would_reject(algorithm, field,
+                                                        value, kind):
+    # The same per-value rule as a grid axis, naming the field.
+    record = _quick_record()
+    partition = make_partition(record, partition_scheme(algorithm))
+    full = {k: values[0] for k, values in DEFAULT_GRIDS[algorithm].items()}
+    hyper = HyperChoice(**{**full, field: value})
+    message = re.escape(f"{algorithm} HyperChoice field {field} (") + ".*" + (
+        re.escape(f") takes {kind}, got {value!r}"))
+    with pytest.raises(ValueError, match=message):
+        run_sequence_online(algorithm, record, partition, hyper, 4, 0)
+
+
 def test_collect_loss_returns_aligned_trace():
     record = _quick_record(seed=9)
     partition = make_partition(record, "online_30_30")

@@ -17,6 +17,7 @@ from markerpred.rnn import (
     forward,
     init_params,
     loss,
+    tanh_prime,
     unflatten_params,
 )
 from markerpred.rtrl import jac_state_theta, jac_state_x
@@ -30,6 +31,7 @@ from markerpred.uoro import (
     UoroWorkspace,
     delta_theta,
     delta_theta_g,
+    delta_theta_g_norm,
     grad_x_loss,
     init_memory,
     tangent_propagate,
@@ -181,6 +183,91 @@ def test_delta_theta_g_matches_brute_force_jacobian():
     jac = _brute_force_state_jacobian(flatten_params(params), dims, x, u)
     expected = nu @ jac
     assert np.linalg.norm(got - expected) <= 1e-5 * np.linalg.norm(expected)
+
+
+# ------------------------- delta_theta_g_norm -----------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q=st.integers(1, 8),
+    m=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    # Up to 40, some units saturate (tanh'(z) = 0) and some sit near it.
+    z_scale=st.sampled_from([0.0, 1.0, 10.0, 40.0]),
+    # Input scales whose squares neither overflow nor underflow.
+    u_exp=st.integers(-50, 50),
+)
+def test_delta_theta_g_norm_matches_norm_of_formed_vector(q, m, seed, z_scale,
+                                                          u_exp):
+    rng = np.random.default_rng(seed)
+    dims = RnnDims(q=q, m=m, p=1)
+    nu = 2.0 * rng.integers(0, 2, size=q) - 1.0
+    z = z_scale * rng.standard_normal(q)
+    x = np.tanh(rng.standard_normal(q))
+    u = 10.0**u_exp * rng.standard_normal(m + 1)
+    want = np.linalg.norm(delta_theta_g(nu, z, x, u, dims))
+    # nu is +-1, so a = nu * tanh'(z) and tanh'(z) have one norm.
+    for a in (nu * tanh_prime(z), tanh_prime(z)):
+        assert abs(delta_theta_g_norm(a, x, u) - want) <= 1e-12 * want
+
+
+def test_delta_theta_g_norm_fully_saturated_is_zero_though_inputs_overflow():
+    # Edge rule: ||a|| = 0 gives the formed vector's norm, 0, where
+    # 0 * sqrt(||x||^2 + ||u||^2) would be 0 * inf = NaN.
+    dims = RnnDims(q=3, m=2, p=1)
+    z, x = np.full(3, 40.0), np.array([0.5, -0.2, 0.1])
+    u = np.array([1.0, 1e200, -1e200])
+    with np.errstate(over="ignore"):
+        assert delta_theta_g_norm(tanh_prime(z), x, u) == 0.0
+    assert np.linalg.norm(delta_theta_g(np.ones(3), z, x, u, dims)) == 0.0
+    # An infinite input makes the formed vector NaN (0 * inf), and the
+    # closed form with it.
+    u[1] = np.inf
+    assert np.isnan(delta_theta_g_norm(tanh_prime(z), x, u))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(np.linalg.norm(delta_theta_g(np.ones(3), z, x, u, dims)))
+
+
+def _fixed_drive_instance(z_value, u_value):
+    """A state whose pre-activation is z_value in every unit, whatever the
+    input: W_b is zero, so u = [1, u_value, ...] reaches only the
+    parameter Jacobian, dtheta_g's W_b block a u^T."""
+    dims, params, x, _, y_star, _ = _instance(seed=11)
+    w_a = np.outer(np.full(dims.q, z_value), x) / x.dot(x)
+    params = type(params)(w_a=w_a, w_b=np.zeros_like(params.w_b),
+                          w_c=params.w_c)
+    u = np.full(dims.m + 1, u_value)
+    u[0] = 1.0
+    return dims, params, x, u, y_star
+
+
+def test_uoro_step_saturated_units_with_overflowing_input_norm_pass():
+    # Every unit saturates (a = 0) while ||u||^2 overflows: by the edge rule
+    # rho1 is EPS_NORM, and with x_fwd = 0 the new x_tilde is EPS_NORM * nu.
+    dims, params, x, u, y_star = _fixed_drive_instance(40.0, 1e200)
+    nu = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
+    for step in (uoro_step, _reference_uoro_step):
+        with np.errstate(over="ignore"):
+            out = step(params, x, init_memory(dims), u, y_star, _hyper(dims),
+                       None, nu=nu)
+        np.testing.assert_array_equal(out.memory.x_tilde, EPS_NORM * nu)
+        assert np.isfinite(out.memory.theta_tilde).all()
+
+
+def test_uoro_step_overflowing_closed_form_norm_is_nonfinite_rho1():
+    # tanh'(18) is about 1e-15, so the formed dtheta_g's norm is about 1e145
+    # and finite, but the closed form's ||u||^2 overflows: rho1 is infinite.
+    dims, params, x, u, y_star = _fixed_drive_instance(18.0, 1e160)
+    z = params.w_a @ x
+    assert 0.0 < tanh_prime(z).min()
+    nu = np.ones(dims.q)
+    assert np.isfinite(np.linalg.norm(delta_theta_g(nu, z, x, u, dims)))
+    for step in (uoro_step, _reference_uoro_step):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
+            step(params, x, init_memory(dims), u, y_star, _hyper(dims), None,
+                 nu=nu)
+        assert info.value.quantity == "rho1"
 
 
 # -------------------------- tangent_propagate -----------------------------
@@ -387,7 +474,9 @@ def test_uoro_memory_defaults():
 def _reference_uoro_step(params, x, memory, u, y_star, hyper, rng, *, nu=None):
     """The ten stages composed from the public closed forms, one function
     per stage, with whole-vector temporaries: the reference that
-    `uoro_step` must match bit for bit. Like the step, it reads the eps
+    `uoro_step` must match bit for bit. As in the step, ||dtheta_g|| is the
+    closed form, dtheta_g / rho1 is `delta_theta_g` of the signs nu / rho1,
+    and theta_tilde is scaled by 1 / rho0. Like the step, it reads the eps
     constants from the module at call time."""
     dims = params.dims
 
@@ -407,20 +496,21 @@ def _reference_uoro_step(params, x, memory, u, y_star, hyper, rng, *, nu=None):
     x_fwd = tangent_propagate(
         params, x, memory.x_tilde, u, cache.x_next, uoro.EPS_PROP
     )
-    dtheta_g = delta_theta_g(nu, cache.z, x, u, dims)
 
     eps = uoro.EPS_NORM
     rho0 = np.sqrt(
         np.linalg.norm(memory.theta_tilde) / (np.linalg.norm(x_fwd) + eps)
     ) + eps
-    rho1 = np.sqrt(np.linalg.norm(dtheta_g) / (np.linalg.norm(nu) + eps)) + eps
+    dtheta_g_norm = delta_theta_g_norm(tanh_prime(cache.z), x, u)
+    rho1 = np.sqrt(dtheta_g_norm / (np.linalg.norm(nu) + eps)) + eps
     if not np.isfinite(rho0):
         raise NonFiniteError("rho0")
     if not np.isfinite(rho1):
         raise NonFiniteError("rho1")
 
     x_tilde = rho0 * x_fwd + rho1 * nu
-    theta_tilde = memory.theta_tilde / rho0 + dtheta_g / rho1
+    theta_tilde = (memory.theta_tilde * (1.0 / rho0)
+                   + delta_theta_g(nu / rho1, cache.z, x, u, dims))
     if not np.isfinite(x_tilde).all():
         raise NonFiniteError("x_tilde")
     if not np.isfinite(theta_tilde).all():
@@ -625,9 +715,9 @@ def test_uoro_step_rejects_workspace_of_another_shape():
 
 
 def test_workspace_dtheta_g_wc_block_stays_positive_zero():
-    # The workspace zeroes dtheta_g's W_c block once; every step divides it
-    # by rho1 > 0 and must leave it +0.0, or theta_tilde's W_c block (and
-    # with it the gradient) would drift from the pure step's.
+    # The workspace zeroes dtheta_g's W_c block once and no step writes it;
+    # it must stay +0.0, or theta_tilde's W_c block (and with it the
+    # gradient) would drift from the pure step's.
     dims, params, x, u, y_star, rng = _instance(q=6, m=9, p=4)
     workspace = UoroWorkspace(dims)
     wc_block = workspace.dtheta_g[dims.n_wa + dims.n_wb :]
