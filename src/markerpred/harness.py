@@ -213,8 +213,10 @@ class ExperimentConfig:
                 )
             if h in self.horizons_s[:i]:
                 raise ValueError(f"horizon {h}s is listed more than once")
-        if self.n_cv < 1 or self.n_test < 1:
-            raise ValueError("n_cv and n_test must be >= 1")
+        for name in ("n_cv", "n_test"):
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise ValueError(f"{name} takes integers >= 1, got {value!r}")
         if self.grid is not None:
             if not all(len(v) > 0 for v in self.grid.values()):
                 raise ValueError("grid axes must be non-empty")
@@ -332,14 +334,18 @@ def derive_seed(master_seed: int, *parts) -> int:
 # ------------------------------ grids --------------------------------------
 
 
+def _is_count(v) -> bool:
+    """v is an integer >= 1, and not a bool (True would mean 1 silently)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 1
+
+
 def _check_axis_values(axis: str, values, where: str) -> None:
     """Every value of grid axis `axis` must be one the learners take: eta
     and sigma_init numbers > 0 (a negative eta would train by gradient
     ascent), L and q integers >= 1. The error names `where` the values
     came from, then the axis."""
     if axis in ("L", "q"):
-        kind, valid = "integers >= 1", lambda v: (
-            isinstance(v, numbers.Integral) and v >= 1)
+        kind, valid = "integers >= 1", _is_count
     else:
         kind, valid = "numbers > 0", lambda v: (
             isinstance(v, numbers.Real) and v > 0)

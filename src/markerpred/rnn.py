@@ -10,9 +10,18 @@ size p:
 
 Trainers treat the three weight matrices as one flat parameter vector
 theta = [W_a | W_b | W_c], each matrix unrolled column by column
-(column-major). Every trainer in this package uses this one layout, through
-`flatten_params`/`unflatten_params` and the update `sgd_update`, so that
-gradient indices never drift.
+(column-major). Since W_a's columns come before W_b's, the first
+q*(q+m+1) entries are the block W_ab = [W_a | W_b] unrolled the same way,
+and the state map reads z = W_ab v for the stacked input v = [x; u]; the
+trainers' closed forms are outer products with v.
+
+This module is the one definition of the layout. `flatten_params` and
+`unflatten_params` convert between the matrices and theta, and three
+private view builders address the blocks in place: `_ab_rows` (W_ab
+transposed), `_c_rows` (W_c transposed) and `_ab_diagonal` (the entries of
+a q x |W| influence matrix that W_ab's row i adds to row i). The trainers
+reach the flat layout only through these functions and the update
+`sgd_update`, so that gradient indices never drift.
 """
 
 from __future__ import annotations
@@ -68,16 +77,9 @@ class RnnDims:
             raise ValueError(f"all dimensions must be >= 1, got {self}")
 
     @property
-    def n_wa(self) -> int:
-        return self.q * self.q
-
-    @property
-    def n_wb(self) -> int:
-        return self.q * (self.m + 1)
-
-    @property
-    def n_wc(self) -> int:
-        return self.p * self.q
+    def n_ab(self) -> int:
+        """Length of the [W_a | W_b] block of the flat parameters."""
+        return self.q * (self.q + self.m + 1)
 
     @property
     def n_params(self) -> int:
@@ -133,9 +135,9 @@ class Workspace:
     with the views of them every step uses, built once. There are two
     slots; slot k is a flat |W| buffer `grad[k]` that starts on a cache
     line (see `_aligned_empty`), with its column-major weight views
-    `weights[k]` (the layout `unflatten_params` gives) and its W_c block
-    viewed as q x p (W_c transposed), `grad_wc[k]`, which the direct
-    gradient is added into.
+    `weights[k]` (`unflatten_params`) and its W_c block viewed as W_c
+    transposed, `grad_wc[k]` (`_c_rows`), which the direct gradient is
+    added into. `v` holds a step's stacked input [x; u].
 
     A step writes its gradient into the slot its weights are not in
     (`slot`), then `sgd_update` writes the new weights over that
@@ -150,9 +152,8 @@ class Workspace:
         self.dims = dims
         self.grad = (_aligned_empty(dims.n_params), _aligned_empty(dims.n_params))
         self.weights = tuple(unflatten_params(g, dims) for g in self.grad)
-        self.grad_wc = tuple(
-            g[dims.n_wa + dims.n_wb :].reshape(dims.q, dims.p) for g in self.grad
-        )
+        self.grad_wc = tuple(_c_rows(g, dims) for g in self.grad)
+        self.v = np.empty(dims.q + dims.m + 1)
         self._shapes = ((dims.q, dims.q), (dims.q, dims.m + 1), (dims.p, dims.q))
 
     def slot(self, params: RnnParams) -> int:
@@ -337,15 +338,36 @@ def flatten_params(params: RnnParams) -> np.ndarray:
 
 
 def unflatten_params(theta: np.ndarray, dims: RnnDims) -> RnnParams:
-    """Inverse of `flatten_params`. The matrices are views into `theta`."""
+    """Inverse of `flatten_params`. The matrices are column-major views into
+    `theta`."""
     if theta.shape != (dims.n_params,):
         raise ValueError(
             f"theta has shape {theta.shape}, expected ({dims.n_params},)"
         )
-    a_end = dims.n_wa
-    b_end = a_end + dims.n_wb
-    w_a = theta[:a_end].reshape((dims.q, dims.q), order="F")
-    w_b = theta[a_end:b_end].reshape((dims.q, dims.m + 1), order="F")
-    w_c = theta[b_end:].reshape((dims.p, dims.q), order="F")
-    return RnnParams(w_a=w_a, w_b=w_b, w_c=w_c)
+    w_ab = theta[: dims.n_ab].reshape((dims.q, dims.q + dims.m + 1), order="F")
+    w_c = theta[dims.n_ab :].reshape((dims.p, dims.q), order="F")
+    return RnnParams(w_a=w_ab[:, : dims.q], w_b=w_ab[:, dims.q :], w_c=w_c)
 
+
+def _ab_rows(theta: np.ndarray, dims: RnnDims) -> np.ndarray:
+    """The [W_a | W_b] block of a flat vector in the [W_a | W_b | W_c]
+    layout (or of one that holds that block alone) as a C-order
+    (q+m+1) x q view: row r is column r of [W_a | W_b], so the block is
+    the transpose of the view."""
+    return theta[: dims.n_ab].reshape(dims.q + dims.m + 1, dims.q)
+
+
+def _c_rows(theta: np.ndarray, dims: RnnDims) -> np.ndarray:
+    """The W_c block of a flat |W| vector as a C-order q x p view, W_c
+    transposed."""
+    return theta[dims.n_ab :].reshape(dims.q, dims.p)
+
+
+def _ab_diagonal(matrix: np.ndarray, dims: RnnDims) -> np.ndarray:
+    """A writable q x (q+m+1) view of a C-contiguous q x |W| matrix whose
+    entry [i, r] is the matrix's entry in row i and the column of
+    [W_a | W_b][i, r]: the only entries in which a state map's parameter
+    Jacobian (unit i depends on row i of [W_a | W_b] alone) is non-zero."""
+    row, col = matrix.strides
+    return np.ndarray((dims.q, dims.q + dims.m + 1), buffer=matrix,
+                      strides=(row + col, dims.q * col))

@@ -19,10 +19,16 @@ reference). The per-step cost is O(q^3 (q + L)), which confines RTRL to
 small networks; it doubles here as the exactness oracle for UORO's
 rank-one estimator.
 
+Unit i of the state map depends on row i of [W_a | W_b] alone, so the
+d(state map)/dtheta term of (i) is non-zero only in row i's entries for
+that row's weights; with d = tanh'(z) and the stacked input v = [x; u],
+they are the q x (q+m+1) matrix d v^T, which the view
+`rnn._ab_diagonal` places in the flat layout.
+
 A step runs on an `RtrlWorkspace`, the per-run plan of the step: the two
-slots of `Workspace`, each with an influence buffer and the views of its
-block-diagonal entries that recursion (i) adds into. The step writes the
-new influence, the gradient and then the new weights into the slot the
+slots of `Workspace`, each with an influence buffer and its
+`_ab_diagonal` view, which recursion (i) adds d v^T into. The step writes
+the new influence, the gradient and then the new weights into the slot the
 current weights are not in, as `uoro_step` does. A learner allocates one
 workspace per run; called without one, `rtrl_step` builds a fresh one, so
 it writes to none of its inputs, and the two calls run one body. As in
@@ -43,6 +49,7 @@ from markerpred.rnn import (
     RnnDims,
     RnnParams,
     Workspace,
+    _ab_diagonal,
     _norm,
     forward,
     loss,
@@ -73,27 +80,13 @@ class RtrlStepResult:
 class RtrlWorkspace(Workspace):
     """An RTRL step's buffers (see `Workspace`): per slot, besides the
     gradient and weights, a q x |W| influence matrix `influence[k]` and
-    the views of its entries that recursion (i) adds the state map's
-    parameter Jacobian into, `diagonals[k]` (see `_diagonals`)."""
+    its q x (q+m+1) view `diagonals[k]` (`_ab_diagonal`), the entries that
+    recursion (i) adds the state map's parameter Jacobian into."""
 
     def __init__(self, dims: RnnDims):
         self.influence = tuple(np.empty((dims.q, dims.n_params)) for _ in range(2))
         super().__init__(dims)
-        self.diagonals = tuple(_diagonals(m, dims) for m in self.influence)
-
-
-def _diagonals(influence: np.ndarray, dims: RnnDims) -> tuple[np.ndarray, np.ndarray]:
-    """Writable q x q and q x (m+1) views of a C-contiguous q x |W|
-    influence matrix whose entry [i, j] is the entry of W_a[i, j], resp.
-    W_b[i, j], in row i: the [i, :, i] diagonals of the W_a and W_b blocks
-    viewed as (q, n_cols, q), the entries `jac_state_theta` fills. In the
-    column-major layout the column of W_a[i, j] is j*q + i."""
-    row, col = influence.strides
-    return tuple(
-        np.ndarray((dims.q, n_cols), buffer=influence, offset=start * col,
-                   strides=(row + col, dims.q * col))
-        for start, n_cols in ((0, dims.q), (dims.n_wa, dims.m + 1))
-    )
+        self.diagonals = tuple(_ab_diagonal(m, dims) for m in self.influence)
 
 
 def init_influence(dims: RnnDims) -> np.ndarray:
@@ -115,8 +108,9 @@ def jac_state_theta(
 
     Entry (r, c) is d x_next[r] / d theta[c]. A weight W_a[i, j] only feeds
     unit i, contributing tanh'(z_i) x_j; likewise W_b[i, j] contributes
-    tanh'(z_i) u_j; W_c does not enter the state map. The blocks are filled
-    by strided assignment rather than per-entry loops.
+    tanh'(z_i) u_j; W_c does not enter the state map. So the non-zero
+    entries are tanh'(z) v^T for v = [x; u], written through the
+    `_ab_diagonal` view rather than by per-entry loops.
 
     Args:
         x: incoming hidden state, length q.
@@ -131,17 +125,10 @@ def jac_state_theta(
         raise ValueError(f"x/z must have length {dims.q}")
     if u.shape != (dims.m + 1,):
         raise ValueError(f"u has shape {u.shape}, expected ({dims.m + 1},)")
-    d = tanh_prime(z)
     out = np.zeros((dims.q, dims.n_params))
-    idx = np.arange(dims.q)
-    # Column-major layout: the column of W_a[i, j] is j*q + i, so a
-    # (q, n_cols, q) view indexed [i, j, i] addresses exactly those entries.
-    block_a = out[:, : dims.n_wa].reshape(dims.q, dims.q, dims.q)
-    block_a[idx, :, idx] = d[:, None] * x[None, :]
-    block_b = out[:, dims.n_wa : dims.n_wa + dims.n_wb].reshape(
-        dims.q, dims.m + 1, dims.q
+    _ab_diagonal(out, dims)[...] = np.multiply.outer(
+        tanh_prime(z), np.concatenate((x, u))
     )
-    block_b[idx, :, idx] = d[:, None] * u[None, :]
     return out
 
 
@@ -184,22 +171,21 @@ def rtrl_step(
             f"influence has shape {influence.shape}, "
             f"expected ({dims.q}, {dims.n_params})"
         )
-    new_influence, (diag_a, diag_b) = workspace.influence[k], workspace.diagonals[k]
+    new_influence, diagonal = workspace.influence[k], workspace.diagonals[k]
 
     cache = forward(params, x, u)
     e, loss_value = loss(cache.y, y_star)
     if not math.isfinite(loss_value):
         raise NonFiniteError("loss")
 
-    # Recursion (i), with tanh'(z) = 1 - x_next^2 taken once from the tanh
-    # the forward pass took: d(state map)/dx is `jac_state_x`, and the
-    # d(state map)/dtheta term is block-diagonal, so it is added in place
-    # through the views of the entries `jac_state_theta` fills, instead of
-    # as a dense q x |W| matrix.
+    # Recursion (i), with d = tanh'(z) = 1 - x_next^2 taken once from the
+    # tanh the forward pass took: d(state map)/dx is `jac_state_x`, and the
+    # d(state map)/dtheta term d v^T is added in place through the view of
+    # the entries `jac_state_theta` fills, instead of as a dense q x |W|
+    # matrix.
     d = 1.0 - cache.x_next * cache.x_next
     np.matmul(d[:, None] * params.w_a, influence, out=new_influence)
-    diag_a += d[:, None] * x[None, :]
-    diag_b += d[:, None] * u[None, :]
+    diagonal += np.multiply.outer(d, np.concatenate((x, u), out=workspace.v))
 
     # delta_theta is non-zero only in the W_c block, so it is added into
     # that block alone (`grad_wc`, W_c transposed), as uoro_step does.

@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,7 +180,8 @@ def load_record(
     Raises:
         ValueError: empty file, wrong column count, non-numeric or
             non-finite cell, or non-increasing time stamps, each reported
-            with its 1-based file line number.
+            with its 1-based file line number; or a manifest rate_hz that
+            is not a finite number > 0, reported with the manifest path.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -233,7 +236,15 @@ def load_record(
         breathing_class = manifest.get("breathing_class", breathing_class)
         rate_hz = manifest.get("rate_hz")
     if rate_hz is not None:
-        sample_period = 1.0 / float(rate_hz)
+        if not (
+            isinstance(rate_hz, numbers.Real) and not isinstance(rate_hz, bool)
+            and math.isfinite(rate_hz) and rate_hz > 0
+        ):
+            raise ValueError(
+                f"{manifest_path}: rate_hz must be a finite number > 0, "
+                f"got {rate_hz!r}"
+            )
+        sample_period = 1.0 / rate_hz
     elif len(t) > 1:
         sample_period = float(np.median(np.diff(t)))
     else:

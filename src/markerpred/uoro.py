@@ -23,8 +23,9 @@ One training step runs, in this fixed order:
     6. tangent propagation     x_fwd = (tanh(W_a(x + eps*x_tilde) + W_b u)
                                - x_next) / eps
     7. backward sign gradient  dtheta_g = nu-weighted Jacobian row of the
-                               state map in theta: with a = nu * tanh'(z),
-                               the blocks a x^T and a u^T, and zero for W_c
+                               state map in theta: with a = nu * tanh'(z)
+                               and the stacked input v = [x; u], the
+                               [W_a | W_b] block a v^T, and zero for W_c
     8. normalizers             rho0 = sqrt(||theta_tilde|| / (||x_fwd||
                                + eps)) + eps, rho1 likewise for
                                dtheta_g / nu, where ||dtheta_g|| =
@@ -41,8 +42,8 @@ inside and outside the square roots. Stage 9 applies its scalars to
 divisions as stated, so it matches them up to rounding, not bit for bit:
 ||dtheta_g|| comes in closed form (`delta_theta_g_norm`), so rho1 is known
 before dtheta_g is written, and dtheta_g / rho1 is written directly as the
-outer products of the q-vector (nu / rho1) * tanh'(z); theta_tilde is
-multiplied by the reciprocal 1 / rho0.
+one outer product of v and the q-vector (nu / rho1) * tanh'(z); theta_tilde
+is multiplied by the reciprocal 1 / rho0.
 
 The closed forms `delta_theta`, `delta_theta_g`, `delta_theta_g_norm` and
 `tangent_propagate` are the tested reference: the tests check them against
@@ -51,7 +52,10 @@ vector, and compose them into a step that `uoro_step` must match bit for
 bit. `uoro_step` runs the same arithmetic in the same order but calls only
 `delta_theta_g_norm`, whose inputs are short vectors, so that it makes
 fewer passes over the |W|-length vectors: it adds the direct gradient into
-the W_c block alone, writes the blocks of dtheta_g / rho1 in place, shares
+the W_c block alone, writes dtheta_g / rho1 in place as its [W_a | W_b]
+block alone and adds it into theta_tilde's [W_a | W_b] rows (theta_tilde's
+W_c block is only scaled; from `init_memory` on it is +0.0, as adding the
+zero block would leave it), shares
 W_b u between stages 1 and 6, takes tanh'(z) as 1 - x_next^2, computes each
 norm once, and checks the gradient and the new theta_tilde for finiteness
 through norms it already has, scanning an array only when such a norm is
@@ -62,8 +66,10 @@ the module constants EPS_NORM and EPS_PROP, which `uoro_step` reads on
 every call.
 
 A step runs on a `UoroWorkspace`, the per-run plan of the step: the
-|W|-length buffers (two gradient slots, theta_tilde, dtheta_g) and every
-view of them the step uses, so the step does only the arithmetic. It
+buffers (two gradient slots, theta_tilde, the [W_a | W_b] block of
+dtheta_g, the stacked input v) and every view of them the step uses, each
+built by the `rnn` helpers that define the flat layout, so the step does
+only the arithmetic and never indexes the layout itself. It
 writes the gradient and then the new weights into the slot the current
 weights are not in (see `Workspace`). A learner allocates one workspace
 per run and feeds the returned params and memory, which live in it, back
@@ -95,7 +101,9 @@ from markerpred.rnn import (
     RnnDims,
     RnnParams,
     Workspace,
+    _ab_rows,
     _aligned_empty,
+    _c_rows,
     _finite_norm,
     forward,
     loss,
@@ -172,21 +180,17 @@ class UoroStepResult:
 
 class UoroWorkspace(Workspace):
     """A UORO step's buffers (see `Workspace`): besides the two slots,
-    theta_tilde and dtheta_g, each of length |W| and starting on a cache
-    line like the slots, and the views of dtheta_g that stage 7 writes,
-    built once: `dtheta_g_a` and `dtheta_g_b`, its W_a and W_b blocks viewed
-    as the C-order q x q and (m+1) x q targets of the outer products x a^T
-    and u a^T. The W_c block of dtheta_g is zeroed here once and never
-    written again, so it stays +0.0."""
+    theta_tilde, of length |W|, and dtheta_g, the [W_a | W_b] block of
+    dtheta_g alone, each starting on a cache line like the slots. Both are
+    held as the C-order (q+m+1) x q views `_ab_rows` gives, `theta_tilde_ab`
+    and `dtheta_g`, so that stage 7 writes dtheta_g as the one outer product
+    v a^T and stage 9 adds it into theta_tilde's [W_a | W_b] rows."""
 
     def __init__(self, dims: RnnDims):
         super().__init__(dims)
-        n_wa, b_end = dims.n_wa, dims.n_wa + dims.n_wb
-        self.dtheta_g = _aligned_empty(dims.n_params)
-        self.dtheta_g[b_end:] = 0.0
         self.theta_tilde = _aligned_empty(dims.n_params)
-        self.dtheta_g_a = self.dtheta_g[:n_wa].reshape(dims.q, dims.q)
-        self.dtheta_g_b = self.dtheta_g[n_wa:b_end].reshape(dims.m + 1, dims.q)
+        self.theta_tilde_ab = _ab_rows(self.theta_tilde, dims)
+        self.dtheta_g = _ab_rows(_aligned_empty(dims.n_ab), dims)
 
 
 def init_memory(dims: RnnDims) -> UoroMemory:
@@ -233,7 +237,7 @@ def delta_theta(e: np.ndarray, x_next: np.ndarray, dims: RnnDims) -> np.ndarray:
             f"got {e.shape} and {x_next.shape}"
         )
     out = np.zeros(dims.n_params)
-    out[dims.n_wa + dims.n_wb :] = np.outer(-e, x_next).ravel(order="F")
+    _c_rows(out, dims)[...] = np.multiply.outer(x_next, -e)
     return out
 
 
@@ -246,9 +250,9 @@ def delta_theta_g(
 ) -> np.ndarray:
     """Sign-weighted row of the state map's parameter Jacobian.
 
-    With a = nu * tanh'(z) (elementwise), the W_a block is the column-major
-    flatten of a x^T, the W_b block that of a u^T, and the W_c block is
-    zero. Equivalently this is nu^T d(tanh(W_a x + W_b u))/d theta.
+    With a = nu * tanh'(z) (elementwise) and the stacked input v = [x; u],
+    the [W_a | W_b] block is a v^T (placed by `_ab_rows`) and the W_c block
+    is zero. Equivalently this is nu^T d(tanh(W_a x + W_b u))/d theta.
 
     Args:
         nu: sign vector in {-1, +1}^q.
@@ -268,17 +272,15 @@ def delta_theta_g(
             f"got {x.shape} and {u.shape}"
         )
     a = nu * tanh_prime(z)
-    out = np.empty(dims.n_params)
-    out[: dims.n_wa] = np.outer(a, x).ravel(order="F")
-    out[dims.n_wa : dims.n_wa + dims.n_wb] = np.outer(a, u).ravel(order="F")
-    out[dims.n_wa + dims.n_wb :] = 0.0
+    out = np.zeros(dims.n_params)
+    _ab_rows(out, dims)[...] = np.multiply.outer(np.concatenate((x, u)), a)
     return out
 
 
 def delta_theta_g_norm(a: np.ndarray, x: np.ndarray, u: np.ndarray) -> float:
     """Norm of `delta_theta_g` in closed form, without forming it.
 
-    Its W_a and W_b blocks are a x^T and a u^T, so the norm is
+    Its [W_a | W_b] block is a [x; u]^T, so the norm is
     ||a|| * sqrt(||x||^2 + ||u||^2). Since nu is +-1, ||a|| = ||tanh'(z)||,
     and `a` may be tanh'(z) itself.
 
@@ -396,11 +398,11 @@ def uoro_step(
     x_fwd = (shifted - x_next) / EPS_PROP
 
     # 7-8. rho1 comes first, from the closed-form norm of dtheta_g, so
-    # that stage 7 writes dtheta_g / rho1 directly: the W_a and W_b blocks
-    # are the C-order outer products x a^T and u a^T of the q-vector
-    # a = (nu / rho1) * tanh'(z), which are the column-major a x^T and
-    # a u^T; the W_c block is the workspace's zeros. tanh'(z) is
-    # 1 - x_next^2, from the tanh the forward pass took. Numpy scalars keep
+    # that stage 7 writes dtheta_g / rho1 directly, as the outer product
+    # v a^T of the stacked input v = [x; u] and the q-vector
+    # a = (nu / rho1) * tanh'(z) into the `_ab_rows` view of the
+    # [W_a | W_b] block; its W_c block is zero and is not formed. tanh'(z)
+    # is 1 - x_next^2, from the tanh the forward pass took. Numpy scalars keep
     # a zero denominator (EPS_NORM = 0) an inf or a NaN that the checks
     # below report, as np.linalg.norm did.
     eps = EPS_NORM
@@ -413,16 +415,17 @@ def uoro_step(
         raise NonFiniteError("rho0")
     if not math.isfinite(rho1):
         raise NonFiniteError("rho1")
-    a = (nu / rho1) * d
-    np.multiply.outer(x, a, out=workspace.dtheta_g_a)
-    np.multiply.outer(u, a, out=workspace.dtheta_g_b)
+    v = np.concatenate((x, u), out=workspace.v)
+    np.multiply.outer(v, (nu / rho1) * d, out=workspace.dtheta_g)
 
-    # 9. memory update, theta_tilde scaled by the reciprocal of rho0
+    # 9. memory update, theta_tilde scaled by the reciprocal of rho0;
+    # dtheta_g is added into the [W_a | W_b] rows only, since its W_c block
+    # is zero.
     inv_rho0 = 1.0 / rho0
     x_tilde = rho0 * x_fwd + rho1 * nu
     theta_tilde = np.multiply(memory.theta_tilde, inv_rho0,
                               out=workspace.theta_tilde)
-    theta_tilde += workspace.dtheta_g
+    workspace.theta_tilde_ab += workspace.dtheta_g
     if not np.isfinite(x_tilde).all():
         raise NonFiniteError("x_tilde")
     if not (

@@ -109,6 +109,15 @@ def test_run_command_rejects_unknown_config_key(dataset):
     assert not (dataset / "out").exists()
 
 
+@pytest.mark.parametrize("field", ["n_cv", "n_test"])
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_run_command_rejects_non_integer_run_counts(dataset, field, value):
+    config = _write_config(dataset, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} takes integers >= 1"):
+        main(["run", "--config", str(config)])
+    assert not (dataset / "out").exists()
+
+
 def test_config_file_keys_pass_through_to_experiment_config(dataset):
     config = _write_config(dataset, horizons_s=[2.5], max_horizon_s=3.0,
                            save_loss_traces=True)

@@ -182,6 +182,24 @@ def test_config_rejects_empty_horizons_and_bad_counts(tmp_path):
         _config("uoro", tmp_path, grid={"eta": ()})
 
 
+@pytest.mark.parametrize("field", ["n_cv", "n_test"])
+@pytest.mark.parametrize(
+    "value",
+    # 2.5 used to fail in range() at the first run, True to mean one run,
+    # and "3" to fail with a TypeError from <.
+    [2.5, 3.0, True, False, "3", 0, -2, None],
+)
+def test_config_run_counts_must_be_integers_at_least_one(tmp_path, field, value):
+    message = re.escape(f"{field} takes integers >= 1, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        _config("uoro", tmp_path, **{field: value})
+
+
+def test_config_run_counts_accept_numpy_integers(tmp_path):
+    cfg = _config("uoro", tmp_path, n_cv=np.int64(3), n_test=np.int32(1))
+    assert (cfg.n_cv, cfg.n_test) == (3, 1)
+
+
 @pytest.mark.parametrize(
     "algorithm, grid, missing, unknown",
     [

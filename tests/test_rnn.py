@@ -10,7 +10,11 @@ from hypothesis.extra.numpy import arrays
 from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
+    RnnParams,
     Workspace,
+    _ab_diagonal,
+    _ab_rows,
+    _c_rows,
     _norm,
     clip_gradient,
     flatten_params,
@@ -21,6 +25,8 @@ from markerpred.rnn import (
     tanh_prime,
     unflatten_params,
 )
+from markerpred.rtrl import RtrlWorkspace
+from markerpred.uoro import UoroWorkspace
 
 
 def test_param_count_formula():
@@ -336,6 +342,72 @@ def test_flatten_unflatten_roundtrip():
     assert np.array_equal(back.w_a, params.w_a)
     assert np.array_equal(back.w_b, params.w_b)
     assert np.array_equal(back.w_c, params.w_c)
+
+
+def _sentinel_params(dims):
+    """W_a, W_b, W_c whose entries are distinct and non-zero."""
+    q, m, p = dims.q, dims.m, dims.p
+    values = np.arange(1.0, dims.n_params + 1)
+    return RnnParams(
+        w_a=values[: q * q].reshape(q, q),
+        w_b=values[q * q : dims.n_ab].reshape(q, m + 1),
+        w_c=values[dims.n_ab :].reshape(p, q),
+    )
+
+
+def _row_of_influence(params, i):
+    """flatten_params of params with every weight zeroed except row i of
+    W_a and W_b: row i of the state map's parameter Jacobian, in shape."""
+    keep = (np.arange(params.w_a.shape[0]) == i)[:, None]
+    return flatten_params(RnnParams(w_a=params.w_a * keep,
+                                    w_b=params.w_b * keep,
+                                    w_c=0.0 * params.w_c))
+
+
+_odd = st.integers(0, 4).map(lambda i: 2 * i + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=_odd, m=_odd, p=_odd)
+def test_layout_views_address_the_entries_unflatten_params_maps(q, m, p):
+    # Sentinel matrices written in through the views must land where
+    # flatten_params puts them and read back unchanged, in a bare vector
+    # and in every workspace buffer that holds the views.
+    dims = RnnDims(q=q, m=m, p=p)
+    params = _sentinel_params(dims)
+    w_ab = np.hstack((params.w_a, params.w_b))
+    theta = flatten_params(params)
+    influence = np.stack([_row_of_influence(params, i) for i in range(q)])
+
+    written = np.zeros(dims.n_params)
+    _ab_rows(written, dims)[...] = w_ab.T
+    _c_rows(written, dims)[...] = params.w_c.T
+    assert np.array_equal(written, theta)
+    back = unflatten_params(theta, dims)
+    assert np.array_equal(_ab_rows(theta, dims), w_ab.T)
+    assert np.array_equal(_c_rows(theta, dims), params.w_c.T)
+    assert np.array_equal(np.hstack((back.w_a, back.w_b)), w_ab)
+    assert np.array_equal(back.w_c, params.w_c)
+    matrix = np.zeros((q, dims.n_params))
+    _ab_diagonal(matrix, dims)[...] = w_ab
+    assert np.array_equal(matrix, influence)
+    assert np.array_equal(_ab_diagonal(influence, dims), w_ab)
+
+    uoro, rtrl = UoroWorkspace(dims), RtrlWorkspace(dims)
+    for workspace in (Workspace(dims), uoro, rtrl):
+        for k in (0, 1):
+            weights = workspace.weights[k]
+            for name in ("w_a", "w_b", "w_c"):
+                getattr(weights, name)[...] = getattr(params, name)
+            assert np.array_equal(workspace.grad[k], theta)
+            assert np.array_equal(workspace.grad_wc[k], params.w_c.T)
+    uoro.theta_tilde[...] = theta
+    assert np.array_equal(uoro.theta_tilde_ab, w_ab.T)
+    assert uoro.dtheta_g.shape == w_ab.T.shape
+    for k in (0, 1):
+        rtrl.influence[k][...] = 0.0
+        rtrl.diagonals[k][...] = w_ab
+        assert np.array_equal(rtrl.influence[k], influence)
 
 
 def test_unflatten_rejects_wrong_length():

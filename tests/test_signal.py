@@ -1,7 +1,9 @@
 """Tests for record ingestion, normalization, windowing, and partitions."""
 
 import json
+import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +69,35 @@ def test_load_record_reads_manifest(tmp_path):
     assert record.label == "patient-1"
     assert record.breathing_class == "irregular"
     assert record.sample_period == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize(
+    "rate_hz",
+    # 0 used to raise ZeroDivisionError, -10 to warn of jitter first and
+    # then fail without the file name, Infinity to report "got 0.0" and
+    # "ten" to fail in float() without the file name.
+    [0, 0.0, -10, float("inf"), float("-inf"), float("nan"), "ten", "10",
+     True, [10]],
+)
+def test_load_record_rejects_bad_manifest_rate(tmp_path, rate_hz):
+    csv_path = tmp_path / "seq.csv"
+    _write_csv(csv_path, n_steps=100)
+    manifest = tmp_path / "seq.json"
+    manifest.write_text(json.dumps({"rate_hz": rate_hz}))
+    message = re.escape(
+        f"{manifest}: rate_hz must be a finite number > 0, got {rate_hz!r}"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            load_record(csv_path)
+
+
+def test_load_record_accepts_integer_manifest_rate(tmp_path):
+    csv_path = tmp_path / "seq.csv"
+    _write_csv(csv_path, n_steps=100)
+    (tmp_path / "seq.json").write_text(json.dumps({"rate_hz": 10}))
+    assert load_record(csv_path).sample_period == 0.1
 
 
 def test_load_record_nan_row_names_line(tmp_path):

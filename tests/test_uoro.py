@@ -118,7 +118,7 @@ def test_delta_theta_finite_difference():
     eps = 1e-6
     fd = np.zeros(dims.n_params)
     theta = flatten_params(params)
-    for c in range(dims.n_wa + dims.n_wb, dims.n_params):
+    for c in range(dims.n_ab, dims.n_params):
         for sign, bucket in ((1.0, 0), (-1.0, 1)):
             shifted = theta.copy()
             shifted[c] += sign * eps
@@ -127,7 +127,7 @@ def test_delta_theta_finite_difference():
             fd[c] += (value if bucket == 0 else -value)
         fd[c] /= 2 * eps
     assert np.linalg.norm(got - fd) <= 1e-6 * np.linalg.norm(fd)
-    assert np.array_equal(got[: dims.n_wa + dims.n_wb], np.zeros(dims.n_wa + dims.n_wb))
+    assert np.array_equal(got[: dims.n_ab], np.zeros(dims.n_ab))
 
 
 def test_delta_theta_shape_mismatch():
@@ -714,20 +714,28 @@ def test_uoro_step_rejects_workspace_of_another_shape():
                   workspace=UoroWorkspace(other))
 
 
-def test_workspace_dtheta_g_wc_block_stays_positive_zero():
-    # The workspace zeroes dtheta_g's W_c block once and no step writes it;
-    # it must stay +0.0, or theta_tilde's W_c block (and with it the
-    # gradient) would drift from the pure step's.
+def test_learner_theta_tilde_wc_block_stays_positive_zero():
+    # dtheta_g has no W_c block, so the step adds it into theta_tilde's
+    # [W_a | W_b] rows alone. theta_tilde's W_c block must therefore stay
+    # the +0.0 of init_memory (+0.0 * (1 / rho0)), as adding the zero block
+    # kept it, and the learner chain must stay the pure chain.
     dims, params, x, u, y_star, rng = _instance(q=6, m=9, p=4)
     workspace = UoroWorkspace(dims)
-    wc_block = workspace.dtheta_g[dims.n_wa + dims.n_wb :]
     memory, hyper = init_memory(dims), _hyper(dims)
+    pure_params, pure_x, pure_memory = params, x, memory
     data = np.random.default_rng(8)
     for _ in range(300):
         u[1:] = data.standard_normal(dims.m)
-        out = uoro_step(params, x, memory, u, data.standard_normal(dims.p),
-                        hyper, rng, workspace=workspace)
+        y_star = data.standard_normal(dims.p)
+        nu = 2.0 * rng.integers(0, 2, size=dims.q) - 1.0
+        out = uoro_step(params, x, memory, u, y_star, hyper, rng, nu=nu,
+                        workspace=workspace)
+        pure = uoro_step(pure_params, pure_x, pure_memory, u, y_star, hyper,
+                         rng, nu=nu)
+        _assert_same_step(out, pure)
         params, x, memory = out.params, out.x, out.memory
+        pure_params, pure_x, pure_memory = pure.params, pure.x, pure.memory
+        wc_block = memory.theta_tilde[dims.n_ab :]
         assert not wc_block.any() and not np.signbit(wc_block).any()
     assert memory.theta_tilde is workspace.theta_tilde
 
