@@ -445,11 +445,11 @@ def _online_learner(
         )
         nu_rng = np.random.default_rng([seed, 1])
         workspace = UoroWorkspace(dims)
-        signs, n_used = np.empty((0, dims.q)), 0
+        signs, n_used = None, _SIGN_BLOCK
 
         def step(u, y_star):
             nonlocal params, x, memory, signs, n_used
-            if n_used == len(signs):
+            if n_used == _SIGN_BLOCK:
                 signs = 2.0 * nu_rng.integers(0, 2, size=(_SIGN_BLOCK, dims.q)) - 1.0
                 n_used = 0
             result = uoro_step(params, x, memory, u, y_star, uoro_hyper, nu_rng,

@@ -29,10 +29,12 @@ A step runs on an `RtrlWorkspace`, the per-run plan of the step: the two
 slots of `Workspace`, each with an influence buffer and its
 `_ab_diagonal` view, which recursion (i) adds d v^T into. The step writes
 the new influence, the gradient and then the new weights into the slot the
-current weights are not in, as `uoro_step` does. A learner allocates one
-workspace per run; called without one, `rtrl_step` builds a fresh one, so
-it writes to none of its inputs, and the two calls run one body. As in
-UORO, the first step must be given `init_params`' C-order matrices
+current weights are not in, as `uoro_step` does, and like it calls
+`rnn.forward` but runs the loss and `grad_x_loss` inline and updates the
+weights with one subtraction over the flat slot once they are the
+workspace's own. A learner allocates one workspace per run; called without
+one, `rtrl_step` builds a fresh one, so it writes to none of its inputs,
+and the two calls run one body. As in UORO, the first step must be given `init_params`' C-order matrices
 themselves, since a matrix-vector product over a column-major matrix
 rounds differently.
 """
@@ -50,13 +52,10 @@ from markerpred.rnn import (
     RnnParams,
     Workspace,
     _ab_diagonal,
-    _norm,
     forward,
-    loss,
     sgd_update,
     tanh_prime,
 )
-from markerpred.uoro import grad_x_loss
 
 __all__ = [
     "RtrlStepResult",
@@ -68,7 +67,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RtrlStepResult:
     params: RnnParams
     x: np.ndarray
@@ -157,24 +156,28 @@ def rtrl_step(
 
     Raises:
         ValueError: eta < 0 or tau <= 0 (from `sgd_update`), or the
-            workspace or influence does not fit the network.
+            workspace, influence, x, u or y_star does not fit the network.
         NonFiniteError: names the first non-finite quantity (loss,
             influence, or gradient).
     """
     if workspace is None:
         # Fresh buffers: the step writes to none of its inputs.
         workspace = RtrlWorkspace(params.dims)
-    k = workspace.slot(params)
+    k, theta = workspace.slot(params, x, u, y_star)
     dims = workspace.dims
     if influence.shape != (dims.q, dims.n_params):
         raise ValueError(
             f"influence has shape {influence.shape}, "
             f"expected ({dims.q}, {dims.n_params})"
         )
+    w_a, w_c = params.w_a, params.w_c
     new_influence, diagonal = workspace.influence[k], workspace.diagonals[k]
 
+    # Forward pass, then `loss`.
     cache = forward(params, x, u)
-    e, loss_value = loss(cache.y, y_star)
+    x_next, y = cache.x_next, cache.y
+    e = y_star - y
+    loss_value = 0.5 * float(e.dot(e))
     if not math.isfinite(loss_value):
         raise NonFiniteError("loss")
 
@@ -183,24 +186,24 @@ def rtrl_step(
     # d(state map)/dtheta term d v^T is added in place through the view of
     # the entries `jac_state_theta` fills, instead of as a dense q x |W|
     # matrix.
-    d = 1.0 - cache.x_next * cache.x_next
-    np.matmul(d[:, None] * params.w_a, influence, out=new_influence)
+    d = 1.0 - x_next * x_next
+    np.matmul(d[:, None] * w_a, influence, out=new_influence)
     diagonal += np.multiply.outer(d, np.concatenate((x, u), out=workspace.v))
 
-    # delta_theta is non-zero only in the W_c block, so it is added into
-    # that block alone (`grad_wc`, W_c transposed), as uoro_step does.
-    # Adding the dense vector would turn a -0.0 in the W_a/W_b blocks into
-    # +0.0; the two differ only for a weight that is exactly -0.0.
-    grad = np.matmul(grad_x_loss(e, params.w_c), new_influence,
-                     out=workspace.grad[k])
+    # The row vector is `grad_x_loss`. delta_theta is non-zero only in the
+    # W_c block, so it is added into that block alone (`grad_wc`, W_c
+    # transposed) by subtracting x_next e^T, as uoro_step does. Adding the
+    # dense vector would turn a -0.0 in the W_a/W_b blocks into +0.0; the
+    # two differ only for a weight that is exactly -0.0.
+    grad = np.matmul(-(e @ w_c), new_influence, out=workspace.grad[k])
     grad_wc = workspace.grad_wc[k]
-    grad_wc += np.multiply.outer(cache.x_next, -e)
+    grad_wc -= np.multiply.outer(x_next, e)
 
     # A non-finite influence entry makes its column of the gradient
     # non-finite, even under a zero multiplier (0 * inf is NaN), so a finite
     # gradient norm proves the influence finite; only a non-finite norm,
     # which the squares' overflow alone can cause, calls for the scans.
-    grad_norm = _norm(grad)
+    grad_norm = math.sqrt(grad.dot(grad))
     if not math.isfinite(grad_norm):
         if not np.isfinite(new_influence).all():
             raise NonFiniteError("influence")
@@ -208,12 +211,6 @@ def rtrl_step(
             raise NonFiniteError("gradient")
 
     new_params = sgd_update(params, grad, grad_norm, eta, tau,
-                            workspace.weights[k])
+                            workspace.weights[k], theta)
 
-    return RtrlStepResult(
-        params=new_params,
-        x=cache.x_next,
-        influence=new_influence,
-        y=cache.y,
-        loss=loss_value,
-    )
+    return RtrlStepResult(new_params, x_next, new_influence, y, loss_value)

@@ -17,6 +17,7 @@ fitted, so predictions can always be mapped back to millimeters.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -84,8 +85,10 @@ class MarkerRecord:
             raise ValueError(
                 f"positions must have shape (T, n_M, 3), got {self.positions.shape}"
             )
-        if not self.sample_period > 0:
-            raise ValueError(f"sample_period must be > 0, got {self.sample_period}")
+        if not (self.sample_period > 0 and math.isfinite(self.sample_period)):
+            raise ValueError(
+                f"sample_period must be finite and > 0, got {self.sample_period}"
+            )
         if not np.isfinite(self.positions).all():
             raise ValueError("positions contain non-finite values")
         if self.breathing_class not in BREATHING_CLASSES:
@@ -181,7 +184,8 @@ def load_record(
         ValueError: empty file, wrong column count, non-numeric or
             non-finite cell, or non-increasing time stamps, each reported
             with its 1-based file line number; or a manifest rate_hz that
-            is not a finite number > 0, reported with the manifest path.
+            is not a finite number > 0 with a finite reciprocal, reported
+            with the manifest path.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -236,15 +240,18 @@ def load_record(
         breathing_class = manifest.get("breathing_class", breathing_class)
         rate_hz = manifest.get("rate_hz")
     if rate_hz is not None:
-        if not (
-            isinstance(rate_hz, numbers.Real) and not isinstance(rate_hz, bool)
-            and math.isfinite(rate_hz) and rate_hz > 0
-        ):
+        # The rate must have a finite reciprocal > 0: that rules out a rate
+        # <= 0, inf and NaN, a rate so small that 1 / rate overflows, and
+        # an integer beyond the float range, which has no float reciprocal.
+        sample_period = math.nan
+        if isinstance(rate_hz, numbers.Real) and not isinstance(rate_hz, bool):
+            with contextlib.suppress(ZeroDivisionError, OverflowError):
+                sample_period = 1.0 / float(rate_hz)
+        if not (math.isfinite(sample_period) and sample_period > 0):
             raise ValueError(
                 f"{manifest_path}: rate_hz must be a finite number > 0, "
                 f"got {rate_hz!r}"
             )
-        sample_period = 1.0 / rate_hz
     elif len(t) > 1:
         sample_period = float(np.median(np.diff(t)))
     else:

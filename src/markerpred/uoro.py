@@ -49,17 +49,31 @@ The closed forms `delta_theta`, `delta_theta_g`, `delta_theta_g_norm` and
 `tangent_propagate` are the tested reference: the tests check them against
 finite differences, brute-force Jacobians and the norm of the formed
 vector, and compose them into a step that `uoro_step` must match bit for
-bit. `uoro_step` runs the same arithmetic in the same order but calls only
-`delta_theta_g_norm`, whose inputs are short vectors, so that it makes
-fewer passes over the |W|-length vectors: it adds the direct gradient into
-the W_c block alone, writes dtheta_g / rho1 in place as its [W_a | W_b]
-block alone and adds it into theta_tilde's [W_a | W_b] rows (theta_tilde's
-W_c block is only scaled; from `init_memory` on it is +0.0, as adding the
-zero block would leave it), shares
-W_b u between stages 1 and 6, takes tanh'(z) as 1 - x_next^2, computes each
-norm once, and checks the gradient and the new theta_tilde for finiteness
-through norms it already has, scanning an array only when such a norm is
-not finite.
+bit. `uoro_step` runs the same arithmetic in the same order as one body
+that calls one helper per step, `rnn.forward`: the operations of
+`rnn.loss`, `grad_x_loss` and `delta_theta_g_norm` are written inline, so
+that a step pays the dispatch of each numpy operation only, which at small
+q is most of its cost. The forward pass stays a call, and its `StepCache`
+the one object a step builds besides its result, because perfbench's
+tracer times the forward pass as its own layer through that call. The
+step makes fewer passes over the |W|-length vectors: it adds the direct
+gradient into the W_c block alone, its only non-zero block, by
+subtracting x_next e^T from W_c transposed, writes dtheta_g / rho1 in
+place as its [W_a | W_b] block alone and adds it into theta_tilde's
+[W_a | W_b] rows (theta_tilde's W_c block is only scaled; from
+`init_memory` on it is +0.0, as adding the zero block would leave it),
+shares W_b u between stages 1 and 6, takes tanh'(z) as
+1 - x_next^2, computes each norm once, and checks the gradient, x_tilde and
+the new theta_tilde for finiteness through norms it already has (or, for
+x_tilde, its squared norm), scanning an array only when such a norm is
+not finite. The normalizers of stage 8 are Python floats: math.sqrt and
+float division round as numpy's float64 scalars do (both are IEEE
+operations, correctly rounded), and ||nu|| is sqrt(q) because nu is +-1,
+so sum(nu * nu) is exactly q. The one difference is a zero denominator,
+possible only with EPS_NORM = 0: numpy gave an infinity or NaN where a
+Python float raises ZeroDivisionError, so the step reports there the
+non-finite quantity the numpy form led to (rho0, or theta_tilde for a
+zero rho) without dividing.
 
 The guard eps of step 8 and the finite-difference step eps of step 6 are
 the module constants EPS_NORM and EPS_PROP, which `uoro_step` reads on
@@ -67,19 +81,24 @@ every call.
 
 A step runs on a `UoroWorkspace`, the per-run plan of the step: the
 buffers (two gradient slots, theta_tilde, the [W_a | W_b] block of
-dtheta_g, the stacked input v) and every view of them the step uses, each
-built by the `rnn` helpers that define the flat layout, so the step does
-only the arithmetic and never indexes the layout itself. It
-writes the gradient and then the new weights into the slot the current
-weights are not in (see `Workspace`). A learner allocates one workspace
-per run and feeds the returned params and memory, which live in it, back
-into the next step. Called without one, `uoro_step` builds a fresh
-workspace, so it writes to none of its inputs and returns fresh arrays;
-the two calls run one body and are bit-identical. The new weights are
-column-major views of a flat buffer either way. The first step must be
-given `init_params`' C-order matrices themselves, not a column-major copy:
-a matrix-vector product over a column-major matrix rounds differently, so
-only the original layout reproduces the pure chain bit for bit.
+dtheta_g, the stacked input v, and one x_tilde per slot) and every view
+and object of them the step uses, each built by the `rnn` helpers that
+define the flat layout, so the step does only the arithmetic and never
+indexes the layout itself. It writes the gradient and then the new
+weights, and x_tilde, into the slot the current weights are not in (see
+`Workspace`), and returns that slot's `UoroMemory`, built with the
+workspace, so a step builds two objects only, the `StepCache` of
+`rnn.forward` and its result. A learner allocates one workspace per run
+and feeds the returned params and memory,
+which live in it, back into the next step; the memory a step returns is
+valid until the next step, which scales theta_tilde in place. Called
+without one, `uoro_step` builds a fresh workspace, so it writes to none
+of its inputs and returns fresh arrays; the two calls run one body and
+are bit-identical. The new weights are column-major views of a flat
+buffer either way. The first step must be given `init_params`' C-order
+matrices themselves, not a column-major copy: a matrix-vector product
+over a column-major matrix rounds differently, so only the original
+layout reproduces the pure chain bit for bit.
 
 Stage 5 draws its signs from `rng`, q at a time, unless the caller passes
 them as `nu`. A learner draws them ahead in blocks, as
@@ -104,9 +123,7 @@ from markerpred.rnn import (
     _ab_rows,
     _aligned_empty,
     _c_rows,
-    _finite_norm,
     forward,
-    loss,
     sgd_update,
     tanh_prime,
 )
@@ -169,7 +186,7 @@ class UoroHyper:
             raise ValueError(f"all hyperparameters must be positive, got {self}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UoroStepResult:
     params: RnnParams
     x: np.ndarray
@@ -184,13 +201,20 @@ class UoroWorkspace(Workspace):
     dtheta_g alone, each starting on a cache line like the slots. Both are
     held as the C-order (q+m+1) x q views `_ab_rows` gives, `theta_tilde_ab`
     and `dtheta_g`, so that stage 7 writes dtheta_g as the one outer product
-    v a^T and stage 9 adds it into theta_tilde's [W_a | W_b] rows."""
+    v a^T and stage 9 adds it into theta_tilde's [W_a | W_b] rows. Slot k
+    also has the memory a step into it returns, `memory[k]`: its own
+    x_tilde and the shared theta_tilde. `nu_norm` is ||nu|| = sqrt(q)."""
 
     def __init__(self, dims: RnnDims):
         super().__init__(dims)
         self.theta_tilde = _aligned_empty(dims.n_params)
         self.theta_tilde_ab = _ab_rows(self.theta_tilde, dims)
         self.dtheta_g = _ab_rows(_aligned_empty(dims.n_ab), dims)
+        self.memory = tuple(
+            UoroMemory(x_tilde=np.empty(dims.q), theta_tilde=self.theta_tilde)
+            for _ in range(2)
+        )
+        self.nu_norm = math.sqrt(dims.q)
 
 
 def init_memory(dims: RnnDims) -> UoroMemory:
@@ -348,9 +372,9 @@ def uoro_step(
             docstring): a learner passes the rows of the signs it drew in
             blocks, and estimator tests resample or mirror nu explicitly.
         workspace: buffers to step in place, as a learner does: the new
-            weights and theta_tilde are written into it, and `params` and
-            `memory` may be the ones it returned last step. Without it,
-            the step builds a fresh one, so every |W|-length result is a
+            weights, x_tilde and theta_tilde are written into it, and
+            `params` and `memory` may be the ones it returned last step.
+            Without it, the step builds a fresh one, so every result is a
             fresh array and no input is written to. After a step raises,
             the workspace holds no usable state.
 
@@ -360,6 +384,8 @@ def uoro_step(
         are fresh arrays either way.
 
     Raises:
+        ValueError: x, u, y_star or nu, or the workspace, does not fit
+            the network.
         NonFiniteError: a NaN or infinity appeared; the message names the
             first affected quantity (loss, gradient, normalizers, or the
             updated memory).
@@ -367,50 +393,62 @@ def uoro_step(
     if workspace is None:
         # Fresh buffers: the step writes to none of its inputs.
         workspace = UoroWorkspace(params.dims)
-    k = workspace.slot(params)
-    q = workspace.dims.q
+    k, theta = workspace.slot(params, x, u, y_star)
+    x_tilde, theta_tilde = memory.x_tilde, memory.theta_tilde
 
-    # 1-2. The forward pass's W_b u is reused in stage 6.
+    # 1-2. forward pass, then `loss`; W_b u is reused in stage 6.
     cache = forward(params, x, u)
-    x_next = cache.x_next
-    e, loss_value = loss(cache.y, y_star)
+    x_next, y = cache.x_next, cache.y
+    e = y_star - y
+    loss_value = 0.5 * float(e.dot(e))
     if not math.isfinite(loss_value):
         raise NonFiniteError("loss")
 
-    # 3-4. delta_theta is non-zero only in the W_c block, so it is added
-    # into that block alone (`grad_wc`, W_c transposed).
-    grad = np.multiply(
-        grad_x_loss(e, params.w_c) @ memory.x_tilde, memory.theta_tilde,
-        out=workspace.grad[k],
-    )
+    # 3-4. The scalar is `grad_x_loss` . x_tilde. delta_theta is non-zero
+    # only in the W_c block, -e x_next^T, so it is added into that block
+    # alone (`grad_wc`, W_c transposed) by subtracting x_next e^T, which
+    # gives the bits of adding x_next (-e)^T. A finite norm proves every
+    # entry finite; only a non-finite one, which the squares' overflow
+    # alone can cause, calls for the scan.
+    grad = np.multiply(-(e @ params.w_c) @ x_tilde, theta_tilde,
+                       out=workspace.grad[k])
     grad_wc = workspace.grad_wc[k]
-    grad_wc += np.multiply.outer(x_next, -e)
-    grad_norm = _finite_norm(grad, "gradient")
+    grad_wc -= np.multiply.outer(x_next, e)
+    grad_norm = math.sqrt(grad.dot(grad))
+    if not math.isfinite(grad_norm) and not np.isfinite(grad).all():
+        raise NonFiniteError("gradient")
 
     # 5. sign draw
     if nu is None:
-        nu = 2.0 * rng.integers(0, 2, size=q) - 1.0
-    elif nu.shape != (q,):
-        raise ValueError(f"nu has shape {nu.shape}, expected ({q},)")
+        nu = 2.0 * rng.integers(0, 2, size=x_next.size) - 1.0
+    elif nu.shape != x_next.shape:
+        raise ValueError(f"nu has shape {nu.shape}, expected {x_next.shape}")
 
     # 6. tangent propagation
-    shifted = np.tanh(params.w_a @ (x + EPS_PROP * memory.x_tilde) + cache.wb_u)
+    shifted = np.tanh(params.w_a @ (x + EPS_PROP * x_tilde) + cache.wb_u)
     x_fwd = (shifted - x_next) / EPS_PROP
 
-    # 7-8. rho1 comes first, from the closed-form norm of dtheta_g, so
-    # that stage 7 writes dtheta_g / rho1 directly, as the outer product
-    # v a^T of the stacked input v = [x; u] and the q-vector
-    # a = (nu / rho1) * tanh'(z) into the `_ab_rows` view of the
-    # [W_a | W_b] block; its W_c block is zero and is not formed. tanh'(z)
-    # is 1 - x_next^2, from the tanh the forward pass took. Numpy scalars keep
-    # a zero denominator (EPS_NORM = 0) an inf or a NaN that the checks
-    # below report, as np.linalg.norm did.
+    # 7-8. rho1 comes first, from the closed-form norm of dtheta_g
+    # (`delta_theta_g_norm` with a = tanh'(z), which is 1 - x_next^2, from
+    # the tanh the forward pass took), so that stage 7 writes dtheta_g /
+    # rho1 directly, as the outer product v a^T of the stacked input
+    # v = [x; u] and the q-vector a = (nu / rho1) * tanh'(z) into the
+    # `_ab_rows` view of the [W_a | W_b] block; its W_c block is zero and is
+    # not formed. The normalizers are Python floats, with ||nu|| = sqrt(q).
     eps = EPS_NORM
     d = 1.0 - x_next * x_next
-    theta_tilde_norm = math.sqrt(memory.theta_tilde.dot(memory.theta_tilde))
-    dtheta_g_norm = delta_theta_g_norm(d, x, u)
-    rho0 = np.sqrt(theta_tilde_norm / (np.sqrt(x_fwd.dot(x_fwd)) + eps)) + eps
-    rho1 = np.sqrt(dtheta_g_norm / (np.sqrt(nu.dot(nu)) + eps)) + eps
+    d_norm = math.sqrt(d.dot(d))
+    if d_norm == 0.0 and np.isfinite(x).all() and np.isfinite(u).all():
+        dtheta_g_norm = 0.0
+    else:
+        dtheta_g_norm = d_norm * math.sqrt(x.dot(x) + u.dot(u))
+    theta_tilde_norm = math.sqrt(theta_tilde.dot(theta_tilde))
+    fwd_norm = math.sqrt(x_fwd.dot(x_fwd)) + eps
+    if not fwd_norm:
+        # Only with EPS_NORM = 0: numpy's quotient was an inf or a NaN.
+        raise NonFiniteError("rho0")
+    rho0 = math.sqrt(theta_tilde_norm / fwd_norm) + eps
+    rho1 = math.sqrt(dtheta_g_norm / (workspace.nu_norm + eps)) + eps
     if not math.isfinite(rho0):
         raise NonFiniteError("rho0")
     if not math.isfinite(rho1):
@@ -418,30 +456,31 @@ def uoro_step(
     v = np.concatenate((x, u), out=workspace.v)
     np.multiply.outer(v, (nu / rho1) * d, out=workspace.dtheta_g)
 
-    # 9. memory update, theta_tilde scaled by the reciprocal of rho0;
-    # dtheta_g is added into the [W_a | W_b] rows only, since its W_c block
-    # is zero.
-    inv_rho0 = 1.0 / rho0
-    x_tilde = rho0 * x_fwd + rho1 * nu
-    theta_tilde = np.multiply(memory.theta_tilde, inv_rho0,
-                              out=workspace.theta_tilde)
-    workspace.theta_tilde_ab += workspace.dtheta_g
-    if not np.isfinite(x_tilde).all():
+    # 9. memory update, into this slot's memory: x_tilde, then theta_tilde
+    # scaled by the reciprocal of rho0, with dtheta_g added into its
+    # [W_a | W_b] rows only, since dtheta_g's W_c block is zero.
+    new_memory = workspace.memory[k]
+    new_x_tilde = np.multiply(x_fwd, rho0, out=new_memory.x_tilde)
+    new_x_tilde += rho1 * nu
+    if (not math.isfinite(new_x_tilde.dot(new_x_tilde))
+            and not np.isfinite(new_x_tilde).all()):
         raise NonFiniteError("x_tilde")
+    if not (rho0 and rho1):
+        # Only with EPS_NORM = 0: a zero rho scales theta_tilde or dtheta_g
+        # by an infinity, which leaves no entry of theta_tilde finite.
+        raise NonFiniteError("theta_tilde")
+    inv_rho0 = 1.0 / rho0
+    new_theta_tilde = np.multiply(theta_tilde, inv_rho0,
+                                  out=workspace.theta_tilde)
+    workspace.theta_tilde_ab += workspace.dtheta_g
     if not (
         theta_tilde_norm * inv_rho0 + dtheta_g_norm / rho1 <= _FINITE_BOUND
-        or np.isfinite(theta_tilde).all()
+        or np.isfinite(new_theta_tilde).all()
     ):
         raise NonFiniteError("theta_tilde")
 
     # 10. clipped SGD
     new_params = sgd_update(params, grad, grad_norm, hyper.eta, hyper.tau,
-                            workspace.weights[k])
+                            workspace.weights[k], theta)
 
-    return UoroStepResult(
-        params=new_params,
-        x=x_next,
-        memory=UoroMemory(x_tilde=x_tilde, theta_tilde=theta_tilde),
-        y=cache.y,
-        loss=loss_value,
-    )
+    return UoroStepResult(new_params, x_next, new_memory, y, loss_value)

@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from markerpred.harness import (
 )
 from markerpred.baselines import lms_step, no_prediction
 from markerpred.metrics import MetricSet, ci_per_condition, compute_metrics
-from markerpred.rnn import RnnDims, init_params
+from markerpred.rnn import NonFiniteError, RnnDims, init_params
 from markerpred.rtrl import init_influence, rtrl_step
 from markerpred.signal import (
     MarkerRecord,
@@ -52,7 +53,7 @@ from markerpred.signal import (
     whole_steps,
     write_record,
 )
-from markerpred.uoro import UoroHyper, init_memory, uoro_step
+from markerpred.uoro import UoroHyper, UoroMemory, init_memory, uoro_step
 from test_uoro import _reference_uoro_step
 
 
@@ -544,8 +545,8 @@ def _pure_chain(algorithm, hyper, m, p, seed, tau):
 # q = 7, the pure chain's draw of one step ends inside a 64-bit word of the
 # generator.
 @pytest.mark.parametrize("algorithm, q, L", [
-    ("uoro", 10, 10), ("uoro", 30, 5), ("uoro", 7, 5), ("rtrl", 5, 5),
-    ("rtrl", 8, 3),
+    ("uoro", 10, 10), ("uoro", 30, 5), ("uoro", 7, 5), ("uoro", 1, 1),
+    ("uoro", 50, 10), ("rtrl", 5, 5), ("rtrl", 8, 3),
 ])
 # The shipped clip threshold clips most steps; at eta = 0.01 no gradient
 # norm on this stream comes near 1e3, so nothing is clipped.
@@ -702,6 +703,75 @@ def test_learner_calls_its_kernel_by_name_once_per_step(monkeypatch,
     assert len(calls[f"{algorithm}_step"]) == len(out.losses) > 0
     other = "rtrl_step" if algorithm == "uoro" else "uoro_step"
     assert calls[other] == []
+
+
+@pytest.mark.parametrize("algorithm, q, L, bound", [
+    # UORO: half of one |W|-length vector; RTRL: a quarter of the influence.
+    ("uoro", 90, 90, lambda dims: dims.n_params * 8 // 2),
+    ("rtrl", 25, 25, lambda dims: dims.q * dims.n_params * 8 // 4),
+])
+def test_learner_step_allocates_no_weight_sized_temporary(algorithm, q, L,
+                                                          bound):
+    # After warm-up a learner step writes its |W|-sized results into its
+    # workspace. Its peak allocation (numpy's small-array temporaries and
+    # ufunc buffers) must stay below a fraction of a weight-sized array,
+    # so that any |W|-sized temporary brought back into a step fails here.
+    n_markers = 3
+    dims = RnnDims(q=q, m=3 * n_markers * L, p=3 * n_markers)
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=L, q=q)
+    step = _online_learner(algorithm, hyper, dims.m, dims.p, seed=0)
+    rng = np.random.default_rng(5)
+    inputs = rng.uniform(-1.0, 1.0, size=(8, dims.m + 1))
+    inputs[:, 0] = 1.0
+    targets = rng.uniform(-1.0, 1.0, size=(8, dims.p))
+    for i in range(4):
+        step(inputs[i], targets[i])
+    tracemalloc.start()
+    try:
+        for i in range(4, 8):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            step(inputs[i], targets[i])
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < bound(dims), (i, peak)
+    finally:
+        tracemalloc.stop()
+
+
+def test_zero_normalizer_guard_is_a_nonfinite_rho0_not_a_zero_division(
+    monkeypatch,
+):
+    # With EPS_NORM = 0 the first step's rho0 is 0 / 0: x_tilde starts at
+    # zero, so the tangent x_fwd is exactly zero, as is theta_tilde. The
+    # normalizers are Python floats, which raise ZeroDivisionError where
+    # numpy gave NaN; the step must still report a non-finite rho0.
+    monkeypatch.setattr(uoro, "EPS_NORM", 0.0)
+    record = _quick_record(seed=5)
+    partition = make_partition(record, "online_30_30")
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=3, q=4)
+    out = run_sequence_online("uoro", record, partition, hyper, h=2, seed=0)
+    assert out.diverged and out.diverged_quantity == "rho0"
+    assert out.diverged_at == 0
+
+    dims = RnnDims(q=hyper.q, m=3 * record.n_markers * hyper.L,
+                   p=3 * record.n_markers)
+    u = np.ones(dims.m + 1)
+    uoro_hyper = UoroHyper(eta=0.1, tau=CLIP_TAU, sigma_init=0.02,
+                           L=hyper.L, q=hyper.q)
+    params, x = init_params(dims, 0.02, 0), np.zeros(dims.q)
+    with pytest.raises(NonFiniteError) as info:
+        uoro_step(params, x, init_memory(dims), u, np.zeros(dims.p),
+                  uoro_hyper, np.random.default_rng(0))
+    assert info.value.quantity == "rho0"
+    # A zero theta_tilde beside a non-zero x_tilde makes rho0 itself zero,
+    # and numpy's 1 / rho0 an infinity: the new theta_tilde is reported.
+    memory = UoroMemory(x_tilde=np.ones(dims.q),
+                        theta_tilde=np.zeros(dims.n_params))
+    for step in (uoro_step, _reference_uoro_step):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+            step(params, x, memory, u, np.zeros(dims.p), uoro_hyper,
+                 np.random.default_rng(0))
+        assert info.value.quantity == "theta_tilde"
 
 
 def test_linreg_underdetermined_warning_names_sequence_history_and_horizon():

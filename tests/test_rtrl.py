@@ -428,6 +428,19 @@ def test_rtrl_step_rejects_workspace_of_another_shape():
                   tau=CLIP_TAU, workspace=RtrlWorkspace(other))
 
 
+@pytest.mark.parametrize("bad", ["x", "u", "y_star"])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_rtrl_step_rejects_inputs_of_another_shape(bad, in_place):
+    # A one-entry y_star would broadcast against y without the check.
+    dims, params, x, u, y_star, _ = _instance()
+    args = {"x": x, "u": u, "y_star": y_star}
+    args[bad] = args[bad][:1]
+    kwargs = {"workspace": RtrlWorkspace(dims)} if in_place else {}
+    with pytest.raises(ValueError, match="x, u and y_star have shapes"):
+        rtrl_step(params, args["x"], init_influence(dims), args["u"],
+                  args["y_star"], eta=0.1, tau=CLIP_TAU, **kwargs)
+
+
 def test_learner_steps_alternate_between_the_workspace_slots():
     # Each step writes its influence, gradient and weights into the slot
     # its weights are not in: init_params' are in neither, so the slots run

@@ -93,6 +93,31 @@ def test_load_record_rejects_bad_manifest_rate(tmp_path, rate_hz):
             load_record(csv_path)
 
 
+@pytest.mark.parametrize("rate_hz", [
+    # 1 / 1e-320 overflows to inf; an integer of 400 digits is beyond the
+    # float range, so float() and 1 / rate raise OverflowError.
+    1e-320, 10**400,
+], ids=["reciprocal-overflows", "integer-beyond-float-range"])
+def test_load_record_rejects_manifest_rate_without_finite_period(tmp_path,
+                                                                 rate_hz):
+    csv_path = tmp_path / "seq.csv"
+    _write_csv(csv_path, n_steps=100)
+    manifest = tmp_path / "seq.json"
+    manifest.write_text(json.dumps({"rate_hz": rate_hz}))
+    message = re.escape(
+        f"{manifest}: rate_hz must be a finite number > 0, got {rate_hz!r}"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            load_record(csv_path)
+
+
+def test_marker_record_rejects_infinite_period():
+    with pytest.raises(ValueError, match="sample_period must be finite and > 0"):
+        MarkerRecord(positions=np.zeros((4, 1, 3)), sample_period=np.inf)
+
+
 def test_load_record_accepts_integer_manifest_rate(tmp_path):
     csv_path = tmp_path / "seq.csv"
     _write_csv(csv_path, n_steps=100)

@@ -224,7 +224,8 @@ def test_delta_theta_g_norm_fully_saturated_is_zero_though_inputs_overflow():
     # An infinite input makes the formed vector NaN (0 * inf), and the
     # closed form with it.
     u[1] = np.inf
-    assert np.isnan(delta_theta_g_norm(tanh_prime(z), x, u))
+    with np.errstate(over="ignore"):
+        assert np.isnan(delta_theta_g_norm(tanh_prime(z), x, u))
     with np.errstate(invalid="ignore"):
         assert np.isnan(np.linalg.norm(delta_theta_g(np.ones(3), z, x, u, dims)))
 
@@ -712,6 +713,19 @@ def test_uoro_step_rejects_workspace_of_another_shape():
     with pytest.raises(ValueError, match="workspace is for"):
         uoro_step(params, x, init_memory(dims), u, y_star, _hyper(dims), rng,
                   workspace=UoroWorkspace(other))
+
+
+@pytest.mark.parametrize("bad", ["x", "u", "y_star"])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_uoro_step_rejects_inputs_of_another_shape(bad, in_place):
+    # A one-entry y_star would broadcast against y without the check.
+    dims, params, x, u, y_star, rng = _instance()
+    args = {"x": x, "u": u, "y_star": y_star}
+    args[bad] = args[bad][:1]
+    kwargs = {"workspace": UoroWorkspace(dims)} if in_place else {}
+    with pytest.raises(ValueError, match="x, u and y_star have shapes"):
+        uoro_step(params, args["x"], init_memory(dims), args["u"],
+                  args["y_star"], _hyper(dims), rng, **kwargs)
 
 
 def test_learner_theta_tilde_wc_block_stays_positive_zero():
