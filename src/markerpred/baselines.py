@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from markerpred.rnn import NonFiniteError, _finite_norm, _norm, _rescale, loss
+from markerpred.rnn import NonFiniteError, _rescale
 from markerpred.signal import MarkerRecord
 
 __all__ = [
@@ -37,13 +37,14 @@ def lms_step(
     Predicts y = W u, then descends the instantaneous square loss whose
     gradient in W is -e u^T (e = y* - y), clipped at tau in the norm of the
     flattened matrix (the Frobenius norm) to match the RNN trainers'
-    treatment, at learning rate eta. Equal, bit for bit, to `clip_gradient`
-    on the outer product followed by a full finiteness scan of the new
-    weights: the norm is taken once, and the clipped gradient, eta times it
-    and then the new weights are written into the fresh gradient buffer, as
-    `sgd_update` does, and a finite norm of the new weights proves them
-    finite (the scan runs only when it overflows or is NaN). Neither w nor
-    u is written to.
+    treatment, at learning rate eta. Equal, bit for bit, to `rnn.loss`,
+    then `clip_gradient` on `np.outer(-e, u)`, then a finiteness scan of
+    the new weights, written inline: every norm is taken over one flat
+    view of the fresh gradient buffer, into which the clipped gradient,
+    eta times it and then the new weights are written, as `sgd_update`
+    does, and a finite norm of the new weights proves them finite (the
+    scan runs only when it overflows or is NaN). Neither w nor u is
+    written to.
 
     Returns:
         (new_w, y, loss): the updated weights in a fresh array, the
@@ -64,16 +65,19 @@ def lms_step(
     if y_star.shape != (p,):
         raise ValueError(f"y_star has shape {y_star.shape}, expected ({p},)")
     y = w @ u
-    e, loss_value = loss(y, y_star)
+    e = y_star - y
+    loss_value = 0.5 * float(e @ e)
     if not math.isfinite(loss_value):
         raise NonFiniteError("loss")
-    grad = np.outer(-e, u)
-    grad_norm = _norm(grad)
+    grad = np.multiply.outer(-e, u)
+    flat = grad.reshape(-1)
+    grad_norm = math.sqrt(flat.dot(flat))
     if grad_norm > tau:
-        _rescale(grad, tau, grad_norm, out=grad)
-    grad *= eta
+        _rescale(flat, tau, grad_norm, out=flat)
+    flat *= eta
     new_w = np.subtract(w, grad, out=grad)
-    _finite_norm(new_w, "weights")
+    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+        raise NonFiniteError("weights")
     return new_w, y, loss_value
 
 

@@ -512,6 +512,9 @@ def run_sequence_online(
     Returns:
         RunResult; on divergence the trace is None and the failing step
         and quantity are recorded instead.
+
+    Raises:
+        ValueError: also for a scoring range with no reachable target.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -526,6 +529,13 @@ def run_sequence_online(
         _check_axis_values(k, (getattr(hyper, k),),
                            f"{algorithm} HyperChoice field")
     scoring = partition.test if scoring_range is None else scoring_range
+    # The first reachable target: step h for the hold, L + h - 1 for windows.
+    first = h if algorithm == "none" else hyper.L + h - 1
+    if not scoring or scoring[-1] < first:
+        raise ValueError(
+            f"{algorithm}: scoring range {scoring} unreachable with "
+            f"L={hyper.L}, h={h}: the first reachable target is step {first}"
+        )
 
     if algorithm == "none":
         ks = [k for k in scoring if k - h >= 0]
@@ -565,10 +575,6 @@ def run_sequence_online(
 
     # Online trainers: uoro, rtrl, lms.
     last_n = scoring.stop - lag - 1
-    if last_n < 0:
-        raise ValueError(
-            f"scoring range {scoring} unreachable with L={L}, h={h}"
-        )
     step = _online_learner(algorithm, hyper, 3 * n_m * L, p, seed)
     preds: list[np.ndarray] = []
     ks: list[int] = []

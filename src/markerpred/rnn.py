@@ -143,8 +143,9 @@ class Workspace:
     (`slot`), then `sgd_update` writes the new weights over that
     gradient's views. A learner that feeds each step's weights into the
     next therefore alternates between the two slots, and the weights a
-    step returns stay intact until the step after next. Weights in
-    neither slot, such as `init_params`' or those of a pure call's fresh
+    step returns stay intact until the next step, which may overwrite them
+    once `sgd_update` has read them (a UORO step does). Weights in neither
+    slot, such as `init_params`' or those of a pure call's fresh
     workspace, use slot 0. The uoro and rtrl modules extend the workspace
     with the buffers of their own learner state."""
 
@@ -286,21 +287,6 @@ def _norm(v: np.ndarray) -> float:
     for real v (the same dot over the same order), without its overhead."""
     flat = v.ravel(order="K")
     return math.sqrt(flat.dot(flat))
-
-
-def _finite_norm(v: np.ndarray, quantity: str) -> float:
-    """`_norm(v)`, after checking that every entry of v is finite.
-
-    A finite norm proves every entry finite; an infinite or NaN one may
-    come from overflow of the squares alone, so only then is v scanned.
-
-    Raises:
-        NonFiniteError: naming `quantity`, when an entry is NaN or infinite.
-    """
-    norm = _norm(v)
-    if not math.isfinite(norm) and not np.isfinite(v).all():
-        raise NonFiniteError(quantity)
-    return norm
 
 
 def sgd_update(

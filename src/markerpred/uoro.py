@@ -36,14 +36,16 @@ One training step runs, in this fixed order:
    10. clipped SGD             theta' = theta - eta * clip(dtheta_est, tau)
 
 Step 4 deliberately uses the pre-update memory; moving it after step 9
-changes the estimator. The normalizers in step 8 keep the additive guards
-inside and outside the square roots. Stage 9 applies its scalars to
-|W|-length vectors only as multiplies, which rounds differently from the
-divisions as stated, so it matches them up to rounding, not bit for bit:
-||dtheta_g|| comes in closed form (`delta_theta_g_norm`), so rho1 is known
-before dtheta_g is written, and dtheta_g / rho1 is written directly as the
-one outer product of v and the q-vector (nu / rho1) * tanh'(z); theta_tilde
-is multiplied by the reciprocal 1 / rho0.
+changes the estimator. `uoro_step` runs stage 10 right after stage 6,
+which changes no value: SGD reads only the gradient and the weights, and
+stages 7-9 none of its outputs. The normalizers in step 8 keep the
+additive guards inside and outside the square roots. Stage 9 applies its
+scalars to |W|-length vectors only as multiplies, which rounds differently
+from the divisions as stated, so it matches them up to rounding, not bit
+for bit: ||dtheta_g|| comes in closed form (`delta_theta_g_norm`), so rho1
+is known before dtheta_g is written, and dtheta_g / rho1 is written
+directly as the one outer product of v and the q-vector (nu / rho1) *
+tanh'(z); theta_tilde is multiplied by the reciprocal 1 / rho0.
 
 The closed forms `delta_theta`, `delta_theta_g`, `delta_theta_g_norm` and
 `tangent_propagate` are the tested reference: the tests check them against
@@ -55,46 +57,45 @@ that calls one helper per step, `rnn.forward`: the operations of
 that a step pays the dispatch of each numpy operation only, which at small
 q is most of its cost. The forward pass stays a call, and its `StepCache`
 the one object a step builds besides its result, because perfbench's
-tracer times the forward pass as its own layer through that call. The
-step makes fewer passes over the |W|-length vectors: it adds the direct
-gradient into the W_c block alone, its only non-zero block, by
-subtracting x_next e^T from W_c transposed, writes dtheta_g / rho1 in
-place as its [W_a | W_b] block alone and adds it into theta_tilde's
-[W_a | W_b] rows (theta_tilde's W_c block is only scaled; from
-`init_memory` on it is +0.0, as adding the zero block would leave it),
-shares W_b u between stages 1 and 6, takes tanh'(z) as
-1 - x_next^2, computes each norm once, and checks the gradient, x_tilde and
-the new theta_tilde for finiteness through norms it already has (or, for
-x_tilde, its squared norm), scanning an array only when such a norm is
-not finite. The normalizers of stage 8 are Python floats: math.sqrt and
-float division round as numpy's float64 scalars do (both are IEEE
-operations, correctly rounded), and ||nu|| is sqrt(q) because nu is +-1,
-so sum(nu * nu) is exactly q. The one difference is a zero denominator,
-possible only with EPS_NORM = 0: numpy gave an infinity or NaN where a
-Python float raises ZeroDivisionError, so the step reports there the
-non-finite quantity the numpy form led to (rho0, or theta_tilde for a
-zero rho) without dividing.
+tracer times the forward pass as its own layer through that call. The step
+makes fewer passes over the |W|-length vectors: it adds the direct
+gradient into the W_c block alone, its only non-zero block, by subtracting
+x_next e^T from W_c transposed, writes dtheta_g / rho1 as its [W_a | W_b]
+block alone, a BLAS product of a column and a row, and adds it into
+theta_tilde's [W_a | W_b] rows (theta_tilde's W_c block is only scaled;
+from `init_memory` on it is +0.0, as adding the zero block would leave
+it), shares W_b u between stages 1 and 6, takes tanh'(z) as 1 - x_next^2,
+computes each norm once, and checks the gradient, x_tilde and the new
+theta_tilde for finiteness through norms it already has (or, for x_tilde,
+its squared norm), scanning an array only when such a norm is not finite.
+The normalizers of stage 8 are Python floats: math.sqrt and float division
+round as numpy's float64 scalars do (both are IEEE operations, correctly
+rounded), and ||nu|| is sqrt(q) because nu is +-1, so sum(nu * nu) is
+exactly q. The one difference is a zero denominator, possible only with
+EPS_NORM = 0: numpy gave an infinity or NaN where a Python float raises
+ZeroDivisionError, so the step reports there the non-finite quantity the
+numpy form led to (rho0, or theta_tilde for a zero rho) without dividing.
 
 The guard eps of step 8 and the finite-difference step eps of step 6 are
 the module constants EPS_NORM and EPS_PROP, which `uoro_step` reads on
 every call.
 
-A step runs on a `UoroWorkspace`, the per-run plan of the step: the
-buffers (two gradient slots, theta_tilde, the [W_a | W_b] block of
-dtheta_g, the stacked input v, and one x_tilde per slot) and every view
-and object of them the step uses, each built by the `rnn` helpers that
-define the flat layout, so the step does only the arithmetic and never
-indexes the layout itself. It writes the gradient and then the new
-weights, and x_tilde, into the slot the current weights are not in (see
-`Workspace`), and returns that slot's `UoroMemory`, built with the
-workspace, so a step builds two objects only, the `StepCache` of
-`rnn.forward` and its result. A learner allocates one workspace per run
-and feeds the returned params and memory,
-which live in it, back into the next step; the memory a step returns is
-valid until the next step, which scales theta_tilde in place. Called
-without one, `uoro_step` builds a fresh workspace, so it writes to none
-of its inputs and returns fresh arrays; the two calls run one body and
-are bit-identical. The new weights are column-major views of a flat
+A step runs on a `UoroWorkspace`, the per-run plan of the step: three
+|W|-length buffers (two weight slots and theta_tilde), the stacked input
+v, one x_tilde per slot, and every view and object of them the step uses,
+each built by the `rnn` helpers that define the flat layout, so the step
+does only the arithmetic and never indexes the layout itself. It writes
+the gradient, then the new weights, and x_tilde into the slot k the
+current weights are not in (see `Workspace`), then dtheta_g / rho1 into
+the [W_a | W_b] block of slot 1 - k, whose weights SGD has read, and
+returns slot k's `UoroMemory`, built with the workspace, so a step builds
+two objects only, the `StepCache` of `rnn.forward` and its result. A
+learner allocates one workspace per run and feeds the returned params and
+memory, which live in it, straight back into the next step, which
+overwrites both. Called without one, `uoro_step` builds a fresh
+workspace, so it writes to none of its inputs (its unused slot 1 takes
+dtheta_g) and returns fresh arrays; the two calls run one body and are
+bit-identical. The new weights are column-major views of a flat
 buffer either way. The first step must be given `init_params`' C-order
 matrices themselves, not a column-major copy: a matrix-vector product
 over a column-major matrix rounds differently, so only the original
@@ -197,11 +198,11 @@ class UoroStepResult:
 
 class UoroWorkspace(Workspace):
     """A UORO step's buffers (see `Workspace`): besides the two slots,
-    theta_tilde, of length |W|, and dtheta_g, the [W_a | W_b] block of
-    dtheta_g alone, each starting on a cache line like the slots. Both are
-    held as the C-order (q+m+1) x q views `_ab_rows` gives, `theta_tilde_ab`
-    and `dtheta_g`, so that stage 7 writes dtheta_g as the one outer product
-    v a^T and stage 9 adds it into theta_tilde's [W_a | W_b] rows. Slot k
+    theta_tilde, of length |W| and starting on a cache line like them.
+    `theta_tilde_ab` and `grad_ab[k]` are the C-order (q+m+1) x q
+    `_ab_rows` views of their [W_a | W_b] blocks: a step into slot k writes
+    dtheta_g as the one outer product v a^T into `grad_ab[1 - k]`, once SGD
+    has read the weights there, and adds it into theta_tilde's. Slot k
     also has the memory a step into it returns, `memory[k]`: its own
     x_tilde and the shared theta_tilde. `nu_norm` is ||nu|| = sqrt(q)."""
 
@@ -209,7 +210,7 @@ class UoroWorkspace(Workspace):
         super().__init__(dims)
         self.theta_tilde = _aligned_empty(dims.n_params)
         self.theta_tilde_ab = _ab_rows(self.theta_tilde, dims)
-        self.dtheta_g = _ab_rows(_aligned_empty(dims.n_ab), dims)
+        self.grad_ab = tuple(_ab_rows(g, dims) for g in self.grad)
         self.memory = tuple(
             UoroMemory(x_tilde=np.empty(dims.q), theta_tilde=self.theta_tilde)
             for _ in range(2)
@@ -373,10 +374,10 @@ def uoro_step(
             blocks, and estimator tests resample or mirror nu explicitly.
         workspace: buffers to step in place, as a learner does: the new
             weights, x_tilde and theta_tilde are written into it, and
-            `params` and `memory` may be the ones it returned last step.
-            Without it, the step builds a fresh one, so every result is a
-            fresh array and no input is written to. After a step raises,
-            the workspace holds no usable state.
+            `params` and `memory` may be the ones it returned last step
+            (it overwrites both). Without it, the step builds a fresh one,
+            so every result is a fresh array and no input is written to.
+            After a step raises, the workspace holds no usable state.
 
     Returns:
         UoroStepResult with updated params, state, memory, the prediction
@@ -428,13 +429,16 @@ def uoro_step(
     shifted = np.tanh(params.w_a @ (x + EPS_PROP * x_tilde) + cache.wb_u)
     x_fwd = (shifted - x_next) / EPS_PROP
 
+    # 10. clipped SGD; stages 7-9 then reuse the slot whose weights it read.
+    new_params = sgd_update(params, grad, grad_norm, hyper.eta, hyper.tau,
+                            workspace.weights[k], theta)
+
     # 7-8. rho1 comes first, from the closed-form norm of dtheta_g
-    # (`delta_theta_g_norm` with a = tanh'(z), which is 1 - x_next^2, from
-    # the tanh the forward pass took), so that stage 7 writes dtheta_g /
-    # rho1 directly, as the outer product v a^T of the stacked input
-    # v = [x; u] and the q-vector a = (nu / rho1) * tanh'(z) into the
-    # `_ab_rows` view of the [W_a | W_b] block; its W_c block is zero and is
-    # not formed. The normalizers are Python floats, with ||nu|| = sqrt(q).
+    # (`delta_theta_g_norm` with a = tanh'(z) = 1 - x_next^2), so that
+    # stage 7 writes dtheta_g / rho1 directly, as the outer product v a^T of
+    # v = [x; u] and a = (nu / rho1) * tanh'(z), into the dead slot's
+    # `_ab_rows` view; its W_c block is zero and is not formed. The
+    # normalizers are Python floats, with ||nu|| = sqrt(q).
     eps = EPS_NORM
     d = 1.0 - x_next * x_next
     d_norm = math.sqrt(d.dot(d))
@@ -454,7 +458,11 @@ def uoro_step(
     if not math.isfinite(rho1):
         raise NonFiniteError("rho1")
     v = np.concatenate((x, u), out=workspace.v)
-    np.multiply.outer(v, (nu / rho1) * d, out=workspace.dtheta_g)
+    # Each entry of the BLAS product is the one rounded v_r a_j of
+    # np.multiply.outer, 2.7 times as fast at q = 90, but an exact zero is
+    # +0, never -0; adding it into theta_tilde differs only at a -0 there.
+    a = (nu / rho1) * d
+    np.dot(v[:, None], a[None, :], out=workspace.grad_ab[1 - k])
 
     # 9. memory update, into this slot's memory: x_tilde, then theta_tilde
     # scaled by the reciprocal of rho0, with dtheta_g added into its
@@ -472,15 +480,11 @@ def uoro_step(
     inv_rho0 = 1.0 / rho0
     new_theta_tilde = np.multiply(theta_tilde, inv_rho0,
                                   out=workspace.theta_tilde)
-    workspace.theta_tilde_ab += workspace.dtheta_g
+    workspace.theta_tilde_ab += workspace.grad_ab[1 - k]
     if not (
         theta_tilde_norm * inv_rho0 + dtheta_g_norm / rho1 <= _FINITE_BOUND
         or np.isfinite(new_theta_tilde).all()
     ):
         raise NonFiniteError("theta_tilde")
-
-    # 10. clipped SGD
-    new_params = sgd_update(params, grad, grad_norm, hyper.eta, hyper.tau,
-                            workspace.weights[k], theta)
 
     return UoroStepResult(new_params, x_next, new_memory, y, loss_value)

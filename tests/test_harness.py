@@ -315,6 +315,37 @@ def test_trace_covers_exactly_the_scoring_range():
         assert out.trace.n_steps == len(partition.cross_validation)
 
 
+def _no_step(*args, **kwargs):
+    raise AssertionError("a rejected scoring range ran a step")
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("where", ["empty", "before the first target"])
+def test_scoring_range_without_a_reachable_target_is_rejected_before_any_step(
+    monkeypatch, algorithm, where
+):
+    # A range with no reachable target has nothing to score. The first
+    # reachable target is step h for the hold and step L + h - 1 for a
+    # window of L steps; a range ending there is accepted.
+    record = _quick_record()
+    partition = make_partition(record, "online_30_30")
+    hyper, h = HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10), 5
+    first = h if algorithm == "none" else hyper.L + h - 1
+    scoring = range(100, 100) if where == "empty" else range(0, first)
+    with monkeypatch.context() as patched:
+        for name in ("fit_normalizer", "no_prediction", "_online_learner"):
+            patched.setattr(harness, name, _no_step)
+        with pytest.raises(ValueError, match=re.escape(
+            f"{algorithm}: scoring range {scoring} unreachable with L=10, "
+            f"h=5: the first reachable target is step {first}"
+        )):
+            run_sequence_online(algorithm, record, partition, hyper, h,
+                                seed=0, scoring_range=scoring)
+    out = run_sequence_online(algorithm, record, partition, hyper, h, seed=0,
+                              scoring_range=range(0, first + 1))
+    assert (out.trace.k_min, out.trace.n_steps) == (first, 1)
+
+
 def test_cv_scoring_never_reads_test_data():
     base = _quick_record(seed=6)
     partition = make_partition(base, "online_30_30")
@@ -546,7 +577,7 @@ def _pure_chain(algorithm, hyper, m, p, seed, tau):
 # generator.
 @pytest.mark.parametrize("algorithm, q, L", [
     ("uoro", 10, 10), ("uoro", 30, 5), ("uoro", 7, 5), ("uoro", 1, 1),
-    ("uoro", 50, 10), ("rtrl", 5, 5), ("rtrl", 8, 3),
+    ("uoro", 50, 10), ("uoro", 90, 30), ("rtrl", 5, 5), ("rtrl", 8, 3),
 ])
 # The shipped clip threshold clips most steps; at eta = 0.01 no gradient
 # norm on this stream comes near 1e3, so nothing is clipped.

@@ -403,8 +403,13 @@ def test_layout_views_address_the_entries_unflatten_params_maps(q, m, p):
             assert np.array_equal(workspace.grad_wc[k], params.w_c.T)
     uoro.theta_tilde[...] = theta
     assert np.array_equal(uoro.theta_tilde_ab, w_ab.T)
-    assert uoro.dtheta_g.shape == w_ab.T.shape
     for k in (0, 1):
+        # A step writes dtheta_g into slot k's [W_a | W_b] rows once SGD
+        # has read the weights there: the view is _ab_rows(grad[k]).
+        target, view = uoro.grad_ab[k], _ab_rows(uoro.grad[k], dims)
+        assert ((target.ctypes.data, target.shape, target.strides)
+                == (view.ctypes.data, view.shape, view.strides))
+        assert np.array_equal(target, w_ab.T)
         rtrl.influence[k][...] = 0.0
         rtrl.diagonals[k][...] = w_ab
         assert np.array_equal(rtrl.influence[k], influence)

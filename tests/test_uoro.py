@@ -2,6 +2,8 @@
 finite-difference oracles, the frozen step order, estimator properties, and
 the step against a reference composed from the closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -766,6 +768,23 @@ def test_learner_steps_alternate_between_the_workspace_slots():
         assert out.params is workspace.weights[step % 2]
         assert out.memory.theta_tilde is workspace.theta_tilde
         params, x, memory = out.params, out.x, out.memory
+
+
+def test_workspace_holds_three_weight_sized_buffers():
+    # The two slots and theta_tilde: dtheta_g goes into the slot SGD has
+    # just read. At q = L = 90 (|W| = 81,900) a fourth buffer, even only
+    # the [W_a | W_b] block (648 KB), exceeds the eighth of one buffer
+    # left for the small vectors, the views and their objects.
+    dims = RnnDims(q=90, m=3 * 3 * 90, p=9)
+    UoroWorkspace(dims)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        UoroWorkspace(dims)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * dims.n_params * 8 + dims.n_params, peak
 
 
 def test_pure_call_then_learner_step_on_the_same_inputs_agree():
