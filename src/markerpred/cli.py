@@ -43,8 +43,10 @@ def _config_from_file(path: Path) -> list[ExperimentConfig]:
     """Expand a JSON experiment file into one config per algorithm.
 
     The file carries either "algorithm" (a string) or "algorithms" (a
-    list); "grids" optionally maps algorithm names to grid overrides. Every
-    other key must be an `ExperimentConfig` field (ValueError otherwise).
+    list); "grids" optionally maps names of those algorithms to grid
+    overrides. Every other key must be an `ExperimentConfig` field
+    (ValueError otherwise, or for a "grids" key that names no algorithm
+    the file runs).
     Relative paths are resolved against the config file's directory.
     """
     with open(path) as f:
@@ -58,6 +60,13 @@ def _config_from_file(path: Path) -> list[ExperimentConfig]:
         algo: {k: tuple(v) for k, v in grid.items()}
         for algo, grid in raw.pop("grids", {}).items()
     }
+    unused = sorted(set(grids) - set(algorithms))
+    if unused:
+        # A misspelt key would otherwise run the shipped grid unnoticed.
+        raise ValueError(
+            f"{path}: 'grids' keys {unused} name no algorithm the config "
+            f"runs; it runs {list(algorithms)}"
+        )
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"grid"}
     unknown = sorted(set(raw) - fields)
     if unknown:

@@ -35,6 +35,7 @@ import hashlib
 import itertools
 import json
 import logging
+import math
 import numbers
 import platform
 import re
@@ -341,14 +342,14 @@ def _is_count(v) -> bool:
 
 def _check_axis_values(axis: str, values, where: str) -> None:
     """Every value of grid axis `axis` must be one the learners take: eta
-    and sigma_init numbers > 0 (a negative eta would train by gradient
-    ascent), L and q integers >= 1. The error names `where` the values
-    came from, then the axis."""
+    and sigma_init finite numbers > 0 (a negative eta would train by
+    gradient ascent, an infinite one diverge at once), L and q integers
+    >= 1. The error names `where` the values came from, then the axis."""
     if axis in ("L", "q"):
         kind, valid = "integers >= 1", _is_count
     else:
-        kind, valid = "numbers > 0", lambda v: (
-            isinstance(v, numbers.Real) and v > 0)
+        kind, valid = "finite numbers > 0", lambda v: (
+            isinstance(v, numbers.Real) and 0 < v < math.inf)
     bad = [v for v in values if isinstance(v, bool) or not valid(v)]
     if bad:
         raise ValueError(
@@ -911,7 +912,8 @@ def load_dataset(
     manifest_path: str | Path,
 ) -> tuple[list[MarkerRecord], tuple[str, ...]]:
     """Read a dataset manifest: JSON with a "sequences" list of CSV paths
-    (relative to the manifest) and an optional "cohort_exclude" label list.
+    (relative to the manifest) and an optional "cohort_exclude" label list,
+    both lists of strings (ValueError otherwise).
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path) as f:
@@ -919,13 +921,22 @@ def load_dataset(
     paths = manifest.get("sequences")
     if not paths:
         raise ValueError(f"{manifest_path}: manifest lists no sequences")
+    exclude = manifest.get("cohort_exclude", [])
+    for key, value in (("sequences", paths), ("cohort_exclude", exclude)):
+        # A bare string would be read as one path or label per character.
+        if not (isinstance(value, list)
+                and all(isinstance(v, str) for v in value)):
+            raise ValueError(
+                f"{manifest_path}: manifest {key!r} must be a list of "
+                f"strings, got {value!r}"
+            )
     records = [
         load_record(manifest_path.parent / p) for p in paths
     ]
     labels = [r.label for r in records]
     if len(set(labels)) != len(labels):
         raise ValueError(f"{manifest_path}: duplicate sequence labels {labels}")
-    return records, tuple(manifest.get("cohort_exclude", ()))
+    return records, tuple(exclude)
 
 
 # ------------------------------ output files -------------------------------

@@ -21,7 +21,9 @@ private view builders address the blocks in place: `_ab_rows` (W_ab
 transposed), `_c_rows` (W_c transposed) and `_ab_diagonal` (the entries of
 a q x |W| influence matrix that W_ab's row i adds to row i). The trainers
 reach the flat layout only through these functions and the update
-`sgd_update`, so that gradient indices never drift.
+`sgd_update`, so that gradient indices never drift. A trainer step keeps
+its weights in one such flat buffer, a `Workspace`'s `theta`, and
+`sgd_update` updates them there in place.
 """
 
 from __future__ import annotations
@@ -121,10 +123,11 @@ class StepCache:
 def _aligned_empty(n: int) -> np.ndarray:
     """An uninitialized vector of n doubles that starts on a 64-byte (cache
     line) boundary, where malloc guarantees only 16 bytes. A learner's
-    weights and gradient take turns in the two slots, so a slot whose
-    start is off a 32-byte boundary slows every other step: moving slot 1
-    16 bytes off made a q = L = 90 UORO learner step about 3 % slower (a
-    2-vCPU Xeon, OpenBLAS, one thread)."""
+    weights and gradient each live in one such buffer for a whole run, and
+    a buffer whose start is off a 32-byte boundary slows the steps that use
+    it: with the weights 16 bytes off in every other step, a q = L = 90
+    UORO learner step was about 3 % slower on average (a 2-vCPU Xeon,
+    OpenBLAS, one thread)."""
     raw = np.empty(n + 7)
     start = -raw.ctypes.data % 64 // 8
     return raw[start : start + n]
@@ -132,67 +135,57 @@ def _aligned_empty(n: int) -> np.ndarray:
 
 class Workspace:
     """The buffers a trainer step writes its gradient and new weights into,
-    with the views of them every step uses, built once. There are two
-    slots; slot k is a flat |W| buffer `grad[k]` that starts on a cache
-    line (see `_aligned_empty`), with its column-major weight views
-    `weights[k]` (`unflatten_params`) and its W_c block viewed as W_c
-    transposed, `grad_wc[k]` (`_c_rows`), which the direct gradient is
-    added into. `v` holds a step's stacked input [x; u].
+    with the views of them every step uses, built once: the flat weights
+    `theta`, with their column-major matrix views `weights`
+    (`unflatten_params`), and the flat gradient `grad`, with its W_c block
+    viewed as W_c transposed, `grad_wc` (`_c_rows`), which the direct
+    gradient is added into. Both start on a cache line (see
+    `_aligned_empty`). `v` holds a step's stacked input [x; u].
 
-    A step writes its gradient into the slot its weights are not in
-    (`slot`), then `sgd_update` writes the new weights over that
-    gradient's views. A learner that feeds each step's weights into the
-    next therefore alternates between the two slots, and the weights a
-    step returns stay intact until the next step, which may overwrite them
-    once `sgd_update` has read them (a UORO step does). Weights in neither
-    slot, such as `init_params`' or those of a pure call's fresh
-    workspace, use slot 0. The uoro and rtrl modules extend the workspace
-    with the buffers of their own learner state."""
+    A step reads its input weights first (the forward pass and the
+    gradient) and then `sgd_update` writes the new weights over `theta` in
+    place, so a learner that feeds each step's weights into the next keeps
+    them in the one buffer for the whole run, and the weights a step
+    returns stay valid until the next step. Weights that are not
+    `weights`, such as `init_params`' or a pure call's inputs, are copied
+    into `theta` by the update and not written to. The uoro and rtrl
+    modules extend the workspace with the buffers of their own learner
+    state."""
 
     def __init__(self, dims: RnnDims):
         self.dims = dims
-        self.grad = (_aligned_empty(dims.n_params), _aligned_empty(dims.n_params))
-        self.weights = tuple(unflatten_params(g, dims) for g in self.grad)
-        self.grad_wc = tuple(_c_rows(g, dims) for g in self.grad)
+        self.theta = _aligned_empty(dims.n_params)
+        self.weights = unflatten_params(self.theta, dims)
+        self.grad = _aligned_empty(dims.n_params)
+        self.grad_wc = _c_rows(self.grad, dims)
         self.v = np.empty(dims.q + dims.m + 1)
         self._shapes = ((dims.q, dims.q), (dims.q, dims.m + 1), (dims.p, dims.q))
         self._io_shapes = ((dims.q,), (dims.m + 1,), (dims.p,))
 
-    def slot(
+    def check(
         self, params: RnnParams, x: np.ndarray, u: np.ndarray, y_star: np.ndarray
-    ) -> tuple[int, np.ndarray | None]:
-        """The slot k a step from weights `params`, state x, input u and
-        target y_star writes into, and the flat vector that `params` are
-        the views of when they are this workspace's own, else None (the
-        `theta` of `sgd_update`). This is the step's one shape check.
-
-        The workspace's own weights, `weights[0]` or `weights[1]` (the
-        objects a step returned), are told by identity alone and give
-        (1, grad[0]) or (0, grad[1]). Any other weights are checked against
-        the workspace's shapes and use slot 0, or slot 1 when their W_a is
-        slot 0's. Then x, u and y_star are checked against the network's
-        q, m+1 and p.
+    ) -> None:
+        """The step's one shape check, for a step from weights `params`,
+        state x, input u and target y_star. The workspace's own `weights`
+        are told by identity alone; any other weights are checked against
+        the workspace's shapes. Then x, u and y_star are checked against
+        the network's q, m+1 and p.
 
         Raises:
             ValueError: the buffers do not fit the network `params`, or x,
                 u or y_star does not fit the network.
         """
-        if params is self.weights[0]:
-            k, theta = 1, self.grad[0]
-        elif params is self.weights[1]:
-            k, theta = 0, self.grad[1]
-        elif (params.w_a.shape, params.w_b.shape, params.w_c.shape) != self._shapes:
+        if (params is not self.weights and
+                (params.w_a.shape, params.w_b.shape, params.w_c.shape)
+                != self._shapes):
             raise ValueError(
                 f"workspace is for {self.dims}, network is {params.dims}"
             )
-        else:
-            k, theta = (1 if params.w_a is self.weights[0].w_a else 0), None
         if (x.shape, u.shape, y_star.shape) != self._io_shapes:
             raise ValueError(
                 f"x, u and y_star have shapes {x.shape}, {u.shape} and "
                 f"{y_star.shape}, expected {self._io_shapes}"
             )
-        return k, theta
 
 
 def init_params(dims: RnnDims, sigma_init: float, seed: int) -> RnnParams:
@@ -295,27 +288,22 @@ def sgd_update(
     grad_norm: float,
     eta: float,
     tau: float,
-    out: RnnParams,
-    theta: np.ndarray | None = None,
+    theta: np.ndarray,
+    weights: RnnParams,
 ) -> RnnParams:
     """One clipped SGD step on the weights, W - eta * clip(grad, tau),
-    written over the gradient.
+    written over the flat weights `theta` in place.
 
-    `grad` is scaled in place to eta * clip(grad, tau), then the weights
-    minus that are written into `out`, the column-major matrix views of
-    `grad` (`unflatten_params(grad, dims)`, which a `Workspace` keeps);
-    each entry depends only on the same entries of both, so the
-    subtraction can overwrite its operand. When `params` are the views of
-    a flat vector `theta` in the same layout (the other slot of a
-    `Workspace`, which `Workspace.slot` returns), that is one subtraction
-    theta - grad over the whole vector; otherwise, as for `init_params`'
-    C-order matrices, it is one subtraction per weight matrix, which
-    gives the same values (the single subtraction made the uoro-protocol
-    benchmark's `wall_s` about 5 % shorter on a 2-vCPU Xeon, OpenBLAS, one
-    thread). So `out` holds the new weights, `grad` no longer holds the
-    gradient, and `params` is not written to. The values are those of
-    `unflatten_params(flatten_params(params) - eta * clip_gradient(grad, tau), dims)`,
-    without the flat copy of `params`.
+    `grad` is scaled in place to eta * clip(grad, tau). `weights` are the
+    column-major matrix views of `theta` (`unflatten_params(theta, dims)`,
+    which a `Workspace` keeps). When `params` are not `weights`, as for
+    `init_params`' C-order matrices or a pure call's inputs, they are first
+    copied into `theta`, and are not written to. Then one subtraction
+    theta - grad over the whole vector writes the new weights into
+    `theta`; each entry depends only on the same entries of both, so it
+    can overwrite its operand. So `weights` hold the new weights and
+    `grad` no longer holds the gradient. The values are those of
+    `unflatten_params(flatten_params(params) - eta * clip_gradient(grad, tau), dims)`.
 
     Args:
         params: current weights.
@@ -324,12 +312,11 @@ def sgd_update(
             has already computed to check the gradient for finiteness.
         eta: learning rate, >= 0.
         tau: clip threshold, > 0.
-        out: the column-major matrix views of `grad`.
-        theta: the flat vector whose views `params` are
-            (`params` is `unflatten_params(theta, dims)`), or None.
+        theta: flat vector of length |W| that receives the new weights.
+        weights: the column-major matrix views of `theta`.
 
     Returns:
-        `out`.
+        `weights`.
 
     Raises:
         ValueError: eta < 0 or tau <= 0.
@@ -339,13 +326,12 @@ def sgd_update(
     if grad_norm > tau:
         _rescale(grad, tau, grad_norm, out=grad)
     grad *= eta
-    if theta is not None:
-        np.subtract(theta, grad, out=grad)
-    else:
-        np.subtract(params.w_a, out.w_a, out=out.w_a)
-        np.subtract(params.w_b, out.w_b, out=out.w_b)
-        np.subtract(params.w_c, out.w_c, out=out.w_c)
-    return out
+    if params is not weights:
+        weights.w_a[...] = params.w_a
+        weights.w_b[...] = params.w_b
+        weights.w_c[...] = params.w_c
+    np.subtract(theta, grad, out=theta)
+    return weights
 
 
 def flatten_params(params: RnnParams) -> np.ndarray:

@@ -25,16 +25,19 @@ that row's weights; with d = tanh'(z) and the stacked input v = [x; u],
 they are the q x (q+m+1) matrix d v^T, which the view
 `rnn._ab_diagonal` places in the flat layout.
 
-A step runs on an `RtrlWorkspace`, the per-run plan of the step: the two
-slots of `Workspace`, each with an influence buffer and its
-`_ab_diagonal` view, which recursion (i) adds d v^T into. The step writes
-the new influence, the gradient and then the new weights into the slot the
-current weights are not in, as `uoro_step` does, and like it calls
-`rnn.forward` but runs the loss and `grad_x_loss` inline and updates the
-weights with one subtraction over the flat slot once they are the
-workspace's own. A learner allocates one workspace per run; called without
-one, `rtrl_step` builds a fresh one, so it writes to none of its inputs,
-and the two calls run one body. As in UORO, the first step must be given `init_params`' C-order matrices
+A step runs on an `RtrlWorkspace`, the per-run plan of the step: the
+weight and gradient buffers of `Workspace`, and two influence buffers,
+each with its `_ab_diagonal` view, which recursion (i) adds d v^T into.
+The new influence goes into the buffer the input influence is not in,
+since a matrix product cannot write over its operand, so a learner's
+influence alternates between the two. The step reads the input weights
+(the forward pass, recursion (i) and the gradient (ii)) before SGD
+updates the workspace's weights in place with one subtraction over the
+flat buffer, as `uoro_step` does, and like it calls `rnn.forward` but
+runs the loss and `grad_x_loss` inline. A learner allocates one
+workspace per run; called without one, `rtrl_step` builds a fresh one,
+so it writes to none of its inputs, and the two calls run one body. As
+in UORO, the first step must be given `init_params`' C-order matrices
 themselves, since a matrix-vector product over a column-major matrix
 rounds differently.
 """
@@ -77,10 +80,12 @@ class RtrlStepResult:
 
 
 class RtrlWorkspace(Workspace):
-    """An RTRL step's buffers (see `Workspace`): per slot, besides the
-    gradient and weights, a q x |W| influence matrix `influence[k]` and
-    its q x (q+m+1) view `diagonals[k]` (`_ab_diagonal`), the entries that
-    recursion (i) adds the state map's parameter Jacobian into."""
+    """An RTRL step's buffers (see `Workspace`): besides the weights and
+    the gradient, two q x |W| influence matrices `influence[k]`, with
+    their q x (q+m+1) views `diagonals[k]` (`_ab_diagonal`), the entries
+    that recursion (i) adds the state map's parameter Jacobian into. A
+    step writes into influence[1] when its input influence is influence[0],
+    else into influence[0]."""
 
     def __init__(self, dims: RnnDims):
         self.influence = tuple(np.empty((dims.q, dims.n_params)) for _ in range(2))
@@ -163,7 +168,7 @@ def rtrl_step(
     if workspace is None:
         # Fresh buffers: the step writes to none of its inputs.
         workspace = RtrlWorkspace(params.dims)
-    k, theta = workspace.slot(params, x, u, y_star)
+    workspace.check(params, x, u, y_star)
     dims = workspace.dims
     if influence.shape != (dims.q, dims.n_params):
         raise ValueError(
@@ -171,6 +176,7 @@ def rtrl_step(
             f"expected ({dims.q}, {dims.n_params})"
         )
     w_a, w_c = params.w_a, params.w_c
+    k = 1 if influence is workspace.influence[0] else 0
     new_influence, diagonal = workspace.influence[k], workspace.diagonals[k]
 
     # Forward pass, then `loss`.
@@ -195,8 +201,8 @@ def rtrl_step(
     # transposed) by subtracting x_next e^T, as uoro_step does. Adding the
     # dense vector would turn a -0.0 in the W_a/W_b blocks into +0.0; the
     # two differ only for a weight that is exactly -0.0.
-    grad = np.matmul(-(e @ w_c), new_influence, out=workspace.grad[k])
-    grad_wc = workspace.grad_wc[k]
+    grad = np.matmul(-(e @ w_c), new_influence, out=workspace.grad)
+    grad_wc = workspace.grad_wc
     grad_wc -= np.multiply.outer(x_next, e)
 
     # A non-finite influence entry makes its column of the gradient
@@ -211,6 +217,6 @@ def rtrl_step(
             raise NonFiniteError("gradient")
 
     new_params = sgd_update(params, grad, grad_norm, eta, tau,
-                            workspace.weights[k], theta)
+                            workspace.theta, workspace.weights)
 
     return RtrlStepResult(new_params, x_next, new_influence, y, loss_value)

@@ -81,25 +81,27 @@ the module constants EPS_NORM and EPS_PROP, which `uoro_step` reads on
 every call.
 
 A step runs on a `UoroWorkspace`, the per-run plan of the step: three
-|W|-length buffers (two weight slots and theta_tilde), the stacked input
-v, one x_tilde per slot, and every view and object of them the step uses,
-each built by the `rnn` helpers that define the flat layout, so the step
-does only the arithmetic and never indexes the layout itself. It writes
-the gradient, then the new weights, and x_tilde into the slot k the
-current weights are not in (see `Workspace`), then dtheta_g / rho1 into
-the [W_a | W_b] block of slot 1 - k, whose weights SGD has read, and
-returns slot k's `UoroMemory`, built with the workspace, so a step builds
-two objects only, the `StepCache` of `rnn.forward` and its result. A
-learner allocates one workspace per run and feeds the returned params and
-memory, which live in it, straight back into the next step, which
-overwrites both. Called without one, `uoro_step` builds a fresh
-workspace, so it writes to none of its inputs (its unused slot 1 takes
-dtheta_g) and returns fresh arrays; the two calls run one body and are
-bit-identical. The new weights are column-major views of a flat
-buffer either way. The first step must be given `init_params`' C-order
-matrices themselves, not a column-major copy: a matrix-vector product
-over a column-major matrix rounds differently, so only the original
-layout reproduces the pure chain bit for bit.
+|W|-length buffers (the weights, the gradient and theta_tilde), the
+stacked input v, x_tilde, and every view and object of them the step
+uses, each built by the `rnn` helpers that define the flat layout, so the
+step does only the arithmetic and never indexes the layout itself. It
+reads the input weights (stages 1, 4 and 6) before SGD updates the
+workspace's weights in place (see `Workspace`), then writes dtheta_g /
+rho1 into the [W_a | W_b] block of the gradient buffer, which SGD has
+consumed, and x_tilde and theta_tilde over their old values, which no
+later stage reads. It returns the workspace's `UoroMemory`, built with
+it, so a step builds two objects only, the `StepCache` of `rnn.forward`
+and its result. A learner allocates one workspace per run and feeds the
+returned params and memory, which live in it, straight back into the
+next step, which overwrites both. Called without one, `uoro_step` builds
+a fresh workspace, so it writes to none of its inputs (it copies the
+input weights into its own buffer) and returns fresh arrays; the two
+calls run one body and are bit-identical. The new weights are
+column-major views of a flat buffer either way. The first step must be
+given `init_params`' C-order matrices themselves, not a column-major
+copy: a matrix-vector product over a column-major matrix rounds
+differently, so only the original layout reproduces the pure chain bit
+for bit.
 
 Stage 5 draws its signs from `rng`, q at a time, unless the caller passes
 them as `nu`. A learner draws them ahead in blocks, as
@@ -197,24 +199,22 @@ class UoroStepResult:
 
 
 class UoroWorkspace(Workspace):
-    """A UORO step's buffers (see `Workspace`): besides the two slots,
-    theta_tilde, of length |W| and starting on a cache line like them.
-    `theta_tilde_ab` and `grad_ab[k]` are the C-order (q+m+1) x q
-    `_ab_rows` views of their [W_a | W_b] blocks: a step into slot k writes
-    dtheta_g as the one outer product v a^T into `grad_ab[1 - k]`, once SGD
-    has read the weights there, and adds it into theta_tilde's. Slot k
-    also has the memory a step into it returns, `memory[k]`: its own
-    x_tilde and the shared theta_tilde. `nu_norm` is ||nu|| = sqrt(q)."""
+    """A UORO step's buffers (see `Workspace`): besides the weights and the
+    gradient, theta_tilde, of length |W| and starting on a cache line like
+    them. `theta_tilde_ab` and `grad_ab` are the C-order (q+m+1) x q
+    `_ab_rows` views of their [W_a | W_b] blocks: a step writes dtheta_g as
+    the one outer product v a^T into `grad_ab`, once SGD has consumed the
+    gradient, and adds it into theta_tilde's. `memory` is the memory a step
+    returns: x_tilde and theta_tilde, both updated in place. `nu_norm` is
+    ||nu|| = sqrt(q)."""
 
     def __init__(self, dims: RnnDims):
         super().__init__(dims)
         self.theta_tilde = _aligned_empty(dims.n_params)
         self.theta_tilde_ab = _ab_rows(self.theta_tilde, dims)
-        self.grad_ab = tuple(_ab_rows(g, dims) for g in self.grad)
-        self.memory = tuple(
-            UoroMemory(x_tilde=np.empty(dims.q), theta_tilde=self.theta_tilde)
-            for _ in range(2)
-        )
+        self.grad_ab = _ab_rows(self.grad, dims)
+        self.memory = UoroMemory(x_tilde=np.empty(dims.q),
+                                 theta_tilde=self.theta_tilde)
         self.nu_norm = math.sqrt(dims.q)
 
 
@@ -394,7 +394,7 @@ def uoro_step(
     if workspace is None:
         # Fresh buffers: the step writes to none of its inputs.
         workspace = UoroWorkspace(params.dims)
-    k, theta = workspace.slot(params, x, u, y_star)
+    workspace.check(params, x, u, y_star)
     x_tilde, theta_tilde = memory.x_tilde, memory.theta_tilde
 
     # 1-2. forward pass, then `loss`; W_b u is reused in stage 6.
@@ -412,8 +412,8 @@ def uoro_step(
     # entry finite; only a non-finite one, which the squares' overflow
     # alone can cause, calls for the scan.
     grad = np.multiply(-(e @ params.w_c) @ x_tilde, theta_tilde,
-                       out=workspace.grad[k])
-    grad_wc = workspace.grad_wc[k]
+                       out=workspace.grad)
+    grad_wc = workspace.grad_wc
     grad_wc -= np.multiply.outer(x_next, e)
     grad_norm = math.sqrt(grad.dot(grad))
     if not math.isfinite(grad_norm) and not np.isfinite(grad).all():
@@ -429,14 +429,14 @@ def uoro_step(
     shifted = np.tanh(params.w_a @ (x + EPS_PROP * x_tilde) + cache.wb_u)
     x_fwd = (shifted - x_next) / EPS_PROP
 
-    # 10. clipped SGD; stages 7-9 then reuse the slot whose weights it read.
+    # 10. clipped SGD, in place; stages 7-9 then reuse the gradient buffer.
     new_params = sgd_update(params, grad, grad_norm, hyper.eta, hyper.tau,
-                            workspace.weights[k], theta)
+                            workspace.theta, workspace.weights)
 
     # 7-8. rho1 comes first, from the closed-form norm of dtheta_g
     # (`delta_theta_g_norm` with a = tanh'(z) = 1 - x_next^2), so that
     # stage 7 writes dtheta_g / rho1 directly, as the outer product v a^T of
-    # v = [x; u] and a = (nu / rho1) * tanh'(z), into the dead slot's
+    # v = [x; u] and a = (nu / rho1) * tanh'(z), into the spent gradient's
     # `_ab_rows` view; its W_c block is zero and is not formed. The
     # normalizers are Python floats, with ||nu|| = sqrt(q).
     eps = EPS_NORM
@@ -462,12 +462,12 @@ def uoro_step(
     # np.multiply.outer, 2.7 times as fast at q = 90, but an exact zero is
     # +0, never -0; adding it into theta_tilde differs only at a -0 there.
     a = (nu / rho1) * d
-    np.dot(v[:, None], a[None, :], out=workspace.grad_ab[1 - k])
+    np.dot(v[:, None], a[None, :], out=workspace.grad_ab)
 
-    # 9. memory update, into this slot's memory: x_tilde, then theta_tilde
+    # 9. memory update, in place: x_tilde, then theta_tilde
     # scaled by the reciprocal of rho0, with dtheta_g added into its
     # [W_a | W_b] rows only, since dtheta_g's W_c block is zero.
-    new_memory = workspace.memory[k]
+    new_memory = workspace.memory
     new_x_tilde = np.multiply(x_fwd, rho0, out=new_memory.x_tilde)
     new_x_tilde += rho1 * nu
     if (not math.isfinite(new_x_tilde.dot(new_x_tilde))
@@ -480,7 +480,7 @@ def uoro_step(
     inv_rho0 = 1.0 / rho0
     new_theta_tilde = np.multiply(theta_tilde, inv_rho0,
                                   out=workspace.theta_tilde)
-    workspace.theta_tilde_ab += workspace.grad_ab[1 - k]
+    workspace.theta_tilde_ab += workspace.grad_ab
     if not (
         theta_tilde_norm * inv_rho0 + dtheta_g_norm / rho1 <= _FINITE_BOUND
         or np.isfinite(new_theta_tilde).all()

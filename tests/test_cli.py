@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -76,10 +77,23 @@ def test_run_command_executes_config(dataset, capsys):
     assert (out_dir / "manifest_none.json").exists()
 
 
+def test_config_rejects_grids_key_of_an_algorithm_not_run(dataset):
+    # A misspelt key used to run the shipped grid silently.
+    config = _write_config(
+        dataset, algorithms=["lms"],
+        grids={"LMS": {"eta": [0.02], "L": [10]},
+               "lms": {"eta": [0.02], "L": [10]}},
+    )
+    with pytest.raises(ValueError, match=re.escape(
+            f"{config}: 'grids' keys ['LMS'] name no algorithm the config "
+            f"runs; it runs ['lms']")):
+        _config_from_file(config)
+
+
 def test_run_command_single_algorithm_key(dataset):
     config = _write_config(dataset)
     raw = json.loads(config.read_text())
-    del raw["algorithms"]
+    del raw["algorithms"], raw["grids"]
     raw["algorithm"] = "none"
     config.write_text(json.dumps(raw))
     assert main(["run", "--config", str(config)]) == 0
@@ -221,7 +235,7 @@ def test_bench_command_accepts_float_rounded_history(capsys):
 
 
 def test_report_command_rebuilds_tables(dataset, capsys):
-    config = _write_config(dataset, algorithms=["none"])
+    config = _write_config(dataset, algorithms=["none"], grids={})
     assert main(["run", "--config", str(config)]) == 0
     capsys.readouterr()
     assert main(["report", "--in", str(dataset / "out")]) == 0

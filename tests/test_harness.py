@@ -230,18 +230,22 @@ _RTRL_GRID = {"eta": (0.1,), "sigma_init": (0.02,), "L": (10,), "q": (10,)}
     "algorithm, axis, value, kind",
     [
         # A negative learning rate used to train RTRL by gradient ascent.
-        ("rtrl", "eta", -0.1, "numbers > 0"),
-        ("uoro", "eta", 0.0, "numbers > 0"),
-        ("lms", "eta", float("nan"), "numbers > 0"),
-        ("rtrl", "sigma_init", 0.0, "numbers > 0"),
-        ("uoro", "sigma_init", -0.02, "numbers > 0"),
+        ("rtrl", "eta", -0.1, "finite numbers > 0"),
+        ("uoro", "eta", 0.0, "finite numbers > 0"),
+        ("lms", "eta", float("nan"), "finite numbers > 0"),
+        ("rtrl", "sigma_init", 0.0, "finite numbers > 0"),
+        ("uoro", "sigma_init", -0.02, "finite numbers > 0"),
+        # An infinite value used to be accepted, and each of its runs then
+        # diverged.
+        ("uoro", "eta", float("inf"), "finite numbers > 0"),
+        ("rtrl", "sigma_init", float("inf"), "finite numbers > 0"),
         # Used to fail with a TypeError deep in iter_windows.
         ("rtrl", "L", 2.5, "integers >= 1"),
         ("linreg", "L", 0, "integers >= 1"),
         ("lms", "L", 10.0, "integers >= 1"),
         ("uoro", "q", -3, "integers >= 1"),
         ("rtrl", "q", True, "integers >= 1"),
-        ("uoro", "eta", "0.1", "numbers > 0"),
+        ("uoro", "eta", "0.1", "finite numbers > 0"),
     ],
 )
 def test_grid_values_must_be_ones_the_learners_take(tmp_path, algorithm, axis,
@@ -458,8 +462,10 @@ def test_run_names_every_missing_field_and_ignores_extra_ones():
     ("lms", "L", 2.5, "integers >= 1"),
     ("uoro", "L", 2.5, "integers >= 1"),
     ("uoro", "q", 0, "integers >= 1"),
-    ("lms", "eta", -0.05, "numbers > 0"),
-    ("uoro", "sigma_init", float("nan"), "numbers > 0"),
+    ("lms", "eta", -0.05, "finite numbers > 0"),
+    ("uoro", "sigma_init", float("nan"), "finite numbers > 0"),
+    ("lms", "eta", float("inf"), "finite numbers > 0"),
+    ("uoro", "sigma_init", float("inf"), "finite numbers > 0"),
 ])
 def test_run_rejects_hyper_values_its_grid_would_reject(algorithm, field,
                                                         value, kind):
@@ -1235,6 +1241,25 @@ def test_load_dataset_reads_sequences_and_exclusions(tmp_path):
     assert [r.label for r in records] == ["seq0", "seq1"]
     assert records[1].breathing_class == "irregular"
     assert exclude == ("seq1",)
+
+
+@pytest.mark.parametrize("key, value", [
+    # A string was split into its characters: "s0" excluded 's' and '0'.
+    ("cohort_exclude", "seq1"),
+    # ... and read as the files named by its characters.
+    ("sequences", "seq0.csv"),
+    ("sequences", ["seq0.csv", 1]),
+    ("cohort_exclude", [None]),
+])
+def test_load_dataset_requires_lists_of_strings(tmp_path, key, value):
+    manifest = _write_dataset(tmp_path)
+    raw = json.loads(manifest.read_text())
+    raw[key] = value
+    manifest.write_text(json.dumps(raw))
+    message = re.escape(f"{manifest}: manifest '{key}' must be a list of "
+                        f"strings, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        load_dataset(manifest)
 
 
 def test_load_dataset_rejects_empty_and_duplicate(tmp_path):

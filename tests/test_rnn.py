@@ -247,8 +247,8 @@ def test_clip_gradient_ends_when_squares_are_subnormal():
     tau=st.sampled_from([1e-3, 2.0, 1e12]),
 )
 def test_sgd_update_equals_flat_clipped_step(q, m, p, seed, scale, eta, tau):
-    # The update is written over the gradient, from init_params' C-order
-    # matrices, which it leaves as they were.
+    # The update copies init_params' C-order matrices into the flat
+    # weights, leaving them as they were, and subtracts there.
     dims = RnnDims(q=q, m=m, p=p)
     params = init_params(dims, sigma_init=0.5, seed=seed)
     grad = np.random.default_rng(seed).standard_normal(dims.n_params) * scale
@@ -257,8 +257,9 @@ def test_sgd_update_equals_flat_clipped_step(q, m, p, seed, scale, eta, tau):
         flatten_params(params) - eta * clip_gradient(grad, tau), dims
     )
 
-    own = unflatten_params(grad, dims)
-    out = sgd_update(params, grad, _norm(grad), eta, tau, own)
+    theta = np.empty(dims.n_params)
+    own = unflatten_params(theta, dims)
+    out = sgd_update(params, grad, _norm(grad), eta, tau, theta, own)
     assert out is own
     for got, want in zip((out.w_a, out.w_b, out.w_c),
                          (ref.w_a, ref.w_b, ref.w_c)):
@@ -276,25 +277,32 @@ def test_sgd_update_equals_flat_clipped_step(q, m, p, seed, scale, eta, tau):
     eta=st.floats(1e-4, 1.0),
     tau=st.sampled_from([1e-3, 2.0, 1e12]),
 )
-def test_sgd_update_into_out_equals_fresh_update(q, m, p, seed, eta, tau):
-    # A learner's first step subtracts from init_params' C-order matrices
-    # into one slot's column-major views; each later step subtracts from
-    # the last slot's views into the other slot's. Every step must give the
-    # flat reference's bits.
+def test_sgd_update_in_place_equals_fresh_update(q, m, p, seed, eta, tau):
+    # A learner's first step copies init_params' C-order matrices into the
+    # flat weights; each later step updates those weights in place. A pure
+    # call's input weights are column-major views of another buffer, which
+    # are copied too and left as they were. Every step must give the flat
+    # reference's bits.
     dims = RnnDims(q=q, m=m, p=p)
     got = init_params(dims, sigma_init=0.5, seed=seed)
     want = flatten_params(got)
-    slots = (np.empty(dims.n_params), np.empty(dims.n_params))
+    theta, grad_buffer = np.empty(dims.n_params), np.empty(dims.n_params)
+    weights = unflatten_params(theta, dims)
     rng = np.random.default_rng(seed)
-    for step, scale in enumerate((1.0, 1e-3, 1.0, 1e-3)):
+    for step, scale in enumerate((1.0, 1e-3, 1.0, 1e-3, 1.0)):
         grad = scale * rng.standard_normal(dims.n_params)
         want = want - eta * clip_gradient(grad, tau)
-        buffer = slots[step % 2]
-        buffer[:] = grad
-        got = sgd_update(got, buffer, _norm(grad), eta, tau,
-                         unflatten_params(buffer, dims))
-        assert np.shares_memory(got.w_a, buffer)
-        assert flatten_params(got).tobytes() == want.tobytes()
+        grad_buffer[:] = grad
+        if step == 3:
+            got = unflatten_params(flatten_params(got), dims)
+        before = flatten_params(got).tobytes()
+        out = sgd_update(got, grad_buffer, _norm(grad), eta, tau, theta,
+                         weights)
+        assert out is weights
+        assert theta.tobytes() == want.tobytes()
+        if got is not weights:
+            assert flatten_params(got).tobytes() == before
+        got = out
 
 
 @pytest.mark.parametrize("eta", [-0.1, -np.inf, np.nan])
@@ -303,19 +311,22 @@ def test_sgd_update_rejects_negative_or_nan_learning_rate(eta):
     params = init_params(dims, sigma_init=0.5, seed=0)
     grad = np.ones(dims.n_params)
     with pytest.raises(ValueError, match="need eta >= 0"):
-        sgd_update(params, grad, _norm(grad), eta, 1.0,
-                   unflatten_params(grad, dims))
+        theta = np.empty(dims.n_params)
+        sgd_update(params, grad, _norm(grad), eta, 1.0, theta,
+                   unflatten_params(theta, dims))
 
 
 @pytest.mark.parametrize("q, m, p", [(1, 1, 1), (5, 7, 2), (90, 810, 9)])
-def test_workspace_slots_start_on_a_cache_line(q, m, p):
+def test_workspace_buffers_start_on_a_cache_line(q, m, p):
+    # The weights, the gradient and UORO's theta_tilde.
     dims = RnnDims(q=q, m=m, p=p)
     for _ in range(20):
-        workspace = Workspace(dims)
-        for k in (0, 1):
-            assert workspace.grad[k].ctypes.data % 64 == 0
-            assert workspace.grad[k].shape == (dims.n_params,)
-            assert np.shares_memory(workspace.weights[k].w_a, workspace.grad[k])
+        workspace = UoroWorkspace(dims)
+        for flat in (workspace.theta, workspace.grad, workspace.theta_tilde):
+            assert flat.ctypes.data % 64 == 0
+            assert flat.shape == (dims.n_params,)
+        assert np.shares_memory(workspace.weights.w_a, workspace.theta)
+        assert np.shares_memory(workspace.grad_wc, workspace.grad)
 
 
 def test_flatten_is_column_major():
@@ -395,21 +406,21 @@ def test_layout_views_address_the_entries_unflatten_params_maps(q, m, p):
 
     uoro, rtrl = UoroWorkspace(dims), RtrlWorkspace(dims)
     for workspace in (Workspace(dims), uoro, rtrl):
-        for k in (0, 1):
-            weights = workspace.weights[k]
-            for name in ("w_a", "w_b", "w_c"):
-                getattr(weights, name)[...] = getattr(params, name)
-            assert np.array_equal(workspace.grad[k], theta)
-            assert np.array_equal(workspace.grad_wc[k], params.w_c.T)
+        weights = workspace.weights
+        for name in ("w_a", "w_b", "w_c"):
+            getattr(weights, name)[...] = getattr(params, name)
+        assert np.array_equal(workspace.theta, theta)
+        workspace.grad[...] = theta
+        assert np.array_equal(workspace.grad_wc, params.w_c.T)
     uoro.theta_tilde[...] = theta
     assert np.array_equal(uoro.theta_tilde_ab, w_ab.T)
+    # A step writes dtheta_g into the gradient's [W_a | W_b] rows once SGD
+    # has consumed the gradient: the view is _ab_rows(grad).
+    target, view = uoro.grad_ab, _ab_rows(uoro.grad, dims)
+    assert ((target.ctypes.data, target.shape, target.strides)
+            == (view.ctypes.data, view.shape, view.strides))
+    assert np.array_equal(target, w_ab.T)
     for k in (0, 1):
-        # A step writes dtheta_g into slot k's [W_a | W_b] rows once SGD
-        # has read the weights there: the view is _ab_rows(grad[k]).
-        target, view = uoro.grad_ab[k], _ab_rows(uoro.grad[k], dims)
-        assert ((target.ctypes.data, target.shape, target.strides)
-                == (view.ctypes.data, view.shape, view.strides))
-        assert np.array_equal(target, w_ab.T)
         rtrl.influence[k][...] = 0.0
         rtrl.diagonals[k][...] = w_ab
         assert np.array_equal(rtrl.influence[k], influence)

@@ -441,23 +441,25 @@ def test_rtrl_step_rejects_inputs_of_another_shape(bad, in_place):
                   args["y_star"], eta=0.1, tau=CLIP_TAU, **kwargs)
 
 
-def test_learner_steps_alternate_between_the_workspace_slots():
-    # Each step writes its influence, gradient and weights into the slot
-    # its weights are not in: init_params' are in neither, so the slots run
-    # 0, 1, 0, 1, ...
+def test_learner_steps_update_weights_in_place_and_alternate_influence():
+    # Every step returns the workspace's one set of weights. The new
+    # influence goes into the buffer the input influence is not in:
+    # init_influence's is in neither, so the buffers run 0, 1, 0, 1, ...
     dims, params, x, u, y_star, _ = _instance()
     workspace = RtrlWorkspace(dims)
     influence = init_influence(dims)
     for step in range(6):
         out = rtrl_step(params, x, influence, u, y_star, eta=0.1,
                         tau=CLIP_TAU, workspace=workspace)
-        assert out.params is workspace.weights[step % 2]
+        assert out.params is workspace.weights
         assert out.influence is workspace.influence[step % 2]
         params, x, influence = out.params, out.x, out.influence
 
 
 def test_pure_call_then_learner_step_on_the_same_inputs_agree():
-    # |W| = 75 is odd, so slot 1 starts 8 bytes off a 16-byte boundary.
+    # |W| = 75 is odd, so a buffer after the first would start 8 bytes off
+    # a 16-byte boundary unless the workspace aligns it. The pure call
+    # copies the learner's weights and must leave them as they were.
     dims, params, x, u, y_star, _ = _instance(q=5, m=7, p=2)
     workspace = RtrlWorkspace(dims)
     influence = init_influence(dims)

@@ -756,25 +756,27 @@ def test_learner_theta_tilde_wc_block_stays_positive_zero():
     assert memory.theta_tilde is workspace.theta_tilde
 
 
-def test_learner_steps_alternate_between_the_workspace_slots():
-    # Each step writes into the slot its weights are not in: init_params'
-    # weights are in neither, so the slots run 0, 1, 0, 1, ...
+def test_learner_steps_update_the_workspace_weights_in_place():
+    # Every step, the first from init_params' own matrices included,
+    # returns the workspace's one set of weights and its one memory.
     dims, params, x, u, y_star, rng = _instance()
     workspace = UoroWorkspace(dims)
     memory, hyper = init_memory(dims), _hyper(dims)
-    for step in range(6):
+    for _ in range(6):
         out = uoro_step(params, x, memory, u, y_star, hyper, rng,
                         workspace=workspace)
-        assert out.params is workspace.weights[step % 2]
+        assert out.params is workspace.weights
+        assert out.memory is workspace.memory
         assert out.memory.theta_tilde is workspace.theta_tilde
         params, x, memory = out.params, out.x, out.memory
 
 
 def test_workspace_holds_three_weight_sized_buffers():
-    # The two slots and theta_tilde: dtheta_g goes into the slot SGD has
-    # just read. At q = L = 90 (|W| = 81,900) a fourth buffer, even only
-    # the [W_a | W_b] block (648 KB), exceeds the eighth of one buffer
-    # left for the small vectors, the views and their objects.
+    # The weights, the gradient and theta_tilde: dtheta_g goes into the
+    # gradient buffer once SGD has consumed it. At q = L = 90
+    # (|W| = 81,900) a fourth buffer, even only the [W_a | W_b] block
+    # (648 KB), exceeds the eighth of one buffer left for the small
+    # vectors, the views and their objects.
     dims = RnnDims(q=90, m=3 * 3 * 90, p=9)
     UoroWorkspace(dims)
     tracemalloc.start()
@@ -788,7 +790,9 @@ def test_workspace_holds_three_weight_sized_buffers():
 
 
 def test_pure_call_then_learner_step_on_the_same_inputs_agree():
-    # |W| = 75 is odd, so slot 1 starts 8 bytes off a 16-byte boundary.
+    # |W| = 75 is odd, so a buffer after the first would start 8 bytes off
+    # a 16-byte boundary unless the workspace aligns it. The pure call
+    # copies the learner's weights and must leave them as they were.
     dims, params, x, u, y_star, rng = _instance(q=5, m=7, p=2)
     hyper, workspace = _hyper(dims), UoroWorkspace(dims)
     memory = init_memory(dims)
