@@ -8,7 +8,9 @@ of the window. The linear models are y = W u, and a model is nothing but
 its weight array W of shape p x (m+1), whose bias column carries the
 intercept: `lms_step` takes W and returns the updated W, `fit_linreg`
 returns W, and `predict_linreg` applies it. The caller holds W between
-steps, as it holds the RNN trainers' parameters.
+steps, as it holds the RNN trainers' parameters. `lms_step` forms its
+negated gradient e u^T as one BLAS product of a column and a row and adds
+it to W.
 """
 
 from __future__ import annotations
@@ -39,12 +41,15 @@ def lms_step(
     flattened matrix (the Frobenius norm) to match the RNN trainers'
     treatment, at learning rate eta. Equal, bit for bit, to `rnn.loss`,
     then `clip_gradient` on `np.outer(-e, u)`, then a finiteness scan of
-    the new weights, written inline: every norm is taken over one flat
-    view of the fresh gradient buffer, into which the clipped gradient,
-    eta times it and then the new weights are written, as `sgd_update`
-    does, and a finite norm of the new weights proves them finite (the
-    scan runs only when it overflows or is NaN). Neither w nor u is
-    written to.
+    the new weights, written inline: the step forms e u^T, the negated
+    gradient, as one BLAS product into a fresh buffer, takes every norm
+    over one flat view of it, clips and scales it there, and adds it to W
+    there, as `sgd_update` subtracts. Rounding is symmetric in sign, so
+    each entry is the exact negative of the formed gradient's, and
+    W + eta * clip(e u^T) is W - eta * clip(-e u^T); an exact-zero entry
+    is +0 where -e u^T may give -0, which changes no weight but a -0.0
+    one. A finite norm of the new weights proves them finite (the scan
+    runs only when it overflows or is NaN). Neither w nor u is written to.
 
     Returns:
         (new_w, y, loss): the updated weights in a fresh array, the
@@ -66,16 +71,16 @@ def lms_step(
         raise ValueError(f"y_star has shape {y_star.shape}, expected ({p},)")
     y = w @ u
     e = y_star - y
-    loss_value = 0.5 * float(e @ e)
+    loss_value = 0.5 * float(e.dot(e))
     if not math.isfinite(loss_value):
         raise NonFiniteError("loss")
-    grad = np.multiply.outer(-e, u)
-    flat = grad.reshape(-1)
+    neg_grad = np.dot(e[:, None], u[None, :])
+    flat = neg_grad.reshape(-1)
     grad_norm = math.sqrt(flat.dot(flat))
     if grad_norm > tau:
         _rescale(flat, tau, grad_norm, out=flat)
     flat *= eta
-    new_w = np.subtract(w, grad, out=grad)
+    new_w = np.add(w, neg_grad, out=neg_grad)
     if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
         raise NonFiniteError("weights")
     return new_w, y, loss_value

@@ -42,22 +42,28 @@ logger = logging.getLogger(__name__)
 def _config_from_file(path: Path) -> list[ExperimentConfig]:
     """Expand a JSON experiment file into one config per algorithm.
 
-    The file carries either "algorithm" (a string) or "algorithms" (a
-    list); "grids" optionally maps names of those algorithms to grid
-    overrides. Every other key must be an `ExperimentConfig` field
-    (ValueError otherwise, or for a "grids" key that names no algorithm
-    the file runs).
+    The file is a JSON object that carries either "algorithm" (a string)
+    or "algorithms" (a list); "grids" optionally maps names of those
+    algorithms to grid overrides. Every other key must be an
+    `ExperimentConfig` field (ValueError otherwise, for a "grids" key that
+    names no algorithm the file runs, or for an "algorithms",
+    "horizons_s" or grid axis value that is not a list).
     Relative paths are resolved against the config file's directory.
     """
     with open(path) as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise ValueError(
+            f"{path}: config must be a JSON object, got {type(raw).__name__}"
+        )
     if ("algorithm" in raw) == ("algorithms" in raw):
         raise ValueError(f"{path}: config needs one of 'algorithm' and 'algorithms'")
     if "algorithm" in raw:
         raw["algorithms"] = [raw.pop("algorithm")]
-    algorithms = raw.pop("algorithms")
+    algorithms = _list_value(path, "algorithms", raw.pop("algorithms"))
     grids = {
-        algo: {k: tuple(v) for k, v in grid.items()}
+        algo: {k: tuple(_list_value(path, f"grids.{algo}.{k}", v))
+               for k, v in grid.items()}
         for algo, grid in raw.pop("grids", {}).items()
     }
     unused = sorted(set(grids) - set(algorithms))
@@ -71,13 +77,23 @@ def _config_from_file(path: Path) -> list[ExperimentConfig]:
     unknown = sorted(set(raw) - fields)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
-    raw["horizons_s"] = tuple(raw["horizons_s"])
+    raw["horizons_s"] = tuple(
+        _list_value(path, "horizons_s", raw["horizons_s"])
+    )
     raw["data_manifest"] = path.parent / raw["data_manifest"]
     raw["out_dir"] = path.parent / raw["out_dir"]
     return [
         ExperimentConfig(algorithm=algo, grid=grids.get(algo), **raw)
         for algo in algorithms
     ]
+
+
+def _list_value(path: Path, key: str, value):
+    """`value` itself when it is a list, which `key` of the config at
+    `path` needs: a string would be read one character at a time."""
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: {key!r} needs a list, got {value!r}")
+    return value
 
 
 def _print_report(report: AggregateReport) -> None:

@@ -911,13 +911,18 @@ def bench_step_time(
 def load_dataset(
     manifest_path: str | Path,
 ) -> tuple[list[MarkerRecord], tuple[str, ...]]:
-    """Read a dataset manifest: JSON with a "sequences" list of CSV paths
-    (relative to the manifest) and an optional "cohort_exclude" label list,
-    both lists of strings (ValueError otherwise).
+    """Read a dataset manifest: a JSON object with a "sequences" list of
+    CSV paths (relative to the manifest) and an optional "cohort_exclude"
+    label list, both lists of strings (ValueError otherwise).
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict):
+        raise ValueError(
+            f"{manifest_path}: manifest must be a JSON object, got "
+            f"{type(manifest).__name__}"
+        )
     paths = manifest.get("sequences")
     if not paths:
         raise ValueError(f"{manifest_path}: manifest lists no sequences")

@@ -28,6 +28,11 @@ they are the q x (q+m+1) matrix d v^T, which the view
 A step runs on an `RtrlWorkspace`, the per-run plan of the step: the
 weight and gradient buffers of `Workspace`, and two influence buffers,
 each with its `_ab_diagonal` view, which recursion (i) adds d v^T into.
+The step forms d v^T as one BLAS product of a column and a row in the
+gradient buffer, before (ii) writes the gradient there, and forms the
+x_next e^T it subtracts from the W_c block of (ii) the same way: each
+entry is the one rounded product of numpy's outer product, but an exact
+zero is +0, never -0, which changes no sum the step forms.
 The new influence goes into the buffer the input influence is not in,
 since a matrix product cannot write over its operand, so a learner's
 influence alternates between the two. The step reads the input weights
@@ -85,12 +90,15 @@ class RtrlWorkspace(Workspace):
     their q x (q+m+1) views `diagonals[k]` (`_ab_diagonal`), the entries
     that recursion (i) adds the state map's parameter Jacobian into. A
     step writes into influence[1] when its input influence is influence[0],
-    else into influence[0]."""
+    else into influence[0]. `grad_dv` is a C-order q x (q+m+1) view of the
+    gradient buffer's head, where a step forms that Jacobian d v^T before
+    the gradient is written."""
 
     def __init__(self, dims: RnnDims):
         self.influence = tuple(np.empty((dims.q, dims.n_params)) for _ in range(2))
         super().__init__(dims)
         self.diagonals = tuple(_ab_diagonal(m, dims) for m in self.influence)
+        self.grad_dv = self.grad[: dims.n_ab].reshape(self.diagonals[0].shape)
 
 
 def init_influence(dims: RnnDims) -> np.ndarray:
@@ -191,19 +199,23 @@ def rtrl_step(
     # tanh the forward pass took: d(state map)/dx is `jac_state_x`, and the
     # d(state map)/dtheta term d v^T is added in place through the view of
     # the entries `jac_state_theta` fills, instead of as a dense q x |W|
-    # matrix.
+    # matrix. d v^T is a BLAS product formed in the gradient buffer, which
+    # (ii) overwrites next.
     d = 1.0 - x_next * x_next
     np.matmul(d[:, None] * w_a, influence, out=new_influence)
-    diagonal += np.multiply.outer(d, np.concatenate((x, u), out=workspace.v))
+    v = np.concatenate((x, u), out=workspace.v)
+    np.dot(d[:, None], v[None, :], out=workspace.grad_dv)
+    diagonal += workspace.grad_dv
 
     # The row vector is `grad_x_loss`. delta_theta is non-zero only in the
     # W_c block, so it is added into that block alone (`grad_wc`, W_c
-    # transposed) by subtracting x_next e^T, as uoro_step does. Adding the
-    # dense vector would turn a -0.0 in the W_a/W_b blocks into +0.0; the
-    # two differ only for a weight that is exactly -0.0.
+    # transposed) by subtracting x_next e^T, a BLAS product as in
+    # uoro_step. Adding the dense vector would turn a -0.0 in the W_a/W_b
+    # blocks into +0.0; the two differ only for a weight that is exactly
+    # -0.0.
     grad = np.matmul(-(e @ w_c), new_influence, out=workspace.grad)
     grad_wc = workspace.grad_wc
-    grad_wc -= np.multiply.outer(x_next, e)
+    grad_wc -= np.dot(x_next[:, None], e[None, :])
 
     # A non-finite influence entry makes its column of the gradient
     # non-finite, even under a zero multiplier (0 * inf is NaN), so a finite

@@ -183,12 +183,15 @@ def load_record(
     Raises:
         ValueError: empty file, wrong column count, non-numeric or
             non-finite cell, or non-increasing time stamps, each reported
-            with its 1-based file line number; or a manifest rate_hz that
+            with its 1-based file line number (of several rows with a
+            wrong column count or a non-numeric or non-finite cell, the
+            earliest); or a manifest rate_hz that
             is not a finite number > 0 with a finite reciprocal, reported
             with the manifest path.
     """
     path = Path(path)
     rows: list[list[float]] = []
+    line_nos: list[int] = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -200,24 +203,26 @@ def load_record(
                 f"{path}: line 1: expected 1 time column plus 3 columns per "
                 f"marker, got {n_cols} columns"
             )
+        # Finiteness is checked once over the parsed rows; before a row
+        # that fails to parse is reported, so is any earlier non-finite row.
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != n_cols:
+                _check_finite_rows(path, rows, line_nos)
                 raise ValueError(
                     f"{path}: line {line_no}: expected {n_cols} columns, got {len(row)}"
                 )
             try:
-                values = [float(cell) for cell in row]
+                rows.append(list(map(float, row)))
             except ValueError:
+                _check_finite_rows(path, rows, line_nos)
                 raise ValueError(f"{path}: line {line_no}: non-numeric cell") from None
-            if not all(np.isfinite(values)):
-                raise ValueError(f"{path}: line {line_no}: non-finite value")
-            rows.append(values)
+            line_nos.append(line_no)
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
-    data = np.asarray(rows)
+    data = _check_finite_rows(path, rows, line_nos)
     t = data[:, 0]
     n_markers = (n_cols - 1) // 3
     positions = data[:, 1:].reshape(len(rows), n_markers, 3)
@@ -271,6 +276,23 @@ def load_record(
         label=label,
         breathing_class=breathing_class,
     )
+
+
+def _check_finite_rows(
+    path: Path, rows: list[list[float]], line_nos: list[int]
+) -> np.ndarray:
+    """The parsed rows as one array, after one finiteness check over it.
+
+    Raises:
+        ValueError: a value is non-finite, reported with the file line
+            number `line_nos` gives the first such row.
+    """
+    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=-1)
+    if not finite.all():
+        line_no = line_nos[int(np.argmin(finite))]
+        raise ValueError(f"{path}: line {line_no}: non-finite value")
+    return data
 
 
 def write_record(

@@ -61,13 +61,15 @@ tracer times the forward pass as its own layer through that call. The step
 makes fewer passes over the |W|-length vectors: it adds the direct
 gradient into the W_c block alone, its only non-zero block, by subtracting
 x_next e^T from W_c transposed, writes dtheta_g / rho1 as its [W_a | W_b]
-block alone, a BLAS product of a column and a row, and adds it into
-theta_tilde's [W_a | W_b] rows (theta_tilde's W_c block is only scaled;
-from `init_memory` on it is +0.0, as adding the zero block would leave
-it), shares W_b u between stages 1 and 6, takes tanh'(z) as 1 - x_next^2,
-computes each norm once, and checks the gradient, x_tilde and the new
-theta_tilde for finiteness through norms it already has (or, for x_tilde,
-its squared norm), scanning an array only when such a norm is not finite.
+block alone (x_next e^T and dtheta_g / rho1 are each one BLAS product of
+a column and a row: each entry is the one rounded product, an exact zero
++0), adds it into theta_tilde's [W_a | W_b] rows (theta_tilde's W_c
+block is only scaled; from `init_memory` on it is +0.0, as adding the
+zero block would leave it), shares W_b u between stages 1 and 6, takes
+tanh'(z) as 1 - x_next^2, computes each norm once, and checks the
+gradient, x_tilde and the new theta_tilde for finiteness through norms it
+already has (or, for x_tilde, its squared norm), scanning an array only
+when such a norm is not finite.
 The normalizers of stage 8 are Python floats: math.sqrt and float division
 round as numpy's float64 scalars do (both are IEEE operations, correctly
 rounded), and ||nu|| is sqrt(q) because nu is +-1, so sum(nu * nu) is
@@ -407,14 +409,15 @@ def uoro_step(
 
     # 3-4. The scalar is `grad_x_loss` . x_tilde. delta_theta is non-zero
     # only in the W_c block, -e x_next^T, so it is added into that block
-    # alone (`grad_wc`, W_c transposed) by subtracting x_next e^T, which
-    # gives the bits of adding x_next (-e)^T. A finite norm proves every
-    # entry finite; only a non-finite one, which the squares' overflow
-    # alone can cause, calls for the scan.
+    # alone (`grad_wc`, W_c transposed) by subtracting x_next e^T, a BLAS
+    # product, which gives the bits of adding x_next (-e)^T up to the sign
+    # of a zero entry, which changes no weight but a -0.0 one. A finite
+    # norm proves every entry finite; only a non-finite one, which the
+    # squares' overflow alone can cause, calls for the scan.
     grad = np.multiply(-(e @ params.w_c) @ x_tilde, theta_tilde,
                        out=workspace.grad)
     grad_wc = workspace.grad_wc
-    grad_wc -= np.multiply.outer(x_next, e)
+    grad_wc -= np.dot(x_next[:, None], e[None, :])
     grad_norm = math.sqrt(grad.dot(grad))
     if not math.isfinite(grad_norm) and not np.isfinite(grad).all():
         raise NonFiniteError("gradient")

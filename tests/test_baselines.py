@@ -172,6 +172,35 @@ def test_lms_step_matches_reference_over_chained_steps(eta, tau, clipping):
     assert (n_clipped > 500) if clipping else (n_clipped == 0)
 
 
+def test_lms_step_matches_reference_bit_for_bit_at_exact_zeros():
+    # One coordinate is constant, so it normalizes to exactly 0: its
+    # entries u_j of every window are 0, and so are its target and, from
+    # the zero start, its prediction, so its error e_i is 0 at every step.
+    # Their products are +0 in the BLAS outer product and may be -0 in
+    # np.outer(-e, u); the new weights must be the reference's, signs of
+    # zeros included.
+    record = synthetic_record(duration_s=60.0, seed=4)
+    positions = record.positions.copy()
+    positions[:, 1, 2] = 12.5
+    record = MarkerRecord(positions=positions,
+                          sample_period=record.sample_period)
+    with pytest.warns(UserWarning, match="constant"):
+        norm = fit_normalizer(record, range(0, 300))
+    L = 4
+    samples = list(iter_windows(record, norm, L, 3, range(400)))
+    assert (samples[0].u[1 + 5 :: 3 * record.n_markers] == 0.0).all()
+    p, n_in = 3 * record.n_markers, 3 * record.n_markers * L + 1
+    got = want = np.zeros((p, n_in))
+    for s in samples:
+        got, y, loss_value = lms_step(got, s.u, s.target, 0.3, 0.5)
+        want, want_y, want_loss = _reference_lms_step(want, s.u, s.target,
+                                                      0.3, 0.5)
+        assert y.tobytes() == want_y.tobytes()
+        assert loss_value == want_loss
+        assert got.tobytes() == want.tobytes()
+    assert (got[5] == 0.0).all() and not np.signbit(got[5]).any()
+
+
 def test_lms_step_accepts_huge_finite_weights():
     # The new weights' squared norm overflows, so finiteness falls back to
     # the full scan, which passes.

@@ -90,6 +90,30 @@ def test_config_rejects_grids_key_of_an_algorithm_not_run(dataset):
         _config_from_file(config)
 
 
+@pytest.mark.parametrize("key, value", [
+    # A string was read one character at a time: "got 'l'".
+    ("algorithms", "lms"),
+    # A number raised TypeError: 'float' object is not iterable.
+    ("horizons_s", 0.5),
+    ("grids", {"lms": {"eta": 0.02, "L": [10]}}),
+])
+def test_config_values_that_must_be_lists(dataset, key, value):
+    config = _write_config(dataset, **{key: value})
+    name = "grids.lms.eta" if key == "grids" else key
+    shown = 0.02 if key == "grids" else value
+    with pytest.raises(ValueError, match=re.escape(
+            f"{config}: {name!r} needs a list, got {shown!r}")):
+        _config_from_file(config)
+
+
+def test_config_must_be_a_json_object(dataset):
+    config = dataset / "config.json"
+    config.write_text(json.dumps(["lms"]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{config}: config must be a JSON object, got list")):
+        _config_from_file(config)
+
+
 def test_run_command_single_algorithm_key(dataset):
     config = _write_config(dataset)
     raw = json.loads(config.read_text())

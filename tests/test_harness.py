@@ -743,16 +743,25 @@ def test_learner_calls_its_kernel_by_name_once_per_step(monkeypatch,
 
 
 @pytest.mark.parametrize("algorithm, q, L, bound", [
-    # UORO: half of one |W|-length vector; RTRL: a quarter of the influence.
-    ("uoro", 90, 90, lambda dims: dims.n_params * 8 // 2),
-    ("rtrl", 25, 25, lambda dims: dims.q * dims.n_params * 8 // 4),
+    # UORO: 1/32 of one |W|-length vector (about 10 KB is reached at
+    # q = L = 90); RTRL: a tenth of the influence (about 100 KB at
+    # q = L = 25, the strided add into the influence's diagonal buffers).
+    ("uoro", 90, 90, lambda dims: dims.n_params * 8 // 32),
+    ("rtrl", 25, 25, lambda dims: dims.q * dims.n_params * 8 // 10),
+    # LMS (q unused): its new weights, p x (m+1), and less than as much
+    # again, so that no second weight-sized array, nor numpy's outer
+    # product buffers, fits in a step.
+    ("lms", 1, 10, lambda dims: 2 * dims.p * (dims.m + 1) * 8),
+    ("lms", 1, 90, lambda dims: 2 * dims.p * (dims.m + 1) * 8),
 ])
 def test_learner_step_allocates_no_weight_sized_temporary(algorithm, q, L,
                                                           bound):
-    # After warm-up a learner step writes its |W|-sized results into its
-    # workspace. Its peak allocation (numpy's small-array temporaries and
-    # ufunc buffers) must stay below a fraction of a weight-sized array,
-    # so that any |W|-sized temporary brought back into a step fails here.
+    # After warm-up an RNN learner step writes its |W|-sized results into
+    # its workspace, and an LMS step allocates its new weights alone. The
+    # peak allocation (numpy's small-array temporaries and ufunc buffers)
+    # must stay below the bound, so that any weight-sized temporary brought
+    # back into a step fails here, as do the ufunc buffers of an outer
+    # product that BLAS can form instead.
     n_markers = 3
     dims = RnnDims(q=q, m=3 * n_markers * L, p=3 * n_markers)
     hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=L, q=q)
@@ -1259,6 +1268,16 @@ def test_load_dataset_requires_lists_of_strings(tmp_path, key, value):
     message = re.escape(f"{manifest}: manifest '{key}' must be a list of "
                         f"strings, got {value!r}")
     with pytest.raises(ValueError, match=message):
+        load_dataset(manifest)
+
+
+def test_load_dataset_requires_a_json_object(tmp_path):
+    # A list used to fail with AttributeError: 'list' object has no
+    # attribute 'get'.
+    manifest = tmp_path / "dataset.json"
+    manifest.write_text(json.dumps(["seq0.csv"]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{manifest}: manifest must be a JSON object, got list")):
         load_dataset(manifest)
 
 

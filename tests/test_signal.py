@@ -145,6 +145,25 @@ def test_load_record_non_numeric_names_line(tmp_path):
         load_record(csv_path)
 
 
+@pytest.mark.parametrize("first, second, message", [
+    ("0.1,1.0,inf,3.0", "0.3,1.0,oops,3.0", "line 3: non-finite value"),
+    ("0.1,1.0,oops,3.0", "0.3,1.0,inf,3.0", "line 3: non-numeric cell"),
+    ("0.1,1.0,NaN,3.0", "0.3,1.0,2.0", "line 3: non-finite value"),
+])
+def test_load_record_reports_the_earliest_faulty_line(tmp_path, first,
+                                                      second, message):
+    # Finiteness is checked once over the parsed rows, after a later row
+    # may already have failed to parse; the earlier fault is still the one
+    # reported.
+    csv_path = tmp_path / "seq.csv"
+    _write_csv(csv_path, n_steps=5, n_markers=1)
+    lines = csv_path.read_text().splitlines()
+    lines[2], lines[4] = first, second
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{csv_path}: {message}")):
+        load_record(csv_path)
+
+
 def test_load_record_wrong_column_count(tmp_path):
     csv_path = tmp_path / "seq.csv"
     _write_csv(csv_path, n_steps=5, n_markers=1)
