@@ -8,9 +8,11 @@ of the window. The linear models are y = W u, and a model is nothing but
 its weight array W of shape p x (m+1), whose bias column carries the
 intercept: `lms_step` takes W and returns the updated W, `fit_linreg`
 returns W, and `predict_linreg` applies it. The caller holds W between
-steps, as it holds the RNN trainers' parameters. `lms_step` forms its
-negated gradient e u^T as one BLAS product of a column and a row and adds
-it to W.
+steps, as it holds the RNN trainers' parameters. The LMS gradient -e u^T
+has rank one, so `lms_step` takes its norm in closed form, ||e|| ||u||,
+and adds the clipped update to W as one BLAS product of a column and a
+row: a step passes over the weights three times (the prediction, the
+product and the add) and forms no gradient.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from markerpred.rnn import NonFiniteError, _rescale
+from markerpred.rnn import _FINITE_BOUND, NonFiniteError, _norm
 from markerpred.signal import MarkerRecord
 
 __all__ = [
@@ -30,30 +32,75 @@ __all__ = [
     "no_prediction",
 ]
 
+# Unit roundoff of a double: a rounded product, quotient or square root is
+# within this relative distance of the exact one.
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Finite squared norms of at least this are dot products whose rounding is
+# relative: the squares in them that underflow change them by far less than
+# one unit roundoff. For smaller or overflowing ones `lms_step` takes the
+# norms with math.hypot, which is within an ulp at any magnitude.
+_TINY_SQUARES = 2.0 ** -960
+
 
 def lms_step(
-    w: np.ndarray, u: np.ndarray, y_star: np.ndarray, eta: float, tau: float
+    w: np.ndarray,
+    u: np.ndarray,
+    y_star: np.ndarray,
+    eta: float,
+    tau: float,
+    out: np.ndarray | None = None,
+    w_bound: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One LMS update of the weights w (p x (m+1)) on the pair (u, y*).
 
     Predicts y = W u, then descends the instantaneous square loss whose
     gradient in W is -e u^T (e = y* - y), clipped at tau in the norm of the
     flattened matrix (the Frobenius norm) to match the RNN trainers'
-    treatment, at learning rate eta. Equal, bit for bit, to `rnn.loss`,
-    then `clip_gradient` on `np.outer(-e, u)`, then a finiteness scan of
-    the new weights, written inline: the step forms e u^T, the negated
-    gradient, as one BLAS product into a fresh buffer, takes every norm
-    over one flat view of it, clips and scales it there, and adds it to W
-    there, as `sgd_update` subtracts. Rounding is symmetric in sign, so
-    each entry is the exact negative of the formed gradient's, and
-    W + eta * clip(e u^T) is W - eta * clip(-e u^T); an exact-zero entry
-    is +0 where -e u^T may give -0, which changes no weight but a -0.0
-    one. A finite norm of the new weights proves them finite (the scan
-    runs only when it overflows or is NaN). Neither w nor u is written to.
+    treatment, at learning rate eta. The gradient has rank one, so its
+    norm is gn = ||e|| ||u||, each factor the square root of a dot product
+    (or math.hypot when a squared norm is below 2^-960 or overflows). The
+    step adds the update (c e) u^T to W, formed as one BLAS product of a
+    column and a row, with c = eta * tau' / gn when gn > tau' and c = eta
+    otherwise, where tau' = tau * (1 - (p + m + 33) 2^-53).
+
+    Clip rule: the update added to W, Delta = (c e) u^T as formed in
+    doubles, has ||Delta||_F <= eta * tau in exact arithmetic. tau' is tau
+    shrunk by a bound on the relative rounding of gn (two dot products of
+    p and m+1 terms, two square roots and a product), of c and of Delta's
+    entries, so no rounding carries the update past the clip. The bound
+    needs that rounding to be relative: the rule holds whenever tau,
+    eta * tau, ||e||, ||u||, gn, c and c ||e|| lie in [2^-1000, 2^1000],
+    and trivially when eta, e or u is zero. It replaces the formed
+    gradient's clip, whose guard rescaled until the clipped gradient's
+    computed norm was at most tau; when a step clips, its c is smaller
+    than that clip's factor by about (p + m + 33) 2^-53, relatively.
+
+    Finiteness: `w_bound` is a bound on ||w||_F. By the clip rule the new
+    weights' norm is at most w_bound + eta * tau up to rounding, so they
+    are scanned for finiteness only when that sum is not at most half the
+    largest double. A pure call (no w_bound) takes ||w||_F, one pass over
+    w, which proves w finite unless it overflows. A learner carries the bound instead,
+    0 for its zero start plus eta * tau per step, so its steps pass over
+    the weights three times (the prediction, the product and the add) and
+    scan them only once the bound fails. Either way a NaN or an overflow
+    in the new weights raises at the step it appears in.
+
+    Args:
+        w: current weights, p x (m+1). Not written to.
+        u: input, m+1 entries. Not written to.
+        y_star: target, p entries.
+        eta: learning rate, >= 0.
+        tau: clip threshold, > 0.
+        out: a C-contiguous p x (m+1) float array that receives the new
+            weights and shares no memory with w or u. A learner passes the
+            buffer its previous weights were in, so its weights alternate
+            between two buffers. None makes a fresh array.
+        w_bound: a bound on ||w||_F that the caller carries; None takes
+            ||w||_F.
 
     Returns:
-        (new_w, y, loss): the updated weights in a fresh array, the
-        prediction made before the update, and its loss.
+        (new_w, y, loss): the updated weights (`out`, or a fresh array),
+        the prediction made before the update, and its loss.
 
     Raises:
         ValueError: w is not a matrix, eta < 0, tau <= 0, or u or y_star
@@ -71,17 +118,24 @@ def lms_step(
         raise ValueError(f"y_star has shape {y_star.shape}, expected ({p},)")
     y = w @ u
     e = y_star - y
-    loss_value = 0.5 * float(e.dot(e))
+    e_squares = float(e.dot(e))
+    loss_value = 0.5 * e_squares
     if not math.isfinite(loss_value):
         raise NonFiniteError("loss")
-    neg_grad = np.dot(e[:, None], u[None, :])
-    flat = neg_grad.reshape(-1)
-    grad_norm = math.sqrt(flat.dot(flat))
-    if grad_norm > tau:
-        _rescale(flat, tau, grad_norm, out=flat)
-    flat *= eta
-    new_w = np.add(w, neg_grad, out=neg_grad)
-    if not math.isfinite(flat.dot(flat)) and not np.isfinite(flat).all():
+    u_squares = float(u.dot(u))
+    if e_squares >= _TINY_SQUARES and _TINY_SQUARES <= u_squares < math.inf:
+        grad_norm = math.sqrt(e_squares) * math.sqrt(u_squares)
+    else:
+        grad_norm = math.hypot(*e) * math.hypot(*u)
+    tau_shrunk = tau * (1.0 - (p + n_in + 32) * _UNIT_ROUNDOFF)
+    c = eta * (tau_shrunk / grad_norm) if grad_norm > tau_shrunk else eta
+    if w_bound is None:
+        w_bound = _norm(w)
+    np.multiply(e, c, out=e)
+    new_w = np.dot(e[:, None], u[None, :], out=out)
+    np.add(w, new_w, out=new_w)
+    if not (w_bound + eta * tau <= _FINITE_BOUND
+            or np.isfinite(new_w).all()):
         raise NonFiniteError("weights")
     return new_w, y, loss_value
 

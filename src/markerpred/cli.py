@@ -5,6 +5,7 @@ Subcommands:
     forecast run    --config experiment.json
     forecast cv     --algo uoro --seq record.csv --horizon 0.6
     forecast bench  --algo uoro --q 90 --shl 9.0
+    forecast bench  --algo lms --shl 9.0
     forecast report --in results/
 
 Horizons and signal history lengths are given in seconds on the command
@@ -24,7 +25,6 @@ from pathlib import Path
 
 from markerpred.harness import (
     ALGORITHMS,
-    STOCHASTIC_ALGORITHMS,
     METRIC_NAMES,
     AggregateReport,
     ExperimentConfig,
@@ -45,9 +45,11 @@ def _config_from_file(path: Path) -> list[ExperimentConfig]:
     The file is a JSON object that carries either "algorithm" (a string)
     or "algorithms" (a list); "grids" optionally maps names of those
     algorithms to grid overrides. Every other key must be an
-    `ExperimentConfig` field (ValueError otherwise, for a "grids" key that
-    names no algorithm the file runs, or for an "algorithms",
-    "horizons_s" or grid axis value that is not a list).
+    `ExperimentConfig` field, and "horizons_s", "data_manifest" and
+    "out_dir" are required (ValueError otherwise, for a "grids" key that
+    names no algorithm the file runs, for a "grids" value or grid that is
+    not an object, or for an "algorithms", "horizons_s" or grid axis value
+    that is not a list).
     Relative paths are resolved against the config file's directory.
     """
     with open(path) as f:
@@ -63,8 +65,9 @@ def _config_from_file(path: Path) -> list[ExperimentConfig]:
     algorithms = _list_value(path, "algorithms", raw.pop("algorithms"))
     grids = {
         algo: {k: tuple(_list_value(path, f"grids.{algo}.{k}", v))
-               for k, v in grid.items()}
-        for algo, grid in raw.pop("grids", {}).items()
+               for k, v in _object_value(path, f"grids.{algo}", grid).items()}
+        for algo, grid
+        in _object_value(path, "grids", raw.pop("grids", {})).items()
     }
     unused = sorted(set(grids) - set(algorithms))
     if unused:
@@ -77,6 +80,10 @@ def _config_from_file(path: Path) -> list[ExperimentConfig]:
     unknown = sorted(set(raw) - fields)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {unknown}")
+    missing = [key for key in ("horizons_s", "data_manifest", "out_dir")
+               if key not in raw]
+    if missing:
+        raise ValueError(f"{path}: config needs the keys {missing}")
     raw["horizons_s"] = tuple(
         _list_value(path, "horizons_s", raw["horizons_s"])
     )
@@ -86,6 +93,14 @@ def _config_from_file(path: Path) -> list[ExperimentConfig]:
         ExperimentConfig(algorithm=algo, grid=grids.get(algo), **raw)
         for algo in algorithms
     ]
+
+
+def _object_value(path: Path, key: str, value) -> dict:
+    """`value` itself when it is a JSON object, which `key` of the config
+    at `path` needs."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {key!r} needs an object, got {value!r}")
+    return value
 
 
 def _list_value(path: Path, key: str, value):
@@ -150,7 +165,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     ms = bench_step_time(
         args.algo, q=args.q, L=L, n_markers=args.markers, n_steps=args.steps,
     )
-    print(f"{args.algo} step (q={args.q}, L={L}, {args.markers} markers): "
+    shape = f"L={L}" if args.q is None else f"q={args.q}, L={L}"
+    print(f"{args.algo} step ({shape}, {args.markers} markers): "
           f"median {ms:.3f} ms over {args.steps} steps")
     return 0
 
@@ -188,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.set_defaults(func=_cmd_cv)
 
     p_bench = sub.add_parser("bench", help="time one training step")
-    p_bench.add_argument("--algo", required=True, choices=STOCHASTIC_ALGORITHMS)
-    p_bench.add_argument("--q", required=True, type=int, help="hidden state size")
+    p_bench.add_argument("--algo", required=True, choices=("uoro", "rtrl", "lms"))
+    p_bench.add_argument("--q", type=int,
+                         help="hidden state size (uoro and rtrl only)")
     p_bench.add_argument("--shl", required=True, type=float,
                          help="signal history length in seconds")
     p_bench.add_argument("--rate", type=float, default=10.0,

@@ -422,15 +422,23 @@ def _online_learner(
 
     The RNN learners own one workspace each and step in place (see the uoro
     and rtrl module docstrings); every y they return is a fresh array. The
+    LMS learner keeps its weights in two buffers, writing each step's new
+    weights into the one its input weights are not in, and carries the
+    bound on their norm that spares `lms_step` a finiteness scan. The
     UORO learner draws its signs _SIGN_BLOCK steps ahead, which gives the
     signs of one draw per step (see the uoro module docstring).
     """
     if algorithm == "lms":
-        w = np.zeros((p, m + 1))
+        # By the clip rule a step adds at most eta * tau to the weights' norm.
+        w, spare = np.zeros((p, m + 1)), np.empty((p, m + 1))
+        w_bound = 0.0
 
         def step(u, y_star):
-            nonlocal w
-            w, y, loss = lms_step(w, u, y_star, hyper.eta, CLIP_TAU)
+            nonlocal w, spare, w_bound
+            new_w, y, loss = lms_step(w, u, y_star, hyper.eta, CLIP_TAU,
+                                      out=spare, w_bound=w_bound)
+            w, spare = new_w, w
+            w_bound += hyper.eta * CLIP_TAU
             return y, loss
 
         return step
@@ -869,21 +877,32 @@ def aggregate(
 
 def bench_step_time(
     algorithm: str,
-    q: int,
+    q: int | None,
     L: int,
     n_markers: int = 3,
     n_steps: int = 1000,
     seed: int = 0,
 ) -> float:
-    """Median wall-clock milliseconds per training step.
+    """Median wall-clock milliseconds per training step of an online
+    learner: "uoro" or "rtrl" with hidden size q, or "lms" (q None).
 
     Chains real steps of `run_sequence_online`'s learner on synthetic
     bounded inputs (10 unmeasured warm-up steps, then n_steps measured ones)
-    so caches and allocator are warm. Only the recurrent trainers are worth
-    timing here.
+    so caches and allocator are warm. The offline methods have no step to
+    time.
     """
-    if algorithm not in STOCHASTIC_ALGORITHMS:
-        raise ValueError("step-time benchmark supports 'uoro' and 'rtrl' only")
+    if algorithm not in ("uoro", "rtrl", "lms"):
+        raise ValueError(
+            "step-time benchmark supports the online learners 'uoro', "
+            f"'rtrl' and 'lms' only, got {algorithm!r}"
+        )
+    if algorithm == "lms" and q is not None:
+        raise ValueError(
+            f"lms has no hidden state: q applies to uoro and rtrl only, "
+            f"got q={q}"
+        )
+    if algorithm != "lms" and q is None:
+        raise ValueError(f"{algorithm} needs its hidden size q")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     m, p = 3 * n_markers * L, 3 * n_markers

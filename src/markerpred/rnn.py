@@ -29,6 +29,7 @@ its weights in one such flat buffer, a `Workspace`'s `theta`, and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,11 @@ __all__ = [
     "flatten_params",
     "unflatten_params",
 ]
+
+
+# A bound on a vector's norm that errs by less than a factor of 2 and is at
+# most this proves every entry of the vector finite without a scan.
+_FINITE_BOUND = 0.5 * sys.float_info.max
 
 
 class NonFiniteError(FloatingPointError):

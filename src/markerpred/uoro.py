@@ -115,7 +115,6 @@ generator, in order, so the rows are the signs that B single draws give.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +124,7 @@ from markerpred.rnn import (
     RnnDims,
     RnnParams,
     Workspace,
+    _FINITE_BOUND,
     _ab_rows,
     _aligned_empty,
     _c_rows,
@@ -153,10 +153,6 @@ __all__ = [
 EPS_NORM = 1e-7
 # Step size of the finite-difference tangent propagation.
 EPS_PROP = 1e-7
-# Up to rounding, far less than a factor of 2, no element of the new
-# theta_tilde exceeds ||theta_tilde|| * (1/rho0) + ||dtheta_g|| / rho1. A bound
-# at most half the largest double therefore proves it finite unscanned.
-_FINITE_BOUND = 0.5 * sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -484,6 +480,8 @@ def uoro_step(
     new_theta_tilde = np.multiply(theta_tilde, inv_rho0,
                                   out=workspace.theta_tilde)
     workspace.theta_tilde_ab += workspace.grad_ab
+    # Up to rounding, far less than a factor of 2, no element of the new
+    # theta_tilde exceeds ||theta_tilde|| * (1/rho0) + ||dtheta_g|| / rho1.
     if not (
         theta_tilde_norm * inv_rho0 + dtheta_g_norm / rho1 <= _FINITE_BOUND
         or np.isfinite(new_theta_tilde).all()

@@ -1,9 +1,13 @@
 """Tests for LMS, least squares, and the no-prediction hold."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from markerpred.baselines import (
     fit_linreg,
@@ -11,6 +15,7 @@ from markerpred.baselines import (
     no_prediction,
     predict_linreg,
 )
+from markerpred.harness import CLIP_TAU, HyperChoice, _online_learner
 from markerpred.rnn import NonFiniteError, clip_gradient, loss
 from markerpred.signal import (
     MarkerRecord,
@@ -139,8 +144,10 @@ def test_lms_step_nonfinite_detected():
 
 
 def _reference_lms_step(w, u, y_star, eta, tau):
-    """The LMS step as composed before its norm was shared: clip_gradient
-    on the outer product, then a full finiteness scan of the weights."""
+    """The LMS step on its formed gradient, as it was composed before the
+    closed form: clip_gradient on the outer product, then a full
+    finiteness scan of the weights. An oracle that `lms_step` meets within
+    the tolerances measured below, not bit for bit."""
     y = w @ u
     e, loss_value = loss(y, y_star)
     if not np.isfinite(loss_value):
@@ -152,23 +159,60 @@ def _reference_lms_step(w, u, y_star, eta, tau):
     return new_w, y, loss_value
 
 
+def _closed_form_lms_step(w, u, y_star, eta, tau):
+    """The LMS step as `lms_step`'s docstring states it, composed from
+    public pieces: the loss, the gradient norm as ||e|| ||u||, tau shrunk
+    by (p + m + 33) units of 2^-53, and the update (c e) u^T added to w,
+    then a full finiteness scan. For squared norms of e and u at least
+    2^-960, where `lms_step` takes the norms from dot products."""
+    y = w @ u
+    e, loss_value = loss(y, y_star)
+    if not np.isfinite(loss_value):
+        raise NonFiniteError("loss")
+    grad_norm = np.linalg.norm(e) * np.linalg.norm(u)
+    tau_shrunk = tau * (1.0 - (e.size + u.size + 32) * 2.0 ** -53)
+    c = eta * (tau_shrunk / grad_norm) if grad_norm > tau_shrunk else eta
+    new_w = w + np.outer(c * e, u)
+    if not np.isfinite(new_w).all():
+        raise NonFiniteError("weights")
+    return new_w, y, loss_value
+
+
+# The largest difference from the formed-gradient oracle over the 1000
+# chained steps below, relative to the largest oracle weight or
+# prediction, measured 2.8e-14 (weights) and 8.2e-14 (predictions) when
+# clipping and 8.4e-16 and 4.1e-16 when not. Each chain rounds its own way
+# and feeds its weights forward; the bounds allow about 30 times that.
+_ORACLE_RTOL = {True: 2.5e-12, False: 2.5e-14}
+
+
 @pytest.mark.parametrize("eta, tau, clipping", [(0.1, 0.5, True), (0.005, 1e3, False)])
 def test_lms_step_matches_reference_over_chained_steps(eta, tau, clipping):
     record = synthetic_record(duration_s=110.0, seed=21)
     norm = fit_normalizer(record, range(0, 300))
     L, h = 10, 5
     samples = list(iter_windows(record, norm, L, h, range(1000)))
-    got = want = np.zeros((3 * record.n_markers, 3 * record.n_markers * L + 1))
+    got = closed = want = np.zeros((3 * record.n_markers,
+                                    3 * record.n_markers * L + 1))
     n_clipped = 0
+    w_gap = y_gap = w_max = y_max = 0.0
     for s in samples:
         e = s.target - want @ s.u
         n_clipped += np.linalg.norm(np.outer(-e, s.u)) > tau
         got, y, loss_value = lms_step(got, s.u, s.target, eta, tau)
+        closed, closed_y, closed_loss = _closed_form_lms_step(
+            closed, s.u, s.target, eta, tau)
         want, want_y, want_loss = _reference_lms_step(want, s.u, s.target,
                                                       eta, tau)
-        np.testing.assert_array_equal(y, want_y)
-        assert loss_value == want_loss
-    np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == closed.tobytes()
+        assert y.tobytes() == closed_y.tobytes()
+        assert loss_value == closed_loss
+        w_gap = max(w_gap, np.abs(got - want).max())
+        y_gap = max(y_gap, np.abs(y - want_y).max())
+        w_max = max(w_max, np.abs(want).max())
+        y_max = max(y_max, np.abs(want_y).max())
+    assert w_gap <= _ORACLE_RTOL[clipping] * w_max
+    assert y_gap <= _ORACLE_RTOL[clipping] * y_max
     assert (n_clipped > 500) if clipping else (n_clipped == 0)
 
 
@@ -177,8 +221,8 @@ def test_lms_step_matches_reference_bit_for_bit_at_exact_zeros():
     # entries u_j of every window are 0, and so are its target and, from
     # the zero start, its prediction, so its error e_i is 0 at every step.
     # Their products are +0 in the BLAS outer product and may be -0 in
-    # np.outer(-e, u); the new weights must be the reference's, signs of
-    # zeros included.
+    # np.outer; the new weights must be the closed form's, signs of zeros
+    # included, and stay +0 in that row.
     record = synthetic_record(duration_s=60.0, seed=4)
     positions = record.positions.copy()
     positions[:, 1, 2] = 12.5
@@ -190,31 +234,153 @@ def test_lms_step_matches_reference_bit_for_bit_at_exact_zeros():
     samples = list(iter_windows(record, norm, L, 3, range(400)))
     assert (samples[0].u[1 + 5 :: 3 * record.n_markers] == 0.0).all()
     p, n_in = 3 * record.n_markers, 3 * record.n_markers * L + 1
-    got = want = np.zeros((p, n_in))
+    got = want = oracle = np.zeros((p, n_in))
     for s in samples:
         got, y, loss_value = lms_step(got, s.u, s.target, 0.3, 0.5)
-        want, want_y, want_loss = _reference_lms_step(want, s.u, s.target,
-                                                      0.3, 0.5)
+        want, want_y, want_loss = _closed_form_lms_step(want, s.u, s.target,
+                                                        0.3, 0.5)
+        oracle, _, _ = _reference_lms_step(oracle, s.u, s.target, 0.3, 0.5)
         assert y.tobytes() == want_y.tobytes()
         assert loss_value == want_loss
         assert got.tobytes() == want.tobytes()
     assert (got[5] == 0.0).all() and not np.signbit(got[5]).any()
+    # Measured: 7.7e-13 of the oracle's largest weight.
+    assert np.abs(got - oracle).max() <= 1e-11 * np.abs(oracle).max()
 
 
 def test_lms_step_accepts_huge_finite_weights():
-    # The new weights' squared norm overflows, so finiteness falls back to
-    # the full scan, which passes.
+    # The weights' squared norm overflows, so the pure call's bound is
+    # infinite and finiteness falls back to the full scan, which passes.
     w = np.full((2, 4), 1e200)
     w[:, 0] = 0.0
     u = np.array([1.0, 0.0, 0.0, 0.0])
     y_star = np.array([3.0, -1.0])
     with np.errstate(over="ignore"):
         new_w, _, _ = lms_step(w, u, y_star, eta=0.1, tau=2.0)
-        want, _, _ = _reference_lms_step(w, u, y_star, eta=0.1, tau=2.0)
+        want, _, _ = _closed_form_lms_step(w, u, y_star, eta=0.1, tau=2.0)
+        oracle, _, _ = _reference_lms_step(w, u, y_star, eta=0.1, tau=2.0)
         assert np.isinf(np.linalg.norm(new_w))
-    np.testing.assert_array_equal(new_w, want)
+    assert new_w.tobytes() == want.tobytes()
+    # The step clips, and its factor is the oracle's shrunk by
+    # (p + m + 33) 2^-53 = 4.2e-15 (measured: 4.4e-15 apart).
+    np.testing.assert_allclose(new_w, oracle, rtol=1e-14)
 
 
+# The clip rule holds where the step's rounding is relative; see lms_step.
+_RULE_RANGE = (2.0 ** -998, 2.0 ** 998)
+
+
+@st.composite
+def _clip_rule_cases(draw):
+    """Zero weights, and an error y* and input u whose entries span tiny to
+    huge magnitudes, with exact zeros; tau near the gradient norm, so that
+    about half the steps clip; a rate from 2^-61 to 2^60."""
+
+    def vector(size, exponent):
+        return np.array([
+            math.ldexp(draw(st.sampled_from([0.0, 1.0, -1.0]))
+                       * draw(st.floats(0.5, 1.0)),
+                       exponent - draw(st.integers(0, 40)))
+            for _ in range(size)
+        ])
+
+    p, n_in = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    # ||y*||^2 must not overflow, or the loss does.
+    k_e = draw(st.integers(-990, 500))
+    k_u = draw(st.integers(max(-990, -990 - k_e), min(990, 990 - k_e)))
+    y_star, u = vector(p, k_e), vector(n_in, k_u)
+    grad_norm = math.hypot(*y_star) * math.hypot(*u)
+    tau = grad_norm * math.ldexp(draw(st.floats(0.5, 1.0)),
+                                 draw(st.integers(-4, 4)))
+    if not 0.0 < tau < math.inf:
+        tau = 1.0
+    eta = math.ldexp(draw(st.floats(0.5, 1.0)), draw(st.integers(-60, 60)))
+    return y_star, u, eta, tau
+
+
+@settings(max_examples=400, deadline=None)
+@given(_clip_rule_cases())
+def test_lms_step_update_never_exceeds_eta_tau(case):
+    # From zero weights the new weights are the update (c e) u^T as
+    # formed; its exact Frobenius norm, over eta, is at most tau.
+    y_star, u, eta, tau = case
+    w = np.zeros((y_star.size, u.size))
+    if not (y_star.any() and u.any()):
+        with np.errstate(over="ignore"):
+            new_w, _, _ = lms_step(w, u, y_star, eta, tau)
+        assert not new_w.any()
+        return
+    e_norm, u_norm = math.hypot(*y_star), math.hypot(*u)
+    grad_norm = e_norm * u_norm
+    c = eta * min(1.0, tau / grad_norm)
+    low, high = _RULE_RANGE
+    assume(all(low <= v <= high for v in (tau, eta * tau, e_norm, u_norm,
+                                          grad_norm, c, c * e_norm)))
+    # A huge u's squares overflow their dot product (and numpy warns);
+    # the step then takes ||u|| with math.hypot.
+    with np.errstate(over="ignore"):
+        new_w, _, _ = lms_step(w, u, y_star, eta, tau)
+    squares = sum(Fraction(x) ** 2 for x in new_w.ravel().tolist())
+    assert squares <= (Fraction(eta) * Fraction(tau)) ** 2
+
+
+def _lms_chains(samples, eta):
+    """Run the LMS learner, chained pure `lms_step` calls and the
+    formed-gradient oracle over samples, all at the learner's clip
+    threshold; for each, the index of the step that raised and the
+    quantity it named, or None."""
+    n_in, p = samples[0].u.size, samples[0].target.size
+    learner = _online_learner("lms", HyperChoice(eta=eta, L=1), n_in - 1, p, 0)
+
+    def pure(kernel):
+        w = np.zeros((p, n_in))
+
+        def step(u, y_star):
+            nonlocal w
+            w, y, loss_value = kernel(w, u, y_star, eta, CLIP_TAU)
+            return y, loss_value
+
+        return step
+
+    outcomes = []
+    for step in (learner, pure(lms_step), pure(_reference_lms_step)):
+        outcome = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, s in enumerate(samples):
+                try:
+                    step(s.u, s.target)
+                except NonFiniteError as err:
+                    outcome = (i, err.quantity)
+                    break
+        outcomes.append(outcome)
+    return outcomes
+
+
+@pytest.mark.parametrize("eta, plant, want", [
+    # An infinite input entry makes that step's prediction, and so its
+    # loss, non-finite.
+    (0.1, "inf_input", (300, "loss")),
+    # A rate near the largest double: the first update is finite but
+    # vast, so the second prediction overflows.
+    (1e307, None, (1, "loss")),
+    # A rate past half the largest double on a bias-only input and a
+    # target of one non-zero coordinate: the first update overflows, the
+    # learner's bound is infinite, and the scan finds it.
+    (1.5e308, "bias_only", (0, "weights")),
+])
+def test_planted_divergence_raises_where_the_oracle_does(eta, plant, want):
+    record = synthetic_record(duration_s=60.0, seed=5)
+    norm = fit_normalizer(record, range(0, 300))
+    samples = list(iter_windows(record, norm, 10, 3, range(400)))
+    if plant == "inf_input":
+        samples[300].u[7] = np.inf
+    elif plant == "bias_only":
+        for s in samples:
+            s.u[1:] = 0.0
+            s.target[:] = 0.0
+            s.target[0] = 10.0
+    outcomes = _lms_chains(samples, eta)
+    assert outcomes == [want] * 3
 @pytest.mark.parametrize("eta", [1.5e308, np.inf])
 def test_lms_step_overflowing_weights_raise(eta):
     # A finite loss and a clipped gradient, but eta * grad overflows to inf

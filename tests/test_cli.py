@@ -106,6 +106,31 @@ def test_config_values_that_must_be_lists(dataset, key, value):
         _config_from_file(config)
 
 
+@pytest.mark.parametrize("key", ["horizons_s", "data_manifest", "out_dir"])
+def test_config_requires_horizons_manifest_and_out_dir(dataset, key):
+    # A missing key used to raise a bare KeyError.
+    config = _write_config(dataset)
+    raw = json.loads(config.read_text())
+    del raw[key]
+    config.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{config}: config needs the keys [{key!r}]")):
+        _config_from_file(config)
+
+
+@pytest.mark.parametrize("grids, name, shown", [
+    # Both used to raise AttributeError: ... has no attribute 'items'.
+    (["lms"], "grids", ["lms"]),
+    ({"lms": ["eta", 0.02]}, "grids.lms", ["eta", 0.02]),
+    ({"lms": 0.02}, "grids.lms", 0.02),
+])
+def test_config_grids_must_be_objects(dataset, grids, name, shown):
+    config = _write_config(dataset, grids=grids)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{config}: {name!r} needs an object, got {shown!r}")):
+        _config_from_file(config)
+
+
 def test_config_must_be_a_json_object(dataset):
     config = dataset / "config.json"
     config.write_text(json.dumps(["lms"]))
@@ -221,6 +246,27 @@ def test_bench_command_converts_seconds_to_steps(capsys):
                  "--steps", "20"]) == 0
     out = capsys.readouterr().out
     assert "q=10, L=10" in out and "median" in out
+
+
+def test_bench_command_times_lms_without_q(capsys):
+    assert main(["bench", "--algo", "lms", "--shl", "1.0",
+                 "--steps", "20"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("lms step (L=10, 3 markers): median ")
+    assert "q=" not in out
+
+
+def test_bench_command_rejects_q_for_lms():
+    with pytest.raises(ValueError, match="lms has no hidden state: q applies "
+                       "to uoro and rtrl only, got q=10"):
+        main(["bench", "--algo", "lms", "--q", "10", "--shl", "1.0",
+              "--steps", "5"])
+
+
+@pytest.mark.parametrize("algo", ["uoro", "rtrl"])
+def test_bench_command_requires_q_for_recurrent_learners(algo):
+    with pytest.raises(ValueError, match=f"{algo} needs its hidden size q"):
+        main(["bench", "--algo", algo, "--shl", "1.0", "--steps", "5"])
 
 
 def test_bench_command_rejects_subsecond_step_history():

@@ -537,9 +537,9 @@ def test_online_learner_equals_direct_step_chain(algorithm, hyper):
 
 
 def _spy(monkeypatch, name):
-    """Wrap harness.<name> (uoro_step or rtrl_step, which the learners call
-    by that name) so that each call's result is appended to the list
-    returned."""
+    """Wrap harness.<name> (uoro_step, rtrl_step or lms_step, which the
+    learners call by that name) so that each call's result is appended to
+    the list returned."""
     results = []
     real = getattr(harness, name)
 
@@ -627,6 +627,36 @@ def test_in_place_learner_equals_pure_chain_over_1000_steps(
     for name in ("w_a", "w_b", "w_c"):
         np.testing.assert_array_equal(getattr(final, name),
                                       getattr(want.params, name))
+    assert (n_clipped > 0) == clips
+
+
+@pytest.mark.parametrize("L", [1, 10, 90])
+@pytest.mark.parametrize("eta, tau, clips", [
+    (0.1, CLIP_TAU, True), (0.005, 1e3, False),
+])
+def test_lms_learner_equals_pure_chain_over_1000_steps(monkeypatch, L, eta,
+                                                       tau, clips):
+    # The learner steps through harness.lms_step with two weight buffers
+    # and a carried norm bound; chained pure calls take neither. Every
+    # step's prediction, loss and new weights must be the pure chain's.
+    monkeypatch.setattr(harness, "CLIP_TAU", tau)
+    learner_steps = _spy(monkeypatch, "lms_step")
+    record = _quick_record(seed=4, duration=200.0)
+    samples = iter_windows(record, fit_normalizer(record, range(300)), L, 4,
+                           range(1000))
+    m, p = 3 * record.n_markers * L, 3 * record.n_markers
+    step = _online_learner("lms", HyperChoice(eta=eta, L=L), m, p, 11)
+    w = np.zeros((p, m + 1))
+    n_clipped = 0
+    for sample in samples:
+        y, loss_value = step(sample.u, sample.target)
+        n_clipped += (np.linalg.norm(sample.target - w @ sample.u)
+                      * np.linalg.norm(sample.u) > tau)
+        w, want_y, want_loss = lms_step(w, sample.u, sample.target, eta, tau)
+        assert y.tobytes() == want_y.tobytes()
+        assert loss_value == want_loss
+        assert learner_steps[-1][0].tobytes() == w.tobytes()
+    assert len(learner_steps) == 1000
     assert (n_clipped > 0) == clips
 
 
@@ -750,14 +780,17 @@ def test_learner_calls_its_kernel_by_name_once_per_step(monkeypatch,
     ("rtrl", 25, 25, lambda dims: dims.q * dims.n_params * 8 // 10),
     # LMS (q unused): its new weights, p x (m+1), and less than as much
     # again, so that no second weight-sized array, nor numpy's outer
-    # product buffers, fits in a step.
+    # product buffers, fits in a step. At L = 90, where the step's small
+    # vectors take about 800 bytes, less than a byte per weight: the
+    # learner writes its weights into its own buffers, and the boolean
+    # array of a finiteness scan of them would not fit either.
     ("lms", 1, 10, lambda dims: 2 * dims.p * (dims.m + 1) * 8),
-    ("lms", 1, 90, lambda dims: 2 * dims.p * (dims.m + 1) * 8),
+    ("lms", 1, 90, lambda dims: dims.p * (dims.m + 1)),
 ])
 def test_learner_step_allocates_no_weight_sized_temporary(algorithm, q, L,
                                                           bound):
-    # After warm-up an RNN learner step writes its |W|-sized results into
-    # its workspace, and an LMS step allocates its new weights alone. The
+    # After warm-up a learner step writes its |W|-sized results into its
+    # workspace, or for LMS into the buffer its old weights left. The
     # peak allocation (numpy's small-array temporaries and ufunc buffers)
     # must stay below the bound, so that any weight-sized temporary brought
     # back into a step fails here, as do the ufunc buffers of an outer
@@ -1222,6 +1255,24 @@ def test_bench_step_time_rejects_fewer_than_one_step(n_steps):
 def test_bench_step_time_rejects_non_recurrent_methods():
     with pytest.raises(ValueError, match="uoro.*rtrl"):
         bench_step_time("lms", q=10, L=10)
+
+
+def test_bench_step_time_times_the_lms_learner():
+    ms = bench_step_time("lms", q=None, L=10, n_steps=30)
+    assert 0 < ms < 1e3
+
+
+@pytest.mark.parametrize("algorithm", ["linreg", "none"])
+def test_bench_step_time_rejects_offline_methods(algorithm):
+    with pytest.raises(ValueError, match=f"online learners .* got "
+                       f"'{algorithm}'"):
+        bench_step_time(algorithm, q=None, L=10)
+
+
+@pytest.mark.parametrize("algorithm", ["uoro", "rtrl"])
+def test_bench_step_time_needs_the_hidden_size(algorithm):
+    with pytest.raises(ValueError, match=f"{algorithm} needs its hidden size q"):
+        bench_step_time(algorithm, q=None, L=10)
 
 
 # ------------------------------ dataset manifest ----------------------------
