@@ -151,20 +151,20 @@ def fit_linreg(
     (`numpy.linalg.lstsq`), which returns the minimal-norm W when the
     design is rank-deficient. Fitting with fewer samples than inputs is
     allowed but warned about, since the system is then under-determined;
-    `context`, when given, says in the warning what was fit (the harness
-    names the sequence, L and h).
+    `context`, when given, says in that warning and in the empty-design
+    error what was fit (the harness names the sequence, L and h).
     """
     if U.ndim != 2 or Y.ndim != 2 or U.shape[0] != Y.shape[0]:
         raise ValueError(
             f"need matrices U and Y with one row per sample, got shapes "
             f"{U.shape} and {Y.shape}"
         )
+    where = "" if context is None else f" ({context})"
     if U.shape[0] == 0:
-        raise ValueError("cannot fit on an empty sample collection")
+        raise ValueError(f"cannot fit on an empty sample collection{where}")
     if not (np.isfinite(U).all() and np.isfinite(Y).all()):
         raise ValueError("design matrix contains non-finite values")
     if U.shape[0] < U.shape[1]:
-        where = "" if context is None else f" ({context})"
         warnings.warn(
             f"under-determined least squares: {U.shape[0]} samples for "
             f"{U.shape[1]} inputs{where}; using the minimal-norm solution",

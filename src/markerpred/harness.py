@@ -398,18 +398,17 @@ def partition_scheme(algorithm: str) -> str:
 
 def _trace_from_steps(
     record: MarkerRecord,
-    preds: list[np.ndarray],
-    ks: list[int],
+    pred: np.ndarray,
+    k_min: int,
     normalizer: Normalizer | None = None,
 ) -> PredictionTrace:
-    """Pair the predictions for steps ks with the record, mapping them back
-    to mm through `normalizer` when they are normalized."""
-    n_m = record.n_markers
-    pred = np.stack(preds).reshape(len(preds), n_m, 3)
+    """Pair the predictions `pred` for steps k_min, k_min + 1, ... with the
+    record, mapping them back to mm through `normalizer` when normalized."""
+    pred = pred.reshape(len(pred), record.n_markers, 3)
     if normalizer is not None:
         pred = normalizer.denormalize(pred)
-    true = record.positions[ks[0] : ks[-1] + 1]
-    return PredictionTrace(pred=pred, true=true, k_min=ks[0])
+    true = record.positions[k_min : k_min + len(pred)]
+    return PredictionTrace(pred=pred, true=true, k_min=k_min)
 
 
 def _online_learner(
@@ -523,7 +522,8 @@ def run_sequence_online(
         and quantity are recorded instead.
 
     Raises:
-        ValueError: also for a scoring range with no reachable target.
+        ValueError: also for a scoring range whose step is not 1 or that
+            has no reachable target.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -538,6 +538,8 @@ def run_sequence_online(
         _check_axis_values(k, (getattr(hyper, k),),
                            f"{algorithm} HyperChoice field")
     scoring = partition.test if scoring_range is None else scoring_range
+    if scoring.step != 1:
+        raise ValueError(f"{algorithm}: scoring range {scoring} must have step 1")
     # The first reachable target: step h for the hold, L + h - 1 for windows.
     first = h if algorithm == "none" else hyper.L + h - 1
     if not scoring or scoring[-1] < first:
@@ -545,16 +547,17 @@ def run_sequence_online(
             f"{algorithm}: scoring range {scoring} unreachable with "
             f"L={hyper.L}, h={h}: the first reachable target is step {first}"
         )
+    # Row k - k_min of the prediction array holds the prediction of step k.
+    k_min = max(scoring.start, first)
 
     if algorithm == "none":
-        ks = [k for k in scoring if k - h >= 0]
-        preds = [no_prediction(record, h, k - h) for k in ks]
-        return RunResult(trace=_trace_from_steps(record, preds, ks))
+        pred = np.stack([no_prediction(record, h, k - h)
+                         for k in range(k_min, scoring.stop)])
+        return RunResult(trace=_trace_from_steps(record, pred, k_min))
 
     normalizer = fit_normalizer(record, partition.train)
-    n_m = record.n_markers
     L = hyper.L
-    p = 3 * n_m
+    p = 3 * record.n_markers
     lag = L + h - 1
 
     if algorithm == "linreg":
@@ -565,28 +568,25 @@ def run_sequence_online(
                                max(0, partition.train.stop - lag)),
                 context=f"sequence {record.label!r}, L={L}, h={h} steps",
             )
-        preds, ks = [], []
-        for sample in iter_windows(
-            record, normalizer, L, h,
-            range(max(0, scoring.start - lag), scoring.stop - lag),
-        ):
-            preds.append(predict_linreg(w, sample.u))
-            ks.append(sample.target_index)
+        pred = np.stack([
+            predict_linreg(w, sample.u) for sample in iter_windows(
+                record, normalizer, L, h,
+                range(k_min - lag, scoring.stop - lag))
+        ])
         # The weights go back as a copy made now: fit_linreg's array was
         # allocated among the fit's large temporaries, and kept by the
         # caller it would split the heap they freed (measured: about 1 MB
         # more peak memory over a linreg grid search). The copy keeps the
         # layout, on which W u's rounding depends.
         return RunResult(
-            trace=_trace_from_steps(record, preds, ks, normalizer),
+            trace=_trace_from_steps(record, pred, k_min, normalizer),
             weights=w.copy(order="K"),
         )
 
     # Online trainers: uoro, rtrl, lms.
     last_n = scoring.stop - lag - 1
-    step = _online_learner(algorithm, hyper, 3 * n_m * L, p, seed)
-    preds: list[np.ndarray] = []
-    ks: list[int] = []
+    step = _online_learner(algorithm, hyper, p * L, p, seed)
+    pred = np.empty((scoring.stop - k_min, p))
     losses = np.empty(last_n + 1) if collect_loss else None
     with np.errstate(over="ignore", invalid="ignore"):
         for sample in iter_windows(record, normalizer, L, h, range(last_n + 1)):
@@ -599,12 +599,11 @@ def run_sequence_online(
                 )
             if collect_loss:
                 losses[sample.time_index] = loss
-            if sample.target_index in scoring:
-                preds.append(y)
-                ks.append(sample.target_index)
+            if sample.target_index >= k_min:
+                pred[sample.target_index - k_min] = y
 
     return RunResult(
-        trace=_trace_from_steps(record, preds, ks, normalizer),
+        trace=_trace_from_steps(record, pred, k_min, normalizer),
         losses=losses,
         loss_start=lag if collect_loss else None,
     )
@@ -932,7 +931,8 @@ def load_dataset(
 ) -> tuple[list[MarkerRecord], tuple[str, ...]]:
     """Read a dataset manifest: a JSON object with a "sequences" list of
     CSV paths (relative to the manifest) and an optional "cohort_exclude"
-    label list, both lists of strings (ValueError otherwise).
+    label list, both lists of strings, each label that of a listed
+    sequence (ValueError otherwise).
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path) as f:
@@ -960,6 +960,12 @@ def load_dataset(
     labels = [r.label for r in records]
     if len(set(labels)) != len(labels):
         raise ValueError(f"{manifest_path}: duplicate sequence labels {labels}")
+    unknown = [x for x in exclude if x not in labels]
+    if unknown:
+        raise ValueError(
+            f"{manifest_path}: cohort_exclude label {unknown[0]!r} names no "
+            f"sequence; the sequence labels are {labels}"
+        )
     return records, tuple(exclude)
 
 

@@ -360,12 +360,15 @@ def fit_normalizer(record: MarkerRecord, window: range) -> Normalizer:
     return Normalizer(offset=offset, scale=scale)
 
 
-def _check_windows(
-    record: MarkerRecord, L: int, h: int, anchors: range
-) -> tuple[int, int] | None:
+def _normalized_span(
+    record: MarkerRecord, normalizer: Normalizer, L: int, h: int, anchors: range
+) -> tuple[np.ndarray, int]:
     """Check the windows anchored at each step of `anchors`, and return the
-    record span they read, (first anchor, last target), or None when there
-    are none.
+    record span they read, from the first anchor to the last target,
+    normalized and flattened, with its first step (an empty span when there
+    are no anchors). Row k of the span (3 * n_M entries) is record step
+    first + k. `iter_windows`, `design_matrix` and so `build_io` read every
+    example out of this span.
 
     Raises:
         ValueError: L < 1, h < 1, or an anchor < 0.
@@ -374,7 +377,7 @@ def _check_windows(
     if L < 1 or h < 1:
         raise ValueError(f"L and h must be >= 1, got L={L}, h={h}")
     if not anchors:
-        return None
+        return np.empty(0), 0
     first, last = sorted((anchors[0], anchors[-1]))
     if first < 0:
         raise ValueError(f"n must be >= 0, got {first}")
@@ -384,7 +387,8 @@ def _check_windows(
             f"window at n={last} with L={L}, h={h} needs step {last_target}, "
             f"record has {record.n_steps}"
         )
-    return first, last_target
+    span = record.positions[first : last_target + 1]
+    return normalizer.normalize(span).ravel(), first
 
 
 def iter_windows(
@@ -403,16 +407,12 @@ def iter_windows(
         ValueError: L < 1, h < 1, or an anchor < 0.
         IndexError: the last window's target falls outside the record.
     """
-    span = _check_windows(record, L, h, anchors)
-    if span is None:
-        return iter(())
-    first, last_target = span
-    flat = normalizer.normalize(record.positions[first : last_target + 1]).ravel()
-    return _windows(flat, 3 * record.n_markers, L, h, first, anchors)
+    span = _normalized_span(record, normalizer, L, h, anchors)
+    return _windows(*span, 3 * record.n_markers, L, h, anchors)
 
 
 def _windows(
-    flat: np.ndarray, c: int, L: int, h: int, first: int, anchors: range
+    flat: np.ndarray, first: int, c: int, L: int, h: int, anchors: range
 ) -> Iterator[WindowedSample]:
     """Slice the examples of `iter_windows` out of its normalized span,
     `flat`, whose row k (c = 3 * n_M entries) is record step first + k."""
@@ -436,21 +436,20 @@ def design_matrix(
     one least-squares design: row n of U is the input u and row n of Y the
     target of the example anchored at step n.
 
-    The record span is normalized once, as in `iter_windows`; U's bias
-    column is filled, and the windows are copied into the rest of U at
-    once from a strided view of the span.
+    It reads the same normalized span as `iter_windows`; U's bias column
+    is filled, and the windows are copied into the rest of U at once from
+    a strided view of the span.
 
     Raises:
         ValueError: L < 1 or h < 1.
         IndexError: the last window's target falls outside the record.
     """
     anchors = range(n_anchors)
-    span = _check_windows(record, L, h, anchors)
+    flat, _ = _normalized_span(record, normalizer, L, h, anchors)
     c = 3 * record.n_markers
     U = np.empty((len(anchors), 1 + L * c))
-    if span is None:
+    if not anchors:
         return U, np.empty((0, c))
-    flat = normalizer.normalize(record.positions[: span[1] + 1]).ravel()
     U[:, 0] = 1.0
     U[:, 1:] = sliding_window_view(flat, L * c)[::c][: len(anchors)]
     lag = L + h - 1
@@ -465,22 +464,13 @@ def build_io(
     The input stacks the normalized coordinates of steps n .. n+L-1 behind
     a leading bias 1; the target is the normalized coordinate vector at
     step n + L + h - 1. This is `iter_windows` over the single anchor n,
-    with its checks and messages, normalizing only the L + 1 rows it reads.
+    with its checks and messages.
 
     Raises:
         ValueError: L < 1, h < 1, or n < 0.
         IndexError: the window or target falls outside the record.
     """
-    _, target_index = _check_windows(record, L, h, range(n, n + 1))
-    u = np.empty(1 + 3 * record.n_markers * L)
-    u[0] = 1.0
-    window = u[1:].reshape(L, record.n_markers, 3)
-    np.subtract(record.positions[n : n + L], normalizer.offset, out=window)
-    window /= normalizer.scale
-    target = normalizer.normalize(record.positions[target_index]).ravel()
-    return WindowedSample(
-        u=u, target=target, time_index=n, target_index=target_index
-    )
+    return next(iter_windows(record, normalizer, L, h, range(n, n + 1)))
 
 
 def whole_steps(duration_s: float, sample_period: float, name: str) -> int:

@@ -40,12 +40,18 @@ from markerpred.harness import (
     run_sequence_online,
     write_runs_csv,
 )
-from markerpred.baselines import lms_step, no_prediction
+from markerpred.baselines import (
+    fit_linreg,
+    lms_step,
+    no_prediction,
+    predict_linreg,
+)
 from markerpred.metrics import MetricSet, ci_per_condition, compute_metrics
 from markerpred.rnn import NonFiniteError, RnnDims, init_params
 from markerpred.rtrl import init_influence, rtrl_step
 from markerpred.signal import (
     MarkerRecord,
+    design_matrix,
     fit_normalizer,
     iter_windows,
     make_partition,
@@ -308,15 +314,58 @@ def test_same_seed_gives_bit_identical_traces():
     assert not np.array_equal(a.trace.pred, c.trace.pred)
 
 
-def test_trace_covers_exactly_the_scoring_range():
+def _reference_trace(algorithm, record, partition, hyper, h, scoring):
+    """The trace of one run assembled sample by sample: each example from
+    `iter_windows` (or the held position), the learner's or the fitted
+    weights' prediction, mapped back to mm on its own, kept when its target
+    lands in `scoring`."""
+    if algorithm == "none":
+        return {k: no_prediction(record, h, k - h).reshape(-1, 3)
+                for k in scoring if k >= h}
+    norm = fit_normalizer(record, partition.train)
+    L, p = hyper.L, 3 * record.n_markers
+    samples = iter_windows(record, norm, L, h,
+                           range(scoring.stop - (L + h - 1)))
+    if algorithm == "linreg":
+        w = fit_linreg(*design_matrix(record, norm, L, h,
+                                      partition.train.stop - (L + h - 1)))
+        predict = lambda u, target: predict_linreg(w, u)
+    else:
+        step = _online_learner(algorithm, hyper, p * L, p, seed=1)
+        predict = lambda u, target: step(u, target)[0]
+    trace = {}
+    for s in samples:
+        y = predict(s.u, s.target)
+        if s.target_index in scoring:
+            trace[s.target_index] = norm.denormalize(y.reshape(-1, 3))
+    return trace
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("where", ["cross-validation", "from step 0"])
+def test_trace_covers_exactly_the_scoring_range(algorithm, where):
+    # Row k - k_min of the trace is the prediction of step k, bit for bit
+    # the per-sample one. A range that starts before the first reachable
+    # target is scored from that target on: step L + h - 1 for a window of
+    # L steps, step h for the hold.
     record = _quick_record(seed=4)
-    partition = make_partition(record, "online_30_30")
-    hyper = HyperChoice(eta=0.05, sigma_init=0.02, L=10, q=10)
-    for algo in ("uoro", "rtrl", "lms"):
-        out = run_sequence_online(algo, record, partition, hyper, h=3, seed=1,
-                                  scoring_range=partition.cross_validation)
-        assert out.trace.k_min == partition.cross_validation.start
-        assert out.trace.n_steps == len(partition.cross_validation)
+    partition = make_partition(record, partition_scheme(algorithm))
+    hyper, h = HyperChoice(eta=0.05, sigma_init=0.02, L=10, q=10), 3
+    first = h if algorithm == "none" else hyper.L + h - 1
+    if where == "cross-validation":
+        scoring = partition.cross_validation
+        k_min = scoring.start
+    else:
+        scoring, k_min = range(0, 80), first
+    out = run_sequence_online(algorithm, record, partition, hyper, h, seed=1,
+                              scoring_range=scoring)
+    assert (out.trace.k_min, out.trace.n_steps) == (k_min, scoring.stop - k_min)
+    want = _reference_trace(algorithm, record, partition, hyper, h, scoring)
+    assert sorted(want) == list(range(k_min, scoring.stop))
+    for k, pred in want.items():
+        np.testing.assert_array_equal(out.trace.pred[k - k_min], pred)
+        np.testing.assert_array_equal(out.trace.true[k - k_min],
+                                      record.positions[k])
 
 
 def _no_step(*args, **kwargs):
@@ -324,25 +373,34 @@ def _no_step(*args, **kwargs):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("where", ["empty", "before the first target"])
+@pytest.mark.parametrize("where", ["empty", "before the first target",
+                                   "step 2", "descending"])
 def test_scoring_range_without_a_reachable_target_is_rejected_before_any_step(
     monkeypatch, algorithm, where
 ):
     # A range with no reachable target has nothing to score. The first
     # reachable target is step h for the hold and step L + h - 1 for a
-    # window of L steps; a range ending there is accepted.
+    # window of L steps; a range ending there is accepted. A range whose
+    # step is not 1 is rejected too: the trace covers consecutive steps.
     record = _quick_record()
     partition = make_partition(record, "online_30_30")
     hyper, h = HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10), 5
     first = h if algorithm == "none" else hyper.L + h - 1
-    scoring = range(100, 100) if where == "empty" else range(0, first)
+    scoring = {
+        "empty": range(100, 100),
+        "before the first target": range(0, first),
+        "step 2": range(600, 700, 2),
+        "descending": range(700, 600, -1),
+    }[where]
+    if scoring.step != 1:
+        message = f"{algorithm}: scoring range {scoring} must have step 1"
+    else:
+        message = (f"{algorithm}: scoring range {scoring} unreachable with "
+                   f"L=10, h=5: the first reachable target is step {first}")
     with monkeypatch.context() as patched:
         for name in ("fit_normalizer", "no_prediction", "_online_learner"):
             patched.setattr(harness, name, _no_step)
-        with pytest.raises(ValueError, match=re.escape(
-            f"{algorithm}: scoring range {scoring} unreachable with L=10, "
-            f"h=5: the first reachable target is step {first}"
-        )):
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_sequence_online(algorithm, record, partition, hyper, h,
                                 seed=0, scoring_range=scoring)
     out = run_sequence_online(algorithm, record, partition, hyper, h, seed=0,
@@ -394,6 +452,19 @@ def test_linreg_fit_actually_depends_on_training_range():
     b = run_sequence_online("linreg", other, partition, HyperChoice(L=10), h=4,
                             seed=0, scoring_range=partition.cross_validation)
     assert not np.array_equal(a.trace.pred, b.trace.pred)
+
+
+def test_linreg_without_a_training_window_names_what_it_fit():
+    # A grid's L that leaves no training anchor used to fail with a bare
+    # "cannot fit on an empty sample collection".
+    record = _quick_record()
+    partition = make_partition(record, "offline_54_6")
+    assert partition.train.stop <= 600 + 4 - 1
+    with pytest.raises(ValueError, match=re.escape(
+            "cannot fit on an empty sample collection (sequence 'seq', "
+            "L=600, h=4 steps)")):
+        run_sequence_online("linreg", record, partition, HyperChoice(L=600),
+                            h=4, seed=0)
 
 
 def test_online_methods_keep_learning_into_the_test_range():
@@ -1340,6 +1411,19 @@ def test_load_dataset_rejects_empty_and_duplicate(tmp_path):
     _write_dataset(tmp_path)
     manifest.write_text(json.dumps({"sequences": ["seq0.csv", "seq0.csv"]}))
     with pytest.raises(ValueError, match="duplicate"):
+        load_dataset(manifest)
+
+
+def test_load_dataset_rejects_an_unknown_cohort_label(tmp_path):
+    # A typo in a label used to be ignored, leaving its sequence in the
+    # cohort rows.
+    manifest = _write_dataset(tmp_path)
+    raw = json.loads(manifest.read_text())
+    raw["cohort_exclude"] = ["seq1", "seq_1"]
+    manifest.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{manifest}: cohort_exclude label 'seq_1' names no sequence; "
+            f"the sequence labels are ['seq0', 'seq1']")):
         load_dataset(manifest)
 
 

@@ -587,8 +587,8 @@ def test_synthetic_record_deterministic():
     seed=st.integers(0, 2**31 - 1),
 )
 def test_build_io_equals_per_sample_reference(n_steps, n_markers, L, h, n, seed):
-    # build_io's direct one-anchor path gives the per-sample reference's
-    # bits, or raises its error and message.
+    # build_io, the one-anchor iter_windows, gives the per-sample
+    # reference's bits, or raises its error and message.
     rng = np.random.default_rng(seed)
     positions = rng.uniform(-80.0, 80.0, size=(n_steps, n_markers, 3))
     record = MarkerRecord(positions=positions, sample_period=0.1)
