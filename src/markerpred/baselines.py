@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from markerpred.rnn import _FINITE_BOUND, NonFiniteError, _norm
+from markerpred.rnn import _FINITE_BOUND, _UNIT_ROUNDOFF, NonFiniteError, _norm
 from markerpred.signal import MarkerRecord
 
 __all__ = [
@@ -32,9 +32,6 @@ __all__ = [
     "no_prediction",
 ]
 
-# Unit roundoff of a double: a rounded product, quotient or square root is
-# within this relative distance of the exact one.
-_UNIT_ROUNDOFF = 2.0 ** -53
 # Finite squared norms of at least this are dot products whose rounding is
 # relative: the squares in them that underflow change them by far less than
 # one unit roundoff. For smaller or overflowing ones `lms_step` takes the

@@ -522,8 +522,9 @@ def run_sequence_online(
         and quantity are recorded instead.
 
     Raises:
-        ValueError: also for a scoring range whose step is not 1 or that
-            has no reachable target.
+        ValueError: also for a scoring range whose step is not 1, that
+            runs past the end of the record, or that has no reachable
+            target.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -540,6 +541,11 @@ def run_sequence_online(
     scoring = partition.test if scoring_range is None else scoring_range
     if scoring.step != 1:
         raise ValueError(f"{algorithm}: scoring range {scoring} must have step 1")
+    if scoring.stop > record.n_steps:
+        raise ValueError(
+            f"{algorithm}: scoring range {scoring} runs past the end of the "
+            f"record, which has {record.n_steps} steps"
+        )
     # The first reachable target: step h for the hold, L + h - 1 for windows.
     first = h if algorithm == "none" else hyper.L + h - 1
     if not scoring or scoring[-1] < first:

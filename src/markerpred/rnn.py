@@ -20,10 +20,12 @@ This module is the one definition of the layout. `flatten_params` and
 private view builders address the blocks in place: `_ab_rows` (W_ab
 transposed), `_c_rows` (W_c transposed) and `_ab_diagonal` (the entries of
 a q x |W| influence matrix that W_ab's row i adds to row i). The trainers
-reach the flat layout only through these functions and the update
-`sgd_update`, so that gradient indices never drift. A trainer step keeps
-its weights in one such flat buffer, a `Workspace`'s `theta`, and
-`sgd_update` updates them there in place.
+reach the flat layout only through these functions, a `Workspace`'s views
+and RTRL's update `sgd_update`, so that gradient indices never drift. A
+trainer step keeps its weights in one such flat buffer, a `Workspace`'s
+`theta`, and updates them there in place: RTRL through `sgd_update`, UORO
+by subtracting the update it forms from its closed forms (see the uoro
+module).
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ __all__ = [
 # A bound on a vector's norm that errs by less than a factor of 2 and is at
 # most this proves every entry of the vector finite without a scan.
 _FINITE_BOUND = 0.5 * sys.float_info.max
+# Unit roundoff of a double: a rounded product, quotient or square root is
+# within this relative distance of the exact one.
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class NonFiniteError(FloatingPointError):
@@ -149,14 +154,14 @@ class Workspace:
     `_aligned_empty`). `v` holds a step's stacked input [x; u].
 
     A step reads its input weights first (the forward pass and the
-    gradient) and then `sgd_update` writes the new weights over `theta` in
-    place, so a learner that feeds each step's weights into the next keeps
-    them in the one buffer for the whole run, and the weights a step
-    returns stay valid until the next step. Weights that are not
-    `weights`, such as `init_params`' or a pure call's inputs, are copied
-    into `theta` by the update and not written to. The uoro and rtrl
-    modules extend the workspace with the buffers of their own learner
-    state."""
+    gradient) and then its SGD (`sgd_update` for RTRL) writes the new
+    weights over `theta` in place, so a learner that feeds each step's
+    weights into the next keeps them in the one buffer for the whole run,
+    and the weights a step returns stay valid until the next step. Weights
+    that are not `weights`, such as `init_params`' or a pure call's
+    inputs, are copied into `theta` by the update and not written to. The
+    uoro and rtrl modules extend the workspace with the buffers of their
+    own learner state."""
 
     def __init__(self, dims: RnnDims):
         self.dims = dims
@@ -298,7 +303,9 @@ def sgd_update(
     weights: RnnParams,
 ) -> RnnParams:
     """One clipped SGD step on the weights, W - eta * clip(grad, tau),
-    written over the flat weights `theta` in place.
+    written over the flat weights `theta` in place: RTRL's update. (UORO
+    never forms its gradient; its step applies the update from closed
+    forms, see `uoro.uoro_step`.)
 
     `grad` is scaled in place to eta * clip(grad, tau). `weights` are the
     column-major matrix views of `theta` (`unflatten_params(theta, dims)`,
@@ -333,11 +340,17 @@ def sgd_update(
         _rescale(grad, tau, grad_norm, out=grad)
     grad *= eta
     if params is not weights:
-        weights.w_a[...] = params.w_a
-        weights.w_b[...] = params.w_b
-        weights.w_c[...] = params.w_c
+        _copy_into(weights, params)
     np.subtract(theta, grad, out=theta)
     return weights
+
+
+def _copy_into(weights: RnnParams, params: RnnParams) -> None:
+    """Copy the matrices of `params` into those of `weights`, a
+    `Workspace`'s views, before an update written over them in place."""
+    weights.w_a[...] = params.w_a
+    weights.w_b[...] = params.w_b
+    weights.w_c[...] = params.w_c
 
 
 def flatten_params(params: RnnParams) -> np.ndarray:

@@ -14,8 +14,8 @@ One training step runs, in this fixed order:
     2. error and loss          e = y* - y, L = 0.5 ||e||^2
     3. direct gradient         dtheta = dL/dtheta holding the state path
                                fixed (only the W_c block is non-zero)
-    4. gradient estimate       dtheta_est = (grad_x_loss . x_tilde)
-                               * theta_tilde + dtheta, using the memory
+    4. gradient estimate       g = c * theta_tilde + dtheta with
+                               c = grad_x_loss . x_tilde, using the memory
                                from BEFORE this step
     5. sign draw               nu ~ uniform on {-1, +1}^q, as
                                2 * rng.integers(0, 2, size=q) - 1, or
@@ -33,12 +33,22 @@ One training step runs, in this fixed order:
     9. memory update           x_tilde' = rho0*x_fwd + rho1*nu,
                                theta_tilde' = theta_tilde * (1/rho0)
                                + dtheta_g/rho1
-   10. clipped SGD             theta' = theta - eta * clip(dtheta_est, tau)
+   10. clipped SGD             theta' = theta - eta * s * g, with the
+                               clip factor s = min(1, tau' / ||g||)
 
 Step 4 deliberately uses the pre-update memory; moving it after step 9
 changes the estimator. `uoro_step` runs stage 10 right after stage 6,
 which changes no value: SGD reads only the gradient and the weights, and
-stages 7-9 none of its outputs. The normalizers in step 8 keep the
+stages 7-9 none of its outputs. Stages 3-4 and 10 are closed forms that
+never form g as a |W| vector. g's [W_a | W_b] block is c theta_tilde_ab,
+so its norm is |c| ||theta_tilde_ab||, from the squared norm of
+theta_tilde_ab that rho0 needs anyway (rho0 takes ||theta_tilde||^2 as the
+sum of its two blocks' squared norms); only the W_c block g_c =
+c theta_tilde_c - x_next e^T, p*q entries, is formed. Then ||g|| =
+sqrt((|c| ||theta_tilde_ab||)^2 + ||g_c||^2), and SGD subtracts
+(eta s c) theta_tilde_ab from the [W_a | W_b] weights and (eta s) g_c from
+W_c. tau' is tau shrunk by a bound on the rounding of ||g|| (see
+`uoro_step`'s clip rule). The normalizers in step 8 keep the
 additive guards inside and outside the square roots. Stage 9 applies its
 scalars to |W|-length vectors only as multiplies, which rounds differently
 from the divisions as stated, so it matches them up to rounding, not bit
@@ -47,29 +57,36 @@ is known before dtheta_g is written, and dtheta_g / rho1 is written
 directly as the one outer product of v and the q-vector (nu / rho1) *
 tanh'(z); theta_tilde is multiplied by the reciprocal 1 / rho0.
 
-The closed forms `delta_theta`, `delta_theta_g`, `delta_theta_g_norm` and
-`tangent_propagate` are the tested reference: the tests check them against
-finite differences, brute-force Jacobians and the norm of the formed
-vector, and compose them into a step that `uoro_step` must match bit for
-bit. `uoro_step` runs the same arithmetic in the same order as one body
+The closed forms `grad_x_loss`, `delta_theta`, `delta_theta_g`,
+`delta_theta_g_norm` and `tangent_propagate` are the tested reference: the
+tests check them against finite differences, brute-force Jacobians and the
+norm of the formed vector, and compose them into a step that `uoro_step`
+must match bit for bit. The step that formed g and clipped it with
+`rnn.clip_gradient` stays in the tests as an oracle, met one step at a
+time within a measured tolerance. `uoro_step` runs the same arithmetic in
+the same order as one body
 that calls one helper per step, `rnn.forward`: the operations of
 `rnn.loss`, `grad_x_loss` and `delta_theta_g_norm` are written inline, so
 that a step pays the dispatch of each numpy operation only, which at small
 q is most of its cost. The forward pass stays a call, and its `StepCache`
 the one object a step builds besides its result, because perfbench's
 tracer times the forward pass as its own layer through that call. The step
-makes fewer passes over the |W|-length vectors: it adds the direct
-gradient into the W_c block alone, its only non-zero block, by subtracting
-x_next e^T from W_c transposed, writes dtheta_g / rho1 as its [W_a | W_b]
-block alone (x_next e^T and dtheta_g / rho1 are each one BLAS product of
-a column and a row: each entry is the one rounded product, an exact zero
+makes few passes over the |W|-length vectors: one dot over
+theta_tilde_ab, one multiply of it into the spent gradient buffer and one
+subtraction for SGD, then the outer product dtheta_g / rho1, the scaling
+of theta_tilde and one add for the memory. It forms the direct gradient
+in the W_c block alone, its only non-zero block, by subtracting x_next e^T
+from W_c transposed, writes dtheta_g / rho1 as its [W_a | W_b] block
+alone (x_next e^T and dtheta_g / rho1 are each one BLAS product of a
+column and a row: each entry is the one rounded product, an exact zero
 +0), adds it into theta_tilde's [W_a | W_b] rows (theta_tilde's W_c
 block is only scaled; from `init_memory` on it is +0.0, as adding the
-zero block would leave it), shares W_b u between stages 1 and 6, takes
-tanh'(z) as 1 - x_next^2, computes each norm once, and checks the
-gradient, x_tilde and the new theta_tilde for finiteness through norms it
-already has (or, for x_tilde, its squared norm), scanning an array only
-when such a norm is not finite.
+zero block would leave it, but a pure call may be handed any W_c block),
+shares W_b u between stages 1 and 6, takes tanh'(z) as 1 - x_next^2,
+computes each norm once, and checks the gradient, x_tilde and the new
+theta_tilde for finiteness through norms it already has (or, for x_tilde,
+its squared norm), scanning an array only when such a norm is not
+finite; the gradient's check never scans (see `uoro_step`).
 The normalizers of stage 8 are Python floats: math.sqrt and float division
 round as numpy's float64 scalars do (both are IEEE operations, correctly
 rounded), and ||nu|| is sqrt(q) because nu is +-1, so sum(nu * nu) is
@@ -86,14 +103,16 @@ A step runs on a `UoroWorkspace`, the per-run plan of the step: three
 |W|-length buffers (the weights, the gradient and theta_tilde), the
 stacked input v, x_tilde, and every view and object of them the step
 uses, each built by the `rnn` helpers that define the flat layout, so the
-step does only the arithmetic and never indexes the layout itself. It
-reads the input weights (stages 1, 4 and 6) before SGD updates the
-workspace's weights in place (see `Workspace`), then writes dtheta_g /
-rho1 into the [W_a | W_b] block of the gradient buffer, which SGD has
-consumed, and x_tilde and theta_tilde over their old values, which no
-later stage reads. It returns the workspace's `UoroMemory`, built with
-it, so a step builds two objects only, the `StepCache` of `rnn.forward`
-and its result. A learner allocates one workspace per run and feeds the
+step does only the arithmetic and never indexes the layout itself. The
+gradient buffer never holds g: its W_c block holds g_c, and its
+[W_a | W_b] block is scratch. The step reads the input weights (stages 1,
+4 and 6), then SGD writes (eta s c) theta_tilde_ab into that scratch,
+scales g_c by eta s in place and subtracts the whole buffer from the
+workspace's weights in place (see `Workspace`). Stage 7 then writes
+dtheta_g / rho1 over the scratch, and stage 9 x_tilde and theta_tilde
+over their old values, which no later stage reads. It returns the
+workspace's `UoroMemory`, built with it, so a step builds two objects
+only, the `StepCache` of `rnn.forward` and its result. A learner allocates one workspace per run and feeds the
 returned params and memory, which live in it, straight back into the
 next step, which overwrites both. Called without one, `uoro_step` builds
 a fresh workspace, so it writes to none of its inputs (it copies the
@@ -125,11 +144,12 @@ from markerpred.rnn import (
     RnnParams,
     Workspace,
     _FINITE_BOUND,
+    _UNIT_ROUNDOFF,
     _ab_rows,
     _aligned_empty,
     _c_rows,
+    _copy_into,
     forward,
-    sgd_update,
     tanh_prime,
 )
 
@@ -198,19 +218,30 @@ class UoroStepResult:
 
 class UoroWorkspace(Workspace):
     """A UORO step's buffers (see `Workspace`): besides the weights and the
-    gradient, theta_tilde, of length |W| and starting on a cache line like
-    them. `theta_tilde_ab` and `grad_ab` are the C-order (q+m+1) x q
-    `_ab_rows` views of their [W_a | W_b] blocks: a step writes dtheta_g as
-    the one outer product v a^T into `grad_ab`, once SGD has consumed the
-    gradient, and adds it into theta_tilde's. `memory` is the memory a step
-    returns: x_tilde and theta_tilde, both updated in place. `nu_norm` is
-    ||nu|| = sqrt(q)."""
+    gradient buffer, theta_tilde, of length |W| and starting on a cache
+    line like them. The gradient buffer never holds the whole gradient:
+    its W_c block, flat as `grad_c` and transposed as `grad_wc`, holds g_c,
+    and its [W_a | W_b] block, flat as `grad_ab_flat`, is scratch for SGD's
+    (eta s c) theta_tilde_ab. `theta_tilde_ab` and `grad_ab` are the
+    C-order (q+m+1) x q `_ab_rows` views of the [W_a | W_b] blocks: a step
+    writes dtheta_g as the one outer product v a^T into `grad_ab`, once SGD
+    has consumed the scratch, and adds it into theta_tilde's.
+    `theta_tilde_blocks` are theta_tilde's two blocks, flat, and `n_ab`
+    their boundary. `memory` is the memory a step returns: x_tilde and
+    theta_tilde, both updated in place. `nu_norm` is ||nu|| = sqrt(q), and
+    `tau_shrink` the factor 1 - (|W| + 32) 2^-53 of the clip rule."""
 
     def __init__(self, dims: RnnDims):
         super().__init__(dims)
         self.theta_tilde = _aligned_empty(dims.n_params)
         self.theta_tilde_ab = _ab_rows(self.theta_tilde, dims)
         self.grad_ab = _ab_rows(self.grad, dims)
+        self.n_ab = dims.n_ab
+        self.theta_tilde_blocks = (self.theta_tilde[: dims.n_ab],
+                                   self.theta_tilde[dims.n_ab :])
+        self.grad_ab_flat = self.grad[: dims.n_ab]
+        self.grad_c = self.grad[dims.n_ab :]
+        self.tau_shrink = 1.0 - (dims.n_params + 32) * _UNIT_ROUNDOFF
         self.memory = UoroMemory(x_tilde=np.empty(dims.q),
                                  theta_tilde=self.theta_tilde)
         self.nu_norm = math.sqrt(dims.q)
@@ -359,6 +390,32 @@ def uoro_step(
     """One UORO training step (the ten-stage sequence in the module
     docstring).
 
+    Clip rule: with g_ab = c theta_tilde_ab and g_c as in the module
+    docstring, ||g|| = sqrt((|c| ||theta_tilde_ab||)^2 + ||g_c||^2), each
+    squared norm a dot product taken as a Python float. The clip factor is
+    s = tau' / ||g|| when ||g|| > tau' and 1 otherwise, with
+    tau' = tau * (1 - (|W| + 32) 2^-53), and the update
+    Delta = [(eta s c) theta_tilde_ab; (eta s) g_c], formed in doubles, has
+    ||Delta|| <= eta * tau in exact arithmetic. tau' is tau shrunk by a
+    bound on the relative rounding of ||g|| (two dot products of |W| terms
+    between them, the square roots, products and the sum), of s and of
+    Delta's entries, so no rounding carries the update past the clip. The
+    bound needs that rounding to be relative: the rule holds whenever
+    ||theta_tilde_ab||, ||g_c|| and ||g|| are each 0 or at least 2^-480
+    (their squares 0 or at least 2^-960) and tau, eta * tau, eta * s and
+    eta * s * |c| lie in [2^-1000, 2^1000]. When the step clips, its s is
+    smaller than the factor of `rnn.clip_gradient` on the formed g by
+    about (|W| + 32) 2^-53, relatively.
+
+    Finiteness: a finite loss proves e finite. A finite ||g||^2 proves c,
+    theta_tilde_ab, g_c and so every entry of g finite; a non-finite one,
+    also when only the squares overflow (||g|| above about 1.3e154), or
+    ||theta_tilde_ab||^2 does, raises "gradient" before any weight
+    changes. Finite rho0 and rho1 prove the normalizers finite; a finite
+    ||x_tilde'||^2, or else a scan, proves x_tilde' finite; and the bound
+    ||theta_tilde|| (1/rho0) + ||dtheta_g|| / rho1, or else a scan, proves
+    theta_tilde' finite.
+
     Args:
         params: current weights.
         x: current hidden state, length q.
@@ -387,7 +444,7 @@ def uoro_step(
             the network.
         NonFiniteError: a NaN or infinity appeared; the message names the
             first affected quantity (loss, gradient, normalizers, or the
-            updated memory).
+            updated memory; see Finiteness above).
     """
     if workspace is None:
         # Fresh buffers: the step writes to none of its inputs.
@@ -403,19 +460,30 @@ def uoro_step(
     if not math.isfinite(loss_value):
         raise NonFiniteError("loss")
 
-    # 3-4. The scalar is `grad_x_loss` . x_tilde. delta_theta is non-zero
-    # only in the W_c block, -e x_next^T, so it is added into that block
-    # alone (`grad_wc`, W_c transposed) by subtracting x_next e^T, a BLAS
-    # product, which gives the bits of adding x_next (-e)^T up to the sign
-    # of a zero entry, which changes no weight but a -0.0 one. A finite
-    # norm proves every entry finite; only a non-finite one, which the
-    # squares' overflow alone can cause, calls for the scan.
-    grad = np.multiply(-(e @ params.w_c) @ x_tilde, theta_tilde,
-                       out=workspace.grad)
-    grad_wc = workspace.grad_wc
-    grad_wc -= np.dot(x_next[:, None], e[None, :])
-    grad_norm = math.sqrt(grad.dot(grad))
-    if not math.isfinite(grad_norm) and not np.isfinite(grad).all():
+    # 3-4. g = c theta_tilde + dtheta, c = `grad_x_loss` . x_tilde. Its
+    # [W_a | W_b] block is c theta_tilde_ab, so ||g_ab|| is |c| times the
+    # ||theta_tilde_ab|| that rho0 needs anyway, and the block is never
+    # formed. The W_c block g_c = c theta_tilde_c - x_next e^T, p*q entries,
+    # is formed in the gradient buffer (`grad_wc`, W_c transposed): x_next
+    # e^T is one BLAS product, and subtracting it gives the bits of adding
+    # delta_theta's x_next (-e)^T up to the sign of an exact zero. Every
+    # squared norm is a Python float, so an overflow among them is an inf,
+    # never a numpy warning.
+    c = -float((e @ params.w_c) @ x_tilde)
+    if theta_tilde is workspace.theta_tilde:
+        theta_tilde_ab, theta_tilde_c = workspace.theta_tilde_blocks
+    else:
+        theta_tilde_ab = theta_tilde[: workspace.n_ab]
+        theta_tilde_c = theta_tilde[workspace.n_ab :]
+    grad_c = np.multiply(theta_tilde_c, c, out=workspace.grad_c)
+    workspace.grad_wc -= np.dot(x_next[:, None], e[None, :])
+    ab_squares = float(theta_tilde_ab.dot(theta_tilde_ab))
+    c_squares = float(theta_tilde_c.dot(theta_tilde_c))
+    grad_ab_norm = abs(c) * math.sqrt(ab_squares)
+    grad_squares = grad_ab_norm * grad_ab_norm + float(grad_c.dot(grad_c))
+    # A finite ||g||^2 proves c, theta_tilde_ab and g_c finite, and so
+    # every entry of g.
+    if not math.isfinite(grad_squares):
         raise NonFiniteError("gradient")
 
     # 5. sign draw
@@ -428,9 +496,20 @@ def uoro_step(
     shifted = np.tanh(params.w_a @ (x + EPS_PROP * x_tilde) + cache.wb_u)
     x_fwd = (shifted - x_next) / EPS_PROP
 
-    # 10. clipped SGD, in place; stages 7-9 then reuse the gradient buffer.
-    new_params = sgd_update(params, grad, grad_norm, hyper.eta, hyper.tau,
-                            workspace.theta, workspace.weights)
+    # 10. clipped SGD, in place, by the clip rule (see `uoro_step`):
+    # theta_ab -= (eta s c) theta_tilde_ab through the [W_a | W_b] block of
+    # the gradient buffer, and W_c^T -= (eta s) g_c, as one subtraction.
+    # Stages 7-9 then reuse the gradient buffer.
+    grad_norm = math.sqrt(grad_squares)
+    tau_shrunk = hyper.tau * workspace.tau_shrink
+    eta_s = (hyper.eta * (tau_shrunk / grad_norm) if grad_norm > tau_shrunk
+             else hyper.eta)
+    np.multiply(theta_tilde_ab, eta_s * c, out=workspace.grad_ab_flat)
+    grad_c *= eta_s
+    new_params = workspace.weights
+    if params is not new_params:
+        _copy_into(new_params, params)
+    np.subtract(workspace.theta, workspace.grad, out=workspace.theta)
 
     # 7-8. rho1 comes first, from the closed-form norm of dtheta_g
     # (`delta_theta_g_norm` with a = tanh'(z) = 1 - x_next^2), so that
@@ -445,7 +524,7 @@ def uoro_step(
         dtheta_g_norm = 0.0
     else:
         dtheta_g_norm = d_norm * math.sqrt(x.dot(x) + u.dot(u))
-    theta_tilde_norm = math.sqrt(theta_tilde.dot(theta_tilde))
+    theta_tilde_norm = math.sqrt(ab_squares + c_squares)
     fwd_norm = math.sqrt(x_fwd.dot(x_fwd)) + eps
     if not fwd_norm:
         # Only with EPS_NORM = 0: numpy's quotient was an inf or a NaN.

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from markerpred import harness, rnn, uoro
+from markerpred import harness, uoro
 from markerpred.harness import (
     ALGORITHMS,
     CLIP_TAU,
@@ -47,7 +47,7 @@ from markerpred.baselines import (
     predict_linreg,
 )
 from markerpred.metrics import MetricSet, ci_per_condition, compute_metrics
-from markerpred.rnn import NonFiniteError, RnnDims, init_params
+from markerpred.rnn import NonFiniteError, RnnDims, flatten_params, init_params
 from markerpred.rtrl import init_influence, rtrl_step
 from markerpred.signal import (
     MarkerRecord,
@@ -60,7 +60,12 @@ from markerpred.signal import (
     write_record,
 )
 from markerpred.uoro import UoroHyper, UoroMemory, init_memory, uoro_step
-from test_uoro import _reference_uoro_step
+from test_uoro import (
+    _ORACLE_RTOL,
+    _closed_form_uoro_step,
+    _oracle_gaps,
+    _reference_uoro_step,
+)
 
 
 def _quick_record(seed=0, duration=80.0, label="seq"):
@@ -373,6 +378,32 @@ def _no_step(*args, **kwargs):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("scoring", [range(700, 900), range(799, 801)])
+def test_scoring_range_past_the_record_is_rejected_before_any_step(
+    monkeypatch, algorithm, scoring
+):
+    # The record has 800 steps, 0-799: a range reaching step 800 or later
+    # asks for targets that do not exist. It is rejected up front, naming
+    # the range and the record's length, not by the windowing or the hold
+    # partway through the run. A range ending at the last step is scored.
+    record = _quick_record()
+    assert record.n_steps == 800
+    partition = make_partition(record, "online_30_30")
+    hyper, h = HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10), 5
+    message = (f"{algorithm}: scoring range {scoring} runs past the end of "
+               f"the record, which has 800 steps")
+    with monkeypatch.context() as patched:
+        for name in ("fit_normalizer", "no_prediction", "_online_learner"):
+            patched.setattr(harness, name, _no_step)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_sequence_online(algorithm, record, partition, hyper, h,
+                                seed=0, scoring_range=scoring)
+    out = run_sequence_online(algorithm, record, partition, hyper, h, seed=0,
+                              scoring_range=range(790, 800))
+    assert (out.trace.k_min, out.trace.n_steps) == (790, 10)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("where", ["empty", "before the first target",
                                    "step 2", "descending"])
 def test_scoring_range_without_a_reachable_target_is_rejected_before_any_step(
@@ -622,10 +653,13 @@ def _spy(monkeypatch, name):
     return results
 
 
-def _pure_chain(algorithm, hyper, m, p, seed, tau):
+def _pure_chain(algorithm, hyper, m, p, seed, tau, oracle_gaps=None):
     """A step function over the pure kernels, initialized as the learner:
-    the UORO reference composed of the closed forms, or rtrl_step without
-    a workspace. Each call returns the kernel's step result."""
+    the UORO closed form (`test_uoro._closed_form_uoro_step`), or
+    rtrl_step without a workspace. Each call returns the kernel's step
+    result. For UORO, each call also runs the formed-gradient oracle from
+    the same state and signs and appends its `_oracle_gaps` to the list
+    `oracle_gaps`, when one is given."""
     dims = RnnDims(q=hyper.q, m=m, p=p)
     params, x = init_params(dims, hyper.sigma_init, seed), np.zeros(hyper.q)
     memory, influence = init_memory(dims), init_influence(dims)
@@ -636,8 +670,12 @@ def _pure_chain(algorithm, hyper, m, p, seed, tau):
     def step(u, y_star):
         nonlocal params, x, memory, influence
         if algorithm == "uoro":
-            out = _reference_uoro_step(params, x, memory, u, y_star,
-                                       uoro_hyper, nu_rng)
+            nu = 2.0 * nu_rng.integers(0, 2, size=hyper.q) - 1.0
+            state = (params, x, memory, u, y_star, uoro_hyper, None)
+            out = _closed_form_uoro_step(*state, nu=nu)
+            if oracle_gaps is not None:
+                oracle_gaps.append(
+                    _oracle_gaps(out, _reference_uoro_step(*state, nu=nu)))
             memory = out.memory
         else:
             out = rtrl_step(params, x, influence, u, y_star, eta=hyper.eta,
@@ -664,16 +702,10 @@ def _pure_chain(algorithm, hyper, m, p, seed, tau):
 def test_in_place_learner_equals_pure_chain_over_1000_steps(
     monkeypatch, algorithm, q, L, eta, tau, clips
 ):
+    # Every prediction, loss and the final weights of the learner equal
+    # the pure chain's byte for byte; each UORO step of the pure chain
+    # meets the formed-gradient oracle within test_uoro's _ORACLE_RTOL.
     monkeypatch.setattr(harness, "CLIP_TAU", tau)
-    n_clipped = 0
-    rescale = rnn._rescale
-
-    def counting_rescale(*args, **kwargs):
-        nonlocal n_clipped
-        n_clipped += 1
-        return rescale(*args, **kwargs)
-
-    monkeypatch.setattr(rnn, "_rescale", counting_rescale)
     learner_steps = _spy(monkeypatch, f"{algorithm}_step")
     record = _quick_record(seed=4, duration=200.0)
     samples = iter_windows(record, fit_normalizer(record, range(300)), L, 4,
@@ -681,24 +713,36 @@ def test_in_place_learner_equals_pure_chain_over_1000_steps(
     hyper = HyperChoice(eta=eta, sigma_init=0.02, L=L, q=q)
     m, p, seed = 3 * record.n_markers * L, 3 * record.n_markers, 11
     step = _online_learner(algorithm, hyper, m, p, seed)
-    pure = _pure_chain(algorithm, hyper, m, p, seed, tau)
+    gaps = []
+    pure = _pure_chain(algorithm, hyper, m, p, seed, tau, gaps)
     ys, want_ys = [], []
+    theta = flatten_params(init_params(RnnDims(q=q, m=m, p=p), 0.02, seed))
+    n_clipped = 0
     for sample in samples:
         y, loss_value = step(sample.u, sample.target)
         want = pure(sample.u, sample.target)
-        np.testing.assert_array_equal(y, want.y)
-        np.testing.assert_array_equal(loss_value, want.loss)
+        assert y.tobytes() == want.y.tobytes()
+        assert loss_value == want.loss
         ys.append(y)
         want_ys.append(want.y)
+        # An unclipped update has norm eta*||grad|| <= eta*tau; a clipped
+        # one lands within rounding of eta*tau.
+        new_theta = flatten_params(want.params)
+        n_clipped += bool(np.linalg.norm(new_theta - theta)
+                          >= eta * tau * (1 - 1e-9))
+        theta = new_theta
     # Every returned prediction is still its own: later steps wrote into
     # the workspace, never into an earlier y.
-    np.testing.assert_array_equal(np.stack(ys), np.stack(want_ys))
+    assert np.stack(ys).tobytes() == np.stack(want_ys).tobytes()
     assert len(ys) == len(learner_steps) == 1000
     final = learner_steps[-1].params
     for name in ("w_a", "w_b", "w_c"):
-        np.testing.assert_array_equal(getattr(final, name),
-                                      getattr(want.params, name))
+        assert (getattr(final, name).tobytes()
+                == getattr(want.params, name).tobytes())
     assert (n_clipped > 0) == clips
+    if algorithm == "uoro":
+        assert len(gaps) == 1000
+        assert (np.max(gaps, axis=0) <= _ORACLE_RTOL[clips]).all()
 
 
 @pytest.mark.parametrize("L", [1, 10, 90])
@@ -917,7 +961,7 @@ def test_zero_normalizer_guard_is_a_nonfinite_rho0_not_a_zero_division(
     # and numpy's 1 / rho0 an infinity: the new theta_tilde is reported.
     memory = UoroMemory(x_tilde=np.ones(dims.q),
                         theta_tilde=np.zeros(dims.n_params))
-    for step in (uoro_step, _reference_uoro_step):
+    for step in (uoro_step, _closed_form_uoro_step, _reference_uoro_step):
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
             step(params, x, memory, u, np.zeros(dims.p), uoro_hyper,
                  np.random.default_rng(0))
