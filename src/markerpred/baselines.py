@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from markerpred.rnn import _FINITE_BOUND, _UNIT_ROUNDOFF, NonFiniteError, _norm
+from markerpred.rnn import _FINITE_BOUND, NonFiniteError, _clipped_rate, _norm
 from markerpred.signal import MarkerRecord
 
 __all__ = [
@@ -58,7 +58,8 @@ def lms_step(
     (or math.hypot when a squared norm is below 2^-960 or overflows). The
     step adds the update (c e) u^T to W, formed as one BLAS product of a
     column and a row, with c = eta * tau' / gn when gn > tau' and c = eta
-    otherwise, where tau' = tau * (1 - (p + m + 33) 2^-53).
+    otherwise, where tau' = tau * (1 - (p + m + 33) 2^-53)
+    (`rnn._clipped_rate`, which UORO's step shares).
 
     Clip rule: the update added to W, Delta = (c e) u^T as formed in
     doubles, has ||Delta||_F <= eta * tau in exact arithmetic. tau' is tau
@@ -124,8 +125,7 @@ def lms_step(
         grad_norm = math.sqrt(e_squares) * math.sqrt(u_squares)
     else:
         grad_norm = math.hypot(*e) * math.hypot(*u)
-    tau_shrunk = tau * (1.0 - (p + n_in + 32) * _UNIT_ROUNDOFF)
-    c = eta * (tau_shrunk / grad_norm) if grad_norm > tau_shrunk else eta
+    c = _clipped_rate(eta, tau, grad_norm, p + n_in)
     if w_bound is None:
         w_bound = _norm(w)
     np.multiply(e, c, out=e)

@@ -286,6 +286,20 @@ def _rescale(
     return clipped
 
 
+def _clipped_rate(eta: float, tau: float, grad_norm: float,
+                  n_terms: int) -> float:
+    """eta * s, the clip rule of the steps that never form their gradient
+    (`baselines.lms_step`, `uoro.uoro_step`): s = tau' / grad_norm when
+    grad_norm > tau' and 1 otherwise, with tau' = tau (1 - (n_terms + 32)
+    2^-53). grad_norm is the gradient's closed-form norm, and n_terms the
+    number of terms in its dot products. tau is shrunk by a bound on the
+    relative rounding of that norm, of s and of the update's entries, so
+    the update the caller forms has exact norm at most eta * tau (each
+    caller states the range where the rounding is relative)."""
+    tau_shrunk = tau * (1.0 - (n_terms + 32) * _UNIT_ROUNDOFF)
+    return eta * (tau_shrunk / grad_norm) if grad_norm > tau_shrunk else eta
+
+
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of v's entries: the value `np.linalg.norm(v)` gives
     for real v (the same dot over the same order), without its overhead."""

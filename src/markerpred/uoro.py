@@ -86,7 +86,8 @@ shares W_b u between stages 1 and 6, takes tanh'(z) as 1 - x_next^2,
 computes each norm once, and checks the gradient, x_tilde and the new
 theta_tilde for finiteness through norms it already has (or, for x_tilde,
 its squared norm), scanning an array only when such a norm is not
-finite; the gradient's check never scans (see `uoro_step`).
+finite; the gradient's check never scans, and theta_tilde is scanned
+only when its squared norm is not finite (see `uoro_step`).
 The normalizers of stage 8 are Python floats: math.sqrt and float division
 round as numpy's float64 scalars do (both are IEEE operations, correctly
 rounded), and ||nu|| is sqrt(q) because nu is +-1, so sum(nu * nu) is
@@ -144,10 +145,10 @@ from markerpred.rnn import (
     RnnParams,
     Workspace,
     _FINITE_BOUND,
-    _UNIT_ROUNDOFF,
     _ab_rows,
     _aligned_empty,
     _c_rows,
+    _clipped_rate,
     _copy_into,
     forward,
     tanh_prime,
@@ -226,22 +227,19 @@ class UoroWorkspace(Workspace):
     C-order (q+m+1) x q `_ab_rows` views of the [W_a | W_b] blocks: a step
     writes dtheta_g as the one outer product v a^T into `grad_ab`, once SGD
     has consumed the scratch, and adds it into theta_tilde's.
-    `theta_tilde_blocks` are theta_tilde's two blocks, flat, and `n_ab`
-    their boundary. `memory` is the memory a step returns: x_tilde and
-    theta_tilde, both updated in place. `nu_norm` is ||nu|| = sqrt(q), and
-    `tau_shrink` the factor 1 - (|W| + 32) 2^-53 of the clip rule."""
+    `theta_tilde_blocks` are theta_tilde's two blocks, flat. `memory` is
+    the memory a step returns: x_tilde and theta_tilde, both updated in
+    place. `nu_norm` is ||nu|| = sqrt(q)."""
 
     def __init__(self, dims: RnnDims):
         super().__init__(dims)
         self.theta_tilde = _aligned_empty(dims.n_params)
         self.theta_tilde_ab = _ab_rows(self.theta_tilde, dims)
         self.grad_ab = _ab_rows(self.grad, dims)
-        self.n_ab = dims.n_ab
         self.theta_tilde_blocks = (self.theta_tilde[: dims.n_ab],
                                    self.theta_tilde[dims.n_ab :])
         self.grad_ab_flat = self.grad[: dims.n_ab]
         self.grad_c = self.grad[dims.n_ab :]
-        self.tau_shrink = 1.0 - (dims.n_params + 32) * _UNIT_ROUNDOFF
         self.memory = UoroMemory(x_tilde=np.empty(dims.q),
                                  theta_tilde=self.theta_tilde)
         self.nu_norm = math.sqrt(dims.q)
@@ -394,7 +392,8 @@ def uoro_step(
     docstring, ||g|| = sqrt((|c| ||theta_tilde_ab||)^2 + ||g_c||^2), each
     squared norm a dot product taken as a Python float. The clip factor is
     s = tau' / ||g|| when ||g|| > tau' and 1 otherwise, with
-    tau' = tau * (1 - (|W| + 32) 2^-53), and the update
+    tau' = tau * (1 - (|W| + 32) 2^-53) (`rnn._clipped_rate`, which
+    `baselines.lms_step` shares), and the update
     Delta = [(eta s c) theta_tilde_ab; (eta s) g_c], formed in doubles, has
     ||Delta|| <= eta * tau in exact arithmetic. tau' is tau shrunk by a
     bound on the relative rounding of ||g|| (two dot products of |W| terms
@@ -407,12 +406,20 @@ def uoro_step(
     smaller than the factor of `rnn.clip_gradient` on the formed g by
     about (|W| + 32) 2^-53, relatively.
 
-    Finiteness: a finite loss proves e finite. A finite ||g||^2 proves c,
+    Finiteness: a finite loss proves e finite. The input theta_tilde is
+    scanned only when its squared norm is not finite: if every entry is
+    finite, the squares overflowed (||theta_tilde|| above about 1.3e154)
+    and the step raises "rho0", since rho0 takes that norm; a non-finite
+    entry goes on to raise "gradient". A finite ||g||^2 proves c,
     theta_tilde_ab, g_c and so every entry of g finite; a non-finite one,
-    also when only the squares overflow (||g|| above about 1.3e154), or
-    ||theta_tilde_ab||^2 does, raises "gradient" before any weight
-    changes. Finite rho0 and rho1 prove the normalizers finite; a finite
-    ||x_tilde'||^2, or else a scan, proves x_tilde' finite; and the bound
+    also when only the squares
+    overflow (||g|| above about 1.3e154), raises "gradient". Both raise
+    before any weight changes. An overflow in the Python float product
+    (|c| ||theta_tilde_ab||)^2 is an infinity without a warning, but one
+    in a numpy dot (theta_tilde's blocks, g_c) emits numpy's overflow
+    RuntimeWarning before the step raises. Finite rho0 and rho1 prove the
+    normalizers finite; a finite ||x_tilde'||^2, or else a scan, proves
+    x_tilde' finite; and the bound
     ||theta_tilde|| (1/rho0) + ||dtheta_g|| / rho1, or else a scan, proves
     theta_tilde' finite.
 
@@ -466,19 +473,26 @@ def uoro_step(
     # formed. The W_c block g_c = c theta_tilde_c - x_next e^T, p*q entries,
     # is formed in the gradient buffer (`grad_wc`, W_c transposed): x_next
     # e^T is one BLAS product, and subtracting it gives the bits of adding
-    # delta_theta's x_next (-e)^T up to the sign of an exact zero. Every
-    # squared norm is a Python float, so an overflow among them is an inf,
-    # never a numpy warning.
+    # delta_theta's x_next (-e)^T up to the sign of an exact zero.
     c = -float((e @ params.w_c) @ x_tilde)
+    dims = workspace.dims
     if theta_tilde is workspace.theta_tilde:
+        # A learner's memory: reusing the workspace's views of its two
+        # blocks made a q = L = 10 step 1-2 % faster than slicing them
+        # (paired in one process, 2-core Xeon, numpy 2.4, OpenBLAS 0.3.31).
         theta_tilde_ab, theta_tilde_c = workspace.theta_tilde_blocks
     else:
-        theta_tilde_ab = theta_tilde[: workspace.n_ab]
-        theta_tilde_c = theta_tilde[workspace.n_ab :]
+        n_ab = dims.n_ab
+        theta_tilde_ab, theta_tilde_c = theta_tilde[:n_ab], theta_tilde[n_ab:]
+    ab_squares = float(theta_tilde_ab.dot(theta_tilde_ab))
+    theta_tilde_squares = ab_squares + float(theta_tilde_c.dot(theta_tilde_c))
+    if (not math.isfinite(theta_tilde_squares)
+            and np.isfinite(theta_tilde).all()):
+        # Finite entries whose squares overflow: the ||theta_tilde|| that
+        # rho0 takes is infinite, as in the formed-gradient step.
+        raise NonFiniteError("rho0")
     grad_c = np.multiply(theta_tilde_c, c, out=workspace.grad_c)
     workspace.grad_wc -= np.dot(x_next[:, None], e[None, :])
-    ab_squares = float(theta_tilde_ab.dot(theta_tilde_ab))
-    c_squares = float(theta_tilde_c.dot(theta_tilde_c))
     grad_ab_norm = abs(c) * math.sqrt(ab_squares)
     grad_squares = grad_ab_norm * grad_ab_norm + float(grad_c.dot(grad_c))
     # A finite ||g||^2 proves c, theta_tilde_ab and g_c finite, and so
@@ -500,10 +514,8 @@ def uoro_step(
     # theta_ab -= (eta s c) theta_tilde_ab through the [W_a | W_b] block of
     # the gradient buffer, and W_c^T -= (eta s) g_c, as one subtraction.
     # Stages 7-9 then reuse the gradient buffer.
-    grad_norm = math.sqrt(grad_squares)
-    tau_shrunk = hyper.tau * workspace.tau_shrink
-    eta_s = (hyper.eta * (tau_shrunk / grad_norm) if grad_norm > tau_shrunk
-             else hyper.eta)
+    eta_s = _clipped_rate(hyper.eta, hyper.tau, math.sqrt(grad_squares),
+                          dims.n_params)
     np.multiply(theta_tilde_ab, eta_s * c, out=workspace.grad_ab_flat)
     grad_c *= eta_s
     new_params = workspace.weights
@@ -524,7 +536,7 @@ def uoro_step(
         dtheta_g_norm = 0.0
     else:
         dtheta_g_norm = d_norm * math.sqrt(x.dot(x) + u.dot(u))
-    theta_tilde_norm = math.sqrt(ab_squares + c_squares)
+    theta_tilde_norm = math.sqrt(theta_tilde_squares)
     fwd_norm = math.sqrt(x_fwd.dot(x_fwd)) + eps
     if not fwd_norm:
         # Only with EPS_NORM = 0: numpy's quotient was an inf or a NaN.

@@ -455,9 +455,12 @@ def test_uoro_step_nonfinite_gradient_detected():
         x_tilde=np.ones(dims.q),
         theta_tilde=np.full(dims.n_params, np.inf),
     )
-    with pytest.raises(NonFiniteError) as info:
-        uoro_step(params, x, memory, u, y_star, _hyper(dims), rng)
-    assert info.value.quantity == "gradient"
+    # The squared norm of theta_tilde is infinite here too, but its entries
+    # are not finite, so this is the gradient, not rho0.
+    for step in (uoro_step, _closed_form_uoro_step, _reference_uoro_step):
+        with pytest.raises(NonFiniteError) as info:
+            step(params, x, memory, u, y_star, _hyper(dims), rng)
+        assert info.value.quantity == "gradient"
 
 
 def test_uoro_hyper_rejects_nonpositive():
@@ -549,9 +552,11 @@ def _closed_form_uoro_step(params, x, memory, u, y_star, hyper, rng, *,
     `delta_theta`'s block, ||g|| = sqrt((|c| ||theta_tilde_ab||)^2 +
     ||g_c||^2), tau is shrunk by (|W| + 32) 2^-53, and the update
     [(eta s c) theta_tilde_ab; (eta s) g_c] is subtracted from the flat
-    weights. rho0 reads ||theta_tilde||^2 as the sum of its two blocks'.
-    Exact zeros of the step's BLAS outer products are +0, which the
-    `0.0 - ...` and `+ 0.0` below reproduce."""
+    weights. rho0 reads ||theta_tilde||^2 as the sum of its two blocks';
+    a finite theta_tilde whose squared norm overflows raises "rho0" before
+    the gradient is checked, as the formed-gradient step does. Exact
+    zeros of the step's BLAS outer products are +0, which the `0.0 - ...`
+    and `+ 0.0` below reproduce."""
     dims = params.dims
     n_ab = dims.n_ab
 
@@ -567,6 +572,9 @@ def _closed_form_uoro_step(params, x, memory, u, y_star, hyper, rng, *,
     grad_c = c * theta_tilde_c - (0.0 - dtheta_c)
     ab_squares = float(theta_tilde_ab @ theta_tilde_ab)
     c_squares = float(theta_tilde_c @ theta_tilde_c)
+    if (not math.isfinite(ab_squares + c_squares)
+            and np.isfinite(memory.theta_tilde).all()):
+        raise NonFiniteError("rho0")
     grad_ab_norm = abs(c) * math.sqrt(ab_squares)
     grad_squares = grad_ab_norm * grad_ab_norm + float(grad_c @ grad_c)
     if not math.isfinite(grad_squares):
@@ -875,6 +883,14 @@ def _outcome(step, params, x, memory, u, y_star, hyper, n_steps=4):
     return out
 
 
+def _ending(outcome):
+    """The (step, quantity) that ends an `_outcome`, or its length when no
+    step raised."""
+    if outcome and isinstance(outcome[-1][0], int):
+        return outcome[-1]
+    return len(outcome)
+
+
 def _huge_memory_instance(monkeypatch, theta_tilde, eps, x_tilde_scale):
     """A state whose prediction is exact (zero error, zero gradient), so
     that a huge but finite memory reaches the normalizers and stage 9; both
@@ -890,31 +906,29 @@ def _huge_memory_instance(monkeypatch, theta_tilde, eps, x_tilde_scale):
     return params, x, memory, u, y_star, _hyper(dims)
 
 
-def test_uoro_step_theta_tilde_whose_squares_overflow_is_a_nonfinite_gradient():
+def test_uoro_step_nonfinite_rho0_when_theta_tilde_norm_overflows():
     # theta_tilde and the formed gradient are finite, but their squared
-    # norms overflow. ||g||^2 = (|c| ||theta_tilde_ab||)^2 + ||g_c||^2 is
-    # then infinite, which the step reports as the gradient. The
-    # formed-gradient oracle scans the gradient, finds it finite, and
-    # reports the infinite rho0 that ||theta_tilde|| gives.
+    # norms overflow. The step reports the infinite rho0 that
+    # ||theta_tilde|| gives, as the formed-gradient oracle does once its
+    # scan finds the gradient finite; it does not report the gradient,
+    # whose closed-form norm overflows too.
     dims, params, x, u, y_star, rng = _instance(seed=16)
     memory = UoroMemory(
         x_tilde=np.full(dims.q, 1e-3),
         theta_tilde=np.full(dims.n_params, 1e200),
     )
-    for step, quantity in ((uoro_step, "gradient"),
-                           (_closed_form_uoro_step, "gradient"),
-                           (_reference_uoro_step, "rho0")):
+    for step in (uoro_step, _closed_form_uoro_step, _reference_uoro_step):
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
             step(params, x, memory, u, y_star, _hyper(dims),
                  np.random.default_rng(0))
-        assert info.value.quantity == quantity
+        assert info.value.quantity == "rho0"
 
 
 def test_uoro_step_gradient_norm_overflow_raises_without_a_warning():
     # A finite memory whose x_tilde is huge: c is about 1e199 and every
     # entry of g = c theta_tilde + dtheta is finite, but ||g||^2 overflows.
-    # The step takes its squared norms as Python floats, so the overflow
-    # is an infinity, not a numpy warning, and raises as the gradient. The
+    # Only the Python float product (|c| ||theta_tilde_ab||)^2 overflows,
+    # to an infinity, not a numpy warning, and raises as the gradient. The
     # formed-gradient oracle passes its scan, warns when its norm
     # overflows, and clips to tau / inf = 0: it leaves the weights as they
     # were.
@@ -966,9 +980,12 @@ def test_uoro_step_nonfinite_theta_tilde_detected(monkeypatch):
 def test_uoro_step_huge_finite_memory_raises_where_reference_raises(
     monkeypatch, theta_tilde, eps, x_tilde_scale
 ):
+    # Byte for byte against the closed form; against the formed-gradient
+    # oracle, which rounds differently, the step and quantity it ends with.
     state = _huge_memory_instance(monkeypatch, theta_tilde, eps, x_tilde_scale)
     got = _outcome(uoro_step, *state)
     assert got == _outcome(_closed_form_uoro_step, *state)
+    assert _ending(got) == _ending(_outcome(_reference_uoro_step, *state))
 
 
 def test_uoro_step_rejects_workspace_of_another_shape():
