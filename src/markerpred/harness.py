@@ -26,6 +26,14 @@ Every random draw descends from (master_seed, sequence, horizon, tuple,
 run, phase) through a stable hash, so any subset of the experiment can be
 reproduced bit-for-bit in isolation; tasks are independent and results
 are reduced in a fixed order.
+
+Runs that read one window stream may step as one batch. In a grid search
+the LMS tuples that share L (one per learning rate) run as one batched
+learner (`_lms_learner`) over one `iter_windows` stream, in one loop
+(`_run_online`) that also drives every single run. The batch keeps each
+run's predictions, losses and divergence step and quantity bit for bit
+those of the run alone, and entries, tie-breaks and files keep the grid's
+order. UORO, RTRL and test-phase runs step one at a time.
 """
 
 from __future__ import annotations
@@ -244,10 +252,16 @@ class RunResult:
 
 @dataclass(frozen=True)
 class CvEntry:
+    """One grid point's cross-validation score. `diverged_at` and
+    `diverged_quantity` hold each diverged run's anchor step and
+    non-finite quantity, in run order."""
+
     hyper: HyperChoice
     mean_rmse: float
     n_diverged: int
     n_runs: int
+    diverged_at: tuple[int, ...] = ()
+    diverged_quantity: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -414,34 +428,18 @@ def _trace_from_steps(
 def _online_learner(
     algorithm: str, hyper: HyperChoice, m: int, p: int, seed: int
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float]]:
-    """A fresh "uoro", "rtrl" or "lms" learner (the callers check the
-    name): step(u, y_star) -> (y, loss) trains on one sample, u of length
-    m + 1 and y_star of length p, and keeps the learner state in its closure.
-    RNN weights are drawn from `seed`, UORO's signs from [seed, 1].
+    """A fresh "uoro" or "rtrl" learner (the callers check the name):
+    step(u, y_star) -> (y, loss) trains on one sample, u of length m + 1
+    and y_star of length p, keeps the learner state in its closure, and
+    raises NonFiniteError when the learner goes non-finite. Weights are
+    drawn from `seed`, UORO's signs from [seed, 1].
 
-    The RNN learners own one workspace each and step in place (see the uoro
-    and rtrl module docstrings); every y they return is a fresh array. The
-    LMS learner keeps its weights in two buffers, writing each step's new
-    weights into the one its input weights are not in, and carries the
-    bound on their norm that spares `lms_step` a finiteness scan. The
-    UORO learner draws its signs _SIGN_BLOCK steps ahead, which gives the
-    signs of one draw per step (see the uoro module docstring).
+    Each learner owns one workspace and steps in place (see the uoro and
+    rtrl module docstrings); every y it returns is a fresh array. The UORO
+    learner draws its signs _SIGN_BLOCK steps ahead, which gives the signs
+    of one draw per step (see the uoro module docstring). LMS learners are
+    `_lms_learner`'s.
     """
-    if algorithm == "lms":
-        # By the clip rule a step adds at most eta * tau to the weights' norm.
-        w, spare = np.zeros((p, m + 1)), np.empty((p, m + 1))
-        w_bound = 0.0
-
-        def step(u, y_star):
-            nonlocal w, spare, w_bound
-            new_w, y, loss = lms_step(w, u, y_star, hyper.eta, CLIP_TAU,
-                                      out=spare, w_bound=w_bound)
-            w, spare = new_w, w
-            w_bound += hyper.eta * CLIP_TAU
-            return y, loss
-
-        return step
-
     dims = RnnDims(q=hyper.q, m=m, p=p)
     params = init_params(dims, hyper.sigma_init, seed)
     x = np.zeros(dims.q)
@@ -483,6 +481,100 @@ def _online_learner(
     return step
 
 
+def _lms_learner(
+    etas: list[float], m: int, p: int,
+    diverged: dict[int, tuple[int, str]] | None = None,
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, list[float]]]:
+    """B = len(etas) LMS learners from zero weights, one per rate, that
+    step as one batch (`lms_step` on stacked weights) on one stream:
+    step(u, y_star) -> (y, losses), y a B x p array and losses a list of
+    B floats, slot by slot. Each slot is bit for bit the one-learner chain
+    of its rate.
+
+    The weights alternate between two B x p x (m+1) buffers: each step
+    writes the new weights into the one the old weights are not in. Each
+    slot carries the bound on its weights' norm that spares `lms_step` a
+    finiteness scan. A slot that goes non-finite is recorded in
+    `diverged` as slot: (step index from 0, quantity) and dropped from the
+    batch; its row of y and its loss are NaN from then on. The step at
+    which the last slot goes raises its NonFiniteError, as a one-learner
+    step does.
+    """
+    n_slots = len(etas)
+    etas = list(etas)
+    diverged = {} if diverged is None else diverged
+    live = list(range(n_slots))
+    w, spare = np.zeros((n_slots, p, m + 1)), np.empty((n_slots, p, m + 1))
+    bounds = [0.0] * n_slots
+    n_steps = 0
+
+    def step(u, y_star):
+        nonlocal w, spare, etas, bounds, live, n_steps
+        new_w, y, losses, gone = lms_step(w, u, y_star, etas, CLIP_TAU,
+                                          out=spare, w_bound=bounds)
+        w, spare = new_w, w
+        # By the clip rule a step adds at most eta * tau to the norm.
+        bounds = [bound + eta * CLIP_TAU for bound, eta in zip(bounds, etas)]
+        n_steps += 1
+        if not gone and len(live) == n_slots:
+            return y, losses
+        if gone:
+            for k, quantity in gone:
+                diverged[live[k]] = (n_steps - 1, quantity)
+            if len(gone) == len(live):
+                raise NonFiniteError(gone[-1][1])
+            gone_rows = {k for k, _ in gone}
+            keep = [k for k in range(len(live)) if k not in gone_rows]
+            y, losses = y[keep], [losses[k] for k in keep]
+            w, spare = w[keep], np.empty((len(keep), p, m + 1))
+            etas = [etas[k] for k in keep]
+            bounds = [bounds[k] for k in keep]
+            live = [live[k] for k in keep]
+        # Rows back to their slots; the dropped slots' stay NaN.
+        all_y, all_losses = np.full((n_slots, p), np.nan), [math.nan] * n_slots
+        all_y[live] = y
+        for slot, loss_value in zip(live, losses):
+            all_losses[slot] = loss_value
+        return all_y, all_losses
+
+    return step
+
+
+def _first_scored_step(
+    algorithm: str, record: MarkerRecord, hyper: HyperChoice, h: int,
+    scoring: range,
+) -> int:
+    """Check a run's inputs (see `run_sequence_online`) and return k_min,
+    the first step whose prediction it scores."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
+    missing = [k for k in DEFAULT_GRIDS[algorithm] if getattr(hyper, k) is None]
+    if missing:
+        raise ValueError(f"{algorithm} requires " + ", ".join(
+            f"{k} ({_GRID_KEYS[k]})" for k in missing
+        ))
+    for k in DEFAULT_GRIDS[algorithm]:
+        _check_axis_values(k, (getattr(hyper, k),),
+                           f"{algorithm} HyperChoice field")
+    if scoring.step != 1:
+        raise ValueError(f"{algorithm}: scoring range {scoring} must have step 1")
+    if scoring.stop > record.n_steps:
+        raise ValueError(
+            f"{algorithm}: scoring range {scoring} runs past the end of the "
+            f"record, which has {record.n_steps} steps"
+        )
+    # The first reachable target: step h for the hold, L + h - 1 for windows.
+    first = h if algorithm == "none" else hyper.L + h - 1
+    if not scoring or scoring[-1] < first:
+        raise ValueError(
+            f"{algorithm}: scoring range {scoring} unreachable with "
+            f"L={hyper.L}, h={h}: the first reachable target is step {first}"
+        )
+    return max(scoring.start, first)
+
+
 def run_sequence_online(
     algorithm: str,
     record: MarkerRecord,
@@ -501,7 +593,7 @@ def run_sequence_online(
     predictions whose target lands inside the scoring range are collected,
     denormalized to mm, and paired with the true positions. The offline
     regression fits once on the training range; `none` holds the last
-    observed position.
+    observed position. An online run is `_run_online` over one slot.
 
     Args:
         algorithm: one of ALGORITHMS.
@@ -526,35 +618,9 @@ def run_sequence_online(
             runs past the end of the record, or that has no reachable
             target.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    missing = [k for k in DEFAULT_GRIDS[algorithm] if getattr(hyper, k) is None]
-    if missing:
-        raise ValueError(f"{algorithm} requires " + ", ".join(
-            f"{k} ({_GRID_KEYS[k]})" for k in missing
-        ))
-    for k in DEFAULT_GRIDS[algorithm]:
-        _check_axis_values(k, (getattr(hyper, k),),
-                           f"{algorithm} HyperChoice field")
     scoring = partition.test if scoring_range is None else scoring_range
-    if scoring.step != 1:
-        raise ValueError(f"{algorithm}: scoring range {scoring} must have step 1")
-    if scoring.stop > record.n_steps:
-        raise ValueError(
-            f"{algorithm}: scoring range {scoring} runs past the end of the "
-            f"record, which has {record.n_steps} steps"
-        )
-    # The first reachable target: step h for the hold, L + h - 1 for windows.
-    first = h if algorithm == "none" else hyper.L + h - 1
-    if not scoring or scoring[-1] < first:
-        raise ValueError(
-            f"{algorithm}: scoring range {scoring} unreachable with "
-            f"L={hyper.L}, h={h}: the first reachable target is step {first}"
-        )
     # Row k - k_min of the prediction array holds the prediction of step k.
-    k_min = max(scoring.start, first)
+    k_min = _first_scored_step(algorithm, record, hyper, h, scoring)
 
     if algorithm == "none":
         pred = np.stack([no_prediction(record, h, k - h)
@@ -563,7 +629,6 @@ def run_sequence_online(
 
     normalizer = fit_normalizer(record, partition.train)
     L = hyper.L
-    p = 3 * record.n_markers
     lag = L + h - 1
 
     if algorithm == "linreg":
@@ -589,30 +654,69 @@ def run_sequence_online(
             weights=w.copy(order="K"),
         )
 
-    # Online trainers: uoro, rtrl, lms.
-    last_n = scoring.stop - lag - 1
-    step = _online_learner(algorithm, hyper, p * L, p, seed)
-    pred = np.empty((scoring.stop - k_min, p))
-    losses = np.empty(last_n + 1) if collect_loss else None
+    return _run_online(algorithm, record, normalizer, (hyper,), h, (seed,),
+                       k_min, scoring.stop, collect_loss)[0]
+
+
+def _run_online(
+    algorithm: str,
+    record: MarkerRecord,
+    normalizer: Normalizer,
+    hypers: tuple[HyperChoice, ...],
+    h: int,
+    seeds: tuple[int, ...],
+    k_min: int,
+    stop: int,
+    collect_loss: bool,
+) -> list[RunResult]:
+    """The online loop: the runs of `hypers` (one slot each, with the
+    seed of that slot) over one window stream of the record, scoring the
+    predictions of steps k_min to stop - 1, as `run_sequence_online`
+    states. The hypers share L. LMS runs any number of slots as one batch
+    (`_lms_learner`); a UORO or RTRL run is one slot. Returns each slot's
+    RunResult; a slot that diverges is recorded at its step with its
+    quantity, and the other slots run on untouched."""
+    L, p = hypers[0].L, 3 * record.n_markers
+    lag = L + h - 1
+    last_n = stop - lag - 1
+    # Slot: (anchor step, quantity). The learners count their steps from
+    # anchor 0, where the stream starts, so a step index is an anchor.
+    diverged: dict[int, tuple[int, str]] = {}
+    if algorithm == "lms":
+        step = _lms_learner([hyper.eta for hyper in hypers], p * L, p, diverged)
+    else:
+        (hyper,), (seed,) = hypers, seeds
+        step = _online_learner(algorithm, hyper, p * L, p, seed)
+    # Row k - k_min of pred holds each slot's prediction of step k.
+    pred = np.empty((stop - k_min, len(hypers), p))
+    losses = np.empty((last_n + 1, len(hypers))) if collect_loss else None
     with np.errstate(over="ignore", invalid="ignore"):
         for sample in iter_windows(record, normalizer, L, h, range(last_n + 1)):
             try:
                 y, loss = step(sample.u, sample.target)
             except NonFiniteError as err:
-                return RunResult(
-                    trace=None, diverged=True, diverged_at=sample.time_index,
-                    diverged_quantity=err.quantity,
-                )
+                # Every slot has gone. An LMS batch has recorded its slots;
+                # a one-slot learner has not.
+                diverged.setdefault(0, (sample.time_index, err.quantity))
+                break
             if collect_loss:
                 losses[sample.time_index] = loss
             if sample.target_index >= k_min:
                 pred[sample.target_index - k_min] = y
 
-    return RunResult(
-        trace=_trace_from_steps(record, pred, k_min, normalizer),
-        losses=losses,
-        loss_start=lag if collect_loss else None,
-    )
+    results = []
+    for slot in range(len(hypers)):
+        if slot in diverged:
+            at, quantity = diverged[slot]
+            results.append(RunResult(trace=None, diverged=True, diverged_at=at,
+                                     diverged_quantity=quantity))
+        else:
+            results.append(RunResult(
+                trace=_trace_from_steps(record, pred[:, slot], k_min, normalizer),
+                losses=None if losses is None else losses[:, slot],
+                loss_start=lag if collect_loss else None,
+            ))
+    return results
 
 
 # ------------------------------ grid search --------------------------------
@@ -620,34 +724,82 @@ def run_sequence_online(
 
 def _seeded_runs(
     algorithm: str, record: MarkerRecord, partition: Partition,
-    hyper: HyperChoice, h_s: float, config: ExperimentConfig, phase: str,
-    weights: np.ndarray | None = None,
-) -> Iterator[tuple[RunRecord, RunResult]]:
-    """One tuple's seeded runs in phase "cv" (n_cv runs scoring the
-    cross-validation range) or "test" (n_test runs scoring the test range,
-    with loss traces when the config saves them); methods without random
-    initialization run once. `weights` goes to `run_sequence_online`.
-    Yields each run's record and result."""
+    hypers: tuple[HyperChoice, ...], h_s: float, config: ExperimentConfig,
+    phase: str, weights: np.ndarray | None = None,
+) -> Iterator[tuple[int, RunRecord, RunResult]]:
+    """The seeded runs of a group of tuples in phase "cv" (n_cv runs per
+    tuple scoring the cross-validation range) or "test" (n_test runs
+    scoring the test range, with loss traces when the config saves them);
+    methods without random initialization run once. A group of one tuple
+    runs through `run_sequence_online`, and `weights` goes to it. A larger
+    group, LMS tuples that share L, runs as one batch (`_run_online`).
+    Yields each run's tuple index in the group, record and result, tuple
+    by tuple and run by run."""
     h = whole_steps(h_s, record.sample_period, "horizon")
     cv = phase == "cv"
+    scoring = partition.cross_validation if cv else partition.test
+    collect_loss = config.save_loss_traces and not cv
     n_runs = config.n_cv if cv else config.n_test
     if algorithm not in STOCHASTIC_ALGORITHMS:
         n_runs = 1
-    for r in range(n_runs):
-        seed = derive_seed(
+
+    def seed(hyper, r):
+        return derive_seed(
             config.master_seed, record.label, h, hyper.key(), r, phase
         )
-        outcome = run_sequence_online(
-            algorithm, record, partition, hyper, h, seed,
-            scoring_range=partition.cross_validation if cv else None,
-            collect_loss=config.save_loss_traces and not cv, weights=weights,
-        )
-        yield RunRecord(
-            run_index=r, seed=seed, diverged=outcome.diverged,
+
+    def run_record(r, run_seed, outcome):
+        return RunRecord(
+            run_index=r, seed=run_seed, diverged=outcome.diverged,
             diverged_quantity=outcome.diverged_quantity,
             metrics=None if outcome.diverged else compute_metrics(outcome.trace),
             diverged_at=outcome.diverged_at,
-        ), outcome
+        )
+
+    if len(hypers) == 1:
+        (hyper,) = hypers
+        for r in range(n_runs):
+            run_seed = seed(hyper, r)
+            outcome = run_sequence_online(
+                algorithm, record, partition, hyper, h, run_seed,
+                scoring_range=scoring, collect_loss=collect_loss,
+                weights=weights,
+            )
+            yield 0, run_record(r, run_seed, outcome), outcome
+        return
+    seeds = tuple(seed(hyper, 0) for hyper in hypers)
+    # The group shares L, so every tuple scores from one k_min.
+    for hyper in hypers:
+        k_min = _first_scored_step(algorithm, record, hyper, h, scoring)
+    batch = _run_online(
+        algorithm, record, fit_normalizer(record, partition.train), hypers,
+        h, seeds, k_min, scoring.stop, collect_loss,
+    )
+    for i, outcome in enumerate(batch):
+        yield i, run_record(0, seeds[i], outcome), outcome
+
+
+def _cv_runs(
+    algorithm: str, record: MarkerRecord, partition: Partition,
+    grid: list[HyperChoice], h_s: float, config: ExperimentConfig,
+) -> Iterator[tuple[HyperChoice, list[RunRecord], np.ndarray | None]]:
+    """Each grid point's cross-validation runs, in grid order, with the
+    linreg fit of its run (None for the other methods). The LMS points
+    that share L run as one batch when the first of them comes up; every
+    other point runs alone."""
+    pending: dict[HyperChoice, list[RunRecord]] = {}
+    for hyper in grid:
+        weights = None
+        if hyper not in pending:
+            group = tuple(other for other in grid if other.L == hyper.L) \
+                if algorithm == "lms" else (hyper,)
+            pending.update((member, []) for member in group)
+            for i, run, outcome in _seeded_runs(
+                algorithm, record, partition, group, h_s, config, "cv"
+            ):
+                pending[group[i]].append(run)
+                weights = outcome.weights
+        yield hyper, pending.pop(hyper), weights
 
 
 def _check_horizons(horizons_s: tuple[float, ...], record: MarkerRecord) -> None:
@@ -695,13 +847,9 @@ def grid_search(
     results: dict[float, CvResult] = {}
     for h_s in horizons_s:
         entries, chosen, chosen_weights = [], None, None
-        for hyper in grid:
-            runs, weights = [], None
-            for run, outcome in _seeded_runs(
-                algorithm, record, partition, hyper, h_s, config, "cv"
-            ):
-                runs.append(run)
-                weights = outcome.weights
+        for hyper, runs, weights in _cv_runs(
+            algorithm, record, partition, grid, h_s, config
+        ):
             rmses = [run.metrics.rmse for run in runs if not run.diverged]
             if rmses:
                 mean_rmse = float(np.mean(rmses))
@@ -713,9 +861,12 @@ def grid_search(
                     f"at h={h_s}s; excluded",
                     stacklevel=2,
                 )
+            gone = [run for run in runs if run.diverged]
             entry = CvEntry(
                 hyper=hyper, mean_rmse=mean_rmse,
-                n_diverged=len(runs) - len(rmses), n_runs=len(runs),
+                n_diverged=len(gone), n_runs=len(runs),
+                diverged_at=tuple(run.diverged_at for run in gone),
+                diverged_quantity=tuple(run.diverged_quantity for run in gone),
             )
             entries.append(entry)
             # The argmin so far; only its linreg fit is kept.
@@ -765,8 +916,8 @@ def evaluate(
     partition = make_partition(record, partition_scheme(algorithm))
     runs: list[RunRecord] = []
     loss_sum, loss_count, loss_start = None, 0, None
-    for run, outcome in _seeded_runs(
-        algorithm, record, partition, hyper, h_s, config, "test", weights
+    for _, run, outcome in _seeded_runs(
+        algorithm, record, partition, (hyper,), h_s, config, "test", weights
     ):
         runs.append(run)
         if outcome.losses is not None:
@@ -891,10 +1042,10 @@ def bench_step_time(
     """Median wall-clock milliseconds per training step of an online
     learner: "uoro" or "rtrl" with hidden size q, or "lms" (q None).
 
-    Chains real steps of `run_sequence_online`'s learner on synthetic
-    bounded inputs (10 unmeasured warm-up steps, then n_steps measured ones)
-    so caches and allocator are warm. The offline methods have no step to
-    time.
+    Chains real steps of `run_sequence_online`'s learner (for LMS, the
+    batch learner over one slot) on synthetic bounded inputs (10
+    unmeasured warm-up steps, then n_steps measured ones) so caches and
+    allocator are warm. The offline methods have no step to time.
     """
     if algorithm not in ("uoro", "rtrl", "lms"):
         raise ValueError(
@@ -912,7 +1063,10 @@ def bench_step_time(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     m, p = 3 * n_markers * L, 3 * n_markers
     hyper = HyperChoice(eta=0.05, sigma_init=0.02, L=L, q=q)
-    step = _online_learner(algorithm, hyper, m, p, seed)
+    if algorithm == "lms":
+        step = _lms_learner([hyper.eta], m, p)
+    else:
+        step = _online_learner(algorithm, hyper, m, p, seed)
     rng = np.random.default_rng([seed, 2])
     warmup = 10
     inputs = rng.uniform(-1.0, 1.0, size=(n_steps + warmup, m + 1))
@@ -991,7 +1145,8 @@ def write_cv_csv(path: Path, result: CvResult) -> None:
         writer = csv.writer(f)
         writer.writerow(
             ["algorithm", "sequence", "horizon_s", "eta", "sigma_init", "L",
-             "q", "mean_cv_rmse_mm", "n_diverged", "n_runs", "chosen"]
+             "q", "mean_cv_rmse_mm", "n_diverged", "n_runs", "chosen",
+             "diverged_at", "diverged_quantity"]
         )
         for e in result.entries:
             writer.writerow([
@@ -1000,6 +1155,8 @@ def write_cv_csv(path: Path, result: CvResult) -> None:
                 _opt(e.hyper.L), _opt(e.hyper.q),
                 repr(e.mean_rmse), e.n_diverged, e.n_runs,
                 int(e.hyper == result.chosen),
+                ";".join(map(str, e.diverged_at)),
+                ";".join(e.diverged_quantity),
             ])
 
 

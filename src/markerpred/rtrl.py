@@ -171,7 +171,8 @@ def rtrl_step(
         ValueError: eta < 0 or tau <= 0 (from `sgd_update`), or the
             workspace, influence, x, u or y_star does not fit the network.
         NonFiniteError: names the first non-finite quantity (loss,
-            influence, or gradient).
+            influence, or gradient). "gradient" also covers a gradient
+            whose entries are finite but whose squared norm overflows.
     """
     if workspace is None:
         # Fresh buffers: the step writes to none of its inputs.
@@ -219,14 +220,15 @@ def rtrl_step(
 
     # A non-finite influence entry makes its column of the gradient
     # non-finite, even under a zero multiplier (0 * inf is NaN), so a finite
-    # gradient norm proves the influence finite; only a non-finite norm,
-    # which the squares' overflow alone can cause, calls for the scans.
+    # gradient norm proves the influence finite; only a non-finite norm
+    # calls for the influence scan. A gradient whose squares overflow on
+    # finite entries has no norm to clip by (tau / inf would scale it to a
+    # zero update), so it raises as a non-finite one does, as in UORO.
     grad_norm = math.sqrt(grad.dot(grad))
     if not math.isfinite(grad_norm):
         if not np.isfinite(new_influence).all():
             raise NonFiniteError("influence")
-        if not np.isfinite(grad).all():
-            raise NonFiniteError("gradient")
+        raise NonFiniteError("gradient")
 
     new_params = sgd_update(params, grad, grad_norm, eta, tau,
                             workspace.theta, workspace.weights)

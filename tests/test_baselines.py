@@ -15,7 +15,7 @@ from markerpred.baselines import (
     no_prediction,
     predict_linreg,
 )
-from markerpred.harness import CLIP_TAU, HyperChoice, _online_learner
+from markerpred.harness import CLIP_TAU, _lms_learner
 from markerpred.rnn import NonFiniteError, clip_gradient, loss
 from markerpred.signal import (
     MarkerRecord,
@@ -330,7 +330,7 @@ def _lms_chains(samples, eta):
     threshold; for each, the index of the step that raised and the
     quantity it named, or None."""
     n_in, p = samples[0].u.size, samples[0].target.size
-    learner = _online_learner("lms", HyperChoice(eta=eta, L=1), n_in - 1, p, 0)
+    learner = _lms_learner([eta], n_in - 1, p)
 
     def pure(kernel):
         w = np.zeros((p, n_in))
@@ -393,6 +393,131 @@ def test_lms_step_overflowing_weights_raise(eta):
         with pytest.raises(NonFiniteError) as ref:
             _reference_lms_step(w, u, np.full(2, 10.0), eta=eta, tau=2.0)
     assert err.value.quantity == ref.value.quantity == "weights"
+
+
+# ------------------------------ LMS batches --------------------------------
+
+
+def _single_chain(samples, eta):
+    """One rate's chained one-learner `lms_step` calls over samples, at
+    the learners' clip threshold: each step's prediction and loss, and the
+    (step, quantity) it raised at, or None."""
+    p, n_in = samples[0].target.size, samples[0].u.size
+    w = np.zeros((p, n_in))
+    ys, losses = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, s in enumerate(samples):
+            try:
+                w, y, loss_value = lms_step(w, s.u, s.target, eta, CLIP_TAU)
+            except NonFiniteError as err:
+                return ys, losses, (i, err.quantity)
+            ys.append(y)
+            losses.append(loss_value)
+    return ys, losses, None
+
+
+def _lms_samples(L, n, plant=None):
+    record = synthetic_record(duration_s=110.0, seed=21)
+    samples = list(iter_windows(record, fit_normalizer(record, range(300)),
+                                L, 5, range(n)))
+    if plant == "bias_only":
+        for s in samples:
+            s.u[1:] = 0.0
+            s.target[:] = 0.0
+            s.target[0] = 10.0
+    return samples
+
+
+# Rates of the shipped LMS grid, as the harness batches them.
+_GRID_ETAS = (0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("L", [10, 90])
+@pytest.mark.parametrize("etas", [_GRID_ETAS[5:6], _GRID_ETAS[2:4],
+                                  _GRID_ETAS])
+def test_lms_batch_equals_single_chains_bit_for_bit(L, etas):
+    # B = 1, 2 and 7 slots over one stream: every slot's prediction and
+    # loss at every step, through the stacked kernel with pure calls and
+    # through the batched learner, equal its own one-learner chain's.
+    samples = _lms_samples(L, 600)
+    chains = [_single_chain(samples, eta) for eta in etas]
+    p, n_in = samples[0].target.size, samples[0].u.size
+    w = np.zeros((len(etas), p, n_in))
+    learner = _lms_learner(etas, n_in - 1, p)
+    for i, s in enumerate(samples):
+        w, y, losses, gone = lms_step(w, s.u, s.target, etas, CLIP_TAU)
+        learner_y, learner_losses = learner(s.u, s.target)
+        assert gone == []
+        for k, (ys, chain_losses, outcome) in enumerate(chains):
+            assert outcome is None
+            assert y[k].tobytes() == ys[i].tobytes()
+            assert learner_y[k].tobytes() == ys[i].tobytes()
+            assert losses[k] == learner_losses[k] == chain_losses[i]
+
+
+@pytest.mark.parametrize("eta, plant, want", [
+    # The first update is vast but finite; the second prediction's loss
+    # overflows.
+    (1e300, None, (1, "loss")),
+    # The first update overflows; the slot's bound fails and the scan
+    # finds it.
+    (1.5e308, "bias_only", (0, "weights")),
+])
+def test_lms_batch_planted_divergence_stays_in_its_slot(eta, plant, want):
+    # One slot with a huge rate among the grid's: it diverges alone, at
+    # the step and with the quantity of its own chain and of the
+    # formed-gradient oracle; the neighbours run on, bit for bit their
+    # own chains, and the dropped slot's outputs are NaN from then on.
+    samples = _lms_samples(10, 300, plant)
+    etas = list(_GRID_ETAS[:3]) + [eta] + list(_GRID_ETAS[3:])
+    assert _lms_chains(samples, eta)[2] == want
+    chains = [_single_chain(samples, rate) for rate in etas]
+    assert chains[3][2] == want
+    p, n_in = samples[0].target.size, samples[0].u.size
+    diverged = {}
+    learner = _lms_learner(etas, n_in - 1, p, diverged)
+    w = np.zeros((len(etas), p, n_in))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, s in enumerate(samples):
+            y, losses = learner(s.u, s.target)
+            if i <= want[0]:
+                w, kernel_y, kernel_losses, gone = lms_step(
+                    w, s.u, s.target, etas, CLIP_TAU)
+                assert gone == ([(3, want[1])] if i == want[0] else [])
+            for k, (ys, chain_losses, _) in enumerate(chains):
+                if k == 3:
+                    if i >= want[0]:
+                        assert np.isnan(y[k]).all() and math.isnan(losses[k])
+                    continue
+                assert y[k].tobytes() == ys[i].tobytes()
+                assert losses[k] == chain_losses[i]
+                if i <= want[0]:
+                    assert kernel_y[k].tobytes() == ys[i].tobytes()
+                    assert kernel_losses[k] == chain_losses[i]
+    assert diverged == {3: want}
+
+
+def test_lms_batch_whose_every_slot_diverges_raises():
+    # A batch of one is a one-learner step: the step at which its last
+    # slot goes raises, after recording it.
+    samples = _lms_samples(10, 10)
+    p, n_in = samples[0].target.size, samples[0].u.size
+    diverged = {}
+    learner = _lms_learner([1e300, 1e301], n_in - 1, p, diverged)
+    with np.errstate(over="ignore", invalid="ignore"):
+        learner(samples[0].u, samples[0].target)
+        with pytest.raises(NonFiniteError) as err:
+            learner(samples[1].u, samples[1].target)
+    assert err.value.quantity == "loss"
+    assert diverged == {0: (1, "loss"), 1: (1, "loss")}
+
+
+def test_lms_batch_rejects_a_rate_count_that_does_not_fit():
+    with pytest.raises(ValueError, match="need 2 rates, got 1"):
+        lms_step(np.zeros((2, 3, 4)), np.ones(4), np.ones(3), [0.1], 2.0)
+    with pytest.raises(ValueError, match="need eta >= 0"):
+        lms_step(np.zeros((2, 3, 4)), np.ones(4), np.ones(3), [0.1, -1.0],
+                 2.0)
 
 
 # --------------------------- linear regression -----------------------------

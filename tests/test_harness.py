@@ -25,6 +25,7 @@ from markerpred.harness import (
     HyperChoice,
     RunRecord,
     RunResult,
+    _lms_learner,
     _online_learner,
     aggregate,
     bench_step_time,
@@ -335,6 +336,9 @@ def _reference_trace(algorithm, record, partition, hyper, h, scoring):
         w = fit_linreg(*design_matrix(record, norm, L, h,
                                       partition.train.stop - (L + h - 1)))
         predict = lambda u, target: predict_linreg(w, u)
+    elif algorithm == "lms":
+        step = _lms_learner([hyper.eta], p * L, p)
+        predict = lambda u, target: step(u, target)[0][0]
     else:
         step = _online_learner(algorithm, hyper, p * L, p, seed=1)
         predict = lambda u, target: step(u, target)[0]
@@ -393,7 +397,8 @@ def test_scoring_range_past_the_record_is_rejected_before_any_step(
     message = (f"{algorithm}: scoring range {scoring} runs past the end of "
                f"the record, which has 800 steps")
     with monkeypatch.context() as patched:
-        for name in ("fit_normalizer", "no_prediction", "_online_learner"):
+        for name in ("fit_normalizer", "no_prediction", "_online_learner",
+                     "_lms_learner"):
             patched.setattr(harness, name, _no_step)
         with pytest.raises(ValueError, match=re.escape(message)):
             run_sequence_online(algorithm, record, partition, hyper, h,
@@ -429,7 +434,8 @@ def test_scoring_range_without_a_reachable_target_is_rejected_before_any_step(
         message = (f"{algorithm}: scoring range {scoring} unreachable with "
                    f"L=10, h=5: the first reachable target is step {first}")
     with monkeypatch.context() as patched:
-        for name in ("fit_normalizer", "no_prediction", "_online_learner"):
+        for name in ("fit_normalizer", "no_prediction", "_online_learner",
+                     "_lms_learner"):
             patched.setattr(harness, name, _no_step)
         with pytest.raises(ValueError, match=re.escape(message)):
             run_sequence_online(algorithm, record, partition, hyper, h,
@@ -606,10 +612,12 @@ def test_online_learner_equals_direct_step_chain(algorithm, hyper):
     samples = iter_windows(record, fit_normalizer(record, range(300)),
                            hyper.L, 4, range(300))
     m, p, seed = 3 * record.n_markers * hyper.L, 3 * record.n_markers, 11
-    step = _online_learner(algorithm, hyper, m, p, seed)
     if algorithm == "lms":
+        lms = _lms_learner([hyper.eta], m, p)
+        step = lambda u, y_star: tuple(v[0] for v in lms(u, y_star))
         w = np.zeros((p, m + 1))
     else:
+        step = _online_learner(algorithm, hyper, m, p, seed)
         dims = RnnDims(q=hyper.q, m=m, p=p)
         params, x = init_params(dims, hyper.sigma_init, seed), np.zeros(hyper.q)
         memory, influence = init_memory(dims), init_influence(dims)
@@ -760,11 +768,11 @@ def test_lms_learner_equals_pure_chain_over_1000_steps(monkeypatch, L, eta,
     samples = iter_windows(record, fit_normalizer(record, range(300)), L, 4,
                            range(1000))
     m, p = 3 * record.n_markers * L, 3 * record.n_markers
-    step = _online_learner("lms", HyperChoice(eta=eta, L=L), m, p, 11)
+    step = _lms_learner([eta], m, p)
     w = np.zeros((p, m + 1))
     n_clipped = 0
     for sample in samples:
-        y, loss_value = step(sample.u, sample.target)
+        (y,), (loss_value,) = step(sample.u, sample.target)
         n_clipped += (np.linalg.norm(sample.target - w @ sample.u)
                       * np.linalg.norm(sample.u) > tau)
         w, want_y, want_loss = lms_step(w, sample.u, sample.target, eta, tau)
@@ -913,11 +921,20 @@ def test_learner_step_allocates_no_weight_sized_temporary(algorithm, q, L,
     n_markers = 3
     dims = RnnDims(q=q, m=3 * n_markers * L, p=3 * n_markers)
     hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=L, q=q)
-    step = _online_learner(algorithm, hyper, dims.m, dims.p, seed=0)
+    if algorithm == "lms":
+        step = _lms_learner([hyper.eta], dims.m, dims.p)
+    else:
+        step = _online_learner(algorithm, hyper, dims.m, dims.p, seed=0)
+    _assert_warm_steps_stay_below(step, dims.m, dims.p, bound(dims))
+
+
+def _assert_warm_steps_stay_below(step, m, p, bound):
+    """Four warm steps of `step` each allocate less than `bound` bytes at
+    their peak."""
     rng = np.random.default_rng(5)
-    inputs = rng.uniform(-1.0, 1.0, size=(8, dims.m + 1))
+    inputs = rng.uniform(-1.0, 1.0, size=(8, m + 1))
     inputs[:, 0] = 1.0
-    targets = rng.uniform(-1.0, 1.0, size=(8, dims.p))
+    targets = rng.uniform(-1.0, 1.0, size=(8, p))
     for i in range(4):
         step(inputs[i], targets[i])
     tracemalloc.start()
@@ -927,9 +944,21 @@ def test_learner_step_allocates_no_weight_sized_temporary(algorithm, q, L,
             before = tracemalloc.get_traced_memory()[0]
             step(inputs[i], targets[i])
             peak = tracemalloc.get_traced_memory()[1] - before
-            assert peak < bound(dims), (i, peak)
+            assert peak < bound, (i, peak)
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("L, bound", [
+    # The one-slot LMS bounds of the test above, times the B = 7 slots of
+    # the shipped LMS grid.
+    (10, lambda n_weights: 7 * 2 * n_weights * 8),
+    (90, lambda n_weights: 7 * n_weights),
+])
+def test_lms_batch_step_allocates_no_weight_sized_temporary(L, bound):
+    p = 9
+    step = _lms_learner(DEFAULT_GRIDS["lms"]["eta"], p * L, p)
+    _assert_warm_steps_stay_below(step, p * L, p, bound(p * (p * L + 1)))
 
 
 def test_zero_normalizer_guard_is_a_nonfinite_rho0_not_a_zero_division(
@@ -1049,6 +1078,72 @@ def test_grid_search_excludes_fully_diverged_tuple_with_warning():
     assert bad.n_diverged == bad.n_runs == 2
     good = next(e for e in cv.entries if e.hyper.eta == 0.1)
     assert good.n_diverged == 0
+
+
+def test_lms_grid_search_batches_equal_per_tuple_runs():
+    # The LMS tuples that share L step as one batch; every entry, in grid
+    # order, must be the one its tuple's own run gives, a planted
+    # diverging rate included, and the test phase must be its own run.
+    record = _quick_record(seed=12)
+    partition = make_partition(record, "online_30_30")
+    grid = {"eta": (0.01, 1e300, 0.1), "L": (10, 30)}
+    cfg = ExperimentConfig(
+        algorithm="lms", horizons_s=(0.4, 1.0), data_manifest="x",
+        out_dir="y", grid=grid, n_cv=3, n_test=3, master_seed=4,
+    )
+    with pytest.warns(UserWarning, match="excluded"):
+        results = grid_search("lms", record, (0.4, 1.0), cfg)
+    for h_s, cv in results.items():
+        h = whole_steps(h_s, record.sample_period, "horizon")
+        assert [e.hyper for e in cv.entries] == iter_grid("lms", grid)
+        for entry in cv.entries:
+            alone = run_sequence_online(
+                "lms", record, partition, entry.hyper, h, seed=0,
+                scoring_range=partition.cross_validation)
+            assert entry.n_runs == 1
+            if entry.hyper.eta == 1e300:
+                assert alone.diverged and math.isnan(entry.mean_rmse)
+                assert entry.diverged_at == (alone.diverged_at,)
+                assert entry.diverged_quantity == (alone.diverged_quantity,)
+            else:
+                assert entry.mean_rmse == compute_metrics(alone.trace).rmse
+                assert (entry.diverged_at, entry.diverged_quantity) == ((), ())
+        result = evaluate("lms", record, cv.chosen, h_s, cfg)
+        alone = run_sequence_online("lms", record, partition, cv.chosen, h,
+                                    seed=result.runs[0].seed)
+        assert result.runs[0].metrics == compute_metrics(alone.trace)
+
+
+def test_cv_csv_lists_the_diverged_runs_steps_and_quantities(tmp_path):
+    # Two seeded UORO runs at a huge rate diverge; each keeps its step
+    # and quantity, in run order, and the tuple that ran clean has empty
+    # cells.
+    record = _quick_record(seed=12, duration=70.0)
+    cfg = ExperimentConfig(
+        algorithm="uoro", horizons_s=(0.4,), data_manifest="x", out_dir="y",
+        grid={"eta": (0.1, 1e300), "sigma_init": (0.02,), "L": (5,), "q": (5,)},
+        n_cv=2, n_test=1, master_seed=0,
+    )
+    partition = make_partition(record, "online_30_30")
+    with pytest.warns(UserWarning, match="excluded"):
+        cv = grid_search("uoro", record, (0.4,), cfg)[0.4]
+    bad = next(e for e in cv.entries if e.hyper.eta == 1e300)
+    runs = [run_sequence_online("uoro", record, partition, bad.hyper, h=4,
+                                seed=derive_seed(0, record.label, 4,
+                                                 bad.hyper.key(), r, "cv"),
+                                scoring_range=partition.cross_validation)
+            for r in range(2)]
+    assert bad.diverged_at == tuple(run.diverged_at for run in runs)
+    assert bad.diverged_quantity == tuple(run.diverged_quantity
+                                          for run in runs)
+    harness.write_cv_csv(tmp_path / "cv.csv", cv)
+    with open(tmp_path / "cv.csv", newline="") as f:
+        rows = {float(row["eta"]): row for row in csv.DictReader(f)}
+    assert rows[1e300]["diverged_at"] == ";".join(
+        str(run.diverged_at) for run in runs)
+    assert rows[1e300]["diverged_quantity"] == ";".join(
+        run.diverged_quantity for run in runs)
+    assert rows[0.1]["diverged_at"] == rows[0.1]["diverged_quantity"] == ""
 
 
 def test_grid_search_raises_when_every_tuple_diverges():

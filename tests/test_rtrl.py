@@ -3,6 +3,8 @@ influence recursion's exactness along frozen trajectories, the exact
 per-step gradient, and the step against a reference built from the dense
 Jacobians."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,7 +284,7 @@ def _reference_rtrl_step(params, x, influence, u, y_star, eta, tau):
 
     grad = grad_x_loss(e, params.w_c) @ new_influence
     grad += delta_theta(e, cache.x_next, dims)
-    if not np.isfinite(grad).all():
+    if not np.isfinite(grad).all() or np.isinf(np.linalg.norm(grad)):
         raise NonFiniteError("gradient")
 
     grad = clip_gradient(grad, tau)
@@ -366,8 +368,8 @@ def test_rtrl_step_property_equals_reference_and_leaves_inputs(q, m, p, seed, ta
 @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300, np.inf])
 def test_rtrl_step_huge_influence_matches_reference(scale):
     # Past about 1e154 the gradient's squared norm overflows although the
-    # gradient is finite; the step must then scan it and clip to zero as
-    # the reference does, and raise where the reference raises.
+    # gradient is finite; the step must then raise "gradient" as the
+    # reference does, and pass where the reference passes.
     dims, params, x, u, y_star, rng = _instance(seed=10)
     influence = scale * rng.standard_normal((dims.q, dims.n_params))
     outcomes = []
@@ -381,6 +383,29 @@ def test_rtrl_step_huge_influence_matches_reference(scale):
             outcomes.append([flatten_params(result.params).tobytes(),
                              result.influence.tobytes()])
     assert outcomes[0] == outcomes[1]
+
+
+def test_rtrl_step_gradient_norm_overflow_raises():
+    # Influence entries of about 1e160 give a gradient whose entries are
+    # finite and whose squared norm overflows. Clipping by tau / inf would
+    # scale it to a zero update and carry on silently; the step raises
+    # "gradient" instead, with a workspace and without one. Only numpy's
+    # dot warns about the overflow.
+    dims, params, x, u, y_star, rng = _instance(seed=10)
+    influence = 1e160 * rng.standard_normal((dims.q, dims.n_params))
+    for workspace in (None, RtrlWorkspace(dims)):
+        kwargs = {} if workspace is None else {"workspace": workspace}
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
+            rtrl_step(params, x, influence, u, y_star, eta=0.1, tau=CLIP_TAU,
+                      **kwargs)
+        assert info.value.quantity == "gradient"
+    # The gradient the step formed is finite entry by entry.
+    workspace = RtrlWorkspace(dims)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        rtrl_step(params, x, influence, u, y_star, eta=0.1, tau=CLIP_TAU,
+                  workspace=workspace)
+    assert np.isfinite(workspace.grad).all()
+    assert math.isinf(sum(g * g for g in workspace.grad.tolist()))
 
 
 def test_rtrl_step_finds_nonfinite_influence_behind_zero_multiplier():
