@@ -645,10 +645,11 @@ def run_sequence_online(
                 range(k_min - lag, scoring.stop - lag))
         ])
         # The weights go back as a copy made now: fit_linreg's array was
-        # allocated among the fit's large temporaries, and kept by the
-        # caller it would split the heap they freed (measured: about 1 MB
-        # more peak memory over a linreg grid search). The copy keeps the
-        # layout, on which W u's rounding depends.
+        # allocated while the QR's design-sized copies were live, and kept
+        # by the caller it would split the heap they freed (baselines-io,
+        # 40 s runs on a 2-vCPU host: peak_rss_mb 54.6 MB without the copy,
+        # 53.0 MB with it). The copy keeps the layout, on which W u's
+        # rounding depends.
         return RunResult(
             trace=_trace_from_steps(record, pred, k_min, normalizer),
             weights=w.copy(order="K"),

@@ -15,13 +15,15 @@ from markerpred.baselines import (
     no_prediction,
     predict_linreg,
 )
-from markerpred.harness import CLIP_TAU, _lms_learner
+from markerpred.harness import CLIP_TAU, DEFAULT_GRIDS, _lms_learner
 from markerpred.rnn import NonFiniteError, clip_gradient, loss
 from markerpred.signal import (
     MarkerRecord,
     WindowedSample,
+    design_matrix,
     fit_normalizer,
     iter_windows,
+    make_partition,
     synthetic_record,
 )
 
@@ -580,6 +582,146 @@ def test_predict_linreg_bias_only_returns_intercept():
     assert np.allclose(predict_linreg(w, u), w[:, 0])
     with pytest.raises(ValueError, match="u has shape"):
         predict_linreg(w, np.zeros(4))
+
+
+def test_fit_linreg_rejects_non_finite_design_naming_what_was_fit():
+    U, Y = _design(_samples(10, m=3, p=2, seed=11))
+    U[4, 2] = np.nan
+    context = "sequence 'seq', L=1, h=2 steps"
+    with pytest.raises(ValueError, match=(
+            r"^design matrix contains non-finite values "
+            r"\(sequence 'seq', L=1, h=2 steps\)$")):
+        fit_linreg(U, Y, context=context)
+    Y[0, 0], U[4, 2] = np.inf, 0.0
+    with pytest.raises(ValueError, match=r"^design matrix contains "
+                                         r"non-finite values$"):
+        fit_linreg(U, Y)
+
+
+def _lstsq_weights(U, Y):
+    return np.linalg.lstsq(U, Y, rcond=None)[0].T
+
+
+def _relative_gap(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+def _shipped_designs(h, seed=0):
+    """A synthetic 120 s record's linreg designs over the shipped L grid at
+    horizon h: (L, training design, design of the steps after training)."""
+    record = synthetic_record(duration_s=120.0, seed=seed)
+    train = make_partition(record, "offline_54_6").train
+    normalizer = fit_normalizer(record, train)
+    for L in DEFAULT_GRIDS["linreg"]["L"]:
+        lag = L + h - 1
+        n_train = train.stop - lag
+        U, Y = design_matrix(record, normalizer, L, h, record.n_steps - lag)
+        yield L, (U[:n_train], Y[:n_train]), U[n_train:]
+
+
+@pytest.mark.parametrize("h", [5, 20])
+def test_fit_linreg_matches_lstsq_on_shipped_grid_designs(h):
+    # Over-determined (L <= 50), near-square and under-determined (L >= 60)
+    # designs: the R-factor fit agrees with the SVD's minimal-norm fit.
+    for L, (U, Y), U_held_out in _shipped_designs(h):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "under-determined")
+            w = fit_linreg(U, Y)
+        w_ref = _lstsq_weights(U, Y)
+        assert _relative_gap(w, w_ref) <= 1e-9, L
+        for inputs in (U, U_held_out):
+            assert _relative_gap(inputs @ w.T, inputs @ w_ref.T) <= 1e-10, L
+
+
+def _row_space_residual(w, U):
+    """The part of w's rows outside U's row space, relative to w."""
+    _, sv, vt = np.linalg.svd(U, full_matrices=False)
+    basis = vt[sv > sv[0] * 1e-12]
+    return np.abs(w - (w @ basis.T) @ basis).max() / np.abs(w).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), m=st.integers(1, 30), p=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_fit_linreg_matches_lstsq_on_random_designs(n, m, p, seed):
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((n, m))
+    Y = rng.standard_normal((n, p))
+    # A residual's share of W grows with cond(U)^2; the bound below holds
+    # for both solvers at cond(U) < 1e3.
+    assume(np.linalg.cond(U) < 1e3)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "under-determined")
+        w = fit_linreg(U, Y)
+    assert _relative_gap(w, _lstsq_weights(U, Y)) <= 1e-9
+    if n < m:
+        # Minimal norm: W's rows lie in U's row space, and W fits exactly.
+        assert _row_space_residual(w, U) <= 1e-12
+        assert np.abs(U @ w.T - Y).max() <= 1e-10 * np.abs(Y).max()
+
+
+@pytest.mark.parametrize("n, m", [(8, 12), (20, 6)])
+@pytest.mark.parametrize("u_exp, y_exp", [(600, 0), (500, -400), (-500, 300),
+                                          (-300, -600)])
+def test_fit_linreg_far_scaled_design_matches_lstsq(n, m, u_exp, y_exp):
+    # Designs far from unit scale whose W ~ Y / U is a normal double. The
+    # under-determined fit forms R^-1 R^-T Y ~ Y / U^2, which would
+    # underflow or overflow if R's scale were not divided out first.
+    U, Y = _design(_samples(n, m=m - 1, p=2, seed=14))
+    U, Y = np.ldexp(U, u_exp), np.ldexp(Y, y_exp)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "under-determined")
+        w = fit_linreg(U, Y)
+    assert _relative_gap(w, _lstsq_weights(U, Y)) <= 1e-9
+
+
+def _rank_deficient_design(name):
+    """A design whose R factor has a (near-)zero diagonal entry."""
+    if name == "constant coordinate":
+        positions = synthetic_record(duration_s=120.0, seed=3).positions
+        positions[:, 1, 2] = 4.25
+        record = MarkerRecord(positions=positions, sample_period=0.1)
+        train = make_partition(record, "offline_54_6").train
+        with pytest.warns(UserWarning, match="floored"):
+            normalizer = fit_normalizer(record, train)
+        # The coordinate normalizes to a zero column of U.
+        return design_matrix(record, normalizer, 20, 5, train.stop - 24)
+    if name == "duplicated column":
+        U, Y = _design(_samples(40, m=6, p=2, seed=12))
+        return np.column_stack((U, U[:, 3])), Y
+    # An under-determined design that holds one sample twice.
+    U, Y = _design(_samples(8, m=12, p=2, seed=13))
+    return np.vstack((U, U[2])), np.vstack((Y, Y[2]))
+
+
+@pytest.mark.parametrize("name", ["constant coordinate", "duplicated column",
+                                  "duplicated sample"])
+def test_fit_linreg_rank_deficient_design_gets_the_minimal_norm_fit(name):
+    U, Y = _rank_deficient_design(name)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "under-determined")
+        w = fit_linreg(U, Y)
+    # Fit by the SVD itself, so bit for bit the minimal-norm W.
+    np.testing.assert_array_equal(w, _lstsq_weights(U, Y))
+    if name == "duplicated column":
+        # The two copies share their weight evenly.
+        np.testing.assert_allclose(w[:, 3], w[:, 7], rtol=1e-12)
+
+
+def test_fit_linreg_well_conditioned_design_never_reaches_lstsq(monkeypatch):
+    designs = [design for L, design, _ in _shipped_designs(5)
+               if L in (10, 50, 90)]
+    expected = [_lstsq_weights(U, Y) for U, Y in designs]
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("fit_linreg fell back to lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    for (U, Y), w_ref in zip(designs, expected):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "under-determined")
+            w = fit_linreg(U, Y)
+        assert _relative_gap(w, w_ref) <= 1e-9
 
 
 # ----------------------------- no prediction -------------------------------
