@@ -11,18 +11,16 @@ returns W, and `predict_linreg` applies it. The caller holds W between
 steps, as it holds the RNN trainers' parameters. The LMS gradient -e u^T
 has rank one, so `lms_step` takes its norm in closed form, ||e|| ||u||,
 and adds the clipped update to W as one BLAS product of a column and a
-row: a step passes over the weights three times (the prediction, the
-product and the add) and forms no gradient. `fit_linreg` takes W from a
-Householder R factor of the design and its two triangular solves, not
-from a singular value decomposition, which it keeps for rank-deficient
-designs only.
+row; it forms no gradient. `fit_linreg` takes W from a Householder R
+factor of the design and its two triangular solves, not from a singular
+value decomposition, which it keeps for rank-deficient designs only.
 
-`lms_step` also steps a batch: B learners that read one (u, y*) stream,
-their weights stacked as B x p x (m+1). The harness runs the LMS tuples
-of a grid search that share L this way, since they differ only in the
-rate. Each learner's prediction, loss, new weights and divergence are
-bit for bit those of its own one-learner step, and a learner that goes
-non-finite is reported without disturbing the others.
+`lms_step` is the one-step oracle. The harness's LMS learner
+(`harness._lms_learner`) steps B learners that read one (u, y*) stream
+as one block-delayed batch, which folds their rank-one updates into the
+weights every few steps rather than at each one. It shares the step's
+scalar rules (`_lms_rates`) and meets the `lms_step` chain within
+rounding.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from markerpred.rnn import _FINITE_BOUND, NonFiniteError, _clipped_rate, _norm
+from markerpred.rnn import NonFiniteError, _clipped_rate
 from markerpred.signal import MarkerRecord
 
 __all__ = [
@@ -45,7 +43,7 @@ __all__ = [
 
 # Finite squared norms of at least this are dot products whose rounding is
 # relative: the squares in them that underflow change them by far less than
-# one unit roundoff. For smaller or overflowing ones `lms_step` takes the
+# one unit roundoff. For smaller or overflowing ones `_lms_rates` takes the
 # norms with math.hypot, which is within an ulp at any magnitude.
 _TINY_SQUARES = 2.0 ** -960
 
@@ -61,14 +59,11 @@ def lms_step(
     w: np.ndarray,
     u: np.ndarray,
     y_star: np.ndarray,
-    eta: float | Sequence[float],
+    eta: float,
     tau: float,
-    out: np.ndarray | None = None,
-    w_bound: float | Sequence[float] | None = None,
-) -> (tuple[np.ndarray, np.ndarray, float]
-      | tuple[np.ndarray, np.ndarray, list[float], list[tuple[int, str]]]):
-    """One LMS update of the weights w (p x (m+1)) on the pair (u, y*), or
-    of a batch of B such learners, w of shape B x p x (m+1), on one pair.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One LMS update of the weights w (p x (m+1)) on the pair (u, y*): the
+    one-step oracle of the harness's block learner.
 
     Predicts y = W u, then descends the instantaneous square loss whose
     gradient in W is -e u^T (e = y* - y), clipped at tau in the norm of the
@@ -79,7 +74,8 @@ def lms_step(
     step adds the update (c e) u^T to W, formed as one BLAS product of a
     column and a row, with c = eta * tau' / gn when gn > tau' and c = eta
     otherwise, where tau' = tau * (1 - (p + m + 33) 2^-53)
-    (`rnn._clipped_rate`, which UORO's step shares).
+    (`rnn._clipped_rate`, which UORO's step shares). The scalar rules are
+    `_lms_rates`, which the block learner shares.
 
     Clip rule: the update added to W, Delta = (c e) u^T as formed in
     doubles, has ||Delta||_F <= eta * tau in exact arithmetic. tau' is tau
@@ -93,99 +89,75 @@ def lms_step(
     computed norm was at most tau; when a step clips, its c is smaller
     than that clip's factor by about (p + m + 33) 2^-53, relatively.
 
-    Finiteness: `w_bound` is a bound on ||w||_F. By the clip rule the new
-    weights' norm is at most w_bound + eta * tau up to rounding, so they
-    are scanned for finiteness only when that sum is not at most half the
-    largest double. A pure call (no w_bound) takes ||w||_F, one pass over
-    w, which proves w finite unless it overflows. A learner carries the
-    bound instead, 0 for its zero start plus eta * tau per step, so its
-    steps pass over the weights three times (the prediction, the product
-    and the add) and scan them only once the bound fails. Either way a NaN
-    or an overflow in the new weights is caught at the step it appears in.
-
-    Batch: learners that read one (u, y*) stream step as one. Their
-    predictions are one stacked matrix-vector product, ||u||^2 is taken
-    once, each slot's ||e||^2 is a row-by-row dot of one stacked product,
-    and the updates of all B p rows are one column-by-row product. Every
-    slot's scalars (its loss, gn, c and the checks) stay its own Python
-    floats. Each slot's prediction, loss and new weights are bit for bit
-    what a one-learner call on its weights gives: the stacked products run
-    one BLAS gemv or ddot per slot, and every entry of the update is a
-    single rounded product, so no slot's values reach another's. A slot
-    that goes non-finite is reported, not raised, and leaves the other
-    slots' results untouched.
+    Finiteness: the new weights are scanned, so a NaN or an overflow in
+    them is caught at the step it appears in. The squared norms are taken
+    with numpy's overflow warning off: an overflowing one is handled by
+    math.hypot, not reported.
 
     Args:
-        w: current weights, p x (m+1), or B x p x (m+1) for a batch. Not
-            written to.
+        w: current weights, p x (m+1). Not written to.
         u: input, m+1 entries. Not written to.
         y_star: target, p entries.
-        eta: learning rate, >= 0; for a batch, one rate per slot.
+        eta: learning rate, >= 0.
         tau: clip threshold, > 0.
-        out: a C-contiguous float array of w's shape that receives the new
-            weights and shares no memory with w or u. A learner passes the
-            buffer its previous weights were in, so its weights alternate
-            between two buffers. None makes a fresh array.
-        w_bound: a bound on ||w||_F that the caller carries (for a batch,
-            one per slot); None takes ||w||_F.
 
     Returns:
-        (new_w, y, loss): the updated weights (`out`, or a fresh array),
-        the prediction made before the update, and its loss. For a batch,
-        (new_w, y, losses, diverged): y is B x p, losses holds each slot's
-        loss, and diverged lists (slot, quantity) for every slot that went
-        non-finite at this step, in slot order. Such a slot's loss and new
-        weights mean nothing.
+        (new_w, y, loss): the updated weights (a fresh array), the
+        prediction made before the update, and its loss.
 
     Raises:
-        ValueError: w is neither a matrix nor a stack of them, a rate is
-            < 0, tau <= 0, or u or y_star does not fit w.
-        NonFiniteError: one learner's loss or updated weights stopped
-            being finite ("loss" or "weights"); a batch reports these in
-            `diverged` instead.
+        ValueError: w is not a matrix, eta < 0, tau <= 0, or u or y_star
+            does not fit w.
+        NonFiniteError: the loss or the updated weights stopped being
+            finite ("loss" or "weights").
     """
-    if w.ndim == 2:
-        new_w, y, (loss_value,), diverged = lms_step(
-            w[None], u, y_star, (eta,), tau,
-            None if out is None else out[None],
-            None if w_bound is None else (w_bound,),
-        )
-        if diverged:
-            raise NonFiniteError(diverged[0][1])
-        return new_w[0], y[0], loss_value
-    if w.ndim != 3:
-        raise ValueError(
-            f"W must be a matrix or a stack of them, got shape {w.shape}")
-    n_slots, p, n_in = w.shape
-    if len(eta) != n_slots:
-        raise ValueError(f"need {n_slots} rates, got {len(eta)}")
-    for rate in eta:
-        if not (rate >= 0 and tau > 0):
-            raise ValueError(
-                f"need eta >= 0 and tau > 0, got eta={rate}, tau={tau}")
+    if w.ndim != 2:
+        raise ValueError(f"W must be a matrix, got shape {w.shape}")
+    p, n_in = w.shape
+    if not (eta >= 0 and tau > 0):
+        raise ValueError(f"need eta >= 0 and tau > 0, got eta={eta}, tau={tau}")
     if u.shape != (n_in,):
         raise ValueError(f"u has shape {u.shape}, expected ({n_in},)")
     if y_star.shape != (p,):
         raise ValueError(f"y_star has shape {y_star.shape}, expected ({p},)")
-    if out is not None and not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    y = np.matmul(w, u)
+    y = w @ u
     e = y_star - y
+    with np.errstate(over="ignore"):
+        (loss_value,), (rate,), gone = _lms_rates(e[None], u, (eta,), tau)
+    if gone:
+        raise NonFiniteError("loss")
+    update = np.dot((rate * e).reshape(p, 1), u[None, :])
+    new_w = np.add(w, update, out=update)
+    if not np.isfinite(new_w).all():
+        raise NonFiniteError("weights")
+    return new_w, y, loss_value
+
+
+def _lms_rates(
+    e: np.ndarray, u: np.ndarray, eta: Sequence[float], tau: float,
+) -> tuple[list[float], list[float], list[int]]:
+    """The scalar rules of an LMS step, for B learners that read one input
+    u: e is their B x p errors and eta their rates. Returns each learner's
+    loss 0.5 ||e||^2 and its clipped rate c (see `lms_step`), and the
+    learners whose loss is not finite, which take the rate 0.
+
+    Each ||e||^2 is one row-by-row dot of a stacked product, as `ddot`
+    gives it (`einsum` rounds differently), and every scalar is a Python
+    float of its own learner, so no learner's values reach another's.
+    ||u||^2 is taken once, and only when a learner steps.
+    """
     squares = np.matmul(e[:, None, :], e[:, :, None]).ravel().tolist()
-    if out is None:
-        out = np.empty((n_slots, p, n_in))
-    losses, rates, diverged = [], [], []
+    n_terms = e.shape[1] + u.size
+    losses, rates, gone = [], [], []
     u_norm = None
     for k, e_squares in enumerate(squares):
         loss_value = 0.5 * e_squares
         losses.append(loss_value)
         if not math.isfinite(loss_value):
-            diverged.append((k, "loss"))
+            gone.append(k)
             rates.append(0.0)
             continue
         if u_norm is None:
-            # ||u||^2 once, and only when a slot steps: a one-learner call
-            # raises on its loss before it takes ||u||.
             u_squares = float(u.dot(u))
             u_fine = _TINY_SQUARES <= u_squares < math.inf
             u_norm = math.sqrt(u_squares)
@@ -193,23 +165,8 @@ def lms_step(
             grad_norm = math.sqrt(e_squares) * u_norm
         else:
             grad_norm = math.hypot(*e[k]) * math.hypot(*u)
-        rates.append(_clipped_rate(eta[k], tau, grad_norm, p + n_in))
-    if u_norm is None:
-        # No slot steps.
-        return out, y, losses, diverged
-    if w_bound is None:
-        w_bound = [_norm(w_k) for w_k in w]
-    np.multiply(e, np.array(rates)[:, None], out=e)
-    np.dot(e.reshape(n_slots * p, 1), u[None, :],
-           out=out.reshape(n_slots * p, n_in))
-    new_w = np.add(w, out, out=out)
-    for k, bound in enumerate(w_bound):
-        if math.isfinite(losses[k]) and not (
-                bound + eta[k] * tau <= _FINITE_BOUND
-                or np.isfinite(new_w[k]).all()):
-            diverged.append((k, "weights"))
-    diverged.sort()
-    return new_w, y, losses, diverged
+        rates.append(_clipped_rate(eta[k], tau, grad_norm, n_terms))
+    return losses, rates, gone
 
 
 def fit_linreg(

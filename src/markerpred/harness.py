@@ -58,8 +58,8 @@ import numpy as np
 
 import markerpred
 from markerpred.baselines import (
+    _lms_rates,
     fit_linreg,
-    lms_step,
     no_prediction,
     predict_linreg,
 )
@@ -71,7 +71,7 @@ from markerpred.metrics import (
     ci_per_condition,
     compute_metrics,
 )
-from markerpred.rnn import NonFiniteError, RnnDims, init_params
+from markerpred.rnn import _FINITE_BOUND, NonFiniteError, RnnDims, init_params
 from markerpred.rtrl import RtrlWorkspace, init_influence, rtrl_step
 from markerpred.signal import (
     MarkerRecord,
@@ -128,6 +128,12 @@ CLIP_TAU = 2.0
 # draw's fixed cost negligible per step; 256 raised uoro-protocol's peak
 # memory by about 0.3 MB.
 _SIGN_BLOCK = 64
+
+# Steps between the LMS learner's folds of its pending updates into its
+# weights. Blocks of 4 and 8 read baselines-io wall_s within 2 % of each
+# other; 16 took about 4 % longer per step than 8 (mean over the shipped
+# L, one slot or the shipped 7).
+_LMS_BLOCK = 8
 
 # Shipped cross-validation ranges per algorithm.
 DEFAULT_GRIDS: dict[str, dict[str, tuple]] = {
@@ -486,50 +492,93 @@ def _lms_learner(
     diverged: dict[int, tuple[int, str]] | None = None,
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, list[float]]]:
     """B = len(etas) LMS learners from zero weights, one per rate, that
-    step as one batch (`lms_step` on stacked weights) on one stream:
-    step(u, y_star) -> (y, losses), y a B x p array and losses a list of
-    B floats, slot by slot. Each slot is bit for bit the one-learner chain
-    of its rate.
+    step as one block-delayed batch on one stream: step(u, y_star) ->
+    (y, losses), y a B x p array and losses a list of B floats, slot by
+    slot.
 
-    The weights alternate between two B x p x (m+1) buffers: each step
-    writes the new weights into the one the old weights are not in. Each
-    slot carries the bound on its weights' norm that spares `lms_step` a
-    finiteness scan. A slot that goes non-finite is recorded in
-    `diverged` as slot: (step index from 0, quantity) and dropped from the
-    batch; its row of y and its loss are NaN from then on. The step at
-    which the last slot goes raises its NonFiniteError, as a one-learner
-    step does.
+    Exact LMS need not form each rank-one update (Benesty & Duhamel, "A
+    fast exact least mean square adaptive algorithm", IEEE Trans. SP
+    40(12), 1992). Let W0 be a slot's weights as of the last fold, u_s the
+    inputs since, and c_s e_s its scaled errors (the clipped rate of
+    `baselines._lms_rates` times the error). Its weights are then
+    W = W0 + sum_s c_s e_s u_s^T, so
+
+        W u = W0 u + P (U u),
+
+    with U the j pending inputs as rows, shared by all slots, and P the
+    p x j block of the slot's c_s e_s as columns. A step makes that
+    prediction with stacked products and appends its u to U and its c e
+    to P. Every _LMS_BLOCK steps, counted from the start of the stream,
+    it folds W0 += P U: one BLAS product per slot into a spare buffer,
+    then one add. So a step reads the weights once, for W0 u, and writes
+    them only at a fold. At L = 90, B = 7 a step that folds takes about
+    70 us against about 30 us for one that does not (2-vCPU Xeon, one
+    BLAS thread). The learner rounds differently from the `lms_step`
+    chain, which forms W at every step.
+
+    Every slot's products are its own gemv or gemm and its scalars are its
+    own Python floats, and the fold schedule never moves, so each slot's
+    bits are those of its one-slot learner whatever slots share its batch.
+
+    Finiteness: after n steps a slot's weight norm is at most n * eta *
+    tau, by the clip rule, and the inputs carry the bias 1, so ||u|| >= 1
+    and each c e has norm at most eta * tau. While n * eta * tau is at most
+    half the largest double the slot's weights are finite; from then on
+    each step checks its W0 + P U in a temporary, which never folds early.
+    A slot whose loss or weights go non-finite is recorded in `diverged`
+    as slot: (step index from 0, quantity), and its rows of W0 and P are
+    dropped without a fold; its row of y and its loss are NaN from then
+    on. The step at which the last slot goes raises its NonFiniteError, as
+    a one-learner step does.
     """
     n_slots = len(etas)
     etas = list(etas)
     diverged = {} if diverged is None else diverged
     live = list(range(n_slots))
-    w, spare = np.zeros((n_slots, p, m + 1)), np.empty((n_slots, p, m + 1))
-    bounds = [0.0] * n_slots
+    w0, spare = np.zeros((n_slots, p, m + 1)), np.empty((n_slots, p, m + 1))
+    pending_u = np.empty((_LMS_BLOCK, m + 1))
+    pending_ce = np.empty((n_slots, p, _LMS_BLOCK))
+    # By the clip rule a step adds at most eta * tau to a slot's weight norm.
+    growth = [eta * CLIP_TAU for eta in etas]
     n_steps = 0
 
     def step(u, y_star):
-        nonlocal w, spare, etas, bounds, live, n_steps
-        new_w, y, losses, gone = lms_step(w, u, y_star, etas, CLIP_TAU,
-                                          out=spare, w_bound=bounds)
-        w, spare = new_w, w
-        # By the clip rule a step adds at most eta * tau to the norm.
-        bounds = [bound + eta * CLIP_TAU for bound, eta in zip(bounds, etas)]
+        nonlocal w0, spare, pending_ce, etas, growth, live, n_steps
+        j = n_steps % _LMS_BLOCK
+        y = np.matmul(w0, u)
+        if j:
+            y += np.matmul(pending_ce[:, :, :j], pending_u[:j] @ u)
+        e = y_star - y
+        losses, rates, gone = _lms_rates(e, u, etas, CLIP_TAU)
+        np.multiply(e, np.array(rates)[:, None], out=pending_ce[:, :, j])
+        pending_u[j] = u
         n_steps += 1
-        if not gone and len(live) == n_slots:
-            return y, losses
-        if gone:
-            for k, quantity in gone:
+        lost = [(k, "loss") for k in gone]
+        if n_steps * max(growth) > _FINITE_BOUND:
+            for k, slot_growth in enumerate(growth):
+                if (n_steps * slot_growth > _FINITE_BOUND and k not in gone
+                        and not np.isfinite(
+                            w0[k] + pending_ce[k, :, :j + 1] @ pending_u[:j + 1]
+                        ).all()):
+                    lost.append((k, "weights"))
+        if lost:
+            lost.sort()
+            for k, quantity in lost:
                 diverged[live[k]] = (n_steps - 1, quantity)
-            if len(gone) == len(live):
-                raise NonFiniteError(gone[-1][1])
-            gone_rows = {k for k, _ in gone}
+            if len(lost) == len(live):
+                raise NonFiniteError(lost[-1][1])
+            gone_rows = {k for k, _ in lost}
             keep = [k for k in range(len(live)) if k not in gone_rows]
             y, losses = y[keep], [losses[k] for k in keep]
-            w, spare = w[keep], np.empty((len(keep), p, m + 1))
+            w0, spare = w0[keep], np.empty((len(keep), p, m + 1))
+            pending_ce = pending_ce[keep]
             etas = [etas[k] for k in keep]
-            bounds = [bounds[k] for k in keep]
+            growth = [growth[k] for k in keep]
             live = [live[k] for k in keep]
+        if n_steps % _LMS_BLOCK == 0:
+            np.add(w0, np.matmul(pending_ce, pending_u, out=spare), out=w0)
+        if len(live) == n_slots:
+            return y, losses
         # Rows back to their slots; the dropped slots' stay NaN.
         all_y, all_losses = np.full((n_slots, p), np.nan), [math.nan] * n_slots
         all_y[live] = y
@@ -1046,7 +1095,12 @@ def bench_step_time(
     Chains real steps of `run_sequence_online`'s learner (for LMS, the
     batch learner over one slot) on synthetic bounded inputs (10
     unmeasured warm-up steps, then n_steps measured ones) so caches and
-    allocator are warm. The offline methods have no step to time.
+    allocator are warm. The LMS learner folds its pending updates once
+    every _LMS_BLOCK steps, so it is timed over blocks of that many
+    consecutive steps (n_steps rounded up to whole blocks), each block
+    holding one fold, and the median block time is divided by the block
+    length; the UORO and RTRL learners are timed step by step. The
+    offline methods have no step to time.
     """
     if algorithm not in ("uoro", "rtrl", "lms"):
         raise ValueError(
@@ -1066,22 +1120,27 @@ def bench_step_time(
     hyper = HyperChoice(eta=0.05, sigma_init=0.02, L=L, q=q)
     if algorithm == "lms":
         step = _lms_learner([hyper.eta], m, p)
+        block = _LMS_BLOCK
     else:
         step = _online_learner(algorithm, hyper, m, p, seed)
+        block = 1
+    n_blocks = -(-n_steps // block)
     rng = np.random.default_rng([seed, 2])
     warmup = 10
-    inputs = rng.uniform(-1.0, 1.0, size=(n_steps + warmup, m + 1))
+    inputs = rng.uniform(-1.0, 1.0, size=(warmup + n_blocks * block, m + 1))
     inputs[:, 0] = 1.0
-    targets = rng.uniform(-1.0, 1.0, size=(n_steps + warmup, p))
+    targets = rng.uniform(-1.0, 1.0, size=(warmup + n_blocks * block, p))
 
-    elapsed = np.empty(n_steps)
-    for i in range(n_steps + warmup):
-        t0 = time.perf_counter()
+    for i in range(warmup):
         step(inputs[i], targets[i])
-        t1 = time.perf_counter()
-        if i >= warmup:
-            elapsed[i - warmup] = t1 - t0
-    return float(np.median(elapsed) * 1e3)
+    elapsed = np.empty(n_blocks)
+    for b in range(n_blocks):
+        first = warmup + b * block
+        t0 = time.perf_counter()
+        for i in range(first, first + block):
+            step(inputs[i], targets[i])
+        elapsed[b] = time.perf_counter() - t0
+    return float(np.median(elapsed) / block * 1e3)
 
 
 # ------------------------------ dataset loading ----------------------------
