@@ -74,8 +74,8 @@ def lms_step(
     step adds the update (c e) u^T to W, formed as one BLAS product of a
     column and a row, with c = eta * tau' / gn when gn > tau' and c = eta
     otherwise, where tau' = tau * (1 - (p + m + 33) 2^-53)
-    (`rnn._clipped_rate`, which UORO's step shares). The scalar rules are
-    `_lms_rates`, which the block learner shares.
+    (`rnn._clipped_rate`, which the UORO and RTRL steps share). The scalar
+    rules are `_lms_rates`, which the block learner shares.
 
     Clip rule: the update added to W, Delta = (c e) u^T as formed in
     doubles, has ||Delta||_F <= eta * tau in exact arithmetic. tau' is tau

@@ -20,12 +20,13 @@ This module is the one definition of the layout. `flatten_params` and
 private view builders address the blocks in place: `_ab_rows` (W_ab
 transposed), `_c_rows` (W_c transposed) and `_ab_diagonal` (the entries of
 a q x |W| influence matrix that W_ab's row i adds to row i). The trainers
-reach the flat layout only through these functions, a `Workspace`'s views
-and RTRL's update `sgd_update`, so that gradient indices never drift. A
-trainer step keeps its weights in one such flat buffer, a `Workspace`'s
-`theta`, and updates them there in place: RTRL through `sgd_update`, UORO
-by subtracting the update it forms from its closed forms (see the uoro
-module).
+reach the flat layout only through these functions and a `Workspace`'s
+views, so that gradient indices never drift. A trainer step keeps its
+weights in one such flat buffer, a `Workspace`'s `theta`, and every
+trained step (UORO, RTRL and LMS) clips by one rule, `_clipped_rate`; the
+RNN steps then write their update with the one subtraction
+`Workspace.apply_update`. `clip_gradient`, which clips a formed gradient,
+is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "loss",
     "tanh_prime",
     "clip_gradient",
-    "sgd_update",
     "flatten_params",
     "unflatten_params",
 ]
@@ -154,14 +154,12 @@ class Workspace:
     `_aligned_empty`). `v` holds a step's stacked input [x; u].
 
     A step reads its input weights first (the forward pass and the
-    gradient) and then its SGD (`sgd_update` for RTRL) writes the new
-    weights over `theta` in place, so a learner that feeds each step's
-    weights into the next keeps them in the one buffer for the whole run,
-    and the weights a step returns stay valid until the next step. Weights
-    that are not `weights`, such as `init_params`' or a pure call's
-    inputs, are copied into `theta` by the update and not written to. The
-    uoro and rtrl modules extend the workspace with the buffers of their
-    own learner state."""
+    gradient), writes its update into `grad`, and then `apply_update`
+    writes the new weights over `theta` in place, so a learner that feeds
+    each step's weights into the next keeps them in the one buffer for the
+    whole run, and the weights a step returns stay valid until the next
+    step. The uoro and rtrl modules extend the workspace with the buffers
+    of their own learner state."""
 
     def __init__(self, dims: RnnDims):
         self.dims = dims
@@ -197,6 +195,21 @@ class Workspace:
                 f"x, u and y_star have shapes {x.shape}, {u.shape} and "
                 f"{y_star.shape}, expected {self._io_shapes}"
             )
+
+    def apply_update(self, params: RnnParams) -> RnnParams:
+        """SGD's write: `theta` = params - `grad`, in place, and return
+        `weights`. Weights that are not `weights`, such as `init_params`'
+        C-order matrices or a pure call's inputs, are first copied into
+        `theta` and not written to. Each entry of the subtraction depends
+        only on the same entries of both operands, so it overwrites its
+        operand."""
+        weights = self.weights
+        if params is not weights:
+            weights.w_a[...] = params.w_a
+            weights.w_b[...] = params.w_b
+            weights.w_c[...] = params.w_c
+        np.subtract(self.theta, self.grad, out=self.theta)
+        return weights
 
 
 def init_params(dims: RnnDims, sigma_init: float, seed: int) -> RnnParams:
@@ -245,29 +258,21 @@ def tanh_prime(z: np.ndarray) -> np.ndarray:
     return 1.0 - t * t
 
 
-def clip_gradient(g: np.ndarray, tau: float) -> np.ndarray:
-    """Rescale g to Euclidean norm tau when ||g|| > tau, else return g as is
-    (same array, no copy). The clipped norm never exceeds tau, even under
-    floating-point rounding of the rescaling."""
-    if not tau > 0:
-        raise ValueError(f"tau must be > 0, got {tau}")
-    norm = _norm(g)
-    if norm > tau:
-        return _rescale(g, tau, norm)
-    return g
-
-
-# Passes of `_rescale`'s overshoot guard that may leave the norm unchanged
-# before the guard shrinks geometrically.
+# Passes of `clip_gradient`'s overshoot guard that may leave the norm
+# unchanged before the guard shrinks geometrically.
 _MAX_STALLS = 16
 
 
-def _rescale(
-    g: np.ndarray, tau: float, norm: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """g * (tau / norm) with norm at most tau, for norm = ||g|| > tau: a new
-    array, or `out` (which may be g itself) overwritten."""
-    clipped = np.multiply(g, tau / norm, out=out)
+def clip_gradient(g: np.ndarray, tau: float) -> np.ndarray:
+    """Rescale g to Euclidean norm tau when ||g|| > tau, as a new array, else
+    return g as is (same array, no copy). The clipped norm never exceeds
+    tau, even under floating-point rounding of the rescaling."""
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau}")
+    norm = _norm(g)
+    if not norm > tau:
+        return g
+    clipped = g * (tau / norm)
     # Rounding of the rescaling can overshoot tau by an ulp; each pass
     # nudges the norm toward just below tau (in practice one pass ends it).
     # A nudge can leave the computed norm where it was, rarely for normal
@@ -288,14 +293,15 @@ def _rescale(
 
 def _clipped_rate(eta: float, tau: float, grad_norm: float,
                   n_terms: int) -> float:
-    """eta * s, the clip rule of the steps that never form their gradient
-    (`baselines.lms_step`, `uoro.uoro_step`): s = tau' / grad_norm when
+    """eta * s, the clip rule of every trained step (`baselines.lms_step`,
+    `uoro.uoro_step`, `rtrl.rtrl_step`): s = tau' / grad_norm when
     grad_norm > tau' and 1 otherwise, with tau' = tau (1 - (n_terms + 32)
-    2^-53). grad_norm is the gradient's closed-form norm, and n_terms the
-    number of terms in its dot products. tau is shrunk by a bound on the
-    relative rounding of that norm, of s and of the update's entries, so
-    the update the caller forms has exact norm at most eta * tau (each
-    caller states the range where the rounding is relative)."""
+    2^-53). grad_norm is the gradient's norm, from closed forms or from the
+    formed vector, and n_terms the number of terms in its dot products.
+    tau is shrunk by a bound on the relative rounding of that norm, of s
+    and of the update's entries, so the update the caller forms has exact
+    norm at most eta * tau (each caller states the range where the
+    rounding is relative)."""
     tau_shrunk = tau * (1.0 - (n_terms + 32) * _UNIT_ROUNDOFF)
     return eta * (tau_shrunk / grad_norm) if grad_norm > tau_shrunk else eta
 
@@ -305,66 +311,6 @@ def _norm(v: np.ndarray) -> float:
     for real v (the same dot over the same order), without its overhead."""
     flat = v.ravel(order="K")
     return math.sqrt(flat.dot(flat))
-
-
-def sgd_update(
-    params: RnnParams,
-    grad: np.ndarray,
-    grad_norm: float,
-    eta: float,
-    tau: float,
-    theta: np.ndarray,
-    weights: RnnParams,
-) -> RnnParams:
-    """One clipped SGD step on the weights, W - eta * clip(grad, tau),
-    written over the flat weights `theta` in place: RTRL's update. (UORO
-    never forms its gradient; its step applies the update from closed
-    forms, see `uoro.uoro_step`.)
-
-    `grad` is scaled in place to eta * clip(grad, tau). `weights` are the
-    column-major matrix views of `theta` (`unflatten_params(theta, dims)`,
-    which a `Workspace` keeps). When `params` are not `weights`, as for
-    `init_params`' C-order matrices or a pure call's inputs, they are first
-    copied into `theta`, and are not written to. Then one subtraction
-    theta - grad over the whole vector writes the new weights into
-    `theta`; each entry depends only on the same entries of both, so it
-    can overwrite its operand. So `weights` hold the new weights and
-    `grad` no longer holds the gradient. The values are those of
-    `unflatten_params(flatten_params(params) - eta * clip_gradient(grad, tau), dims)`.
-
-    Args:
-        params: current weights.
-        grad: flat gradient of length |W| in the [W_a | W_b | W_c] layout.
-        grad_norm: its Euclidean norm, sqrt(grad . grad), which the caller
-            has already computed to check the gradient for finiteness.
-        eta: learning rate, >= 0.
-        tau: clip threshold, > 0.
-        theta: flat vector of length |W| that receives the new weights.
-        weights: the column-major matrix views of `theta`.
-
-    Returns:
-        `weights`.
-
-    Raises:
-        ValueError: eta < 0 or tau <= 0.
-    """
-    if not (eta >= 0 and tau > 0):
-        raise ValueError(f"need eta >= 0 and tau > 0, got eta={eta}, tau={tau}")
-    if grad_norm > tau:
-        _rescale(grad, tau, grad_norm, out=grad)
-    grad *= eta
-    if params is not weights:
-        _copy_into(weights, params)
-    np.subtract(theta, grad, out=theta)
-    return weights
-
-
-def _copy_into(weights: RnnParams, params: RnnParams) -> None:
-    """Copy the matrices of `params` into those of `weights`, a
-    `Workspace`'s views, before an update written over them in place."""
-    weights.w_a[...] = params.w_a
-    weights.w_b[...] = params.w_b
-    weights.w_c[...] = params.w_c
 
 
 def flatten_params(params: RnnParams) -> np.ndarray:

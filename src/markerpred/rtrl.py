@@ -36,15 +36,15 @@ zero is +0, never -0, which changes no sum the step forms.
 The new influence goes into the buffer the input influence is not in,
 since a matrix product cannot write over its operand, so a learner's
 influence alternates between the two. The step reads the input weights
-(the forward pass, recursion (i) and the gradient (ii)) before SGD
-updates the workspace's weights in place with one subtraction over the
-flat buffer, as `uoro_step` does, and like it calls `rnn.forward` but
-runs the loss and `grad_x_loss` inline. A learner allocates one
-workspace per run; called without one, `rtrl_step` builds a fresh one,
-so it writes to none of its inputs, and the two calls run one body. As
-in UORO, the first step must be given `init_params`' C-order matrices
-themselves, since a matrix-vector product over a column-major matrix
-rounds differently.
+(the forward pass, recursion (i) and the gradient (ii)), then clips as
+every trained step does (`rnn._clipped_rate`): it scales the gradient
+buffer into the update once and writes it with `Workspace.apply_update`,
+as `uoro_step` does. Like `uoro_step` it calls `rnn.forward` but runs the
+loss and `grad_x_loss` inline. A learner allocates one workspace per run;
+called without one, `rtrl_step` builds a fresh one, so it writes to none
+of its inputs, and the two calls run one body. As in UORO, the first step
+must be given `init_params`' C-order matrices themselves, since a
+matrix-vector product over a column-major matrix rounds differently.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from markerpred.rnn import (
     RnnParams,
     Workspace,
     _ab_diagonal,
+    _clipped_rate,
     forward,
-    sgd_update,
     tanh_prime,
 )
 
@@ -157,9 +157,19 @@ def rtrl_step(
     """One exact online training step.
 
     Runs the forward pass, advances the influence matrix by recursion (i),
-    assembles the exact gradient (ii), clips it at tau, and applies SGD
-    with rate eta. With eta = 0 the influence matrix still advances, so a
-    frozen network can be differentiated exactly along its trajectory.
+    assembles the exact gradient (ii) and applies clipped SGD with rate
+    eta. With eta = 0 the influence matrix still advances, so a frozen
+    network can be differentiated exactly along its trajectory.
+
+    Clip rule: the update is (eta s) g, with s = tau' / ||g|| when
+    ||g|| > tau' and 1 otherwise, tau' = tau (1 - (|W| + 32) 2^-53)
+    (`rnn._clipped_rate`, the rule of `uoro_step` and
+    `baselines.lms_step`), and ||g|| = sqrt(g . g) taken as a Python
+    float. The update formed in doubles has exact norm at most eta * tau
+    whenever ||g|| is 0 or at least 2^-480 and tau, eta * tau and eta * s
+    lie in [2^-1000, 2^1000]. An unclipped step's update is eta g. When
+    the step clips, its s is smaller than the factor of
+    `rnn.clip_gradient` on g by about (|W| + 32) 2^-53, relatively.
 
     With `workspace`, the new weights, influence and gradient are written
     into its buffers, and `params` and `influence` may be the ones it
@@ -168,12 +178,14 @@ def rtrl_step(
     to. The prediction and the hidden state are fresh arrays either way.
 
     Raises:
-        ValueError: eta < 0 or tau <= 0 (from `sgd_update`), or the
+        ValueError: eta < 0 or tau <= 0 (checked first), or the
             workspace, influence, x, u or y_star does not fit the network.
         NonFiniteError: names the first non-finite quantity (loss,
             influence, or gradient). "gradient" also covers a gradient
             whose entries are finite but whose squared norm overflows.
     """
+    if not (eta >= 0 and tau > 0):
+        raise ValueError(f"need eta >= 0 and tau > 0, got eta={eta}, tau={tau}")
     if workspace is None:
         # Fresh buffers: the step writes to none of its inputs.
         workspace = RtrlWorkspace(params.dims)
@@ -230,7 +242,8 @@ def rtrl_step(
             raise NonFiniteError("influence")
         raise NonFiniteError("gradient")
 
-    new_params = sgd_update(params, grad, grad_norm, eta, tau,
-                            workspace.theta, workspace.weights)
+    # Clipped SGD, in place, by the clip rule (see `rtrl_step`).
+    grad *= _clipped_rate(eta, tau, grad_norm, dims.n_params)
+    new_params = workspace.apply_update(params)
 
     return RtrlStepResult(new_params, x_next, new_influence, y, loss_value)

@@ -109,8 +109,8 @@ gradient buffer never holds g: its W_c block holds g_c, and its
 [W_a | W_b] block is scratch. The step reads the input weights (stages 1,
 4 and 6), then SGD writes (eta s c) theta_tilde_ab into that scratch,
 scales g_c by eta s in place and subtracts the whole buffer from the
-workspace's weights in place (see `Workspace`). Stage 7 then writes
-dtheta_g / rho1 over the scratch, and stage 9 x_tilde and theta_tilde
+workspace's weights in place (`Workspace.apply_update`). Stage 7 then
+writes dtheta_g / rho1 over the scratch, and stage 9 x_tilde and theta_tilde
 over their old values, which no later stage reads. It returns the
 workspace's `UoroMemory`, built with it, so a step builds two objects
 only, the `StepCache` of `rnn.forward` and its result. A learner allocates one workspace per run and feeds the
@@ -149,7 +149,6 @@ from markerpred.rnn import (
     _aligned_empty,
     _c_rows,
     _clipped_rate,
-    _copy_into,
     forward,
     tanh_prime,
 )
@@ -393,7 +392,7 @@ def uoro_step(
     squared norm a dot product taken as a Python float. The clip factor is
     s = tau' / ||g|| when ||g|| > tau' and 1 otherwise, with
     tau' = tau * (1 - (|W| + 32) 2^-53) (`rnn._clipped_rate`, which
-    `baselines.lms_step` shares), and the update
+    `baselines.lms_step` and `rtrl.rtrl_step` share), and the update
     Delta = [(eta s c) theta_tilde_ab; (eta s) g_c], formed in doubles, has
     ||Delta|| <= eta * tau in exact arithmetic. tau' is tau shrunk by a
     bound on the relative rounding of ||g|| (two dot products of |W| terms
@@ -518,10 +517,7 @@ def uoro_step(
                           dims.n_params)
     np.multiply(theta_tilde_ab, eta_s * c, out=workspace.grad_ab_flat)
     grad_c *= eta_s
-    new_params = workspace.weights
-    if params is not new_params:
-        _copy_into(new_params, params)
-    np.subtract(workspace.theta, workspace.grad, out=workspace.theta)
+    new_params = workspace.apply_update(params)
 
     # 7-8. rho1 comes first, from the closed-form norm of dtheta_g
     # (`delta_theta_g_norm` with a = tanh'(z) = 1 - x_next^2), so that

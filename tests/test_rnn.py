@@ -1,5 +1,5 @@
-"""Tests for the shared RNN core: shapes, flattening, clipping, the SGD
-update."""
+"""Tests for the shared RNN core: shapes, flattening, clipping and the
+workspace buffers."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,6 @@ from markerpred.rnn import (
     forward,
     init_params,
     loss,
-    sgd_update,
     tanh_prime,
     unflatten_params,
 )
@@ -234,86 +233,6 @@ def test_clip_gradient_ends_when_squares_are_subnormal():
     out = clip_gradient(g, tau)
     assert _norm(out) <= tau
     _assert_positive_multiple(out, g)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    q=st.integers(1, 6),
-    m=st.integers(1, 8),
-    p=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.sampled_from([1e-6, 1.0, 1e6]),
-    eta=st.floats(1e-4, 1.0),
-    tau=st.sampled_from([1e-3, 2.0, 1e12]),
-)
-def test_sgd_update_equals_flat_clipped_step(q, m, p, seed, scale, eta, tau):
-    # The update copies init_params' C-order matrices into the flat
-    # weights, leaving them as they were, and subtracts there.
-    dims = RnnDims(q=q, m=m, p=p)
-    params = init_params(dims, sigma_init=0.5, seed=seed)
-    grad = np.random.default_rng(seed).standard_normal(dims.n_params) * scale
-    before = [w.tobytes() for w in (params.w_a, params.w_b, params.w_c)]
-    ref = unflatten_params(
-        flatten_params(params) - eta * clip_gradient(grad, tau), dims
-    )
-
-    theta = np.empty(dims.n_params)
-    own = unflatten_params(theta, dims)
-    out = sgd_update(params, grad, _norm(grad), eta, tau, theta, own)
-    assert out is own
-    for got, want in zip((out.w_a, out.w_b, out.w_c),
-                         (ref.w_a, ref.w_b, ref.w_c)):
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert [w.tobytes() for w in (params.w_a, params.w_b, params.w_c)] == before
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    q=st.integers(1, 6),
-    m=st.integers(1, 8),
-    p=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-    eta=st.floats(1e-4, 1.0),
-    tau=st.sampled_from([1e-3, 2.0, 1e12]),
-)
-def test_sgd_update_in_place_equals_fresh_update(q, m, p, seed, eta, tau):
-    # A learner's first step copies init_params' C-order matrices into the
-    # flat weights; each later step updates those weights in place. A pure
-    # call's input weights are column-major views of another buffer, which
-    # are copied too and left as they were. Every step must give the flat
-    # reference's bits.
-    dims = RnnDims(q=q, m=m, p=p)
-    got = init_params(dims, sigma_init=0.5, seed=seed)
-    want = flatten_params(got)
-    theta, grad_buffer = np.empty(dims.n_params), np.empty(dims.n_params)
-    weights = unflatten_params(theta, dims)
-    rng = np.random.default_rng(seed)
-    for step, scale in enumerate((1.0, 1e-3, 1.0, 1e-3, 1.0)):
-        grad = scale * rng.standard_normal(dims.n_params)
-        want = want - eta * clip_gradient(grad, tau)
-        grad_buffer[:] = grad
-        if step == 3:
-            got = unflatten_params(flatten_params(got), dims)
-        before = flatten_params(got).tobytes()
-        out = sgd_update(got, grad_buffer, _norm(grad), eta, tau, theta,
-                         weights)
-        assert out is weights
-        assert theta.tobytes() == want.tobytes()
-        if got is not weights:
-            assert flatten_params(got).tobytes() == before
-        got = out
-
-
-@pytest.mark.parametrize("eta", [-0.1, -np.inf, np.nan])
-def test_sgd_update_rejects_negative_or_nan_learning_rate(eta):
-    dims = RnnDims(q=2, m=1, p=1)
-    params = init_params(dims, sigma_init=0.5, seed=0)
-    grad = np.ones(dims.n_params)
-    with pytest.raises(ValueError, match="need eta >= 0"):
-        theta = np.empty(dims.n_params)
-        sgd_update(params, grad, _norm(grad), eta, 1.0, theta,
-                   unflatten_params(theta, dims))
 
 
 @pytest.mark.parametrize("q, m, p", [(1, 1, 1), (5, 7, 2), (90, 810, 9)])

@@ -4,10 +4,11 @@ per-step gradient, and the step against a reference built from the dense
 Jacobians."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markerpred.harness import CLIP_TAU
@@ -261,10 +262,10 @@ def test_init_influence_zero():
 # ------------------ rtrl_step against the dense Jacobians ------------------
 
 
-def _reference_rtrl_step(params, x, influence, u, y_star, eta, tau):
-    """Recursions (i) and (ii) with the dense q x |W| parameter Jacobian
-    and a flatten/unflatten SGD update: the reference that `rtrl_step` must
-    match bit for bit."""
+def _formed_gradient(params, x, influence, u, y_star):
+    """Recursions (i) and (ii) with the dense q x |W| parameter Jacobian:
+    the forward pass, the loss, the new influence and the gradient as a
+    |W| vector, each checked for finiteness."""
     dims = params.dims
     if influence.shape != (dims.q, dims.n_params):
         raise ValueError(
@@ -286,13 +287,14 @@ def _reference_rtrl_step(params, x, influence, u, y_star, eta, tau):
     grad += delta_theta(e, cache.x_next, dims)
     if not np.isfinite(grad).all() or np.isinf(np.linalg.norm(grad)):
         raise NonFiniteError("gradient")
+    return cache, loss_value, new_influence, grad
 
-    grad = clip_gradient(grad, tau)
-    theta = flatten_params(params) - eta * grad
-    new_params = unflatten_params(theta, dims)
 
+def _result(params, update, cache, loss_value, new_influence):
+    """The step result of the SGD update theta - update, flattened."""
+    theta = flatten_params(params) - update
     return RtrlStepResult(
-        params=new_params,
+        params=unflatten_params(theta, params.dims),
         x=cache.x_next,
         influence=new_influence,
         y=cache.y,
@@ -300,15 +302,61 @@ def _reference_rtrl_step(params, x, influence, u, y_star, eta, tau):
     )
 
 
+def _reference_rtrl_step(params, x, influence, u, y_star, eta, tau):
+    """The formed gradient clipped by `clip_gradient`, then a
+    flatten/unflatten SGD update: an oracle that `rtrl_step` meets one
+    step at a time within _ORACLE_RTOL, not bit for bit when it clips."""
+    cache, loss_value, new_influence, grad = _formed_gradient(
+        params, x, influence, u, y_star)
+    return _result(params, eta * clip_gradient(grad, tau), cache, loss_value,
+                   new_influence)
+
+
+def _closed_form_rtrl_step(params, x, influence, u, y_star, eta, tau):
+    """The step as `rtrl_step`'s docstring states its clip rule: the formed
+    gradient, ||g|| = sqrt(g . g), tau shrunk by (|W| + 32) 2^-53 and the
+    update (eta s) g subtracted from the flat weights. The reference that
+    `rtrl_step` must match byte for byte."""
+    cache, loss_value, new_influence, grad = _formed_gradient(
+        params, x, influence, u, y_star)
+    grad_norm = math.sqrt(float(grad @ grad))
+    tau_shrunk = tau * (1.0 - (params.dims.n_params + 32) * 2.0 ** -53)
+    eta_s = eta * (tau_shrunk / grad_norm) if grad_norm > tau_shrunk else eta
+    return _result(params, grad * eta_s, cache, loss_value, new_influence)
+
+
 def _assert_same_step(got, want):
+    """Byte equality of two step results, signs of zeros included."""
     for name in ("w_a", "w_b", "w_c"):
-        np.testing.assert_array_equal(
-            getattr(got.params, name), getattr(want.params, name)
-        )
-    np.testing.assert_array_equal(got.x, want.x)
-    np.testing.assert_array_equal(got.y, want.y)
-    np.testing.assert_array_equal(got.influence, want.influence)
+        assert (getattr(got.params, name).tobytes()
+                == getattr(want.params, name).tobytes()), name
+    _assert_same_state(got, want)
+
+
+def _assert_same_state(got, want):
+    for name in ("x", "y", "influence"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.loss == want.loss
+
+
+def _oracle_gap(got, oracle):
+    """The relative gap (largest entry of the difference over the largest
+    entry) of a step's new weights from the formed-gradient oracle's, run
+    from the same input state. The clip moves nothing else, so the state,
+    prediction, influence and loss must be equal."""
+    _assert_same_state(got, oracle)
+    new, want = flatten_params(got.params), flatten_params(oracle.params)
+    return np.abs(new - want).max() / np.abs(want).max()
+
+
+# Largest relative gap (`_oracle_gap`) of a step's new weights from the
+# formed-gradient oracle's, run from the step's own input state. The oracle
+# clips at tau, the step at tau shrunk by (|W| + 32) 2^-53. Measured when
+# clipping: 2.2e-13 over the chained steps below at q = L = 25 (|W| =
+# 2,600), 4.0e-14 at q = L = 10, and 1.4e-15 on random states like the
+# property test's; 0 when not clipping, where both updates are eta g. The
+# bound allows about 10 times the largest.
+_ORACLE_RTOL = 2e-12
 
 
 # The shipped clip threshold clips most steps; at eta = 0.01 no gradient
@@ -316,25 +364,30 @@ def _assert_same_step(got, want):
 @pytest.mark.parametrize("q, L", [(10, 10), (25, 25)])
 @pytest.mark.parametrize("eta, tau, clips", [(0.1, CLIP_TAU, True), (0.01, 1e3, False)])
 def test_rtrl_step_matches_reference_over_chained_steps(q, L, eta, tau, clips):
+    # Each step equals the closed form, chained on its own, byte for byte,
+    # and the formed-gradient oracle run from the step's own state within
+    # _ORACLE_RTOL, or bit for bit when nothing clips.
     record = synthetic_record(duration_s=200.0, seed=3)
     normalizer = fit_normalizer(record, range(300))
     samples = [build_io(record, normalizer, L, 5, n) for n in range(1000)]
     dims = RnnDims(q=q, m=samples[0].u.size - 1, p=samples[0].target.size)
-    params = ref_params = init_params(dims, 0.02, 7)
-    x = ref_x = np.zeros(q)
-    influence = ref_influence = init_influence(dims)
+    state = closed_state = (init_params(dims, 0.02, 7), np.zeros(q),
+                            init_influence(dims))
     n_clipped = 0
+    gap = 0.0
     for sample in samples:
-        got = rtrl_step(params, x, influence, sample.u, sample.target, eta, tau)
-        want = _reference_rtrl_step(ref_params, ref_x, ref_influence, sample.u,
-                                    sample.target, eta, tau)
-        np.testing.assert_array_equal(got.y, want.y)
-        update = np.linalg.norm(flatten_params(ref_params)
-                                - flatten_params(want.params))
+        got = rtrl_step(*state, sample.u, sample.target, eta, tau)
+        closed = _closed_form_rtrl_step(*closed_state, sample.u, sample.target,
+                                        eta, tau)
+        oracle = _reference_rtrl_step(*state, sample.u, sample.target, eta, tau)
+        _assert_same_step(got, closed)
+        gap = max(gap, _oracle_gap(got, oracle))
+        update = np.linalg.norm(flatten_params(state[0])
+                                - flatten_params(got.params))
         n_clipped += bool(update >= eta * tau * (1 - 1e-9))
-        params, x, influence = got.params, got.x, got.influence
-        ref_params, ref_x, ref_influence = want.params, want.x, want.influence
-    _assert_same_step(got, want)
+        state = (got.params, got.x, got.influence)
+        closed_state = (closed.params, closed.x, closed.influence)
+    assert gap <= (_ORACLE_RTOL if clips else 0.0), gap
     assert (n_clipped > 0) == clips
 
 
@@ -359,30 +412,124 @@ def test_rtrl_step_property_equals_reference_and_leaves_inputs(q, m, p, seed, ta
         got = rtrl_step(params, x, influence, u, y_star, eta=0.1, tau=tau)
         for old, now in zip(before, arrays):
             np.testing.assert_array_equal(now, old)
-        want = _reference_rtrl_step(*ref, u, y_star, eta=0.1, tau=tau)
+        want = _closed_form_rtrl_step(*ref, u, y_star, eta=0.1, tau=tau)
         _assert_same_step(got, want)
+        oracle = _reference_rtrl_step(params, x, influence, u, y_star,
+                                      eta=0.1, tau=tau)
+        assert _oracle_gap(got, oracle) <= _ORACLE_RTOL
         params, x, influence = got.params, got.x, got.influence
         ref = (want.params, want.x, want.influence)
+
+
+def _outcome(step, *args, **kwargs):
+    """A step's result, or the quantity of the NonFiniteError it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return step(*args, **kwargs)
+    except NonFiniteError as err:
+        return err.quantity
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300, np.inf])
 def test_rtrl_step_huge_influence_matches_reference(scale):
     # Past about 1e154 the gradient's squared norm overflows although the
     # gradient is finite; the step must then raise "gradient" as the
-    # reference does, and pass where the reference passes.
+    # closed form and the oracle do, and pass where they pass: byte for
+    # byte with the closed form, within _ORACLE_RTOL of the oracle.
     dims, params, x, u, y_star, rng = _instance(seed=10)
     influence = scale * rng.standard_normal((dims.q, dims.n_params))
-    outcomes = []
-    for step in (rtrl_step, _reference_rtrl_step):
+    got, closed, oracle = (
+        _outcome(step, params, x, influence, u, y_star, eta=0.1, tau=2.0)
+        for step in (rtrl_step, _closed_form_rtrl_step, _reference_rtrl_step)
+    )
+    if isinstance(got, str):
+        assert got == closed == oracle
+    else:
+        _assert_same_step(got, closed)
+        assert _oracle_gap(got, oracle) <= _ORACLE_RTOL
+
+
+# The clip rule holds where the step's rounding is relative; see rtrl_step.
+_RULE_RANGE = (2.0 ** -1000, 2.0 ** 1000)
+_TINY_NORM = 2.0 ** -480
+
+
+@st.composite
+def _clip_rule_cases(draw):
+    """A state whose update the step subtracts exactly, so that the new
+    weights give it back. Unit 0 reads unit 1's old state through
+    W_a[0, 1] = a, with x_1 = 0 and no input weights, so its new state is
+    tanh(0) = 0 and d_0 = 1; units 1 and up have a bias b alone, W_c holds
+    w at (0, 0) alone, so y = 0, e = y* and the gradient is
+    -e_0 w (a J[1] + [x; u] in W_ab's row 0) - x_next e^T on the W_c block.
+    Row 1 of the influence J is 0 at the non-zero weights, where the
+    update is then 0: every other weight is 0 and becomes minus its
+    update. The other rows of J enter only times 0. The entries of J's
+    row 1, x, y* and u span tiny to huge magnitudes, with exact zeros; tau
+    is near the gradient norm, so that about half the steps clip; the rate
+    runs from 2^-61 to 2^60."""
+
+    def vector(size, exponent):
+        return np.array([
+            math.ldexp(draw(st.sampled_from([0.0, 1.0, -1.0]))
+                       * draw(st.floats(0.5, 1.0)),
+                       exponent - draw(st.integers(0, 40)))
+            for _ in range(size)
+        ])
+
+    q, m, p = draw(st.integers(2, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    dims = RnnDims(q=q, m=m, p=p)
+    w_a = np.zeros((q, q))
+    w_a[0, 1] = math.ldexp(draw(st.floats(0.5, 1.0)), draw(st.integers(-20, 20)))
+    w_b = np.zeros((q, m + 1))
+    w_b[1:, 0] = draw(st.floats(-3.0, 3.0))
+    w_c = np.zeros((p, q))
+    w_c[0, 0] = math.ldexp(draw(st.floats(0.5, 1.0)), draw(st.integers(-20, 20)))
+    params = RnnParams(w_a=w_a, w_b=w_b, w_c=w_c)
+    k_e = draw(st.integers(-560, 490))
+    y_star = vector(p, k_e)
+    y_star[0] = math.copysign(math.ldexp(draw(st.floats(0.5, 1.0)), k_e),
+                              draw(st.sampled_from([1.0, -1.0])))
+    x = vector(q, draw(st.integers(-560, 500)))
+    x[1] = 0.0
+    influence = np.random.default_rng(draw(st.integers(0, 2**32 - 1))
+                                      ).standard_normal((q, dims.n_params))
+    influence[1] = vector(dims.n_params, draw(st.integers(-600, 480)))
+    influence[1, q] = 0.0                        # at W_a[0, 1]
+    influence[1, q * q + 1 : q * (q + 1)] = 0.0  # at W_b[1:, 0]
+    influence[1, dims.n_ab] = 0.0                # at W_c[0, 0]
+    u = np.concatenate(([1.0], vector(m, draw(st.integers(-560, 500)))))
+    eta = math.ldexp(draw(st.floats(0.5, 1.0)), draw(st.integers(-60, 60)))
+    tau_scale = math.ldexp(draw(st.floats(0.5, 1.0)), draw(st.integers(-4, 4)))
+    return params, x, influence, u, y_star, eta, tau_scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(_clip_rule_cases())
+def test_rtrl_step_update_never_exceeds_eta_tau(case):
+    # The update the step subtracts, (eta s) g as formed in doubles, has
+    # an exact norm of at most eta * tau. Here the weights give it back
+    # exactly.
+    params, x, influence, u, y_star, eta, tau_scale = case
+    with np.errstate(all="ignore"):
         try:
-            with np.errstate(all="ignore"):
-                result = step(params, x, influence, u, y_star, eta=0.1, tau=2.0)
-        except NonFiniteError as err:
-            outcomes.append(err.quantity)
-        else:
-            outcomes.append([flatten_params(result.params).tobytes(),
-                             result.influence.tobytes()])
-    assert outcomes[0] == outcomes[1]
+            grad = _formed_gradient(params, x, influence, u, y_star)[3]
+        except NonFiniteError:
+            grad = None
+    assume(grad is not None)
+    grad_norm = math.hypot(*grad)
+    assume(grad_norm < 2.0 ** 511)
+    tau = grad_norm * tau_scale if grad_norm else 1.0
+    eta_s = eta * min(1.0, tau / grad_norm) if grad_norm else eta
+    low, high = _RULE_RANGE
+    assume(grad_norm == 0.0 or grad_norm >= _TINY_NORM)
+    assume(all(low <= v <= high for v in (tau, eta * tau, eta_s)))
+    got = rtrl_step(params, x, influence, u, y_star, eta, tau)
+    before = flatten_params(params).tolist()
+    after = flatten_params(got.params).tolist()
+    squares = sum((Fraction(b) - Fraction(a)) ** 2
+                  for b, a in zip(before, after))
+    assert squares <= (Fraction(eta) * Fraction(tau)) ** 2
 
 
 def test_rtrl_step_gradient_norm_overflow_raises():
@@ -437,6 +584,7 @@ def test_rtrl_step_finds_nonfinite_influence_behind_zero_multiplier():
     assert np.isfinite(np.delete(new, r, axis=0)).all()
     assert (-(y_star - forward(params, x, u).y) @ w_c)[r] == 0.0
     for step, workspace in ((rtrl_step, None), (rtrl_step, RtrlWorkspace(dims)),
+                            (_closed_form_rtrl_step, None),
                             (_reference_rtrl_step, None)):
         kwargs = {} if workspace is None else {"workspace": workspace}
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
@@ -484,8 +632,11 @@ def test_learner_steps_update_weights_in_place_and_alternate_influence():
 def test_pure_call_then_learner_step_on_the_same_inputs_agree():
     # |W| = 75 is odd, so a buffer after the first would start 8 bytes off
     # a 16-byte boundary unless the workspace aligns it. The pure call
-    # copies the learner's weights and must leave them as they were.
+    # copies the learner's weights and must leave them as they were; the
+    # learner's first step copies init_params' matrices and leaves them.
     dims, params, x, u, y_star, _ = _instance(q=5, m=7, p=2)
+    initial = params
+    before = flatten_params(initial).tobytes()
     workspace = RtrlWorkspace(dims)
     influence = init_influence(dims)
     for _ in range(3):
@@ -494,11 +645,17 @@ def test_pure_call_then_learner_step_on_the_same_inputs_agree():
                             tau=CLIP_TAU, workspace=workspace)
         _assert_same_step(pure, learner)
         params, x, influence = learner.params, learner.x, learner.influence
+    assert flatten_params(initial).tobytes() == before
 
 
-@pytest.mark.parametrize("eta", [-0.1, -1e-300])
-def test_rtrl_step_rejects_negative_learning_rate(eta):
-    dims, params, x, u, y_star, _ = _instance()
-    with pytest.raises(ValueError, match="need eta >= 0"):
-        rtrl_step(params, x, init_influence(dims), u, y_star, eta=eta,
-                  tau=CLIP_TAU)
+@pytest.mark.parametrize("eta, tau", [(-0.1, CLIP_TAU), (-1e-300, CLIP_TAU),
+                                      (-np.inf, CLIP_TAU), (np.nan, CLIP_TAU),
+                                      (0.1, 0.0), (0.1, np.nan)])
+def test_rtrl_step_rejects_negative_learning_rate(eta, tau):
+    # The rate and the clip threshold are checked on entry, before the
+    # forward pass: these weights would make the loss overflow.
+    dims = RnnDims(q=4, m=3, p=2)
+    params = init_params(dims, sigma_init=1e160, seed=1)
+    with pytest.raises(ValueError, match="need eta >= 0 and tau > 0"):
+        rtrl_step(params, np.zeros(4), init_influence(dims), np.ones(4),
+                  np.zeros(2), eta=eta, tau=tau)
