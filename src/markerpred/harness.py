@@ -30,10 +30,12 @@ are reduced in a fixed order.
 Runs that read one window stream may step as one batch. In a grid search
 the LMS tuples that share L (one per learning rate) run as one batched
 learner (`_lms_learner`) over one `iter_windows` stream, in one loop
-(`_run_online`) that also drives every single run. The batch keeps each
-run's predictions, losses and divergence step and quantity bit for bit
-those of the run alone, and entries, tie-breaks and files keep the grid's
-order. UORO, RTRL and test-phase runs step one at a time.
+(`_run_online`) that also drives every single run. The batch keeps its
+shape: a slot that diverges is frozen in place, its outputs NaN from
+then on, while the others step on. It keeps each run's predictions,
+losses and divergence step and quantity bit for bit those of the run
+alone, and entries, tie-breaks and files keep the grid's order. UORO,
+RTRL and test-phase runs step one at a time.
 """
 
 from __future__ import annotations
@@ -124,6 +126,9 @@ METRIC_NAMES = ("mae", "rmse", "nrmse", "max_error", "jitter")
 # Shared gradient-clipping threshold for every trained method.
 CLIP_TAU = 2.0
 
+# The largest prediction horizon, in seconds: the paper's largest.
+MAX_HORIZON_S = 2.0
+
 # Steps of Rademacher signs a UORO learner draws at once: enough to make the
 # draw's fixed cost negligible per step; 256 raised uoro-protocol's peak
 # memory by about 0.3 MB.
@@ -199,7 +204,7 @@ class HyperChoice:
 class ExperimentConfig:
     """Everything needed to rerun one algorithm's experiment.
 
-    horizons_s are in seconds, validated against (0, max_horizon_s].
+    horizons_s are numbers of seconds in (0, MAX_HORIZON_S].
     grid falls back to the algorithm's shipped default when None.
     """
 
@@ -211,7 +216,6 @@ class ExperimentConfig:
     n_cv: int = 50
     n_test: int = 300
     master_seed: int = 0
-    max_horizon_s: float = 2.0
     save_loss_traces: bool = False
 
     def __post_init__(self):
@@ -222,10 +226,12 @@ class ExperimentConfig:
         if not self.horizons_s:
             raise ValueError("horizons_s must be non-empty")
         for i, h in enumerate(self.horizons_s):
-            if not 0 < h <= self.max_horizon_s:
-                raise ValueError(
-                    f"horizon {h}s outside (0, {self.max_horizon_s}]s"
-                )
+            # A bool would pass as a 1 s horizon, and a string would fail
+            # the bound check with a bare TypeError.
+            if isinstance(h, bool) or not isinstance(h, numbers.Real):
+                raise ValueError(f"horizons_s takes numbers, got {h!r}")
+            if not 0 < h <= MAX_HORIZON_S:
+                raise ValueError(f"horizon {h}s outside (0, {MAX_HORIZON_S}]s")
             if h in self.horizons_s[:i]:
                 raise ValueError(f"horizon {h}s is listed more than once")
         for name in ("n_cv", "n_test"):
@@ -526,15 +532,17 @@ def _lms_learner(
     half the largest double the slot's weights are finite; from then on
     each step checks its W0 + P U in a temporary, which never folds early.
     A slot whose loss or weights go non-finite is recorded in `diverged`
-    as slot: (step index from 0, quantity), and its rows of W0 and P are
-    dropped without a fold; its row of y and its loss are NaN from then
-    on. The step at which the last slot goes raises its NonFiniteError, as
-    a one-learner step does.
+    as slot: (step index from 0, quantity) and frozen in place: its rows
+    of W0 and P are zeroed without a fold and its rate and growth set to
+    0, so it predicts 0 and never steps again, and its row of y and its
+    loss are NaN from then on. The batch keeps its shape, and a frozen
+    slot's products stay its own, so no live slot's bits change. The step
+    at which the last slot goes raises its NonFiniteError, as a
+    one-learner step does.
     """
     n_slots = len(etas)
     etas = list(etas)
     diverged = {} if diverged is None else diverged
-    live = list(range(n_slots))
     w0, spare = np.zeros((n_slots, p, m + 1)), np.empty((n_slots, p, m + 1))
     pending_u = np.empty((_LMS_BLOCK, m + 1))
     pending_ce = np.empty((n_slots, p, _LMS_BLOCK))
@@ -543,7 +551,7 @@ def _lms_learner(
     n_steps = 0
 
     def step(u, y_star):
-        nonlocal w0, spare, pending_ce, etas, growth, live, n_steps
+        nonlocal n_steps
         j = n_steps % _LMS_BLOCK
         y = np.matmul(w0, u)
         if j:
@@ -553,7 +561,7 @@ def _lms_learner(
         np.multiply(e, np.array(rates)[:, None], out=pending_ce[:, :, j])
         pending_u[j] = u
         n_steps += 1
-        lost = [(k, "loss") for k in gone]
+        lost = [(k, "loss") for k in gone if k not in diverged]
         if n_steps * max(growth) > _FINITE_BOUND:
             for k, slot_growth in enumerate(growth):
                 if (n_steps * slot_growth > _FINITE_BOUND and k not in gone
@@ -561,30 +569,16 @@ def _lms_learner(
                             w0[k] + pending_ce[k, :, :j + 1] @ pending_u[:j + 1]
                         ).all()):
                     lost.append((k, "weights"))
-        if lost:
-            lost.sort()
-            for k, quantity in lost:
-                diverged[live[k]] = (n_steps - 1, quantity)
-            if len(lost) == len(live):
-                raise NonFiniteError(lost[-1][1])
-            gone_rows = {k for k, _ in lost}
-            keep = [k for k in range(len(live)) if k not in gone_rows]
-            y, losses = y[keep], [losses[k] for k in keep]
-            w0, spare = w0[keep], np.empty((len(keep), p, m + 1))
-            pending_ce = pending_ce[keep]
-            etas = [etas[k] for k in keep]
-            growth = [growth[k] for k in keep]
-            live = [live[k] for k in keep]
+        for k, quantity in lost:
+            diverged[k] = (n_steps - 1, quantity)
+            w0[k], pending_ce[k], etas[k], growth[k] = 0.0, 0.0, 0.0, 0.0
+        if lost and len(diverged) == n_slots:
+            raise NonFiniteError(max(lost)[1])
         if n_steps % _LMS_BLOCK == 0:
             np.add(w0, np.matmul(pending_ce, pending_u, out=spare), out=w0)
-        if len(live) == n_slots:
-            return y, losses
-        # Rows back to their slots; the dropped slots' stay NaN.
-        all_y, all_losses = np.full((n_slots, p), np.nan), [math.nan] * n_slots
-        all_y[live] = y
-        for slot, loss_value in zip(live, losses):
-            all_losses[slot] = loss_value
-        return all_y, all_losses
+        for k in diverged:
+            y[k], losses[k] = math.nan, math.nan
+        return y, losses
 
     return step
 
@@ -1087,7 +1081,6 @@ def bench_step_time(
     L: int,
     n_markers: int = 3,
     n_steps: int = 1000,
-    seed: int = 0,
 ) -> float:
     """Median wall-clock milliseconds per training step of an online
     learner: "uoro" or "rtrl" with hidden size q, or "lms" (q None).
@@ -1095,12 +1088,12 @@ def bench_step_time(
     Chains real steps of `run_sequence_online`'s learner (for LMS, the
     batch learner over one slot) on synthetic bounded inputs (10
     unmeasured warm-up steps, then n_steps measured ones) so caches and
-    allocator are warm. The LMS learner folds its pending updates once
-    every _LMS_BLOCK steps, so it is timed over blocks of that many
-    consecutive steps (n_steps rounded up to whole blocks), each block
-    holding one fold, and the median block time is divided by the block
-    length; the UORO and RTRL learners are timed step by step. The
-    offline methods have no step to time.
+    allocator are warm; weights and inputs are drawn from seed 0. The LMS
+    learner folds its pending updates once every _LMS_BLOCK steps, so it
+    is timed over blocks of that many consecutive steps (n_steps rounded
+    up to whole blocks), each block holding one fold, and the median
+    block time is divided by the block length; the UORO and RTRL learners
+    are timed step by step. The offline methods have no step to time.
     """
     if algorithm not in ("uoro", "rtrl", "lms"):
         raise ValueError(
@@ -1122,10 +1115,10 @@ def bench_step_time(
         step = _lms_learner([hyper.eta], m, p)
         block = _LMS_BLOCK
     else:
-        step = _online_learner(algorithm, hyper, m, p, seed)
+        step = _online_learner(algorithm, hyper, m, p, 0)
         block = 1
     n_blocks = -(-n_steps // block)
-    rng = np.random.default_rng([seed, 2])
+    rng = np.random.default_rng([0, 2])
     warmup = 10
     inputs = rng.uniform(-1.0, 1.0, size=(warmup + n_blocks * block, m + 1))
     inputs[:, 0] = 1.0

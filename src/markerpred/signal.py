@@ -167,18 +167,15 @@ class Partition:
             raise ValueError("partition ranges must be contiguous and ordered")
 
 
-def load_record(
-    path: str | Path, manifest_path: str | Path | None = None
-) -> MarkerRecord:
+def load_record(path: str | Path) -> MarkerRecord:
     """Read a marker CSV plus its sidecar manifest.
 
     The CSV holds a header row then one row per step:
     `t_seconds, m1x, m1y, m1z, m2x, ...` with coordinates in millimeters.
     The marker count is inferred from the column count. The manifest (JSON
-    with keys label, breathing_class, rate_hz) defaults to the CSV path
-    with a .json suffix; when missing, the label falls back to the file
-    stem, the class to "unlabeled", and the rate to the median time-column
-    spacing.
+    with keys label, breathing_class, rate_hz) is the CSV path with a
+    .json suffix; when missing, the label falls back to the file stem, the
+    class to "unlabeled", and the rate to the median time-column spacing.
 
     Raises:
         ValueError: empty file, wrong column count, non-numeric or
@@ -235,10 +232,8 @@ def load_record(
     label = path.stem
     breathing_class = "unlabeled"
     rate_hz = None
-    if manifest_path is None:
-        candidate = path.with_suffix(".json")
-        manifest_path = candidate if candidate.exists() else None
-    if manifest_path is not None:
+    manifest_path = path.with_suffix(".json")
+    if manifest_path.exists():
         with open(manifest_path) as f:
             manifest = json.load(f)
         label = manifest.get("label", label)
@@ -295,11 +290,9 @@ def _check_finite_rows(
     return data
 
 
-def write_record(
-    path: str | Path, record: MarkerRecord, manifest_path: str | Path | None = None
-) -> None:
+def write_record(path: str | Path, record: MarkerRecord) -> None:
     """Inverse of `load_record`: CSV with derived time stamps plus a JSON
-    manifest (defaults to the CSV path with a .json suffix).
+    manifest at the CSV path with a .json suffix.
 
     Positions, label and class come back exactly, and so does the period
     1/r of an integer rate r Hz (checked for r = 1 to 250). The manifest
@@ -318,14 +311,12 @@ def write_record(
                 [repr(k * record.sample_period)]
                 + [repr(float(v)) for v in record.positions[k].ravel()]
             )
-    if manifest_path is None:
-        manifest_path = path.with_suffix(".json")
     manifest = {
         "label": record.label,
         "breathing_class": record.breathing_class,
         "rate_hz": 1.0 / record.sample_period,
     }
-    with open(manifest_path, "w") as f:
+    with open(path.with_suffix(".json"), "w") as f:
         json.dump(manifest, f, indent=2)
         f.write("\n")
 

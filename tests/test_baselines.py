@@ -573,6 +573,28 @@ def test_lms_batch_whose_every_slot_diverges_raises():
     assert diverged == {0: (1, "loss"), 1: (1, "loss")}
 
 
+def test_lms_batch_keeps_a_frozen_slots_record():
+    # Slot 0 goes at step 1 and is frozen. Step 3's pending inputs dot
+    # u to an infinity, which makes every slot's prediction NaN, the
+    # frozen slot's included: the last slot goes, and the frozen slot
+    # keeps the step and quantity at which it went.
+    rng = np.random.default_rng(0)
+    m, p = 20, 3
+    inputs = rng.uniform(-1.0, 1.0, size=(4, m + 1))
+    inputs[:, 0] = 1.0
+    inputs[2] *= 1e150
+    inputs[3] *= 1e158
+    targets = rng.uniform(-1.0, 1.0, size=(4, p))
+    diverged = {}
+    learner = _lms_learner([1e300, 0.01], m, p, diverged)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(3):
+            learner(inputs[i], targets[i])
+        with pytest.raises(NonFiniteError):
+            learner(inputs[3], targets[3])
+    assert diverged == {0: (1, "loss"), 1: (3, "loss")}
+
+
 # --------------------------- linear regression -----------------------------
 
 

@@ -182,8 +182,7 @@ def test_run_command_rejects_non_integer_run_counts(dataset, field, value):
 
 
 def test_config_file_keys_pass_through_to_experiment_config(dataset):
-    config = _write_config(dataset, horizons_s=[2.5], max_horizon_s=3.0,
-                           save_loss_traces=True)
+    config = _write_config(dataset, horizons_s=[2.0], save_loss_traces=True)
     raw = json.loads(config.read_text())
     del raw["n_test"]
     config.write_text(json.dumps(raw))
@@ -192,11 +191,31 @@ def test_config_file_keys_pass_through_to_experiment_config(dataset):
                                 data_manifest="d", out_dir="o")
     assert (lms.algorithm, none.algorithm) == ("lms", "none")
     assert lms.grid == {"eta": (0.02, 0.05), "L": (10,)} and none.grid is None
-    assert lms.horizons_s == (2.5,) and lms.max_horizon_s == 3.0
+    assert lms.horizons_s == (2.0,)
     assert lms.save_loss_traces and lms.n_cv == 1 and lms.master_seed == 3
     assert lms.n_test == defaults.n_test
     assert lms.data_manifest == dataset / "dataset.json"
     assert lms.out_dir == dataset / "out"
+
+    # The horizon bound is 2.0 s, the paper's largest, and no config key.
+    config = _write_config(dataset, horizons_s=[2.5])
+    with pytest.raises(ValueError, match=re.escape("outside (0, 2.0]s")):
+        _config_from_file(config)
+    config = _write_config(dataset, max_horizon_s=3.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{config}: unknown config keys ['max_horizon_s']")):
+        _config_from_file(config)
+
+
+@pytest.mark.parametrize("h", [True, "0.5"])
+def test_run_command_rejects_horizons_that_are_not_numbers(dataset, h):
+    # "horizons_s": [true] used to run a 1 s horizon written as True in
+    # the CSVs, and ["0.5"] to raise a bare TypeError.
+    config = _write_config(dataset, horizons_s=[0.4, h])
+    with pytest.raises(ValueError,
+                       match=re.escape(f"horizons_s takes numbers, got {h!r}")):
+        main(["run", "--config", str(config)])
+    assert not (dataset / "out").exists()
 
 
 def test_report_rebuilds_run_tables_byte_for_byte(tmp_path, capsys):

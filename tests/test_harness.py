@@ -182,10 +182,22 @@ def test_config_rejects_unknown_algorithm(tmp_path):
 
 
 def test_config_rejects_horizon_beyond_bound(tmp_path):
-    with pytest.raises(ValueError, match="outside"):
+    # The bound is 2.0 s, the paper's largest horizon, and no field.
+    assert _config("uoro", tmp_path, horizons_s=(2.0,)).horizons_s == (2.0,)
+    with pytest.raises(ValueError,
+                       match=re.escape("horizon 2.5s outside (0, 2.0]s")):
         _config("uoro", tmp_path, horizons_s=(2.5,))
-    cfg = _config("uoro", tmp_path, horizons_s=(2.5,), max_horizon_s=3.0)
-    assert cfg.horizons_s == (2.5,)
+    with pytest.raises(TypeError, match="max_horizon_s"):
+        _config("uoro", tmp_path, horizons_s=(2.5,), max_horizon_s=3.0)
+
+
+@pytest.mark.parametrize("h", [True, "0.5", None])
+def test_config_rejects_horizons_that_are_not_numbers(tmp_path, h):
+    # True used to pass as a 1 s horizon, and "0.5" to raise a bare
+    # TypeError from the bound check.
+    with pytest.raises(ValueError,
+                       match=re.escape(f"horizons_s takes numbers, got {h!r}")):
+        _config("uoro", tmp_path, horizons_s=(0.4, h))
 
 
 def test_config_rejects_empty_horizons_and_bad_counts(tmp_path):
@@ -978,6 +990,45 @@ def test_lms_batch_step_allocates_no_weight_sized_temporary(L, bound):
     _assert_warm_steps_stay_below(step, p * L, p, bound(p * (p * L + 1)))
 
 
+def test_lms_batch_freezes_a_diverged_slot_without_allocating():
+    # One slot of the shipped 7 at L = 90 diverges: the targets are zero
+    # until step 5, whose update is vast for the slot with eta = 1e300, so
+    # its loss overflows at step 6. That step and the ten after it, across
+    # two folds, each allocate less than the L = 90 bound of the batch
+    # test above: the slot is frozen in its rows, and the batch re-allocates
+    # no weights, spare or pending buffer without it. A frozen slot never
+    # steps again, so the steps after it raise no floating-point error.
+    p, L = 9, 90
+    m = p * L
+    etas = list(DEFAULT_GRIDS["lms"]["eta"])
+    etas[3] = 1e300
+    diverged = {}
+    step = _lms_learner(etas, m, p, diverged)
+    rng = np.random.default_rng(5)
+    inputs = rng.uniform(-1.0, 1.0, size=(17, m + 1))
+    inputs[:, 0] = 1.0
+    targets = rng.uniform(-1.0, 1.0, size=(17, p))
+    targets[:5] = 0.0
+    bound = 7 * p * (m + 1)
+    for i in range(6):
+        step(inputs[i], targets[i])
+    tracemalloc.start()
+    try:
+        for i in range(6, 17):
+            errors = "ignore" if i == 6 else "raise"
+            with np.errstate(over=errors, invalid=errors):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                y, losses = step(inputs[i], targets[i])
+                peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < bound, (i, peak)
+    finally:
+        tracemalloc.stop()
+    assert diverged == {3: (6, "loss")}
+    assert np.isnan(y[3]).all() and math.isnan(losses[3])
+    assert np.isfinite(np.delete(y, 3, axis=0)).all()
+
+
 def test_zero_normalizer_guard_is_a_nonfinite_rho0_not_a_zero_division(
     monkeypatch,
 ):
@@ -1249,7 +1300,7 @@ def test_grid_search_rejects_subsecond_step_horizon():
     record = _quick_record()
     cfg = ExperimentConfig(
         algorithm="lms", horizons_s=(0.01,), data_manifest="x", out_dir="y",
-        grid={"eta": (0.05,), "L": (10,)}, max_horizon_s=2.0,
+        grid={"eta": (0.05,), "L": (10,)},
     )
     with pytest.raises(ValueError, match="below one step"):
         grid_search("lms", record, (0.01,), cfg)
