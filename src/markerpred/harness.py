@@ -24,18 +24,22 @@ tuple whose runs all diverge is dropped from selection with a warning.
 
 Every random draw descends from (master_seed, sequence, horizon, tuple,
 run, phase) through a stable hash, so any subset of the experiment can be
-reproduced bit-for-bit in isolation; tasks are independent and results
-are reduced in a fixed order.
+reproduced bit-for-bit in isolation.
 
-Runs that read one window stream may step as one batch. In a grid search
-the LMS tuples that share L (one per learning rate) run as one batched
-learner (`_lms_learner`) over one `iter_windows` stream, in one loop
-(`_run_online`) that also drives every single run. The batch keeps its
-shape: a slot that diverges is frozen in place, its outputs NaN from
-then on, while the others step on. It keeps each run's predictions,
-losses and divergence step and quantity bit for bit those of the run
-alone, and entries, tie-breaks and files keep the grid's order. UORO,
-RTRL and test-phase runs step one at a time.
+Each phase of a (sequence, horizon) is one task list (`_task_list`): its
+runs as (tuple index, run index, seed), grouped into the tasks that step
+as one learner. The LMS tuples that share L (one per learning rate) read
+one window stream and form one batch (`_lms_learner`); every other run
+is a task of its own. The tasks run in list order, tuple-major and
+run-minor by their first run (`_run_tasks`): a one-run task through
+`run_sequence_online`, a batch through `_run_online`, the one online
+loop that also drives every single online run. Each run becomes its
+RunRecord as it finishes, and `grid_search` and `evaluate` fold the
+records. A batch keeps its shape: a slot that diverges is frozen in
+place, its outputs NaN from then on, while the others step on. It keeps
+each run's predictions, losses and divergence step and quantity bit for
+bit those of the run alone, and entries, tie-breaks and files keep the
+grid's order.
 """
 
 from __future__ import annotations
@@ -238,6 +242,20 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_count(value):
                 raise ValueError(f"{name} takes integers >= 1, got {value!r}")
+        # derive_seed hashes str(master_seed): True would seed apart from 1,
+        # and "3" the same as 3.
+        if (isinstance(self.master_seed, bool)
+                or not isinstance(self.master_seed, numbers.Integral)):
+            raise ValueError(f"master_seed takes integers, got {self.master_seed!r}")
+        for name in ("n_cv", "n_test", "master_seed"):
+            # The manifest's JSON cannot hold a numpy integer.
+            object.__setattr__(self, name, int(getattr(self, name)))
+        # A truthy string such as "no" would turn the traces on.
+        if not isinstance(self.save_loss_traces, bool):
+            raise ValueError(
+                f"save_loss_traces takes true or false, got "
+                f"{self.save_loss_traces!r}"
+            )
         if self.grid is not None:
             if not all(len(v) > 0 for v in self.grid.values()):
                 raise ValueError("grid axes must be non-empty")
@@ -637,6 +655,7 @@ def run_sequence_online(
     denormalized to mm, and paired with the true positions. The offline
     regression fits once on the training range; `none` holds the last
     observed position. An online run is `_run_online` over one slot.
+    The protocol's one-run tasks (`_task_list`) run through here.
 
     Args:
         algorithm: one of ALGORITHMS.
@@ -713,13 +732,14 @@ def _run_online(
     stop: int,
     collect_loss: bool,
 ) -> list[RunResult]:
-    """The online loop: the runs of `hypers` (one slot each, with the
-    seed of that slot) over one window stream of the record, scoring the
-    predictions of steps k_min to stop - 1, as `run_sequence_online`
-    states. The hypers share L. LMS runs any number of slots as one batch
-    (`_lms_learner`); a UORO or RTRL run is one slot. Returns each slot's
-    RunResult; a slot that diverges is recorded at its step with its
-    quantity, and the other slots run on untouched."""
+    """The online loop: the runs of one task (`_task_list`), one slot
+    each with the seed of that slot, over one window stream of the record,
+    scoring the predictions of steps k_min to stop - 1, as
+    `run_sequence_online` states. The hypers share L. LMS runs any number
+    of slots as one batch (`_lms_learner`); a UORO or RTRL run is one
+    slot. Returns each slot's RunResult; a slot that diverges is recorded
+    at its step with its quantity, and the other slots run on
+    untouched."""
     L, p = hypers[0].L, 3 * record.n_markers
     lag = L + h - 1
     last_n = stop - lag - 1
@@ -763,87 +783,77 @@ def _run_online(
     return results
 
 
-# ------------------------------ grid search --------------------------------
+# ------------------------------ the task list ------------------------------
 
 
-def _seeded_runs(
+def _task_list(
+    algorithm: str, label: str, grid: list[HyperChoice], h: int,
+    config: ExperimentConfig, phase: str,
+) -> list[tuple[tuple[int, int, int], ...]]:
+    """The runs of one phase over `grid`, as (tuple index, run index,
+    seed), grouped into the tasks that step as one learner.
+
+    Phase "cv" makes n_cv runs per tuple and phase "test" n_test; methods
+    without random initialization run once. The LMS tuples that share L
+    read one window stream and differ only in their rate, so they form
+    one batch; every other run is a task of its own. Tasks keep the
+    tuple-major, run-minor order of their first run. A seed descends from
+    (master_seed, sequence, h in steps, tuple, run, phase), whatever task
+    holds its run.
+    """
+    n_runs = config.n_cv if phase == "cv" else config.n_test
+    if algorithm not in STOCHASTIC_ALGORITHMS:
+        n_runs = 1
+    tasks: dict[object, list[tuple[int, int, int]]] = {}
+    for i, hyper in enumerate(grid):
+        for r in range(n_runs):
+            seed = derive_seed(config.master_seed, label, h, hyper.key(), r, phase)
+            key = hyper.L if algorithm == "lms" else (i, r)
+            tasks.setdefault(key, []).append((i, r, seed))
+    return [tuple(runs) for runs in tasks.values()]
+
+
+def _run_tasks(
     algorithm: str, record: MarkerRecord, partition: Partition,
-    hypers: tuple[HyperChoice, ...], h_s: float, config: ExperimentConfig,
+    grid: list[HyperChoice], h_s: float, config: ExperimentConfig,
     phase: str, weights: np.ndarray | None = None,
 ) -> Iterator[tuple[int, RunRecord, RunResult]]:
-    """The seeded runs of a group of tuples in phase "cv" (n_cv runs per
-    tuple scoring the cross-validation range) or "test" (n_test runs
-    scoring the test range, with loss traces when the config saves them);
-    methods without random initialization run once. A group of one tuple
-    runs through `run_sequence_online`, and `weights` goes to it. A larger
-    group, LMS tuples that share L, runs as one batch (`_run_online`).
-    Yields each run's tuple index in the group, record and result, tuple
-    by tuple and run by run."""
+    """Run the tasks of `_task_list` in list order. Phase "cv" scores the
+    cross-validation range; phase "test" scores the test range, with loss
+    traces when the config saves them. A one-run task goes through
+    `run_sequence_online`, and `weights` goes to it; a batch goes through
+    `_run_online` on one normalizer and one first scored step. Yields each
+    run's tuple index, RunRecord and RunResult as its task finishes."""
     h = whole_steps(h_s, record.sample_period, "horizon")
     cv = phase == "cv"
     scoring = partition.cross_validation if cv else partition.test
     collect_loss = config.save_loss_traces and not cv
-    n_runs = config.n_cv if cv else config.n_test
-    if algorithm not in STOCHASTIC_ALGORITHMS:
-        n_runs = 1
-
-    def seed(hyper, r):
-        return derive_seed(
-            config.master_seed, record.label, h, hyper.key(), r, phase
-        )
-
-    def run_record(r, run_seed, outcome):
-        return RunRecord(
-            run_index=r, seed=run_seed, diverged=outcome.diverged,
-            diverged_quantity=outcome.diverged_quantity,
-            metrics=None if outcome.diverged else compute_metrics(outcome.trace),
-            diverged_at=outcome.diverged_at,
-        )
-
-    if len(hypers) == 1:
-        (hyper,) = hypers
-        for r in range(n_runs):
-            run_seed = seed(hyper, r)
-            outcome = run_sequence_online(
-                algorithm, record, partition, hyper, h, run_seed,
+    for task in _task_list(algorithm, record.label, grid, h, config, phase):
+        if len(task) == 1:
+            ((i, _, seed),) = task
+            outcomes = [run_sequence_online(
+                algorithm, record, partition, grid[i], h, seed,
                 scoring_range=scoring, collect_loss=collect_loss,
                 weights=weights,
+            )]
+        else:
+            hypers = tuple(grid[i] for i, _, _ in task)
+            outcomes = _run_online(
+                algorithm, record, fit_normalizer(record, partition.train),
+                hypers, h, tuple(seed for _, _, seed in task),
+                _first_scored_step(algorithm, record, hypers[0], h, scoring),
+                scoring.stop, collect_loss,
             )
-            yield 0, run_record(r, run_seed, outcome), outcome
-        return
-    seeds = tuple(seed(hyper, 0) for hyper in hypers)
-    # The group shares L, so every tuple scores from one k_min.
-    for hyper in hypers:
-        k_min = _first_scored_step(algorithm, record, hyper, h, scoring)
-    batch = _run_online(
-        algorithm, record, fit_normalizer(record, partition.train), hypers,
-        h, seeds, k_min, scoring.stop, collect_loss,
-    )
-    for i, outcome in enumerate(batch):
-        yield i, run_record(0, seeds[i], outcome), outcome
+        for (i, r, seed), outcome in zip(task, outcomes):
+            yield i, RunRecord(
+                run_index=r, seed=seed, diverged=outcome.diverged,
+                diverged_quantity=outcome.diverged_quantity,
+                metrics=None if outcome.diverged else compute_metrics(outcome.trace),
+                diverged_at=outcome.diverged_at,
+            ), outcome
 
 
-def _cv_runs(
-    algorithm: str, record: MarkerRecord, partition: Partition,
-    grid: list[HyperChoice], h_s: float, config: ExperimentConfig,
-) -> Iterator[tuple[HyperChoice, list[RunRecord], np.ndarray | None]]:
-    """Each grid point's cross-validation runs, in grid order, with the
-    linreg fit of its run (None for the other methods). The LMS points
-    that share L run as one batch when the first of them comes up; every
-    other point runs alone."""
-    pending: dict[HyperChoice, list[RunRecord]] = {}
-    for hyper in grid:
-        weights = None
-        if hyper not in pending:
-            group = tuple(other for other in grid if other.L == hyper.L) \
-                if algorithm == "lms" else (hyper,)
-            pending.update((member, []) for member in group)
-            for i, run, outcome in _seeded_runs(
-                algorithm, record, partition, group, h_s, config, "cv"
-            ):
-                pending[group[i]].append(run)
-                weights = outcome.weights
-        yield hyper, pending.pop(hyper), weights
+# ------------------------------ grid search --------------------------------
 
 
 def _check_horizons(horizons_s: tuple[float, ...], record: MarkerRecord) -> None:
@@ -859,6 +869,16 @@ def _check_horizons(horizons_s: tuple[float, ...], record: MarkerRecord) -> None
                 f"{record.label!r}; list each horizon once"
             )
         seen[h] = h_s
+
+
+def _check_algorithm(algorithm: str, config: ExperimentConfig) -> None:
+    """A config's grid, run counts and seeds belong to its own algorithm;
+    another algorithm must not run on them."""
+    if algorithm != config.algorithm:
+        raise ValueError(
+            f"algorithm {algorithm!r} does not match the config's "
+            f"{config.algorithm!r}"
+        )
 
 
 def _cv_rank(entry: CvEntry) -> tuple:
@@ -881,19 +901,25 @@ def grid_search(
     the surviving means is chosen with the deterministic tie-break.
 
     Raises:
-        ValueError: a horizon is off the record's step grid, or two span
-            the same number of steps.
+        ValueError: `algorithm` is not the config's, a horizon is off the
+            record's step grid, or two span the same number of steps.
         RuntimeError: every tuple diverged for some horizon.
     """
+    _check_algorithm(algorithm, config)
     _check_horizons(horizons_s, record)
     partition = make_partition(record, partition_scheme(algorithm))
     grid = iter_grid(algorithm, config.effective_grid())
     results: dict[float, CvResult] = {}
     for h_s in horizons_s:
-        entries, chosen, chosen_weights = [], None, None
-        for hyper, runs, weights in _cv_runs(
-            algorithm, record, partition, grid, h_s, config
+        runs_of: list[list[RunRecord]] = [[] for _ in grid]
+        weights_of: list[np.ndarray | None] = [None] * len(grid)
+        for i, run, outcome in _run_tasks(
+            algorithm, record, partition, grid, h_s, config, "cv"
         ):
+            runs_of[i].append(run)
+            weights_of[i] = outcome.weights
+        entries, chosen, chosen_weights = [], None, None
+        for hyper, runs, weights in zip(grid, runs_of, weights_of):
             rmses = [run.metrics.rmse for run in runs if not run.diverged]
             if rmses:
                 mean_rmse = float(np.mean(rmses))
@@ -956,12 +982,16 @@ def evaluate(
     non-diverged runs (absent when fewer than two survive). For linreg,
     `weights` may be the tuple's fit from `grid_search`
     (`CvResult.chosen_weights`), which is then not refit.
+
+    Raises:
+        ValueError: `algorithm` is not the config's.
     """
+    _check_algorithm(algorithm, config)
     partition = make_partition(record, partition_scheme(algorithm))
     runs: list[RunRecord] = []
     loss_sum, loss_count, loss_start = None, 0, None
-    for _, run, outcome in _seeded_runs(
-        algorithm, record, partition, (hyper,), h_s, config, "test", weights
+    for _, run, outcome in _run_tasks(
+        algorithm, record, partition, [hyper], h_s, config, "test", weights
     ):
         runs.append(run)
         if outcome.losses is not None:

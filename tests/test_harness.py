@@ -227,6 +227,33 @@ def test_config_run_counts_accept_numpy_integers(tmp_path):
     assert (cfg.n_cv, cfg.n_test) == (3, 1)
 
 
+@pytest.mark.parametrize("value", [True, False, "3", 1.5, 3.0, None])
+def test_config_master_seed_must_be_an_integer(tmp_path, value):
+    # derive_seed hashes str(master_seed): True used to seed apart from 1,
+    # and "3" the same as 3.
+    message = re.escape(f"master_seed takes integers, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        _config("uoro", tmp_path, master_seed=value)
+
+
+def test_config_stores_numpy_integers_as_python_ints(tmp_path):
+    # Stored as a Python int, which the manifest's JSON can hold, and
+    # seeding as the same value given as an int.
+    cfg = _config("uoro", tmp_path, master_seed=np.int64(3),
+                  n_cv=np.int64(2), n_test=np.int32(1))
+    assert type(cfg.master_seed) is int and cfg.master_seed == 3
+    assert json.dumps([cfg.master_seed, cfg.n_cv, cfg.n_test]) == "[3, 2, 1]"
+    assert _config("uoro", tmp_path, master_seed=-7).master_seed == -7
+
+
+@pytest.mark.parametrize("value", ["no", "yes", 1, 0, None, np.bool_(True)])
+def test_config_save_loss_traces_must_be_a_bool(tmp_path, value):
+    # "no" used to turn the traces on.
+    message = re.escape(f"save_loss_traces takes true or false, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        _config("uoro", tmp_path, save_loss_traces=value)
+
+
 @pytest.mark.parametrize(
     "algorithm, grid, missing, unknown",
     [
@@ -1180,6 +1207,94 @@ def test_lms_grid_search_batches_equal_per_tuple_runs():
         alone = run_sequence_online("lms", record, partition, cv.chosen, h,
                                     seed=result.runs[0].seed)
         assert result.runs[0].metrics == compute_metrics(alone.trace)
+
+
+def _shipped_tasks(algorithm, phase, n_cv=3, n_test=4, master_seed=9):
+    """The task list of a phase over the shipped grid ("cv") or its first
+    tuple ("test"), at h = 4 on a sequence labelled "seq"."""
+    cfg = ExperimentConfig(
+        algorithm=algorithm, horizons_s=(0.4,), data_manifest="x",
+        out_dir="y", n_cv=n_cv, n_test=n_test, master_seed=master_seed,
+    )
+    grid = iter_grid(algorithm, DEFAULT_GRIDS[algorithm])
+    if phase == "test":
+        grid = grid[:1]
+    return grid, harness._task_list(algorithm, "seq", grid, 4, cfg, phase)
+
+
+@pytest.mark.parametrize(
+    "algorithm, phase, n_tasks, n_runs",
+    [
+        # 3 rates x 2 scales x 5 L x 5 q, n_cv = 3 runs each.
+        ("uoro", "cv", 450, 450),
+        ("uoro", "test", 4, 4),
+        # 4 x 3 x 4 x 4 tuples.
+        ("rtrl", "cv", 576, 576),
+        ("rtrl", "test", 4, 4),
+        # 7 rates x 5 L, one run each, one batch per L.
+        ("lms", "cv", 5, 35),
+        ("lms", "test", 1, 1),
+        ("linreg", "cv", 9, 9),
+        ("linreg", "test", 1, 1),
+        ("none", "cv", 1, 1),
+        ("none", "test", 1, 1),
+    ],
+)
+def test_task_list_counts_equal_a_hand_count(algorithm, phase, n_tasks, n_runs):
+    _, tasks = _shipped_tasks(algorithm, phase)
+    assert len(tasks) == n_tasks
+    assert sum(len(task) for task in tasks) == n_runs
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("phase", ["cv", "test"])
+def test_task_list_seeds_order_and_shared_history(algorithm, phase):
+    grid, tasks = _shipped_tasks(algorithm, phase)
+    runs = [run for task in tasks for run in task]
+    # Every (tuple, run) once, each with its own derived seed.
+    assert sorted((i, r) for i, r, _ in runs) == sorted(
+        {(i, r) for i, r, _ in runs})
+    for i, r, seed in runs:
+        assert seed == derive_seed(9, "seq", 4, grid[i].key(), r, phase)
+    # A task's runs step as one learner, so they read one window stream.
+    for task in tasks:
+        assert len({grid[i].L for i, _, _ in task}) == 1
+        assert list(task) == sorted(task)
+    # Tuple-major, run-minor by each task's first run.
+    firsts = [task[0][:2] for task in tasks]
+    assert firsts == sorted(firsts)
+    if algorithm != "lms":
+        assert [(i, r) for i, r, _ in runs] == sorted((i, r) for i, r, _ in runs)
+        assert all(len(task) == 1 for task in tasks)
+
+
+def test_task_list_batches_the_lms_rates_of_each_history():
+    grid, tasks = _shipped_tasks("lms", "cv")
+    etas = DEFAULT_GRIDS["lms"]["eta"]
+    assert [grid[task[0][0]].L for task in tasks] == list(DEFAULT_GRIDS["lms"]["L"])
+    for task in tasks:
+        assert [grid[i].eta for i, _, _ in task] == list(etas)
+        assert all(r == 0 for _, r, _ in task)
+
+
+def test_grid_search_and_evaluate_reject_another_algorithms_config(
+    monkeypatch, tmp_path
+):
+    # RTRL used to run on UORO's config, grid and run counts, without a word.
+    record = _quick_record()
+    cfg = _config("uoro", tmp_path)
+    calls = []
+    monkeypatch.setattr("markerpred.harness.run_sequence_online",
+                        lambda *a, **k: calls.append(a))
+    message = "algorithm 'rtrl' does not match the config's 'uoro'"
+    with pytest.raises(ValueError, match=message):
+        grid_search("rtrl", record, (0.4,), cfg)
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10)
+    with pytest.raises(ValueError, match=message):
+        evaluate("rtrl", record, hyper, 0.4, cfg)
+    with pytest.raises(ValueError, match="algorithm 'lms' does not match"):
+        evaluate("lms", record, HyperChoice(eta=0.1, L=10), 0.4, cfg)
+    assert calls == []
 
 
 def test_cv_csv_lists_the_diverged_runs_steps_and_quantities(tmp_path):
