@@ -28,10 +28,11 @@ from markerpred.harness import (
     METRIC_NAMES,
     AggregateReport,
     ExperimentConfig,
+    _run_on_dataset,
     bench_step_time,
     grid_search,
+    load_dataset,
     report_from_dir,
-    run_experiment,
     write_cv_csv,
 )
 from markerpred.signal import load_record, whole_steps
@@ -63,6 +64,9 @@ def _config_from_file(path: Path) -> list[ExperimentConfig]:
     if "algorithm" in raw:
         raw["algorithms"] = [raw.pop("algorithm")]
     algorithms = _list_value(path, "algorithms", raw.pop("algorithms"))
+    if not algorithms:
+        # `run` would write nothing and report success.
+        raise ValueError(f"{path}: 'algorithms' lists no algorithm")
     grids = {
         algo: {k: tuple(_list_value(path, f"grids.{algo}.{k}", v))
                for k, v in _object_value(path, f"grids.{algo}", grid).items()}
@@ -125,8 +129,11 @@ def _print_report(report: AggregateReport) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    for config in _config_from_file(Path(args.config)):
-        report = run_experiment(config)
+    configs = _config_from_file(Path(args.config))
+    # The algorithms of one config file share its dataset: read it once.
+    records, cohort_exclude = load_dataset(configs[0].data_manifest)
+    for config in configs:
+        report = _run_on_dataset(config, records, cohort_exclude)
         _print_report(report)
         print(f"outputs written to {config.out_dir}")
     return 0

@@ -26,20 +26,22 @@ Every random draw descends from (master_seed, sequence, horizon, tuple,
 run, phase) through a stable hash, so any subset of the experiment can be
 reproduced bit-for-bit in isolation.
 
-Each phase of a (sequence, horizon) is one task list (`_task_list`): its
-runs as (tuple index, run index, seed), grouped into the tasks that step
-as one learner. The LMS tuples that share L (one per learning rate) read
-one window stream and form one batch (`_lms_learner`); every other run
-is a task of its own. The tasks run in list order, tuple-major and
-run-minor by their first run (`_run_tasks`): a one-run task through
-`run_sequence_online`, a batch through `_run_online`, the one online
-loop that also drives every single online run. Each run becomes its
-RunRecord as it finishes, and `grid_search` and `evaluate` fold the
-records. A batch keeps its shape: a slot that diverges is frozen in
-place, its outputs NaN from then on, while the others step on. It keeps
-each run's predictions, losses and divergence step and quantity bit for
-bit those of the run alone, and entries, tie-breaks and files keep the
-grid's order.
+Each phase of a sequence is one task list (`_task_list`): its runs as
+(horizon, tuple index, run index, seed), grouped into the tasks that
+step as one learner. The cross-validation runs of the LMS tuples that
+share L (one per learning rate and horizon) read one window stream and
+form one batch (`_lms_learner`), each slot training on the target row of
+its own horizon; every other run is a task of its own. The tasks run in
+list order, horizon-major, tuple-major and run-minor by their first run
+(`_run_tasks`): a one-run task through `run_sequence_online`, a batch
+through `_run_online`, the one online loop that also drives every single
+online run. Each run becomes its RunRecord as it finishes, and
+`grid_search` and `evaluate` fold the records. A batch keeps its shape:
+a slot that diverges is frozen in place, its outputs NaN from then on,
+while the others step on, and a slot stops at its own horizon's last
+anchor the same way, unrecorded. It keeps each run's predictions, losses
+and divergence step and quantity bit for bit those of the run alone, and
+entries, tie-breaks and files keep the grid's order.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from markerpred.baselines import (
     _lms_rates,
     fit_linreg,
     no_prediction,
-    predict_linreg,
 )
 from markerpred.metrics import (
     CiSummary,
@@ -83,6 +84,7 @@ from markerpred.signal import (
     MarkerRecord,
     Normalizer,
     Partition,
+    _design,
     design_matrix,
     fit_normalizer,
     iter_windows,
@@ -514,11 +516,13 @@ def _online_learner(
 def _lms_learner(
     etas: list[float], m: int, p: int,
     diverged: dict[int, tuple[int, str]] | None = None,
+    last: list[int] | None = None,
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, list[float]]]:
     """B = len(etas) LMS learners from zero weights, one per rate, that
     step as one block-delayed batch on one stream: step(u, y_star) ->
     (y, losses), y a B x p array and losses a list of B floats, slot by
-    slot.
+    slot. y_star is one target for every slot, or a B x p array of one
+    target per slot.
 
     Exact LMS need not form each rank-one update (Benesty & Duhamel, "A
     fast exact least mean square adaptive algorithm", IEEE Trans. SP
@@ -554,13 +558,27 @@ def _lms_learner(
     of W0 and P are zeroed without a fold and its rate and growth set to
     0, so it predicts 0 and never steps again, and its row of y and its
     loss are NaN from then on. The batch keeps its shape, and a frozen
-    slot's products stay its own, so no live slot's bits change. The step
-    at which the last slot goes raises its NonFiniteError, as a
-    one-learner step does.
+    slot's products stay its own, so no live slot's bits change.
+
+    `last`, when given, holds each slot's last step index. At the step
+    after it the slot is frozen the same way but never recorded, whatever
+    its target (the harness feeds NaN there), and its row of y and its
+    loss are NaN from then on. Up to its last step a slot's bits are
+    those of a learner whose stream ends there.
+
+    The step at which the last live slot diverges, every other slot
+    diverged or stopped, raises its NonFiniteError, as a one-learner step
+    does.
     """
     n_slots = len(etas)
     etas = list(etas)
     diverged = {} if diverged is None else diverged
+    # Slots that step no more: diverged, or past their last step.
+    frozen: set[int] = set()
+    # Step index: the slots that stop there.
+    stops: dict[int, list[int]] = {}
+    for k, n in enumerate(last or ()):
+        stops.setdefault(n + 1, []).append(k)
     w0, spare = np.zeros((n_slots, p, m + 1)), np.empty((n_slots, p, m + 1))
     pending_u = np.empty((_LMS_BLOCK, m + 1))
     pending_ce = np.empty((n_slots, p, _LMS_BLOCK))
@@ -568,8 +586,14 @@ def _lms_learner(
     growth = [eta * CLIP_TAU for eta in etas]
     n_steps = 0
 
+    def freeze(k):
+        frozen.add(k)
+        w0[k], pending_ce[k], etas[k], growth[k] = 0.0, 0.0, 0.0, 0.0
+
     def step(u, y_star):
         nonlocal n_steps
+        for k in stops.get(n_steps, ()):
+            freeze(k)
         j = n_steps % _LMS_BLOCK
         y = np.matmul(w0, u)
         if j:
@@ -579,7 +603,7 @@ def _lms_learner(
         np.multiply(e, np.array(rates)[:, None], out=pending_ce[:, :, j])
         pending_u[j] = u
         n_steps += 1
-        lost = [(k, "loss") for k in gone if k not in diverged]
+        lost = [(k, "loss") for k in gone if k not in frozen]
         if n_steps * max(growth) > _FINITE_BOUND:
             for k, slot_growth in enumerate(growth):
                 if (n_steps * slot_growth > _FINITE_BOUND and k not in gone
@@ -589,12 +613,12 @@ def _lms_learner(
                     lost.append((k, "weights"))
         for k, quantity in lost:
             diverged[k] = (n_steps - 1, quantity)
-            w0[k], pending_ce[k], etas[k], growth[k] = 0.0, 0.0, 0.0, 0.0
-        if lost and len(diverged) == n_slots:
+            freeze(k)
+        if lost and len(frozen) == n_slots:
             raise NonFiniteError(max(lost)[1])
         if n_steps % _LMS_BLOCK == 0:
             np.add(w0, np.matmul(pending_ce, pending_u, out=spare), out=w0)
-        for k in diverged:
+        for k in frozen:
             y[k], losses[k] = math.nan, math.nan
         return y, losses
 
@@ -701,11 +725,11 @@ def run_sequence_online(
                                max(0, partition.train.stop - lag)),
                 context=f"sequence {record.label!r}, L={L}, h={h} steps",
             )
-        pred = np.stack([
-            predict_linreg(w, sample.u) for sample in iter_windows(
-                record, normalizer, L, h,
-                range(k_min - lag, scoring.stop - lag))
-        ])
+        # One stacked product over the scored windows, each slice the gemv
+        # w @ u bit for bit.
+        U, _ = _design(record, normalizer, L, h,
+                       range(k_min - lag, scoring.stop - lag))
+        pred = np.matmul(w, U[:, :, None])[:, :, 0]
         # The weights go back as a copy made now: fit_linreg's array was
         # allocated while the QR's design-sized copies were live, and kept
         # by the caller it would split the heap they freed (baselines-io,
@@ -717,8 +741,8 @@ def run_sequence_online(
             weights=w.copy(order="K"),
         )
 
-    return _run_online(algorithm, record, normalizer, (hyper,), h, (seed,),
-                       k_min, scoring.stop, collect_loss)[0]
+    return _run_online(algorithm, record, normalizer, (hyper,), (h,), (seed,),
+                       (k_min,), scoring.stop, collect_loss)[0]
 
 
 def _run_online(
@@ -726,58 +750,83 @@ def _run_online(
     record: MarkerRecord,
     normalizer: Normalizer,
     hypers: tuple[HyperChoice, ...],
-    h: int,
+    hs: tuple[int, ...],
     seeds: tuple[int, ...],
-    k_min: int,
+    k_mins: tuple[int, ...],
     stop: int,
     collect_loss: bool,
 ) -> list[RunResult]:
     """The online loop: the runs of one task (`_task_list`), one slot
-    each with the seed of that slot, over one window stream of the record,
-    scoring the predictions of steps k_min to stop - 1, as
-    `run_sequence_online` states. The hypers share L. LMS runs any number
-    of slots as one batch (`_lms_learner`); a UORO or RTRL run is one
-    slot. Returns each slot's RunResult; a slot that diverges is recorded
-    at its step with its quantity, and the other slots run on
-    untouched."""
+    each with the horizon hs[s] in steps, the seed seeds[s] and the first
+    scored step k_mins[s] of that slot, over one window stream of the
+    record, each scoring the predictions of its steps k_mins[s] to
+    stop - 1, as `run_sequence_online` states. The hypers share L. LMS
+    runs any number of slots as one batch (`_lms_learner`); a UORO or
+    RTRL run is one slot.
+
+    A slot's last anchor is stop - L - h, whose target is step stop - 1.
+    The stream runs from anchor 0 to the latest last anchor, the one of
+    the shortest horizon, and each slot trains on the target row of its
+    own horizon. A slot with a longer horizon stops at its own last
+    anchor, and past it is fed NaN targets, so no slot reads a step at or
+    past stop. Predictions are kept by anchor, and each slot's trace is
+    sliced from its own k_min. Returns each slot's RunResult; a slot that
+    diverges is recorded at its step with its quantity, and the other
+    slots run on untouched."""
     L, p = hypers[0].L, 3 * record.n_markers
-    lag = L + h - 1
-    last_n = stop - lag - 1
+    h = min(hs)
+    lasts = [stop - L - h_slot for h_slot in hs]
+    first = min(k_min - (L + h_slot - 1) for k_min, h_slot in zip(k_mins, hs))
+    last_n = stop - L - h
     # Slot: (anchor step, quantity). The learners count their steps from
     # anchor 0, where the stream starts, so a step index is an anchor.
     diverged: dict[int, tuple[int, str]] = {}
     if algorithm == "lms":
-        step = _lms_learner([hyper.eta for hyper in hypers], p * L, p, diverged)
+        step = _lms_learner([hyper.eta for hyper in hypers], p * L, p,
+                            diverged, lasts)
     else:
         (hyper,), (seed,) = hypers, seeds
         step = _online_learner(algorithm, hyper, p * L, p, seed)
-    # Row k - k_min of pred holds each slot's prediction of step k.
-    pred = np.empty((stop - k_min, len(hypers), p))
+    targets = offsets = None
+    if max(hs) > h:
+        # Row k is step k normalized, as the stream's targets are; the
+        # rows past stop - 1 are NaN.
+        targets = np.full((stop + max(hs) - h, p), math.nan)
+        targets[:stop] = normalizer.normalize(record.positions[:stop]).reshape(stop, p)
+        offsets = np.array(hs) + (L - 1)
+    # Row n - first of pred holds each slot's prediction at anchor n.
+    pred = np.empty((last_n + 1 - first, len(hypers), p))
     losses = np.empty((last_n + 1, len(hypers))) if collect_loss else None
     with np.errstate(over="ignore", invalid="ignore"):
         for sample in iter_windows(record, normalizer, L, h, range(last_n + 1)):
+            n = sample.time_index
+            y_star = sample.target if targets is None else targets[n + offsets]
             try:
-                y, loss = step(sample.u, sample.target)
+                y, loss = step(sample.u, y_star)
             except NonFiniteError as err:
                 # Every slot has gone. An LMS batch has recorded its slots;
-                # a one-slot learner has not.
-                diverged.setdefault(0, (sample.time_index, err.quantity))
+                # a one-slot UORO or RTRL learner has not.
+                if not diverged:
+                    diverged[0] = (n, err.quantity)
                 break
             if collect_loss:
-                losses[sample.time_index] = loss
-            if sample.target_index >= k_min:
-                pred[sample.target_index - k_min] = y
+                losses[n] = loss
+            if n >= first:
+                pred[n - first] = y
 
     results = []
-    for slot in range(len(hypers)):
+    for slot, (h_slot, k_min, last) in enumerate(zip(hs, k_mins, lasts)):
         if slot in diverged:
             at, quantity = diverged[slot]
             results.append(RunResult(trace=None, diverged=True, diverged_at=at,
                                      diverged_quantity=quantity))
         else:
+            lag = L + h_slot - 1
             results.append(RunResult(
-                trace=_trace_from_steps(record, pred[:, slot], k_min, normalizer),
-                losses=None if losses is None else losses[:, slot],
+                trace=_trace_from_steps(
+                    record, pred[k_min - lag - first : last + 1 - first, slot],
+                    k_min, normalizer),
+                losses=None if losses is None else losses[: last + 1, slot],
                 loss_start=lag if collect_loss else None,
             ))
     return results
@@ -787,65 +836,77 @@ def _run_online(
 
 
 def _task_list(
-    algorithm: str, label: str, grid: list[HyperChoice], h: int,
+    algorithm: str, label: str, grid: list[HyperChoice], hs: tuple[int, ...],
     config: ExperimentConfig, phase: str,
-) -> list[tuple[tuple[int, int, int], ...]]:
-    """The runs of one phase over `grid`, as (tuple index, run index,
-    seed), grouped into the tasks that step as one learner.
+) -> list[tuple[tuple[int, int, int, int], ...]]:
+    """The runs of one phase over `grid` at each horizon of `hs` (in
+    steps), as (horizon, tuple index, run index, seed), grouped into the
+    tasks that step as one learner.
 
     Phase "cv" makes n_cv runs per tuple and phase "test" n_test; methods
-    without random initialization run once. The LMS tuples that share L
-    read one window stream and differ only in their rate, so they form
-    one batch; every other run is a task of its own. Tasks keep the
-    tuple-major, run-minor order of their first run. A seed descends from
-    (master_seed, sequence, h in steps, tuple, run, phase), whatever task
-    holds its run.
+    without random initialization run once. In phase "cv" the LMS tuples
+    that share L read one window stream at every horizon and differ only
+    in their rate and target row, so they form one batch across the
+    horizons. Every other run is a task of its own, among them every test
+    run: `evaluate` scores one tuple at one horizon. Tasks keep the
+    horizon-major, tuple-major, run-minor order of their first run. A
+    seed descends from (master_seed, sequence, h in steps, tuple, run,
+    phase), whatever task holds its run.
     """
     n_runs = config.n_cv if phase == "cv" else config.n_test
     if algorithm not in STOCHASTIC_ALGORITHMS:
         n_runs = 1
-    tasks: dict[object, list[tuple[int, int, int]]] = {}
-    for i, hyper in enumerate(grid):
-        for r in range(n_runs):
-            seed = derive_seed(config.master_seed, label, h, hyper.key(), r, phase)
-            key = hyper.L if algorithm == "lms" else (i, r)
-            tasks.setdefault(key, []).append((i, r, seed))
+    batch = algorithm == "lms" and phase == "cv"
+    tasks: dict[object, list[tuple[int, int, int, int]]] = {}
+    for h in hs:
+        for i, hyper in enumerate(grid):
+            for r in range(n_runs):
+                seed = derive_seed(config.master_seed, label, h, hyper.key(),
+                                   r, phase)
+                key = hyper.L if batch else (h, i, r)
+                tasks.setdefault(key, []).append((h, i, r, seed))
     return [tuple(runs) for runs in tasks.values()]
 
 
 def _run_tasks(
     algorithm: str, record: MarkerRecord, partition: Partition,
-    grid: list[HyperChoice], h_s: float, config: ExperimentConfig,
-    phase: str, weights: np.ndarray | None = None,
-) -> Iterator[tuple[int, RunRecord, RunResult]]:
+    grid: list[HyperChoice], horizons_s: tuple[float, ...],
+    config: ExperimentConfig, phase: str, weights: np.ndarray | None = None,
+) -> Iterator[tuple[float, int, RunRecord, RunResult]]:
     """Run the tasks of `_task_list` in list order. Phase "cv" scores the
     cross-validation range; phase "test" scores the test range, with loss
     traces when the config saves them. A one-run task goes through
     `run_sequence_online`, and `weights` goes to it; a batch goes through
-    `_run_online` on one normalizer and one first scored step. Yields each
-    run's tuple index, RunRecord and RunResult as its task finishes."""
-    h = whole_steps(h_s, record.sample_period, "horizon")
+    `_run_online` on one normalizer, with the first scored step of each
+    slot's horizon. Yields each run's horizon in seconds, tuple index,
+    RunRecord and RunResult as its task finishes."""
+    seconds = {whole_steps(h_s, record.sample_period, "horizon"): h_s
+               for h_s in horizons_s}
     cv = phase == "cv"
     scoring = partition.cross_validation if cv else partition.test
     collect_loss = config.save_loss_traces and not cv
-    for task in _task_list(algorithm, record.label, grid, h, config, phase):
+    for task in _task_list(algorithm, record.label, grid, tuple(seconds),
+                           config, phase):
         if len(task) == 1:
-            ((i, _, seed),) = task
+            ((h, i, _, seed),) = task
             outcomes = [run_sequence_online(
                 algorithm, record, partition, grid[i], h, seed,
                 scoring_range=scoring, collect_loss=collect_loss,
                 weights=weights,
             )]
         else:
-            hypers = tuple(grid[i] for i, _, _ in task)
+            hypers = tuple(grid[i] for _, i, _, _ in task)
+            hs = tuple(h for h, _, _, _ in task)
+            # The hypers share L, so a slot's k_min depends on its h alone.
+            k_min = {h: _first_scored_step(algorithm, record, hypers[0], h,
+                                           scoring) for h in set(hs)}
             outcomes = _run_online(
                 algorithm, record, fit_normalizer(record, partition.train),
-                hypers, h, tuple(seed for _, _, seed in task),
-                _first_scored_step(algorithm, record, hypers[0], h, scoring),
-                scoring.stop, collect_loss,
+                hypers, hs, tuple(seed for *_, seed in task),
+                tuple(k_min[h] for h in hs), scoring.stop, collect_loss,
             )
-        for (i, r, seed), outcome in zip(task, outcomes):
-            yield i, RunRecord(
+        for (h, i, r, seed), outcome in zip(task, outcomes):
+            yield seconds[h], i, RunRecord(
                 run_index=r, seed=seed, diverged=outcome.diverged,
                 diverged_quantity=outcome.diverged_quantity,
                 metrics=None if outcome.diverged else compute_metrics(outcome.trace),
@@ -898,7 +959,9 @@ def grid_search(
     Each tuple runs n_cv times (once for deterministic methods) scoring
     the cross-validation range; diverged runs are dropped from the mean,
     fully diverged tuples are excluded with a warning, and the argmin of
-    the surviving means is chosen with the deterministic tie-break.
+    the surviving means is chosen with the deterministic tie-break. The
+    runs of every horizon are one task list (`_task_list`), so an LMS
+    batch of one L steps once for all of them.
 
     Raises:
         ValueError: `algorithm` is not the config's, a horizon is off the
@@ -909,17 +972,17 @@ def grid_search(
     _check_horizons(horizons_s, record)
     partition = make_partition(record, partition_scheme(algorithm))
     grid = iter_grid(algorithm, config.effective_grid())
+    runs_of = {h_s: [[] for _ in grid] for h_s in horizons_s}
+    weights_of = {h_s: [None] * len(grid) for h_s in horizons_s}
+    for h_s, i, run, outcome in _run_tasks(
+        algorithm, record, partition, grid, horizons_s, config, "cv"
+    ):
+        runs_of[h_s][i].append(run)
+        weights_of[h_s][i] = outcome.weights
     results: dict[float, CvResult] = {}
     for h_s in horizons_s:
-        runs_of: list[list[RunRecord]] = [[] for _ in grid]
-        weights_of: list[np.ndarray | None] = [None] * len(grid)
-        for i, run, outcome in _run_tasks(
-            algorithm, record, partition, grid, h_s, config, "cv"
-        ):
-            runs_of[i].append(run)
-            weights_of[i] = outcome.weights
         entries, chosen, chosen_weights = [], None, None
-        for hyper, runs, weights in zip(grid, runs_of, weights_of):
+        for hyper, runs, weights in zip(grid, runs_of[h_s], weights_of[h_s]):
             rmses = [run.metrics.rmse for run in runs if not run.diverged]
             if rmses:
                 mean_rmse = float(np.mean(rmses))
@@ -990,8 +1053,8 @@ def evaluate(
     partition = make_partition(record, partition_scheme(algorithm))
     runs: list[RunRecord] = []
     loss_sum, loss_count, loss_start = None, 0, None
-    for _, run, outcome in _run_tasks(
-        algorithm, record, partition, [hyper], h_s, config, "test", weights
+    for _, _, run, outcome in _run_tasks(
+        algorithm, record, partition, [hyper], (h_s,), config, "test", weights
     ):
         runs.append(run)
         if outcome.losses is not None:
@@ -1353,7 +1416,16 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     that manifest, a Table-3-style summary CSV and a per-horizon curve CSV
     (`_write_tables`, which `report_from_dir` shares).
     """
-    records, cohort_exclude = load_dataset(config.data_manifest)
+    return _run_on_dataset(config, *load_dataset(config.data_manifest))
+
+
+def _run_on_dataset(
+    config: ExperimentConfig, records: list[MarkerRecord],
+    cohort_exclude: tuple[str, ...],
+) -> AggregateReport:
+    """`run_experiment` on the records and cohort exclusions that
+    `load_dataset` read from config.data_manifest, so that the algorithms
+    of one config file read their sequences once."""
     # Reject bad horizons on every sequence before hours of runs.
     for record in records:
         _check_horizons(config.horizons_s, record)

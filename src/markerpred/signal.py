@@ -435,7 +435,14 @@ def design_matrix(
         ValueError: L < 1 or h < 1.
         IndexError: the last window's target falls outside the record.
     """
-    anchors = range(n_anchors)
+    return _design(record, normalizer, L, h, range(n_anchors))
+
+
+def _design(
+    record: MarkerRecord, normalizer: Normalizer, L: int, h: int, anchors: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """`design_matrix` over the anchors of `anchors`, a range of step 1:
+    row i of U and Y is the example anchored at step anchors[i]."""
     flat, _ = _normalized_span(record, normalizer, L, h, anchors)
     c = 3 * record.n_markers
     U = np.empty((len(anchors), 1 + L * c))

@@ -595,6 +595,59 @@ def test_lms_batch_keeps_a_frozen_slots_record():
     assert diverged == {0: (1, "loss"), 1: (3, "loss")}
 
 
+
+def test_lms_batch_slot_past_its_last_step_is_frozen_and_never_recorded():
+    # Slot 1 of three stops after step 11, between the folds that end
+    # steps 7 and 15. From step 12 on it is fed NaN targets, as the
+    # harness feeds a slot past its last anchor: it is never recorded, its
+    # row of y and its loss are NaN, and no floating-point error is
+    # raised. Up to step 11 it, and at every step its neighbours, are bit
+    # for bit a batch without a stop fed the true targets. Without the
+    # stop rule its NaN loss would record it as diverged at step 12.
+    rng = np.random.default_rng(3)
+    m, p, n = 30, 3, 30
+    inputs = rng.uniform(-1.0, 1.0, size=(n, m + 1))
+    inputs[:, 0] = 1.0
+    targets = rng.uniform(-1.0, 1.0, size=(n, p))
+    etas = [0.01, 0.05, 0.2]
+    diverged = {}
+    learner = _lms_learner(etas, m, p, diverged, last=[n - 1, 11, n - 1])
+    free = _lms_learner(etas, m, p)
+    for i in range(n):
+        fed = np.tile(targets[i], (3, 1))
+        if i > 11:
+            fed[1] = np.nan
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            y, losses = learner(inputs[i], fed)
+        want, want_losses = free(inputs[i], targets[i])
+        for k in range(3):
+            if k == 1 and i > 11:
+                assert np.isnan(y[k]).all() and math.isnan(losses[k])
+            else:
+                assert y[k].tobytes() == want[k].tobytes(), (i, k)
+                assert losses[k] == want_losses[k]
+    assert diverged == {}
+
+
+def test_lms_batch_whose_last_live_slot_diverges_after_a_stop_raises():
+    # Slot 0 stops after step 0 and slot 1, at eta = 1e300, goes at step
+    # 1: every slot has then stopped or diverged, so the step raises, as
+    # the step at which a batch's last slot goes does. Only slot 1 is
+    # recorded.
+    rng = np.random.default_rng(4)
+    m, p = 20, 3
+    inputs = rng.uniform(-1.0, 1.0, size=(2, m + 1))
+    inputs[:, 0] = 1.0
+    targets = rng.uniform(-1.0, 1.0, size=(2, p))
+    diverged = {}
+    learner = _lms_learner([0.01, 1e300], m, p, diverged, last=[0, 5])
+    learner(inputs[0], targets[0])
+    fed = np.stack([np.full(p, np.nan), targets[1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="loss"):
+            learner(inputs[1], fed)
+    assert diverged == {1: (1, "loss")}
+
 # --------------------------- linear regression -----------------------------
 
 

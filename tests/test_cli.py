@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
 import pytest
 
+from markerpred import harness
 from markerpred.cli import _config_from_file, build_parser, main
-from markerpred.harness import ExperimentConfig
+from markerpred.harness import ExperimentConfig, run_experiment
 from markerpred.signal import MarkerRecord, synthetic_record, write_record
 
 
@@ -75,6 +77,35 @@ def test_run_command_executes_config(dataset, capsys):
     assert (out_dir / "summary_none.csv").exists()
     assert (out_dir / "runs_lms_seq0_h0.4.csv").exists()
     assert (out_dir / "manifest_none.json").exists()
+
+
+def test_run_command_reads_each_sequence_once(dataset, monkeypatch):
+    # Each algorithm's run used to read the dataset again: two algorithms
+    # over two sequences read four files. The files it writes are those
+    # of one run_experiment per algorithm, byte for byte.
+    config = _write_config(dataset)
+    read = []
+    real = harness.load_record
+    monkeypatch.setattr(harness, "load_record",
+                        lambda path: read.append(path.name) or real(path))
+    assert main(["run", "--config", str(config)]) == 0
+    assert sorted(read) == ["seq0.csv", "seq1.csv"]
+    for each in _config_from_file(config):
+        run_experiment(dataclasses.replace(each, out_dir=dataset / "apart"))
+    written = sorted(p.name for p in (dataset / "out").glob("*.csv"))
+    assert written == sorted(p.name for p in (dataset / "apart").glob("*.csv"))
+    assert len(written) == 2 * (2 * 2 + 2)
+    for name in written:
+        assert ((dataset / "out" / name).read_bytes()
+                == (dataset / "apart" / name).read_bytes()), name
+
+
+def test_config_rejects_an_empty_algorithm_list(dataset):
+    # `run` used to write nothing and exit 0.
+    config = _write_config(dataset, algorithms=[], grids={})
+    with pytest.raises(ValueError, match=re.escape(
+            f"{config}: 'algorithms' lists no algorithm")):
+        _config_from_file(config)
 
 
 def test_config_rejects_grids_key_of_an_algorithm_not_run(dataset):

@@ -1209,9 +1209,10 @@ def test_lms_grid_search_batches_equal_per_tuple_runs():
         assert result.runs[0].metrics == compute_metrics(alone.trace)
 
 
-def _shipped_tasks(algorithm, phase, n_cv=3, n_test=4, master_seed=9):
+def _shipped_tasks(algorithm, phase, hs=(4,), n_cv=3, n_test=4, master_seed=9):
     """The task list of a phase over the shipped grid ("cv") or its first
-    tuple ("test"), at h = 4 on a sequence labelled "seq"."""
+    tuple ("test"), at the horizons hs in steps on a sequence labelled
+    "seq"."""
     cfg = ExperimentConfig(
         algorithm=algorithm, horizons_s=(0.4,), data_manifest="x",
         out_dir="y", n_cv=n_cv, n_test=n_test, master_seed=master_seed,
@@ -1219,13 +1220,17 @@ def _shipped_tasks(algorithm, phase, n_cv=3, n_test=4, master_seed=9):
     grid = iter_grid(algorithm, DEFAULT_GRIDS[algorithm])
     if phase == "test":
         grid = grid[:1]
-    return grid, harness._task_list(algorithm, "seq", grid, 4, cfg, phase)
+    return grid, harness._task_list(algorithm, "seq", grid, hs, cfg, phase)
+
+
+# Horizon lists in steps: one, two (listed longest first) and four.
+_TASK_HORIZONS = [(4,), (10, 4), (1, 4, 10, 20)]
 
 
 @pytest.mark.parametrize(
     "algorithm, phase, n_tasks, n_runs",
     [
-        # 3 rates x 2 scales x 5 L x 5 q, n_cv = 3 runs each.
+        # At one horizon: 3 rates x 2 scales x 5 L x 5 q, n_cv = 3 runs each.
         ("uoro", "cv", 450, 450),
         ("uoro", "test", 4, 4),
         # 4 x 3 x 4 x 4 tuples.
@@ -1241,40 +1246,158 @@ def _shipped_tasks(algorithm, phase, n_cv=3, n_test=4, master_seed=9):
     ],
 )
 def test_task_list_counts_equal_a_hand_count(algorithm, phase, n_tasks, n_runs):
-    _, tasks = _shipped_tasks(algorithm, phase)
-    assert len(tasks) == n_tasks
-    assert sum(len(task) for task in tasks) == n_runs
+    # H horizons make H times the runs. The LMS cross-validation batches
+    # stay one per L, each holding 7 x H runs; every other run, the LMS
+    # test runs among them, is a task of its own.
+    for hs in _TASK_HORIZONS:
+        _, tasks = _shipped_tasks(algorithm, phase, hs)
+        H = len(hs)
+        assert sum(len(task) for task in tasks) == n_runs * H
+        if algorithm == "lms" and phase == "cv":
+            assert len(tasks) == n_tasks
+            assert [len(task) for task in tasks] == [7 * H] * n_tasks
+        else:
+            assert len(tasks) == n_tasks * H
+            assert all(len(task) == 1 for task in tasks)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("phase", ["cv", "test"])
 def test_task_list_seeds_order_and_shared_history(algorithm, phase):
-    grid, tasks = _shipped_tasks(algorithm, phase)
-    runs = [run for task in tasks for run in task]
-    # Every (tuple, run) once, each with its own derived seed.
-    assert sorted((i, r) for i, r, _ in runs) == sorted(
-        {(i, r) for i, r, _ in runs})
-    for i, r, seed in runs:
-        assert seed == derive_seed(9, "seq", 4, grid[i].key(), r, phase)
-    # A task's runs step as one learner, so they read one window stream.
-    for task in tasks:
-        assert len({grid[i].L for i, _, _ in task}) == 1
-        assert list(task) == sorted(task)
-    # Tuple-major, run-minor by each task's first run.
-    firsts = [task[0][:2] for task in tasks]
-    assert firsts == sorted(firsts)
-    if algorithm != "lms":
-        assert [(i, r) for i, r, _ in runs] == sorted((i, r) for i, r, _ in runs)
-        assert all(len(task) == 1 for task in tasks)
+    for hs in _TASK_HORIZONS:
+        grid, tasks = _shipped_tasks(algorithm, phase, hs)
+        runs = [run for task in tasks for run in task]
+        # Every (horizon, tuple, run) once, each with its own derived seed,
+        # the one a task list of its horizon alone gives it.
+        assert len(runs) == len({(h, i, r) for h, i, r, _ in runs})
+        for h, i, r, seed in runs:
+            assert seed == derive_seed(9, "seq", h, grid[i].key(), r, phase)
+        alone = {run for h in hs
+                 for task in _shipped_tasks(algorithm, phase, (h,))[1]
+                 for run in task}
+        assert set(runs) == alone
+
+        def order(run):
+            h, i, r, _ = run
+            return hs.index(h), i, r
+
+        # A task's runs step as one learner, so they read one window stream.
+        for task in tasks:
+            assert len({grid[i].L for _, i, _, _ in task}) == 1
+            assert list(task) == sorted(task, key=order)
+        # Horizon-major in the listed order, then tuple-major, run-minor,
+        # by each task's first run.
+        firsts = [task[0] for task in tasks]
+        assert firsts == sorted(firsts, key=order)
+        if algorithm != "lms" or phase == "test":
+            assert runs == sorted(runs, key=order)
+            assert all(len(task) == 1 for task in tasks)
 
 
 def test_task_list_batches_the_lms_rates_of_each_history():
-    grid, tasks = _shipped_tasks("lms", "cv")
     etas = DEFAULT_GRIDS["lms"]["eta"]
-    assert [grid[task[0][0]].L for task in tasks] == list(DEFAULT_GRIDS["lms"]["L"])
-    for task in tasks:
-        assert [grid[i].eta for i, _, _ in task] == list(etas)
-        assert all(r == 0 for _, r, _ in task)
+    for hs in _TASK_HORIZONS:
+        grid, tasks = _shipped_tasks("lms", "cv", hs)
+        assert ([grid[task[0][1]].L for task in tasks]
+                == list(DEFAULT_GRIDS["lms"]["L"]))
+        for task in tasks:
+            # Each horizon's 7 rates, horizon by horizon in listed order.
+            assert [(h, grid[i].eta) for h, i, _, _ in task] == [
+                (h, eta) for h in hs for eta in etas]
+            assert all(r == 0 for _, _, r, _ in task)
+
+
+def test_lms_grid_search_across_horizons_equals_one_horizon_calls(monkeypatch):
+    # The cross-validation batches of one L span every horizon: 3 rates x
+    # 4 horizons step as one learner of 12 slots. Each horizon's surface
+    # must be the one a grid search at that horizon alone gives: every
+    # mean by repr, the planted rate's divergence count, steps and
+    # quantities, and the chosen tuple. A slot stops at its own last
+    # anchor, so moving the record from the end of the cross-validation
+    # range on changes nothing.
+    record = _quick_record(seed=12)
+    partition = make_partition(record, "online_30_30")
+    moved = record.positions.copy()
+    moved[partition.cross_validation.stop:] += 500.0
+    tampered = MarkerRecord(positions=moved, sample_period=record.sample_period,
+                            label=record.label,
+                            breathing_class=record.breathing_class)
+    horizons = (0.1, 0.5, 1.0, 2.0)
+    grid = {"eta": (0.01, 1e300, 0.1), "L": (10, 30)}
+
+    def search(rec, hs):
+        cfg = ExperimentConfig(
+            algorithm="lms", horizons_s=hs, data_manifest="x", out_dir="y",
+            grid=grid, n_cv=2, n_test=1, master_seed=4,
+        )
+        with pytest.warns(UserWarning, match="excluded"):
+            return grid_search("lms", rec, hs, cfg)
+
+    slots = []
+    real = harness._run_online
+    monkeypatch.setattr(harness, "_run_online",
+                        lambda *a: slots.append(len(a[3])) or real(*a))
+    together = search(record, horizons)
+    assert slots == [12, 12]
+    # By repr: the planted rate's mean is NaN, which equals nothing.
+    assert repr(search(tampered, horizons)) == repr(together)
+    for h_s in horizons:
+        (alone,) = search(record, (h_s,)).values()
+        cv = together[h_s]
+        assert cv.chosen == alone.chosen
+        assert len(cv.entries) == len(alone.entries) == 6
+        for entry, want in zip(cv.entries, alone.entries):
+            assert entry.hyper == want.hyper
+            assert repr(entry.mean_rmse) == repr(want.mean_rmse)
+            assert (entry.n_diverged, entry.n_runs) == (want.n_diverged, want.n_runs)
+            assert entry.diverged_at == want.diverged_at
+            assert entry.diverged_quantity == want.diverged_quantity
+            assert entry.n_diverged == (entry.hyper.eta == 1e300)
+
+
+def test_lms_batch_ended_by_its_last_live_slots_keeps_the_stopped_ones(
+    monkeypatch,
+):
+    # Two rates at h = 2 steps, listed first, and at h = 1: the h = 2 slots
+    # stop one anchor before the stream ends. At the last anchor the h = 1
+    # slots are fed overflowing targets, so they diverge there and, as the
+    # last live slots, end the stream with a NonFiniteError. The stopped
+    # slots keep their runs, bit for bit their runs alone, and only the
+    # h = 1 slots are recorded.
+    record = _quick_record(seed=12)
+    partition = make_partition(record, "online_30_30")
+    scoring = partition.cross_validation
+    hypers = (HyperChoice(eta=0.01, L=10), HyperChoice(eta=0.1, L=10)) * 2
+    last = scoring.stop - 10 - 1
+    real = harness._lms_learner
+
+    def learner(etas, m, p, diverged, lasts):
+        step = real(etas, m, p, diverged, lasts)
+        n_steps = 0
+
+        def spiked(u, y_star):
+            nonlocal n_steps
+            if n_steps == last:
+                y_star = y_star.copy()
+                y_star[2:] = 1e300
+            n_steps += 1
+            return step(u, y_star)
+
+        return spiked
+
+    with monkeypatch.context() as patched:
+        patched.setattr(harness, "_lms_learner", learner)
+        out = harness._run_online(
+            "lms", record, fit_normalizer(record, partition.train), hypers,
+            (2, 2, 1, 1), (0,) * 4, (scoring.start,) * 4, scoring.stop, False,
+        )
+    assert [run.diverged for run in out] == [False, False, True, True]
+    for run in out[2:]:
+        assert (run.diverged_at, run.diverged_quantity) == (last, "loss")
+    for run, hyper in zip(out[:2], hypers):
+        alone = run_sequence_online("lms", record, partition, hyper, 2, seed=0,
+                                    scoring_range=scoring)
+        assert run.trace.pred.tobytes() == alone.trace.pred.tobytes()
 
 
 def test_grid_search_and_evaluate_reject_another_algorithms_config(

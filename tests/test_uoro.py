@@ -849,7 +849,6 @@ def test_uoro_step_update_never_exceeds_eta_tau(case):
     ab_norm = math.hypot(*memory.theta_tilde[:n_ab])
     grad_norm = math.hypot(abs(c) * ab_norm, math.hypot(*grad_c))
     tau = grad_norm * tau_scale if grad_norm else 1.0
-    hyper = UoroHyper(eta=eta, tau=tau, sigma_init=0.02, L=1, q=dims.q)
     eta_s = eta * min(1.0, tau / grad_norm) if grad_norm else eta
     low, high = _RULE_RANGE
     assume(grad_norm < 2.0 ** 511)
@@ -858,6 +857,9 @@ def test_uoro_step_update_never_exceeds_eta_tau(case):
                for v in (ab_norm, math.hypot(*grad_c), grad_norm)))
     assume(all(v == 0.0 or low <= v <= high
                for v in (tau, eta * tau, eta_s, eta_s * abs(c))))
+    # Built after the assumptions: a subnormal grad_norm, which they
+    # reject, can round tau to 0, which UoroHyper refuses.
+    hyper = UoroHyper(eta=eta, tau=tau, sigma_init=0.02, L=1, q=dims.q)
     got = uoro_step(params, x, memory, u, y_star, hyper, None,
                     nu=np.ones(dims.q))
     before = flatten_params(params).tolist()
