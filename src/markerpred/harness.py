@@ -65,11 +65,7 @@ from pathlib import Path
 import numpy as np
 
 import markerpred
-from markerpred.baselines import (
-    _lms_rates,
-    fit_linreg,
-    no_prediction,
-)
+from markerpred.baselines import _lms_rates, fit_linreg
 from markerpred.metrics import (
     CiSummary,
     MetricSet,
@@ -78,21 +74,35 @@ from markerpred.metrics import (
     ci_per_condition,
     compute_metrics,
 )
-from markerpred.rnn import _FINITE_BOUND, NonFiniteError, RnnDims, init_params
-from markerpred.rtrl import RtrlWorkspace, init_influence, rtrl_step
+from markerpred.rnn import (
+    _FINITE_BOUND,
+    NonFiniteError,
+    RnnDims,
+    RnnParams,
+    init_params,
+)
+from markerpred.rtrl import RtrlWorkspace, rtrl_update
 from markerpred.signal import (
     MarkerRecord,
     Normalizer,
     Partition,
     _design,
+    _design_blocks,
     design_matrix,
     fit_normalizer,
-    iter_windows,
     load_record,
     make_partition,
     whole_steps,
 )
-from markerpred.uoro import UoroHyper, UoroWorkspace, init_memory, uoro_step
+# uoro_step, the pure step the UORO learner's chain equals, is bound here
+# only for the benchmark's tracer test (perfbench/tests), which checks that
+# the tracer restores it in this module.
+from markerpred.uoro import (  # noqa: F401
+    UoroWorkspace,
+    init_memory,
+    uoro_step,
+    uoro_update,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -466,50 +476,90 @@ def _online_learner(
     raises NonFiniteError when the learner goes non-finite. Weights are
     drawn from `seed`, UORO's signs from [seed, 1].
 
-    Each learner owns one workspace and steps in place (see the uoro and
-    rtrl module docstrings); every y it returns is a fresh array. The UORO
-    learner draws its signs _SIGN_BLOCK steps ahead, which gives the signs
-    of one draw per step (see the uoro module docstring). LMS learners are
-    `_lms_learner`'s.
+    A learner is the split step of the uoro and rtrl modules without the
+    pure step's per-call work. At construction it builds its dimensions
+    (which checks m and p) and one workspace. Each step runs the forward
+    pass inline, as `rnn.forward`'s three products, add and tanh over the
+    same operands in the same order, then the update kernel
+    (`uoro.uoro_update` or `rtrl.rtrl_update`), which steps the weights
+    and the memory or influence in place in the workspace. The first step
+    starts from `init_params`' C-order matrices and UORO's `init_memory`
+    or a zeroed influence buffer of the workspace; every later one from
+    the workspace's weights and memory or influence. It checks no shape per step and
+    builds no result object; its chain is the pure `uoro_step` or
+    `rtrl_step` chain bit for bit. Every y it returns is a fresh array.
+    The UORO learner draws its signs _SIGN_BLOCK steps ahead, which gives
+    the signs of one draw per step (see the uoro module docstring).
+
+    `step.state()` gives the number of steps taken and the current
+    weights. LMS learners are `_lms_learner`'s.
     """
     dims = RnnDims(q=hyper.q, m=m, p=p)
     params = init_params(dims, hyper.sigma_init, seed)
+    w_a, w_b, w_c = params.w_a, params.w_b, params.w_c
     x = np.zeros(dims.q)
+    eta, tau = hyper.eta, CLIP_TAU
+    n_steps = 0
     if algorithm == "uoro":
-        memory = init_memory(dims)
-        uoro_hyper = UoroHyper(
-            eta=hyper.eta, tau=CLIP_TAU, sigma_init=hyper.sigma_init,
-            L=hyper.L, q=hyper.q,
-        )
-        nu_rng = np.random.default_rng([seed, 1])
         workspace = UoroWorkspace(dims)
-        signs, n_used = None, _SIGN_BLOCK
+        # The first step reads init_memory's fresh zeros, as the pure chain
+        # does, and writes the workspace's memory. Zeroing the workspace's
+        # memory instead gives the same bits, but uoro-protocol's
+        # peak_rss_mb read about 0.15 MB higher: the freed zeros leave the
+        # heap a |W|-sized hole that later arrays reuse.
+        memory = init_memory(dims)
+        x_tilde, theta_tilde = memory.x_tilde, memory.theta_tilde
+        nu_rng = np.random.default_rng([seed, 1])
+        signs = None
 
         def step(u, y_star):
-            nonlocal params, x, memory, signs, n_used
-            if n_used == _SIGN_BLOCK:
+            nonlocal params, w_a, w_b, w_c, x, x_tilde, theta_tilde, signs
+            nonlocal n_steps
+            j = n_steps % _SIGN_BLOCK
+            if not j:
                 signs = 2.0 * nu_rng.integers(0, 2, size=(_SIGN_BLOCK, dims.q)) - 1.0
-                n_used = 0
-            result = uoro_step(params, x, memory, u, y_star, uoro_hyper, nu_rng,
-                               nu=signs[n_used], workspace=workspace)
-            n_used += 1
-            params, x, memory = result.params, result.x, result.memory
-            return result.y, result.loss
+            wb_u = w_b @ u
+            z = w_a @ x
+            z += wb_u
+            x_next = np.tanh(z, out=z)
+            y = w_c @ x_next
+            loss_value = uoro_update(workspace, params, x, x_tilde,
+                                     theta_tilde, u, y_star, wb_u, x_next, y,
+                                     signs[j], eta, tau)
+            n_steps += 1
+            x = x_next
+            if params is not workspace.weights:
+                params = workspace.weights
+                w_a, w_b, w_c = params.w_a, params.w_b, params.w_c
+                x_tilde = workspace.memory.x_tilde
+                theta_tilde = workspace.theta_tilde
+            return y, loss_value
+    else:
+        workspace = RtrlWorkspace(dims)
+        influence = workspace.influence[1]
+        influence.fill(0.0)
 
-        return step
+        def step(u, y_star):
+            nonlocal params, w_a, w_b, w_c, x, influence, n_steps
+            wb_u = w_b @ u
+            z = w_a @ x
+            z += wb_u
+            x_next = np.tanh(z, out=z)
+            y = w_c @ x_next
+            loss_value = rtrl_update(workspace, params, x, influence, u,
+                                     y_star, x_next, y, eta, tau)
+            n_steps += 1
+            x = x_next
+            influence = workspace.influence[workspace.next_slot(influence)]
+            if params is not workspace.weights:
+                params = workspace.weights
+                w_a, w_b, w_c = params.w_a, params.w_b, params.w_c
+            return y, loss_value
 
-    influence = init_influence(dims)
-    workspace = RtrlWorkspace(dims)
+    def state() -> tuple[int, RnnParams]:
+        return n_steps, params
 
-    def step(u, y_star):
-        nonlocal params, x, influence
-        result = rtrl_step(
-            params, x, influence, u, y_star, eta=hyper.eta, tau=CLIP_TAU,
-            workspace=workspace,
-        )
-        params, x, influence = result.params, result.x, result.influence
-        return result.y, result.loss
-
+    step.state = state
     return step
 
 
@@ -709,8 +759,8 @@ def run_sequence_online(
     k_min = _first_scored_step(algorithm, record, hyper, h, scoring)
 
     if algorithm == "none":
-        pred = np.stack([no_prediction(record, h, k - h)
-                         for k in range(k_min, scoring.stop)])
+        # The rows `no_prediction` holds: step k's is step k - h's position.
+        pred = record.positions[k_min - h : scoring.stop - h].copy()
         return RunResult(trace=_trace_from_steps(record, pred, k_min))
 
     normalizer = fit_normalizer(record, partition.train)
@@ -759,8 +809,8 @@ def _run_online(
     """The online loop: the runs of one task (`_task_list`), one slot
     each with the horizon hs[s] in steps, the seed seeds[s] and the first
     scored step k_mins[s] of that slot, over one window stream of the
-    record, each scoring the predictions of its steps k_mins[s] to
-    stop - 1, as `run_sequence_online` states. The hypers share L. LMS
+    record (`_window_stream`), each scoring the predictions of its steps
+    k_mins[s] to stop - 1, as `run_sequence_online` states. The hypers share L. LMS
     runs any number of slots as one batch (`_lms_learner`); a UORO or
     RTRL run is one slot.
 
@@ -787,22 +837,13 @@ def _run_online(
     else:
         (hyper,), (seed,) = hypers, seeds
         step = _online_learner(algorithm, hyper, p * L, p, seed)
-    targets = offsets = None
-    if max(hs) > h:
-        # Row k is step k normalized, as the stream's targets are; the
-        # rows past stop - 1 are NaN.
-        targets = np.full((stop + max(hs) - h, p), math.nan)
-        targets[:stop] = normalizer.normalize(record.positions[:stop]).reshape(stop, p)
-        offsets = np.array(hs) + (L - 1)
     # Row n - first of pred holds each slot's prediction at anchor n.
     pred = np.empty((last_n + 1 - first, len(hypers), p))
     losses = np.empty((last_n + 1, len(hypers))) if collect_loss else None
     with np.errstate(over="ignore", invalid="ignore"):
-        for sample in iter_windows(record, normalizer, L, h, range(last_n + 1)):
-            n = sample.time_index
-            y_star = sample.target if targets is None else targets[n + offsets]
+        for n, u, y_star in _window_stream(record, normalizer, L, hs, stop):
             try:
-                y, loss = step(sample.u, y_star)
+                y, loss = step(u, y_star)
             except NonFiniteError as err:
                 # Every slot has gone. An LMS batch has recorded its slots;
                 # a one-slot UORO or RTRL learner has not.
@@ -830,6 +871,39 @@ def _run_online(
                 loss_start=lag if collect_loss else None,
             ))
     return results
+
+
+def _window_stream(
+    record: MarkerRecord, normalizer: Normalizer, L: int, hs: tuple[int, ...],
+    stop: int,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The stream `_run_online` steps its learner on, as (n, u, y_star)
+    for each anchor n from 0 to stop - L - min(hs): u is the input
+    anchored at n, and y_star its target at the shortest horizon when
+    every slot's horizon is that one, else the S x p targets of the S
+    slots' horizons hs, each row the record's step n + L + hs[s] - 1
+    normalized while that step is before stop, and NaN from there on.
+
+    u is a row of `signal._design_blocks`' block buffer, which the next
+    block overwrites, so the learner must not keep it past its step;
+    y_star is a row view too, of targets gathered once per block when
+    there are several horizons."""
+    h, p = min(hs), 3 * record.n_markers
+    offsets = None
+    if max(hs) > h:
+        # Row k is step k normalized, as the blocks' targets are; the
+        # rows past stop - 1 are NaN.
+        targets = np.full((stop + max(hs) - h, p), math.nan)
+        targets[:stop] = normalizer.normalize(record.positions[:stop]).reshape(stop, p)
+        offsets = np.array(hs) + (L - 1)
+    n = 0
+    for U, Y in _design_blocks(record, normalizer, L, h,
+                               range(stop - L - h + 1)):
+        if offsets is not None:
+            Y = targets[np.arange(n, n + len(U))[:, None] + offsets]
+        for u, y_star in zip(U, Y):
+            yield n, u, y_star
+            n += 1
 
 
 # ------------------------------ the task list ------------------------------

@@ -25,25 +25,34 @@ that row's weights; with d = tanh'(z) and the stacked input v = [x; u],
 they are the q x (q+m+1) matrix d v^T, which the view
 `rnn._ab_diagonal` places in the flat layout.
 
-A step runs on an `RtrlWorkspace`, the per-run plan of the step: the
-weight and gradient buffers of `Workspace`, and two influence buffers,
-each with its `_ab_diagonal` view, which recursion (i) adds d v^T into.
-The step forms d v^T as one BLAS product of a column and a row in the
-gradient buffer, before (ii) writes the gradient there, and forms the
-x_next e^T it subtracts from the W_c block of (ii) the same way: each
-entry is the one rounded product of numpy's outer product, but an exact
-zero is +0, never -0, which changes no sum the step forms.
-The new influence goes into the buffer the input influence is not in,
+A step is split in two: the forward pass, and the update kernel
+`rtrl_update`, which takes the forward pass's x_next and y, runs (i), (ii)
+and clipped SGD in place in an `RtrlWorkspace`, and returns the loss.
+`rtrl_step` is the pure step: it checks its inputs, calls `rnn.forward`
+and the kernel, and returns an `RtrlStepResult`. The harness's learner
+(`harness._online_learner`) checks its shapes once, runs the forward pass
+inline, as the same products, add and tanh over the same operands, and
+calls the kernel, so its chain is the pure chain bit for bit.
+
+The workspace is the per-run plan of the step: the weight and gradient
+buffers of `Workspace`, and two influence buffers, each with its
+`_ab_diagonal` view, which recursion (i) adds d v^T into. The kernel
+forms d v^T as one BLAS product of a column and a row in the gradient
+buffer, before (ii) writes the gradient there, and forms the x_next e^T
+it subtracts from the W_c block of (ii) the same way: each entry is the
+one rounded product of numpy's outer product, but an exact zero is +0,
+never -0, which changes no sum the step forms. The new influence goes
+into the buffer the input influence is not in (`RtrlWorkspace.next_slot`),
 since a matrix product cannot write over its operand, so a learner's
-influence alternates between the two. The step reads the input weights
-(the forward pass, recursion (i) and the gradient (ii)), then clips as
-every trained step does (`rnn._clipped_rate`): it scales the gradient
-buffer into the update once and writes it with `Workspace.apply_update`,
-as `uoro_step` does. Like `uoro_step` it calls `rnn.forward` but runs the
-loss and `grad_x_loss` inline. A learner allocates one workspace per run;
-called without one, `rtrl_step` builds a fresh one, so it writes to none
-of its inputs, and the two calls run one body. As in UORO, the first step
-must be given `init_params`' C-order matrices themselves, since a
+influence alternates between the two. The kernel reads the input weights
+(recursion (i) and the gradient (ii)), then clips as every trained step
+does (`rnn._clipped_rate`): it scales the gradient buffer into the update
+once and writes it with `Workspace.apply_update`, as `uoro_update` does.
+It runs the loss and `grad_x_loss` inline. A learner allocates one
+workspace per run and starts from a zeroed influence buffer of it; called
+without one, `rtrl_step` builds a fresh one, so it writes to none of its
+inputs, and the two calls run one kernel. As in UORO, the first step must
+be given `init_params`' C-order matrices themselves, since a
 matrix-vector product over a column-major matrix rounds differently.
 """
 
@@ -72,6 +81,7 @@ __all__ = [
     "jac_state_x",
     "jac_state_theta",
     "rtrl_step",
+    "rtrl_update",
 ]
 
 
@@ -99,6 +109,11 @@ class RtrlWorkspace(Workspace):
         super().__init__(dims)
         self.diagonals = tuple(_ab_diagonal(m, dims) for m in self.influence)
         self.grad_dv = self.grad[: dims.n_ab].reshape(self.diagonals[0].shape)
+
+    def next_slot(self, influence: np.ndarray) -> int:
+        """k such that a step from `influence` writes its new influence
+        into influence[k]: 1 when `influence` is influence[0], else 0."""
+        return 1 if influence is self.influence[0] else 0
 
 
 def init_influence(dims: RnnDims) -> np.ndarray:
@@ -196,13 +211,39 @@ def rtrl_step(
             f"influence has shape {influence.shape}, "
             f"expected ({dims.q}, {dims.n_params})"
         )
-    w_a, w_c = params.w_a, params.w_c
-    k = 1 if influence is workspace.influence[0] else 0
-    new_influence, diagonal = workspace.influence[k], workspace.diagonals[k]
-
-    # Forward pass, then `loss`.
     cache = forward(params, x, u)
-    x_next, y = cache.x_next, cache.y
+    loss_value = rtrl_update(workspace, params, x, influence, u, y_star,
+                             cache.x_next, cache.y, eta, tau)
+    return RtrlStepResult(workspace.weights, cache.x_next,
+                          workspace.influence[workspace.next_slot(influence)],
+                          cache.y, loss_value)
+
+
+def rtrl_update(
+    workspace: RtrlWorkspace,
+    params: RnnParams,
+    x: np.ndarray,
+    influence: np.ndarray,
+    u: np.ndarray,
+    y_star: np.ndarray,
+    x_next: np.ndarray,
+    y: np.ndarray,
+    eta: float,
+    tau: float,
+) -> float:
+    """The update kernel of an RTRL step, after the forward pass from
+    weights `params` and state x on input u gave x_next and y: the loss,
+    recursion (i), the gradient (ii) and clipped SGD. Writes the new
+    influence into workspace.influence[k], k = `workspace.next_slot`
+    (influence), and the new weights into `workspace.weights`, and returns
+    the loss.
+
+    The caller checks eta, tau and the shapes: `rtrl_step` on every call,
+    a learner once. The clip rule is `rtrl_step`'s.
+
+    Raises:
+        NonFiniteError: as `rtrl_step`.
+    """
     e = y_star - y
     loss_value = 0.5 * float(e.dot(e))
     if not math.isfinite(loss_value):
@@ -214,8 +255,10 @@ def rtrl_step(
     # the entries `jac_state_theta` fills, instead of as a dense q x |W|
     # matrix. d v^T is a BLAS product formed in the gradient buffer, which
     # (ii) overwrites next.
+    k = workspace.next_slot(influence)
+    new_influence, diagonal = workspace.influence[k], workspace.diagonals[k]
     d = 1.0 - x_next * x_next
-    np.matmul(d[:, None] * w_a, influence, out=new_influence)
+    np.matmul(d[:, None] * params.w_a, influence, out=new_influence)
     v = np.concatenate((x, u), out=workspace.v)
     np.dot(d[:, None], v[None, :], out=workspace.grad_dv)
     diagonal += workspace.grad_dv
@@ -223,10 +266,10 @@ def rtrl_step(
     # The row vector is `grad_x_loss`. delta_theta is non-zero only in the
     # W_c block, so it is added into that block alone (`grad_wc`, W_c
     # transposed) by subtracting x_next e^T, a BLAS product as in
-    # uoro_step. Adding the dense vector would turn a -0.0 in the W_a/W_b
+    # uoro_update. Adding the dense vector would turn a -0.0 in the W_a/W_b
     # blocks into +0.0; the two differ only for a weight that is exactly
     # -0.0.
-    grad = np.matmul(-(e @ w_c), new_influence, out=workspace.grad)
+    grad = np.matmul(-(e @ params.w_c), new_influence, out=workspace.grad)
     grad_wc = workspace.grad_wc
     grad_wc -= np.dot(x_next[:, None], e[None, :])
 
@@ -242,8 +285,7 @@ def rtrl_step(
             raise NonFiniteError("influence")
         raise NonFiniteError("gradient")
 
-    # Clipped SGD, in place, by the clip rule (see `rtrl_step`).
-    grad *= _clipped_rate(eta, tau, grad_norm, dims.n_params)
-    new_params = workspace.apply_update(params)
-
-    return RtrlStepResult(new_params, x_next, new_influence, y, loss_value)
+    # Clipped SGD, by the clip rule (see `rtrl_step`).
+    grad *= _clipped_rate(eta, tau, grad_norm, workspace.dims.n_params)
+    workspace.apply_update(params)
+    return loss_value

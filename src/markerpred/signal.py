@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +59,12 @@ SCALE_FLOOR_MM = 1e-6
 _TRAIN_CV_END_S = 60.0
 _ONLINE_TRAIN_END_S = 30.0
 _OFFLINE_TRAIN_END_S = 54.0
+
+# Anchors per block of `_design_blocks`, the block `iter_windows` and the
+# harness's online loop read. The block buffer is live for a whole run: at
+# L = 90, blocks of 16 (104 KB) raised uoro-protocol's peak_rss_mb by about
+# 0.1 MB, and blocks of 8 kept it at the per-example stream's.
+_WINDOW_BLOCK = 8
 
 # A duration names a whole number of steps when its step count lies this
 # close to an integer, relative to the count.
@@ -387,37 +392,73 @@ def iter_windows(
 ) -> Iterator[WindowedSample]:
     """The forecasting examples anchored at each step of `anchors`, in order.
 
-    The record span the examples read, from the first anchor to the last
-    target, is normalized once. The (L, n_M, 3) window at anchor n is one
-    contiguous run of that span flattened, so each input is the bias 1
-    followed by a copy of that run, and each target a copy of its row;
-    every example gets arrays of its own. `build_io` is the one-anchor
+    The examples are the rows of `_design_blocks`' blocks, each input and
+    target copied into arrays of its own. `build_io` is the one-anchor
     case. Arguments are checked at the call, before any example is made.
 
     Raises:
         ValueError: L < 1, h < 1, or an anchor < 0.
         IndexError: the last window's target falls outside the record.
     """
-    span = _normalized_span(record, normalizer, L, h, anchors)
-    return _windows(*span, 3 * record.n_markers, L, h, anchors)
+    blocks = _design_blocks(record, normalizer, L, h, anchors)
+    lag = L + h - 1
+    rows = (row for U, Y in blocks for row in zip(U, Y))
+    return (
+        WindowedSample(u=u.copy(), target=target.copy(), time_index=n,
+                       target_index=n + lag)
+        for n, (u, target) in zip(anchors, rows)
+    )
 
 
-def _windows(
-    flat: np.ndarray, first: int, c: int, L: int, h: int, anchors: range
-) -> Iterator[WindowedSample]:
-    """Slice the examples of `iter_windows` out of its normalized span,
-    `flat`, whose row k (c = 3 * n_M entries) is record step first + k."""
-    width = L * c
-    for n in anchors:
-        i = (n - first) * c
-        u = np.empty(1 + width)
-        u[0] = 1.0
-        u[1:] = flat[i : i + width]
-        t = i + (L + h - 1) * c
-        yield WindowedSample(
-            u=u, target=flat[t : t + c].copy(), time_index=n,
-            target_index=n + L + h - 1,
-        )
+def _design_blocks(
+    record: MarkerRecord, normalizer: Normalizer, L: int, h: int,
+    anchors: range, size: int = _WINDOW_BLOCK,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The examples anchored at each step of `anchors` as designs of at
+    most `size` consecutive anchors each, in order: row i of U and Y is the
+    input u and the target of the block's i-th example.
+
+    The record span the examples read, from the first anchor to the last
+    target, is normalized once. The (L, n_M, 3) window at anchor n is one
+    contiguous run of that span flattened, so U is the bias column of 1s
+    beside the runs, copied from a strided view of the span, and Y is a
+    view of the span's target rows. U is one buffer, which each block
+    overwrites: a consumer must be done with a block's rows, or have
+    copied them, before it asks for the next block. Arguments are checked
+    at the call, before any block is made.
+
+    Raises:
+        ValueError: L < 1, h < 1, or an anchor < 0.
+        IndexError: the last window's target falls outside the record.
+    """
+    flat, first = _normalized_span(record, normalizer, L, h, anchors)
+    return _blocks(flat, first, 3 * record.n_markers, L, h, anchors, size)
+
+
+def _blocks(
+    flat: np.ndarray, first: int, c: int, L: int, h: int, anchors: range,
+    size: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Serve `_design_blocks`' blocks out of its normalized span, `flat`,
+    whose row k (c = 3 * n_M entries) is record step first + k."""
+    if not anchors:
+        return
+    n_rows = flat.size // c
+    # Row j of `windows` is the window anchored at step first + j.
+    windows = np.ndarray((n_rows - L + 1, L * c), buffer=flat,
+                         strides=(c * flat.itemsize, flat.itemsize))
+    targets = flat.reshape(n_rows, c)[L + h - 1 :]
+    U = np.empty((min(size, len(anchors)), 1 + L * c))
+    U[:, 0] = 1.0
+    for i in range(0, len(anchors), size):
+        block = anchors[i : i + size]
+        stop = block.stop - first
+        # A descending range's last block runs down to row 0.
+        rows = slice(block.start - first, stop if stop >= 0 else None,
+                     block.step)
+        k = len(block)
+        U[:k, 1:] = windows[rows]
+        yield U[:k], targets[rows]
 
 
 def design_matrix(
@@ -427,9 +468,7 @@ def design_matrix(
     one least-squares design: row n of U is the input u and row n of Y the
     target of the example anchored at step n.
 
-    It reads the same normalized span as `iter_windows`; U's bias column
-    is filled, and the windows are copied into the rest of U at once from
-    a strided view of the span.
+    It is the one block of `_design_blocks` over those anchors.
 
     Raises:
         ValueError: L < 1 or h < 1.
@@ -443,15 +482,12 @@ def _design(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`design_matrix` over the anchors of `anchors`, a range of step 1:
     row i of U and Y is the example anchored at step anchors[i]."""
-    flat, _ = _normalized_span(record, normalizer, L, h, anchors)
-    c = 3 * record.n_markers
-    U = np.empty((len(anchors), 1 + L * c))
+    blocks = _design_blocks(record, normalizer, L, h, anchors,
+                            max(len(anchors), 1))
     if not anchors:
-        return U, np.empty((0, c))
-    U[:, 0] = 1.0
-    U[:, 1:] = sliding_window_view(flat, L * c)[::c][: len(anchors)]
-    lag = L + h - 1
-    return U, flat.reshape(-1, c)[lag : lag + len(anchors)]
+        c = 3 * record.n_markers
+        return np.empty((0, 1 + L * c)), np.empty((0, c))
+    return next(blocks)
 
 
 def build_io(
@@ -461,14 +497,22 @@ def build_io(
 
     The input stacks the normalized coordinates of steps n .. n+L-1 behind
     a leading bias 1; the target is the normalized coordinate vector at
-    step n + L + h - 1. This is `iter_windows` over the single anchor n,
-    with its checks and messages.
+    step n + L + h - 1. This is `iter_windows`' example at the single
+    anchor n, with its checks and messages, read straight from the span
+    without a block: the span of one anchor is the window followed by the
+    rows up to the target.
 
     Raises:
         ValueError: L < 1, h < 1, or n < 0.
         IndexError: the window or target falls outside the record.
     """
-    return next(iter_windows(record, normalizer, L, h, range(n, n + 1)))
+    flat, _ = _normalized_span(record, normalizer, L, h, range(n, n + 1))
+    c = 3 * record.n_markers
+    u = np.empty(1 + L * c)
+    u[0] = 1.0
+    u[1:] = flat[: L * c]
+    return WindowedSample(u=u, target=flat[-c:].copy(), time_index=n,
+                          target_index=n + L + h - 1)
 
 
 def whole_steps(duration_s: float, sample_period: float, name: str) -> int:

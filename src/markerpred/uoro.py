@@ -37,7 +37,7 @@ One training step runs, in this fixed order:
                                clip factor s = min(1, tau' / ||g||)
 
 Step 4 deliberately uses the pre-update memory; moving it after step 9
-changes the estimator. `uoro_step` runs stage 10 right after stage 6,
+changes the estimator. The kernel runs stage 10 right after stage 6,
 which changes no value: SGD reads only the gradient and the weights, and
 stages 7-9 none of its outputs. Stages 3-4 and 10 are closed forms that
 never form g as a |W| vector. g's [W_a | W_b] block is c theta_tilde_ab,
@@ -63,31 +63,38 @@ tests check them against finite differences, brute-force Jacobians and the
 norm of the formed vector, and compose them into a step that `uoro_step`
 must match bit for bit. The step that formed g and clipped it with
 `rnn.clip_gradient` stays in the tests as an oracle, met one step at a
-time within a measured tolerance. `uoro_step` runs the same arithmetic in
-the same order as one body
-that calls one helper per step, `rnn.forward`: the operations of
-`rnn.loss`, `grad_x_loss` and `delta_theta_g_norm` are written inline, so
-that a step pays the dispatch of each numpy operation only, which at small
-q is most of its cost. The forward pass stays a call, and its `StepCache`
-the one object a step builds besides its result, because perfbench's
-tracer times the forward pass as its own layer through that call. The step
-makes few passes over the |W|-length vectors: one dot over
-theta_tilde_ab, one multiply of it into the spent gradient buffer and one
-subtraction for SGD, then the outer product dtheta_g / rho1, the scaling
-of theta_tilde and one add for the memory. It forms the direct gradient
-in the W_c block alone, its only non-zero block, by subtracting x_next e^T
-from W_c transposed, writes dtheta_g / rho1 as its [W_a | W_b] block
-alone (x_next e^T and dtheta_g / rho1 are each one BLAS product of a
-column and a row: each entry is the one rounded product, an exact zero
-+0), adds it into theta_tilde's [W_a | W_b] rows (theta_tilde's W_c
-block is only scaled; from `init_memory` on it is +0.0, as adding the
-zero block would leave it, but a pure call may be handed any W_c block),
-shares W_b u between stages 1 and 6, takes tanh'(z) as 1 - x_next^2,
-computes each norm once, and checks the gradient, x_tilde and the new
-theta_tilde for finiteness through norms it already has (or, for x_tilde,
-its squared norm), scanning an array only when such a norm is not
-finite; the gradient's check never scans, and theta_tilde is scanned
-only when its squared norm is not finite (see `uoro_step`).
+time within a measured tolerance.
+
+A step is split in two: stage 1, the forward pass, and stages 2-10, the
+update kernel `uoro_update`. The kernel takes the forward pass's W_b u,
+x_next and y, steps the weights and the memory in place in a
+`UoroWorkspace`, and returns the loss. `uoro_step` is the pure step: it
+checks its inputs, calls `rnn.forward` and the kernel, and returns a
+`UoroStepResult`. The harness's learner (`harness._online_learner`) checks
+its shapes once, runs the forward pass inline, as the same three
+products, add and tanh over the same operands, and calls the kernel, so
+its chain is the pure chain bit for bit.
+
+The kernel writes the operations of `rnn.loss`, `grad_x_loss` and
+`delta_theta_g_norm` inline, so that at small q a step pays the dispatch
+of each numpy operation only, which is most of its cost there. It makes
+few passes over the |W|-length vectors: one dot over theta_tilde_ab, one
+multiply of it into the spent gradient buffer and one subtraction for
+SGD, then the outer product dtheta_g / rho1, the scaling of theta_tilde
+and one add for the memory. It forms the direct gradient in the W_c block
+alone, its only non-zero block, by subtracting x_next e^T from W_c
+transposed, writes dtheta_g / rho1 as its [W_a | W_b] block alone
+(x_next e^T and dtheta_g / rho1 are each one BLAS product of a column and
+a row: each entry is the one rounded product, an exact zero +0), adds it
+into theta_tilde's [W_a | W_b] rows (theta_tilde's W_c block is only
+scaled; from `init_memory` on it is +0.0, as adding the zero block would
+leave it, but a pure call may be handed any W_c block), shares W_b u
+between stages 1 and 6, takes tanh'(z) as 1 - x_next^2, computes each
+norm once, and checks the gradient, x_tilde and the new theta_tilde for
+finiteness through norms it already has (or, for x_tilde, its squared
+norm), scanning an array only when such a norm is not finite; the
+gradient's check never scans, and theta_tilde is scanned only when its
+squared norm is not finite (see `uoro_step`).
 The normalizers of stage 8 are Python floats: math.sqrt and float division
 round as numpy's float64 scalars do (both are IEEE operations, correctly
 rounded), and ||nu|| is sqrt(q) because nu is +-1, so sum(nu * nu) is
@@ -97,33 +104,32 @@ ZeroDivisionError, so the step reports there the non-finite quantity the
 numpy form led to (rho0, or theta_tilde for a zero rho) without dividing.
 
 The guard eps of step 8 and the finite-difference step eps of step 6 are
-the module constants EPS_NORM and EPS_PROP, which `uoro_step` reads on
+the module constants EPS_NORM and EPS_PROP, which the kernel reads on
 every call.
 
-A step runs on a `UoroWorkspace`, the per-run plan of the step: three
+The kernel runs on a `UoroWorkspace`, the per-run plan of the step: three
 |W|-length buffers (the weights, the gradient and theta_tilde), the
 stacked input v, x_tilde, and every view and object of them the step
 uses, each built by the `rnn` helpers that define the flat layout, so the
-step does only the arithmetic and never indexes the layout itself. The
+kernel does only the arithmetic and never indexes the layout itself. The
 gradient buffer never holds g: its W_c block holds g_c, and its
-[W_a | W_b] block is scratch. The step reads the input weights (stages 1,
-4 and 6), then SGD writes (eta s c) theta_tilde_ab into that scratch,
-scales g_c by eta s in place and subtracts the whole buffer from the
-workspace's weights in place (`Workspace.apply_update`). Stage 7 then
-writes dtheta_g / rho1 over the scratch, and stage 9 x_tilde and theta_tilde
-over their old values, which no later stage reads. It returns the
-workspace's `UoroMemory`, built with it, so a step builds two objects
-only, the `StepCache` of `rnn.forward` and its result. A learner allocates one workspace per run and feeds the
-returned params and memory, which live in it, straight back into the
-next step, which overwrites both. Called without one, `uoro_step` builds
-a fresh workspace, so it writes to none of its inputs (it copies the
-input weights into its own buffer) and returns fresh arrays; the two
-calls run one body and are bit-identical. The new weights are
-column-major views of a flat buffer either way. The first step must be
-given `init_params`' C-order matrices themselves, not a column-major
-copy: a matrix-vector product over a column-major matrix rounds
-differently, so only the original layout reproduces the pure chain bit
-for bit.
+[W_a | W_b] block is scratch. The kernel reads the input weights (stages
+4 and 6, after the forward pass), then SGD writes (eta s c) theta_tilde_ab
+into that scratch, scales g_c by eta s in place and subtracts the whole
+buffer from the input weights into the workspace's weights
+(`Workspace.apply_update`). Stage 7 then writes dtheta_g / rho1 over the
+scratch, and stage 9 x_tilde and theta_tilde into the workspace's
+`memory`, over the input memory when it is that one, which no later stage
+reads. A learner allocates one workspace per run and, from its second
+step on, feeds the workspace's weights and memory straight back into the
+next step, which overwrites both. Called without one,
+`uoro_step` builds a fresh workspace, so it writes to none of its inputs
+and returns fresh arrays; the two calls run one kernel and are
+bit-identical. The new weights are column-major views of a flat buffer
+either way. The first step must be given `init_params`' C-order matrices
+themselves, not a column-major copy: a matrix-vector product over a
+column-major matrix rounds differently, so only the original layout
+reproduces the pure chain bit for bit.
 
 Stage 5 draws its signs from `rng`, q at a time, unless the caller passes
 them as `nu`. A learner draws them ahead in blocks, as
@@ -167,6 +173,7 @@ __all__ = [
     "delta_theta_g_norm",
     "tangent_propagate",
     "uoro_step",
+    "uoro_update",
 ]
 
 # Guard added inside and outside the normalizer square roots.
@@ -431,14 +438,13 @@ def uoro_step(
         hyper: learning rate, clip threshold and sizes.
         rng: source of the Rademacher draw; unused when `nu` is given.
         nu: sign vector replacing the draw (see stage 5 in the module
-            docstring): a learner passes the rows of the signs it drew in
-            blocks, and estimator tests resample or mirror nu explicitly.
-        workspace: buffers to step in place, as a learner does: the new
-            weights, x_tilde and theta_tilde are written into it, and
-            `params` and `memory` may be the ones it returned last step
-            (it overwrites both). Without it, the step builds a fresh one,
-            so every result is a fresh array and no input is written to.
-            After a step raises, the workspace holds no usable state.
+            docstring); estimator tests resample or mirror nu explicitly.
+        workspace: buffers to step in place: the new weights, x_tilde and
+            theta_tilde are written into it, and `params` and `memory` may
+            be the ones it returned last step (it overwrites both).
+            Without it, the step builds a fresh one, so every result is a
+            fresh array and no input is written to. After a step raises,
+            the workspace holds no usable state.
 
     Returns:
         UoroStepResult with updated params, state, memory, the prediction
@@ -447,7 +453,7 @@ def uoro_step(
 
     Raises:
         ValueError: x, u, y_star or nu, or the workspace, does not fit
-            the network.
+            the network; checked before the forward pass.
         NonFiniteError: a NaN or infinity appeared; the message names the
             first affected quantity (loss, gradient, normalizers, or the
             updated memory; see Finiteness above).
@@ -456,11 +462,48 @@ def uoro_step(
         # Fresh buffers: the step writes to none of its inputs.
         workspace = UoroWorkspace(params.dims)
     workspace.check(params, x, u, y_star)
-    x_tilde, theta_tilde = memory.x_tilde, memory.theta_tilde
-
-    # 1-2. forward pass, then `loss`; W_b u is reused in stage 6.
+    if nu is not None and nu.shape != x.shape:
+        raise ValueError(f"nu has shape {nu.shape}, expected {x.shape}")
     cache = forward(params, x, u)
-    x_next, y = cache.x_next, cache.y
+    loss_value = uoro_update(
+        workspace, params, x, memory.x_tilde, memory.theta_tilde, u, y_star,
+        cache.wb_u, cache.x_next, cache.y, nu, hyper.eta, hyper.tau, rng,
+    )
+    return UoroStepResult(workspace.weights, cache.x_next, workspace.memory,
+                          cache.y, loss_value)
+
+
+def uoro_update(
+    workspace: UoroWorkspace,
+    params: RnnParams,
+    x: np.ndarray,
+    x_tilde: np.ndarray,
+    theta_tilde: np.ndarray,
+    u: np.ndarray,
+    y_star: np.ndarray,
+    wb_u: np.ndarray,
+    x_next: np.ndarray,
+    y: np.ndarray,
+    nu: np.ndarray | None,
+    eta: float,
+    tau: float,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Stages 2-10 of a UORO step, the update kernel, after the forward
+    pass from weights `params` and state x on input u gave wb_u = W_b u,
+    x_next and y. Writes the new weights into `workspace.weights` and the
+    new x_tilde and theta_tilde into `workspace.memory` (x_tilde and
+    theta_tilde may be that memory's own arrays), and returns the loss.
+    nu is the sign vector; when it is None, stage 5 draws it from `rng`.
+
+    The caller checks the shapes: `uoro_step` on every call, a learner
+    once. The clip rule and the finiteness checks are `uoro_step`'s.
+
+    Raises:
+        NonFiniteError: as `uoro_step`. After it raises, the workspace
+            holds no usable state.
+    """
+    # 2. `loss`
     e = y_star - y
     loss_value = 0.5 * float(e.dot(e))
     if not math.isfinite(loss_value):
@@ -502,22 +545,19 @@ def uoro_step(
     # 5. sign draw
     if nu is None:
         nu = 2.0 * rng.integers(0, 2, size=x_next.size) - 1.0
-    elif nu.shape != x_next.shape:
-        raise ValueError(f"nu has shape {nu.shape}, expected {x_next.shape}")
 
     # 6. tangent propagation
-    shifted = np.tanh(params.w_a @ (x + EPS_PROP * x_tilde) + cache.wb_u)
+    shifted = np.tanh(params.w_a @ (x + EPS_PROP * x_tilde) + wb_u)
     x_fwd = (shifted - x_next) / EPS_PROP
 
-    # 10. clipped SGD, in place, by the clip rule (see `uoro_step`):
-    # theta_ab -= (eta s c) theta_tilde_ab through the [W_a | W_b] block of
-    # the gradient buffer, and W_c^T -= (eta s) g_c, as one subtraction.
-    # Stages 7-9 then reuse the gradient buffer.
-    eta_s = _clipped_rate(hyper.eta, hyper.tau, math.sqrt(grad_squares),
-                          dims.n_params)
+    # 10. clipped SGD, by the clip rule (see `uoro_step`): theta_ab -=
+    # (eta s c) theta_tilde_ab through the [W_a | W_b] block of the
+    # gradient buffer, and W_c^T -= (eta s) g_c, as one subtraction into
+    # the workspace's weights. Stages 7-9 then reuse the gradient buffer.
+    eta_s = _clipped_rate(eta, tau, math.sqrt(grad_squares), dims.n_params)
     np.multiply(theta_tilde_ab, eta_s * c, out=workspace.grad_ab_flat)
     grad_c *= eta_s
-    new_params = workspace.apply_update(params)
+    workspace.apply_update(params)
 
     # 7-8. rho1 comes first, from the closed-form norm of dtheta_g
     # (`delta_theta_g_norm` with a = tanh'(z) = 1 - x_next^2), so that
@@ -553,8 +593,7 @@ def uoro_step(
     # 9. memory update, in place: x_tilde, then theta_tilde
     # scaled by the reciprocal of rho0, with dtheta_g added into its
     # [W_a | W_b] rows only, since dtheta_g's W_c block is zero.
-    new_memory = workspace.memory
-    new_x_tilde = np.multiply(x_fwd, rho0, out=new_memory.x_tilde)
+    new_x_tilde = np.multiply(x_fwd, rho0, out=workspace.memory.x_tilde)
     new_x_tilde += rho1 * nu
     if (not math.isfinite(new_x_tilde.dot(new_x_tilde))
             and not np.isfinite(new_x_tilde).all()):
@@ -574,5 +613,4 @@ def uoro_step(
         or np.isfinite(new_theta_tilde).all()
     ):
         raise NonFiniteError("theta_tilde")
-
-    return UoroStepResult(new_params, x_next, new_memory, y, loss_value)
+    return loss_value

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from markerpred import harness, uoro
+from markerpred import harness, signal, uoro
 from markerpred.harness import (
     ALGORITHMS,
     CLIP_TAU,
@@ -53,6 +53,7 @@ from markerpred.rnn import NonFiniteError, RnnDims, flatten_params, init_params
 from markerpred.rtrl import init_influence, rtrl_step
 from markerpred.signal import (
     MarkerRecord,
+    build_io,
     design_matrix,
     fit_normalizer,
     iter_windows,
@@ -438,7 +439,7 @@ def test_scoring_range_past_the_record_is_rejected_before_any_step(
     message = (f"{algorithm}: scoring range {scoring} runs past the end of "
                f"the record, which has 800 steps")
     with monkeypatch.context() as patched:
-        for name in ("fit_normalizer", "no_prediction", "_online_learner",
+        for name in ("fit_normalizer", "_window_stream", "_online_learner",
                      "_lms_learner"):
             patched.setattr(harness, name, _no_step)
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -475,7 +476,7 @@ def test_scoring_range_without_a_reachable_target_is_rejected_before_any_step(
         message = (f"{algorithm}: scoring range {scoring} unreachable with "
                    f"L=10, h=5: the first reachable target is step {first}")
     with monkeypatch.context() as patched:
-        for name in ("fit_normalizer", "no_prediction", "_online_learner",
+        for name in ("fit_normalizer", "_window_stream", "_online_learner",
                      "_lms_learner"):
             patched.setattr(harness, name, _no_step)
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -690,7 +691,7 @@ def test_online_learner_equals_direct_step_chain(algorithm, hyper):
 
 
 def _spy(monkeypatch, name):
-    """Wrap harness.<name> (uoro_step or rtrl_step, which the learners
+    """Wrap harness.<name> (uoro_update or rtrl_update, which the learners
     call by that name) so that each call's result is appended to the list
     returned."""
     results = []
@@ -704,12 +705,14 @@ def _spy(monkeypatch, name):
     return results
 
 
-def _pure_chain(algorithm, hyper, m, p, seed, tau, oracle_gaps=None):
+def _pure_chain(algorithm, hyper, m, p, seed, tau, oracle_gaps=None,
+                kernel="closed form"):
     """A step function over the pure kernels, initialized as the learner:
-    the UORO closed form (`test_uoro._closed_form_uoro_step`), or
-    rtrl_step without a workspace. Each call returns the kernel's step
-    result. For UORO, each call also runs the formed-gradient oracle from
-    the same state and signs and appends its `_oracle_gaps` to the list
+    for UORO the closed form (`test_uoro._closed_form_uoro_step`), or with
+    kernel "pure" uoro_step without a workspace; for RTRL rtrl_step
+    without a workspace. Each call returns the kernel's step result. For
+    UORO, each call also runs the formed-gradient oracle from the same
+    state and signs and appends its `_oracle_gaps` to the list
     `oracle_gaps`, when one is given."""
     dims = RnnDims(q=hyper.q, m=m, p=p)
     params, x = init_params(dims, hyper.sigma_init, seed), np.zeros(hyper.q)
@@ -723,7 +726,9 @@ def _pure_chain(algorithm, hyper, m, p, seed, tau, oracle_gaps=None):
         if algorithm == "uoro":
             nu = 2.0 * nu_rng.integers(0, 2, size=hyper.q) - 1.0
             state = (params, x, memory, u, y_star, uoro_hyper, None)
-            out = _closed_form_uoro_step(*state, nu=nu)
+            uoro_kernel = (uoro_step if kernel == "pure"
+                           else _closed_form_uoro_step)
+            out = uoro_kernel(*state, nu=nu)
             if oracle_gaps is not None:
                 oracle_gaps.append(
                     _oracle_gaps(out, _reference_uoro_step(*state, nu=nu)))
@@ -757,7 +762,6 @@ def test_in_place_learner_equals_pure_chain_over_1000_steps(
     # the pure chain's byte for byte; each UORO step of the pure chain
     # meets the formed-gradient oracle within test_uoro's _ORACLE_RTOL.
     monkeypatch.setattr(harness, "CLIP_TAU", tau)
-    learner_steps = _spy(monkeypatch, f"{algorithm}_step")
     record = _quick_record(seed=4, duration=200.0)
     samples = iter_windows(record, fit_normalizer(record, range(300)), L, 4,
                            range(1000))
@@ -785,8 +789,8 @@ def test_in_place_learner_equals_pure_chain_over_1000_steps(
     # Every returned prediction is still its own: later steps wrote into
     # the workspace, never into an earlier y.
     assert np.stack(ys).tobytes() == np.stack(want_ys).tobytes()
-    assert len(ys) == len(learner_steps) == 1000
-    final = learner_steps[-1].params
+    n_steps, final = step.state()
+    assert len(ys) == n_steps == 1000
     for name in ("w_a", "w_b", "w_c"):
         assert (getattr(final, name).tobytes()
                 == getattr(want.params, name).tobytes())
@@ -885,6 +889,52 @@ def test_learners_stepped_alternately_equal_learners_stepped_alone(
             assert loss_value == want_loss
 
 
+# (L, horizons in steps, stop): 80 s at 10 Hz is 800 steps. The anchor
+# counts, stop - L - min(hs) + 1, are 793, 705 and 588: each crosses many
+# block edges, and none is a multiple of the block (8). The last case is
+# an LMS batch across horizons whose stream ends at the cross-validation
+# range's end, so the record goes on past stop.
+@pytest.mark.parametrize("L, hs, stop", [
+    (1, (7,), 800), (90, (6,), 800), (10, (8, 3, 20, 3), 600),
+])
+def test_window_stream_rows_equal_iter_windows(L, hs, stop):
+    # Every (u, y_star) row of the block stream is the example iter_windows
+    # makes at that anchor, byte for byte: u at the shortest horizon, and
+    # with several horizons each slot's target row at its own horizon,
+    # NaN past its last anchor, which is that of the example whose target
+    # is step stop - 1. iter_windows reads the same blocks, so its
+    # examples are held to build_io's, which assembles each one alone.
+    record = _quick_record(seed=2)
+    normalizer = fit_normalizer(record, range(300))
+    h = min(hs)
+    n_anchors = stop - L - h + 1
+    assert n_anchors > 2 * signal._WINDOW_BLOCK
+    assert n_anchors % signal._WINDOW_BLOCK
+    rows = [(n, u.copy(), y_star.copy()) for n, u, y_star
+            in harness._window_stream(record, normalizer, L, hs, stop)]
+    assert [n for n, _, _ in rows] == list(range(n_anchors))
+    want = list(iter_windows(record, normalizer, L, h, range(n_anchors)))
+    for (n, u, y_star), sample in zip(rows, want):
+        alone = build_io(record, normalizer, L, h, n)
+        assert sample.u.tobytes() == alone.u.tobytes()
+        assert sample.target.tobytes() == alone.target.tobytes()
+        assert u.tobytes() == sample.u.tobytes()
+        if len(set(hs)) == 1:
+            assert y_star.tobytes() == sample.target.tobytes()
+    if len(set(hs)) == 1:
+        return
+    for s, h_slot in enumerate(hs):
+        last = stop - L - h_slot
+        slot = list(iter_windows(record, normalizer, L, h_slot,
+                                 range(last + 1)))
+        assert slot[-1].target_index == stop - 1
+        for (n, _, y_star), sample in zip(rows, slot):
+            assert y_star[s].tobytes() == sample.target.tobytes()
+        tail = np.array([y_star[s] for n, _, y_star in rows[last + 1 :]])
+        assert len(tail) == n_anchors - 1 - last
+        assert np.isnan(tail).all()
+
+
 def _spiked_record(magnitude, k=400):
     """_quick_record with one coordinate at step k moved by magnitude mm."""
     base = _quick_record()
@@ -918,18 +968,28 @@ def test_in_place_learner_diverges_where_pure_chain_diverges(
                                    seed=3)
 
     in_place = run()
-    # The same harness loop over the pure kernels: the learner's calls
-    # with the workspace dropped.
-    for name in ("uoro_step", "rtrl_step"):
-        real = getattr(harness, name)
-        monkeypatch.setattr(
-            harness, name,
-            lambda *args, workspace=None, _real=real, **kw: _real(*args, **kw),
-        )
+    # The same harness loop over the pure chain: uoro_step or rtrl_step
+    # without a workspace, in place of the learner.
+    pure_steps = []
+
+    def pure_learner(algorithm, hyper, m, p, seed):
+        chain = _pure_chain(algorithm, hyper, m, p, seed, harness.CLIP_TAU,
+                            kernel="pure")
+
+        def step(u, y_star):
+            pure_steps.append(None)
+            out = chain(u, y_star)
+            return out.y, out.loss
+
+        return step
+
+    monkeypatch.setattr(harness, "_online_learner", pure_learner)
     pure = run()
     assert in_place.diverged and pure.diverged
     assert (in_place.diverged_at, in_place.diverged_quantity) == (at, quantity)
     assert (pure.diverged_at, pure.diverged_quantity) == (at, quantity)
+    # The pure chain ran every step, the one that raised included.
+    assert len(pure_steps) == at + 1
 
 
 @pytest.mark.parametrize("algorithm, hyper", [
@@ -938,16 +998,18 @@ def test_in_place_learner_diverges_where_pure_chain_diverges(
 ])
 def test_learner_calls_its_kernel_by_name_once_per_step(monkeypatch,
                                                          algorithm, hyper):
-    # perfbench's per-layer spans wrap harness.uoro_step and
-    # harness.rtrl_step, so every learner step must go through them.
-    calls = {name: _spy(monkeypatch, name) for name in ("uoro_step",
-                                                         "rtrl_step")}
+    # Every learner step runs its update kernel, uoro_update or
+    # rtrl_update, which the pure steps share, once, and returns the loss
+    # it computed; the other kernel never runs.
+    calls = {name: _spy(monkeypatch, name) for name in ("uoro_update",
+                                                         "rtrl_update")}
     record = _quick_record(seed=6)
     partition = make_partition(record, "online_30_30")
     out = run_sequence_online(algorithm, record, partition, hyper, h=4,
                               seed=0, collect_loss=True)
-    assert len(calls[f"{algorithm}_step"]) == len(out.losses) > 0
-    other = "rtrl_step" if algorithm == "uoro" else "uoro_step"
+    assert calls[f"{algorithm}_update"] == out.losses.tolist()
+    assert len(out.losses) > 0
+    other = "rtrl_update" if algorithm == "uoro" else "uoro_update"
     assert calls[other] == []
 
 

@@ -248,6 +248,40 @@ def test_workspace_buffers_start_on_a_cache_line(q, m, p):
         assert np.shares_memory(workspace.grad_wc, workspace.grad)
 
 
+@pytest.mark.parametrize("q, m, p", [(1, 1, 1), (5, 7, 2), (30, 90, 9)])
+@pytest.mark.parametrize("layout", ["C-order", "flat vector",
+                                    "column-major views alone"])
+def test_apply_update_on_other_weights_is_the_flat_subtraction(q, m, p,
+                                                               layout):
+    # Weights that are not the workspace's own, init_params' C-order
+    # matrices or another workspace's views with or without their flat
+    # vector, are subtracted from straight into the workspace's buffer:
+    # the bits of flat theta - grad, signs of zeros included, and the
+    # inputs unwritten.
+    dims = RnnDims(q=q, m=m, p=p)
+    params = init_params(dims, sigma_init=1.0, seed=3)
+    theta = flatten_params(params)
+    theta[::7] = -0.0
+    if layout == "C-order":
+        params = unflatten_params(theta, dims)
+        params = RnnParams(*(np.ascontiguousarray(w) for w in
+                             (params.w_a, params.w_b, params.w_c)))
+    else:
+        params = unflatten_params(theta.copy(), dims)
+        assert params.theta is not None
+        if layout != "flat vector":
+            params = RnnParams(params.w_a, params.w_b, params.w_c)
+    before = flatten_params(params).tobytes()
+    workspace = Workspace(dims)
+    workspace.grad[...] = np.random.default_rng(4).standard_normal(
+        dims.n_params)
+    workspace.grad[::5] = 0.0
+    new = workspace.apply_update(params)
+    assert new is workspace.weights
+    assert workspace.theta.tobytes() == (theta - workspace.grad).tobytes()
+    assert flatten_params(params).tobytes() == before
+
+
 def test_flatten_is_column_major():
     dims = RnnDims(q=2, m=1, p=1)
     params = init_params(dims, sigma_init=1.0, seed=0)

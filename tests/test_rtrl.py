@@ -30,6 +30,7 @@ from markerpred.rtrl import (
     jac_state_theta,
     jac_state_x,
     rtrl_step,
+    rtrl_update,
 )
 from markerpred.signal import build_io, fit_normalizer, synthetic_record
 from markerpred.uoro import delta_theta, grad_x_loss
@@ -659,3 +660,37 @@ def test_rtrl_step_rejects_negative_learning_rate(eta, tau):
     with pytest.raises(ValueError, match="need eta >= 0 and tau > 0"):
         rtrl_step(params, np.zeros(4), init_influence(dims), np.ones(4),
                   np.zeros(2), eta=eta, tau=tau)
+
+
+@pytest.mark.parametrize("q, L", [(1, 1), (5, 5), (8, 3)])
+def test_update_kernel_after_forward_is_the_pure_step(q, L):
+    # rnn.forward then rtrl_update, chained as the harness's learner runs
+    # them (one workspace, the influence starting from a zeroed buffer of
+    # it, the first step from init_params' C-order matrices), return the
+    # loss as a float and leave the weights and influence of the pure
+    # rtrl_step chain, byte for byte; the influence alternates between the
+    # workspace's two buffers.
+    record = synthetic_record(duration_s=200.0, seed=3)
+    normalizer = fit_normalizer(record, range(300))
+    samples = [build_io(record, normalizer, L, 5, n) for n in range(200)]
+    dims = RnnDims(q=q, m=samples[0].u.size - 1, p=samples[0].target.size)
+    workspace = RtrlWorkspace(dims)
+    influence = workspace.influence[1]
+    influence.fill(0.0)
+    params = init_params(dims, 0.02, 7)
+    x = np.zeros(q)
+    state = (params, x, init_influence(dims))
+    for i, sample in enumerate(samples):
+        cache = forward(params, x, sample.u)
+        loss_value = rtrl_update(workspace, params, x, influence, sample.u,
+                                 sample.target, cache.x_next, cache.y, 0.1,
+                                 CLIP_TAU)
+        want = rtrl_step(*state, sample.u, sample.target, 0.1, CLIP_TAU)
+        assert type(loss_value) is float
+        influence = workspace.influence[workspace.next_slot(influence)]
+        assert influence is workspace.influence[i % 2]
+        _assert_same_step(
+            RtrlStepResult(workspace.weights, cache.x_next, influence,
+                           cache.y, loss_value), want)
+        params, x = workspace.weights, cache.x_next
+        state = (want.params, want.x, want.influence)

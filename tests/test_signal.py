@@ -447,6 +447,22 @@ def test_iter_windows_equals_per_sample_reference(
         _assert_same_sample(build_io(record, norm, L, h, n), want)
 
 
+@pytest.mark.parametrize("anchors", [
+    range(0, 40), range(3, 40, 2), range(39, 2, -1), range(39, -1, -3),
+    range(5, 6), range(20, 4, -16),
+])
+def test_iter_windows_serves_any_range_from_its_blocks(anchors):
+    # The examples are rows of blocks of consecutive anchors of the range,
+    # whatever its step and direction: each equals the per-sample example
+    # at its anchor, in the range's order, across the block edges.
+    record = _record(n_steps=60, seed=5)
+    norm = fit_normalizer(record, range(0, 60))
+    samples = list(iter_windows(record, norm, 3, 2, anchors))
+    assert [s.time_index for s in samples] == list(anchors)
+    for n, sample in zip(anchors, samples):
+        _assert_same_sample(sample, _reference_build_io(record, norm, 3, 2, n))
+
+
 def test_iter_windows_rejects_bad_arguments_like_build_io():
     record = _record(n_steps=20)
     norm = fit_normalizer(record, range(0, 20))

@@ -1084,3 +1084,68 @@ def test_pure_call_then_learner_step_on_the_same_inputs_agree():
                             workspace=workspace)
         _assert_same_step(pure, learner)
         params, x, memory = learner.params, learner.x, learner.memory
+
+
+def _kernel_chain(us, y_stars, dims, hyper, seed=11):
+    """The split step chained as the harness's learner runs it: rnn.forward
+    then uoro_update on one workspace whose memory starts at zero and is
+    fed back, the first step from init_params' C-order matrices. Yields,
+    per step, the signs, the forward pass and the kernel's loss; the
+    workspace then holds the new weights and memory."""
+    workspace = UoroWorkspace(dims)
+    x_tilde, theta_tilde = workspace.memory.x_tilde, workspace.theta_tilde
+    x_tilde.fill(0.0)
+    theta_tilde.fill(0.0)
+    params, x = init_params(dims, 0.02, seed), np.zeros(dims.q)
+    rng = np.random.default_rng(seed)
+    for u, y_star in zip(us, y_stars):
+        nu = 2.0 * rng.integers(0, 2, size=dims.q) - 1.0
+        cache = forward(params, x, u)
+        loss_value = uoro.uoro_update(
+            workspace, params, x, x_tilde, theta_tilde, u, y_star,
+            cache.wb_u, cache.x_next, cache.y, nu, hyper.eta, hyper.tau,
+        )
+        yield workspace, nu, cache, loss_value
+        params, x = workspace.weights, cache.x_next
+
+
+@pytest.mark.parametrize("q, L", [(1, 1), (7, 5), (30, 10)])
+def test_update_kernel_after_forward_is_the_pure_step(q, L):
+    # The kernel returns the loss as a float and leaves in its workspace
+    # the weights and memory of the pure uoro_step chain, byte for byte;
+    # the forward pass gives the pure step's state and prediction.
+    us, y_stars = _marker_stream(L, 200)
+    dims = RnnDims(q=q, m=us[0].size - 1, p=y_stars[0].size)
+    hyper = _hyper(dims)
+    params, x, memory = init_params(dims, 0.02, 11), np.zeros(q), init_memory(dims)
+    steps = _kernel_chain(us, y_stars, dims, hyper)
+    for (workspace, nu, cache, loss_value), u, y_star in zip(steps, us, y_stars):
+        want = uoro_step(params, x, memory, u, y_star, hyper, None, nu=nu)
+        assert type(loss_value) is float and loss_value == want.loss
+        got = UoroStepResult(workspace.weights, cache.x_next,
+                             workspace.memory, cache.y, loss_value)
+        _assert_same_step(got, want)
+        params, x, memory = want.params, want.x, want.memory
+
+
+def test_update_kernel_reads_its_eps_constants_at_call_time(monkeypatch):
+    # With EPS_PROP and EPS_NORM changed after import, the kernel steps as
+    # the closed form at the new constants, byte for byte, and no longer
+    # as at the shipped ones.
+    us, y_stars = _marker_stream(5, 20)
+    dims = RnnDims(q=6, m=us[0].size - 1, p=y_stars[0].size)
+    hyper = _hyper(dims)
+    shipped = [ws.memory.x_tilde.copy() for ws, *_ in
+               _kernel_chain(us, y_stars, dims, hyper)]
+    monkeypatch.setattr(uoro, "EPS_PROP", 1e-4)
+    monkeypatch.setattr(uoro, "EPS_NORM", 1e-3)
+    state = (init_params(dims, 0.02, 11), np.zeros(dims.q), init_memory(dims))
+    steps = _kernel_chain(us, y_stars, dims, hyper)
+    for (workspace, nu, cache, loss_value), u, y_star, old in zip(
+            steps, us, y_stars, shipped):
+        want = _closed_form_uoro_step(*state, u, y_star, hyper, None, nu=nu)
+        got = UoroStepResult(workspace.weights, cache.x_next,
+                             workspace.memory, cache.y, loss_value)
+        _assert_same_step(got, want)
+        assert workspace.memory.x_tilde.tobytes() != old.tobytes()
+        state = (want.params, want.x, want.memory)
