@@ -73,7 +73,16 @@ checks its inputs, calls `rnn.forward` and the kernel, and returns a
 `UoroStepResult`. The harness's learner (`harness._online_learner`) checks
 its shapes once, runs the forward pass inline, as the same three
 products, add and tanh over the same operands, and calls the kernel, so
-its chain is the pure chain bit for bit.
+its chain is the pure chain bit for bit, for every shape whose
+[W_a | W_b] block has fewer than 10,000 entries (`harness._UORO_BLOCK_MIN`),
+q = L = 10 among them. Larger shapes take a block-delayed learner
+(`harness._uoro_block_learner`) that keeps [W_a | W_b] and theta_tilde_ab
+as their blocks at the last fold plus up to 16 pending rank-one terms,
+reads both once per step and folds them every 16 steps; it does not call
+this module's kernel, only its constants. It is within a measured
+tolerance of `uoro_step` one step at a time (3.5e-12 relatively in the
+new weights, 1.6e-7 in x_tilde, 1.0e-8 in theta_tilde, from the same
+formed state and signs), not bit for bit.
 
 The kernel writes the operations of `rnn.loss`, `grad_x_loss` and
 `delta_theta_g_norm` inline, so that at small q a step pays the dispatch

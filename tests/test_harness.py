@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import re
+import sys
 import time
 import tracemalloc
 
@@ -49,7 +50,13 @@ from markerpred.baselines import (
     predict_linreg,
 )
 from markerpred.metrics import MetricSet, ci_per_condition, compute_metrics
-from markerpred.rnn import NonFiniteError, RnnDims, flatten_params, init_params
+from markerpred.rnn import (
+    NonFiniteError,
+    RnnDims,
+    flatten_params,
+    init_params,
+    unflatten_params,
+)
 from markerpred.rtrl import init_influence, rtrl_step
 from markerpred.signal import (
     MarkerRecord,
@@ -69,6 +76,7 @@ from test_uoro import (
     _closed_form_uoro_step,
     _oracle_gaps,
     _reference_uoro_step,
+    _rel_gap,
 )
 
 
@@ -745,10 +753,12 @@ def _pure_chain(algorithm, hyper, m, p, seed, tau, oracle_gaps=None,
 
 # 1000 steps cross many refills of the UORO learner's sign block; at the odd
 # q = 7, the pure chain's draw of one step ends inside a 64-bit word of the
-# generator.
+# generator. Every UORO shape here is below the block-delayed crossover
+# (q = 50, L = 10 is the largest shipped one); the block-delayed shapes are
+# held to their block reference below.
 @pytest.mark.parametrize("algorithm, q, L", [
     ("uoro", 10, 10), ("uoro", 30, 5), ("uoro", 7, 5), ("uoro", 1, 1),
-    ("uoro", 50, 10), ("uoro", 90, 30), ("rtrl", 5, 5), ("rtrl", 8, 3),
+    ("uoro", 50, 10), ("rtrl", 5, 5), ("rtrl", 8, 3),
 ])
 # The shipped clip threshold clips most steps; at eta = 0.01 no gradient
 # norm on this stream comes near 1e3, so nothing is clipped.
@@ -768,6 +778,7 @@ def test_in_place_learner_equals_pure_chain_over_1000_steps(
     hyper = HyperChoice(eta=eta, sigma_init=0.02, L=L, q=q)
     m, p, seed = 3 * record.n_markers * L, 3 * record.n_markers, 11
     step = _online_learner(algorithm, hyper, m, p, seed)
+    assert step.fold_period == 1
     gaps = []
     pure = _pure_chain(algorithm, hyper, m, p, seed, tau, gaps)
     ys, want_ys = [], []
@@ -843,6 +854,277 @@ def test_lms_learner_equals_block_reference_over_1000_steps(monkeypatch, L,
     assert (n_clipped > 0) == clips
 
 
+class _BlockUoroReference:
+    """One UORO learner as `harness._uoro_block_learner`'s docstring
+    states it, composed from lists: W_0 and T_0 as of the last fold, the
+    scalars alpha and gamma, the pending v_s with their b_s, w_s and
+    T_0 v_s, and the Gram entries v_s . v_r, each taken by the product
+    that first holds it. `step` returns the prediction and loss, or raises
+    NonFiniteError; `weights()` forms the weights as `state()` does, and
+    `memory()` forms x_tilde and theta_tilde (theta_tilde_c +0.0). After a
+    step, `nu` holds its signs, `rate` and `c` its eta s and c,
+    `sgd_theta_tilde_ab` the formed theta_tilde_ab its SGD read, `g_c` its
+    W_c block, `expanded` the expanded squared norm of theta_tilde_ab (None
+    with no pair pending), and `folded_first` whether it folded instead of
+    using that norm."""
+
+    def __init__(self, dims, sigma_init, eta, tau, seed):
+        params = init_params(dims, sigma_init, seed)
+        self.dims, self.eta, self.tau = dims, eta, tau
+        q, n = dims.q, dims.q + dims.m + 1
+        self.q, self.n = q, n
+        self.w0 = np.concatenate((params.w_a, params.w_b), axis=1)
+        self.t0 = np.zeros((q, n))
+        self.wc_rows = params.w_c.T.copy()
+        self.x, self.x_tilde = np.zeros(q), np.zeros(q)
+        self.alpha, self.gamma = 1.0, 0.0
+        self.t0_squares, self.spread = 0.0, 0.0
+        self.vs, self.bs, self.ws, self.t0_vs, self.gram = [], [], [], [], {}
+        self.kappa = ((dims.n_ab + 2 * harness._UORO_BLOCK * (q + n) + 64)
+                      * 2.0 ** -53)
+        self.nu_rng = np.random.default_rng([seed, 1])
+
+    def _sum(self, coefficients):
+        if not self.vs:
+            return np.zeros((self.q, self.n))
+        return np.stack(coefficients).T @ np.stack(self.vs)
+
+    def weights(self):
+        w_ab = self.w0 + self.gamma * self.t0 + self._sum(self.ws)
+        return unflatten_params(
+            np.concatenate((w_ab.T.ravel(), self.wc_rows.ravel())), self.dims)
+
+    def theta_tilde_ab(self):
+        return self.alpha * self.t0 + self._sum(self.bs)
+
+    def memory(self):
+        theta_tilde = np.zeros(self.dims.n_params)
+        theta_tilde[: self.dims.n_ab] = self.theta_tilde_ab().T.ravel()
+        return UoroMemory(x_tilde=self.x_tilde.copy(), theta_tilde=theta_tilde)
+
+    def fold(self):
+        self.w0 = self.w0 + self.t0 * self.gamma
+        self.w0 = self.w0 + self._sum(self.ws)
+        self.t0 = self.t0 * self.alpha
+        self.t0 = self.t0 + self._sum(self.bs)
+        self.t0_squares = float(self.t0.ravel().dot(self.t0.ravel()))
+        self.alpha, self.gamma, self.spread = 1.0, 0.0, 0.0
+        self.vs, self.bs, self.ws, self.t0_vs, self.gram = [], [], [], [], {}
+
+    def step(self, u, y_star):
+        q, eps, eps_prop = self.q, uoro.EPS_NORM, uoro.EPS_PROP
+        self.nu = nu = 2.0 * self.nu_rng.integers(0, 2, size=q) - 1.0
+        v = np.concatenate((self.x, u))
+        inputs = np.stack((v, np.concatenate((eps_prop * self.x_tilde,
+                                              np.zeros_like(u)))))
+        both = inputs @ np.concatenate((self.w0, self.t0)).T
+        z = both[:, q:] * self.gamma + both[:, :q]
+        j = len(self.vs)
+        if j:
+            pending = inputs @ np.stack(self.vs).T
+            z = z + pending @ np.stack(self.ws)
+        x_next, shifted = np.tanh((z[0], z[1] + z[0]))
+        y = self.wc_rows.T @ x_next
+        e = y_star - y
+        loss_value = 0.5 * float(e.dot(e))
+        if not math.isfinite(loss_value):
+            raise NonFiniteError("loss")
+        c = -float((e @ self.wc_rows.T) @ self.x_tilde)
+        shrink, self.folded_first, self.expanded = 0.0, False, None
+        if j:
+            b = np.stack(self.bs)
+            gram = np.array([[self.gram[min(s, r), max(s, r)]
+                              for r in range(j)] for s in range(j)])
+            alpha = self.alpha
+            cross = float(np.vdot(b, np.stack(self.t0_vs)))
+            ab_squares = (alpha * alpha * self.t0_squares + 2.0 * alpha * cross
+                          + float(np.vdot(b, gram @ b)))
+            self.expanded = ab_squares
+            bound = abs(alpha) * math.sqrt(self.t0_squares) + self.spread
+            bound = bound * bound
+            if (0.0 < ab_squares < math.inf
+                    and bound <= harness._UORO_CANCEL_MAX * ab_squares):
+                shrink = self.kappa * bound / ab_squares
+            else:
+                self.fold()
+                self.folded_first = True
+        if not self.vs:
+            ab_squares = self.t0_squares
+            if not math.isfinite(ab_squares) and np.isfinite(self.t0).all():
+                raise NonFiniteError("rho0")
+        grad_ab_norm = abs(c) * math.sqrt(ab_squares)
+        grad_squares = (grad_ab_norm * grad_ab_norm
+                        + float(x_next.dot(x_next)) * (2.0 * loss_value))
+        if not math.isfinite(grad_squares):
+            raise NonFiniteError("gradient")
+        x_fwd = (shifted - x_next) / eps_prop
+
+        tau_shrunk = (self.tau * (1.0 - shrink)
+                      * (1.0 - (self.dims.n_params + 32) * 2.0 ** -53))
+        grad_norm = math.sqrt(grad_squares)
+        eta_s = (self.eta * (tau_shrunk / grad_norm) if grad_norm > tau_shrunk
+                 else self.eta)
+        self.rate, self.c = eta_s, c
+        self.sgd_theta_tilde_ab = self.theta_tilde_ab()
+        self.g_c = -np.dot(x_next[:, None], e[None, :])
+        rate = eta_s * c
+        self.gamma -= rate * self.alpha
+        self.ws = [w - rate * b for w, b in zip(self.ws, self.bs)]
+        self.wc_rows = self.wc_rows + np.dot(x_next[:, None],
+                                             (eta_s * e)[None, :])
+
+        d = 1.0 - x_next * x_next
+        d_norm = math.sqrt(d.dot(d))
+        v_squares = float(v.dot(v))
+        if d_norm == 0.0 and np.isfinite(v).all():
+            dtheta_g_norm = 0.0
+        else:
+            dtheta_g_norm = d_norm * math.sqrt(v_squares)
+        theta_tilde_norm = math.sqrt(ab_squares)
+        fwd_norm = math.sqrt(x_fwd.dot(x_fwd)) + eps
+        if not fwd_norm:
+            raise NonFiniteError("rho0")
+        rho0 = math.sqrt(theta_tilde_norm / fwd_norm) + eps
+        rho1 = math.sqrt(dtheta_g_norm / (math.sqrt(q) + eps)) + eps
+        if not math.isfinite(rho0):
+            raise NonFiniteError("rho0")
+        if not math.isfinite(rho1):
+            raise NonFiniteError("rho1")
+        self.x_tilde = x_fwd * rho0 + rho1 * nu
+        if not np.isfinite(self.x_tilde).all():
+            raise NonFiniteError("x_tilde")
+        if not (rho0 and rho1):
+            raise NonFiniteError("theta_tilde")
+        inv_rho0 = 1.0 / rho0
+        self.alpha *= inv_rho0
+        self.bs = [b * inv_rho0 for b in self.bs]
+        j = len(self.vs)
+        for s in range(j):
+            self.gram[s, j] = pending[0][s]
+        self.gram[j, j] = v_squares
+        self.t0_vs.append(self.t0 @ v if self.folded_first else both[0, q:])
+        self.vs.append(v)
+        self.bs.append((nu / rho1) * d)
+        self.ws.append(np.zeros(q))
+        self.spread = (self.spread * inv_rho0
+                       + d_norm / rho1 * math.sqrt(v_squares))
+        if not (theta_tilde_norm * inv_rho0 + dtheta_g_norm / rho1
+                <= 0.5 * sys.float_info.max):
+            self.fold()
+            if not np.isfinite(self.t0).all():
+                raise NonFiniteError("theta_tilde")
+        elif len(self.vs) == harness._UORO_BLOCK:
+            self.fold()
+        self.x = x_next
+        return y, loss_value
+
+
+def _block_uoro_pair(q, L, eta, tau, n_steps=1000, seed=11):
+    """The samples of the 1000-step tests, a block-delayed learner and its
+    reference at (q, L), rate eta and clip threshold tau."""
+    record = _quick_record(seed=4, duration=200.0)
+    samples = iter_windows(record, fit_normalizer(record, range(300)), L, 4,
+                           range(n_steps))
+    hyper = HyperChoice(eta=eta, sigma_init=0.02, L=L, q=q)
+    m, p = 3 * record.n_markers * L, 3 * record.n_markers
+    step = _online_learner("uoro", hyper, m, p, seed)
+    assert step.fold_period == harness._UORO_BLOCK
+    reference = _BlockUoroReference(RnnDims(q=q, m=m, p=p), 0.02, eta, tau,
+                                    seed)
+    return samples, step, reference
+
+
+# The block-delayed shapes of the tests: the smallest shipped one, a tall
+# one (q > L) and a wide one. 1000 steps cross 62 folds.
+_BLOCK_SHAPES = [(70, 10), (90, 30), (30, 50)]
+
+
+@pytest.mark.parametrize("q, L", _BLOCK_SHAPES)
+@pytest.mark.parametrize("eta, tau, clips", [
+    (0.1, CLIP_TAU, True), (0.01, 1e3, False),
+])
+def test_block_uoro_learner_equals_block_reference_over_1000_steps(
+    monkeypatch, q, L, eta, tau, clips
+):
+    # Every prediction and loss of the learner, and its weights at the end,
+    # equal the block reference's byte for byte. Every update has exact
+    # norm at most eta * tau, measured in extended precision against the
+    # reference's formed theta_tilde_ab.
+    monkeypatch.setattr(harness, "CLIP_TAU", tau)
+    samples, step, reference = _block_uoro_pair(q, L, eta, tau)
+    n_clipped = n_folded_first = 0
+    for sample in samples:
+        y, loss_value = step(sample.u, sample.target)
+        want_y, want_loss = reference.step(sample.u, sample.target)
+        assert y.tobytes() == want_y.tobytes()
+        assert loss_value == want_loss
+        theta_ab = reference.sgd_theta_tilde_ab.astype(np.longdouble)
+        g_c = reference.g_c.astype(np.longdouble)
+        update = np.sqrt((reference.rate * reference.c) ** 2
+                         * np.sum(theta_ab * theta_ab)
+                         + reference.rate ** 2 * np.sum(g_c * g_c))
+        assert update <= eta * tau
+        n_clipped += bool(update >= eta * tau * (1 - 1e-9))
+        n_folded_first += reference.folded_first
+    n_steps, final = step.state()
+    assert n_steps == 1000
+    want = reference.weights()
+    for name in ("w_a", "w_b", "w_c"):
+        assert getattr(final, name).tobytes() == getattr(want, name).tobytes()
+    assert (n_clipped > 0) == clips
+    assert n_folded_first == 0
+
+
+# Largest relative gaps (`_rel_gap`; for the loss, of the value) of a
+# block-delayed step from uoro_step run from the block reference's formed
+# state with the same signs: y, loss, new weights, x_tilde and
+# theta_tilde. Measured over the 1000 steps of the three shapes above,
+# under the detected OpenBLAS kernel and Sandybridge: 1.3e-15 for y,
+# 5.8e-15 for the loss, 3.5e-12 for the weights when clipping (the step
+# shrinks tau by its own bound on the expanded norm's rounding, and the
+# norms round differently) and 3.8e-16 when not, 1.6e-7 for x_tilde when
+# clipping and 1.2e-8 when not, and 1.0e-8 for theta_tilde when clipping
+# and 1.5e-9 when not. x_tilde's gap is the finite-difference tangent's:
+# dividing by EPS_PROP = 1e-7 scales the rounding of each pre-activation,
+# which the two steps round differently (uoro_step shifts x before its
+# W_a product, the block step adds W_ab [EPS_PROP x_tilde; 0] to z), by
+# 1e7; theta_tilde inherits it through rho0. The bounds allow about 10
+# times the measured gaps.
+_BLOCK_ORACLE_RTOL = {True: (2e-14, 1e-13, 5e-11, 2e-6, 2e-7),
+                      False: (2e-14, 1e-13, 5e-15, 2e-7, 2e-8)}
+
+
+@pytest.mark.parametrize("q, L", _BLOCK_SHAPES)
+@pytest.mark.parametrize("eta, tau, clips", [
+    (0.1, CLIP_TAU, True), (0.01, 1e3, False),
+])
+def test_block_uoro_learner_meets_uoro_step_one_step_at_a_time(
+    monkeypatch, q, L, eta, tau, clips
+):
+    # From the formed state before each step (the weights, x, x_tilde and
+    # theta_tilde of the reference, which the learner equals byte for
+    # byte), uoro_step with the step's signs gives a prediction, loss, new
+    # weights and new memory within _BLOCK_ORACLE_RTOL of the block step's.
+    monkeypatch.setattr(harness, "CLIP_TAU", tau)
+    samples, _, reference = _block_uoro_pair(q, L, eta, tau)
+    hyper = UoroHyper(eta=eta, tau=tau, sigma_init=0.02, L=L, q=q)
+    gaps = np.zeros(5)
+    for sample in samples:
+        state = (reference.weights(), reference.x.copy(), reference.memory())
+        y, loss_value = reference.step(sample.u, sample.target)
+        want = uoro_step(*state, sample.u, sample.target, hyper, None,
+                         nu=reference.nu)
+        memory = reference.memory()
+        gaps = np.maximum(gaps, (
+            _rel_gap(y, want.y), abs(loss_value - want.loss) / want.loss,
+            _rel_gap(flatten_params(reference.weights()),
+                     flatten_params(want.params)),
+            _rel_gap(memory.x_tilde, want.memory.x_tilde),
+            _rel_gap(memory.theta_tilde, want.memory.theta_tilde),
+        ))
+    assert (gaps <= _BLOCK_ORACLE_RTOL[clips]).all(), gaps
+
+
 @pytest.mark.parametrize("q", [1, 7, 10])
 def test_sign_blocks_equal_one_draw_per_step(q):
     # The UORO learner draws its signs _SIGN_BLOCK steps at a time; its runs
@@ -864,6 +1146,8 @@ def test_sign_blocks_equal_one_draw_per_step(q):
 @pytest.mark.parametrize("algorithm, hyper", [
     ("uoro", HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10)),
     ("rtrl", HyperChoice(eta=0.1, sigma_init=0.02, L=5, q=5)),
+    # Block-delayed: 200 steps cross 12 folds.
+    ("uoro", HyperChoice(eta=0.1, sigma_init=0.02, L=30, q=90)),
 ])
 def test_learners_stepped_alternately_equal_learners_stepped_alone(
     algorithm, hyper
@@ -957,11 +1241,41 @@ def _spiked_record(magnitude, k=400):
 def test_in_place_learner_diverges_where_pure_chain_diverges(
     monkeypatch, algorithm, eta, eps_norm, magnitude, at, quantity
 ):
+    hyper = HyperChoice(eta=eta, sigma_init=0.02, L=5, q=5)
+    _assert_diverges_where_pure_chain_diverges(
+        monkeypatch, algorithm, hyper, eps_norm, magnitude, at, quantity)
+
+
+# The cases above at q = L = 50, a block-delayed shape. The spike's loss
+# overflows at step 400 - L - h + 1 = 347, 11 steps past the 21st fold;
+# the planted guards raise at steps 2 and 5, with pairs pending and no fold
+# yet, and both make expanded norms that the steps must not use: they
+# underflow to 0 (1e300) or are NaN (1e-300), so the steps fold first
+# (`test_block_uoro_learner_folds_before_an_unusable_norm`).
+@pytest.mark.parametrize("eta, eps_norm, magnitude, at, quantity", [
+    (0.1, None, 1e160, 347, "loss"),
+    (1e3, 1e300, 0.0, 2, "gradient"),
+    (1e3, 1e-300, 0.0, 5, "rho0"),
+])
+def test_block_uoro_learner_diverges_where_pure_chain_diverges(
+    monkeypatch, eta, eps_norm, magnitude, at, quantity
+):
+    hyper = HyperChoice(eta=eta, sigma_init=0.02, L=50, q=50)
+    assert _online_learner("uoro", hyper, 450, 9, 3).fold_period > 1
+    _assert_diverges_where_pure_chain_diverges(
+        monkeypatch, "uoro", hyper, eps_norm, magnitude, at, quantity)
+
+
+def _assert_diverges_where_pure_chain_diverges(
+    monkeypatch, algorithm, hyper, eps_norm, magnitude, at, quantity
+):
+    """A run of `hyper` on `_spiked_record(magnitude)`, with EPS_NORM
+    planted when eps_norm is not None, diverges at step `at` in
+    `quantity`, and so does the same harness loop over the pure chain."""
     if eps_norm is not None:
         monkeypatch.setattr(uoro, "EPS_NORM", eps_norm)
     record = _spiked_record(magnitude)
     partition = make_partition(record, "online_30_30")
-    hyper = HyperChoice(eta=eta, sigma_init=0.02, L=5, q=5)
 
     def run():
         return run_sequence_online(algorithm, record, partition, hyper, h=4,
@@ -990,6 +1304,87 @@ def test_in_place_learner_diverges_where_pure_chain_diverges(
     assert (pure.diverged_at, pure.diverged_quantity) == (at, quantity)
     # The pure chain ran every step, the one that raised included.
     assert len(pure_steps) == at + 1
+
+
+@pytest.mark.parametrize("eps_norm, at, quantity", [
+    (1e300, 2, "gradient"), (1e-300, 5, "rho0"),
+])
+def test_block_uoro_learner_folds_before_an_unusable_norm(monkeypatch,
+                                                          eps_norm, at,
+                                                          quantity):
+    # The planted guards of the divergence test above make expanded norms
+    # of 0 or NaN. The learner, like its reference, never uses one: it
+    # folds first and takes the formed T_0's norm. Both are equal byte for
+    # byte up to step `at`, where both raise `quantity`.
+    monkeypatch.setattr(uoro, "EPS_NORM", eps_norm)
+    record = _spiked_record(0.0)
+    normalizer = fit_normalizer(record,
+                                make_partition(record, "online_30_30").train)
+    dims = RnnDims(q=50, m=450, p=9)
+    hyper = HyperChoice(eta=1e3, sigma_init=0.02, L=50, q=50)
+    step = _online_learner("uoro", hyper, dims.m, dims.p, 3)
+    reference = _BlockUoroReference(dims, 0.02, 1e3, CLIP_TAU, 3)
+    unusable = []
+    with np.errstate(all="ignore"):
+        for i, sample in enumerate(iter_windows(record, normalizer, 50, 4,
+                                                range(at + 1))):
+            if i < at:
+                y, loss_value = step(sample.u, sample.target)
+                want_y, want_loss = reference.step(sample.u, sample.target)
+                assert y.tobytes() == want_y.tobytes()
+                assert loss_value == want_loss
+            else:
+                with pytest.raises(NonFiniteError) as got:
+                    step(sample.u, sample.target)
+                with pytest.raises(NonFiniteError) as want:
+                    reference.step(sample.u, sample.target)
+                assert got.value.quantity == want.value.quantity == quantity
+            if reference.expanded is not None and not (
+                    0.0 < reference.expanded < math.inf):
+                assert reference.folded_first
+                unusable.append(i)
+    assert unusable
+
+
+def test_block_uoro_learner_allowed_no_cancellation_folds_every_step(
+    monkeypatch
+):
+    # With _UORO_CANCEL_MAX = 0 no expanded norm is usable, so every step
+    # with a pair pending folds first and takes the formed norm; the
+    # learner still equals the reference under that rule, byte for byte.
+    monkeypatch.setattr(harness, "_UORO_CANCEL_MAX", 0.0)
+    samples, step, reference = _block_uoro_pair(70, 10, 0.1, CLIP_TAU,
+                                                n_steps=100)
+    for i, sample in enumerate(samples):
+        y, loss_value = step(sample.u, sample.target)
+        want_y, want_loss = reference.step(sample.u, sample.target)
+        assert y.tobytes() == want_y.tobytes()
+        assert loss_value == want_loss
+        assert reference.folded_first == (i > 0)
+    assert (step.state()[1].w_b.tobytes()
+            == reference.weights().w_b.tobytes())
+
+
+def test_online_learner_is_block_delayed_from_the_crossover():
+    # The exact in-place learner keeps every shipped UORO shape whose
+    # [W_a | W_b] block is below _UORO_BLOCK_MIN, q = L = 10 among them
+    # (the benchmark's stream test holds that shape to the pure chain);
+    # the others, and only they, fold every _UORO_BLOCK steps. RTRL has
+    # one learner.
+    p = 9
+    grid = DEFAULT_GRIDS["uoro"]
+    n_block = 0
+    for q in grid["q"]:
+        for L in grid["L"]:
+            hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=L, q=q)
+            blocked = q * (q + p * L + 1) >= harness._UORO_BLOCK_MIN
+            step = _online_learner("uoro", hyper, p * L, p, 0)
+            assert step.fold_period == (harness._UORO_BLOCK if blocked else 1)
+            n_block += blocked
+    assert n_block == 17
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10)
+    assert _online_learner("uoro", hyper, 90, p, 0).fold_period == 1
+    assert _online_learner("rtrl", hyper, 90, p, 0).fold_period == 1
 
 
 @pytest.mark.parametrize("algorithm, hyper", [
@@ -1035,7 +1430,9 @@ def test_learner_step_allocates_no_weight_sized_temporary(algorithm, q, L,
     # peak allocation (numpy's small-array temporaries and ufunc buffers)
     # must stay below the bound, so that any weight-sized temporary brought
     # back into a step fails here, as do the ufunc buffers of an outer
-    # product that BLAS can form instead.
+    # product that BLAS can form instead. The measured steps span a whole
+    # fold period of the block-delayed UORO learner (q = L = 90), whose
+    # fold writes its rank-16 products into a spare buffer, and two of LMS.
     n_markers = 3
     dims = RnnDims(q=q, m=3 * n_markers * L, p=3 * n_markers)
     hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=L, q=q)
@@ -1043,21 +1440,25 @@ def test_learner_step_allocates_no_weight_sized_temporary(algorithm, q, L,
         step = _lms_learner([hyper.eta], dims.m, dims.p)
     else:
         step = _online_learner(algorithm, hyper, dims.m, dims.p, seed=0)
-    _assert_warm_steps_stay_below(step, dims.m, dims.p, bound(dims))
+        assert step.fold_period == (harness._UORO_BLOCK
+                                    if algorithm == "uoro" else 1)
+    _assert_warm_steps_stay_below(step, dims.m, dims.p, bound(dims),
+                                  n_measured=harness._UORO_BLOCK)
 
 
-def _assert_warm_steps_stay_below(step, m, p, bound):
-    """Four warm steps of `step` each allocate less than `bound` bytes at
-    their peak."""
+def _assert_warm_steps_stay_below(step, m, p, bound, n_measured=4):
+    """`n_measured` warm steps of `step`, after four unmeasured ones, each
+    allocate less than `bound` bytes at their peak."""
     rng = np.random.default_rng(5)
-    inputs = rng.uniform(-1.0, 1.0, size=(8, m + 1))
+    n = 4 + n_measured
+    inputs = rng.uniform(-1.0, 1.0, size=(n, m + 1))
     inputs[:, 0] = 1.0
-    targets = rng.uniform(-1.0, 1.0, size=(8, p))
+    targets = rng.uniform(-1.0, 1.0, size=(n, p))
     for i in range(4):
         step(inputs[i], targets[i])
     tracemalloc.start()
     try:
-        for i in range(4, 8):
+        for i in range(4, n):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             step(inputs[i], targets[i])
@@ -1860,6 +2261,33 @@ def test_bench_step_time_lms_figure_includes_the_fold(monkeypatch):
     monkeypatch.setattr(harness, "_lms_learner", learner)
     ms = bench_step_time("lms", q=None, L=10, n_steps=3 * block)
     assert 20.0 / block <= ms < 20.0
+    assert n_calls == 10 + 3 * block
+
+
+def test_bench_step_time_uoro_figure_includes_the_fold(monkeypatch):
+    # As for LMS, with a stand-in block-delayed UORO learner whose every
+    # _UORO_BLOCK-th step folds in 20 ms: a block-delayed shape is timed
+    # over whole fold periods. A shape below the crossover keeps the exact
+    # learner, timed step by step.
+    block = harness._UORO_BLOCK
+    n_calls = 0
+
+    def learner(dims, params, eta, tau, seed):
+        def step(u, y_star):
+            nonlocal n_calls
+            n_calls += 1
+            if n_calls % block == 0:
+                time.sleep(0.02)
+
+        step.fold_period = block
+        return step
+
+    monkeypatch.setattr(harness, "_uoro_block_learner", learner)
+    ms = bench_step_time("uoro", q=90, L=90, n_steps=3 * block)
+    assert 20.0 / block <= ms < 20.0
+    assert n_calls == 10 + 3 * block
+    exact_ms = bench_step_time("uoro", q=10, L=10, n_steps=3 * block)
+    assert exact_ms < 20.0 / block
     assert n_calls == 10 + 3 * block
 
 
