@@ -77,14 +77,10 @@ from markerpred.metrics import (
 )
 from markerpred.rnn import (
     _FINITE_BOUND,
-    _UNIT_ROUNDOFF,
     NonFiniteError,
     RnnDims,
     RnnParams,
-    _aligned_empty,
-    _clipped_rate,
     init_params,
-    unflatten_params,
 )
 from markerpred.rtrl import RtrlWorkspace, rtrl_update
 from markerpred.signal import (
@@ -161,28 +157,15 @@ _SIGN_BLOCK = 64
 # L, one slot or the shipped 7).
 _LMS_BLOCK = 8
 
-# Pairs a block-delayed UORO learner (`_uoro_block_learner`) keeps pending
-# between its folds. bench_step_time read blocks of 8, 16 and 32 within
-# 4 % of each other at q = L = 30 and 50, and at 99, 93 and 88 us at
-# q = L = 90, where a second pass read 16 and 32 at 90 us each; at q = 90,
-# L = 10, 32 was 6 % slower than 16.
-_UORO_BLOCK = 16
-
 # The smallest [W_a | W_b] block, q (q + m + 1) entries, whose UORO learner
-# is block-delayed; smaller ones keep the exact in-place step. Medians of 7
-# interleaved bench_step_time pairs, exact against block-delayed, in us
-# (2-vCPU Xeon, one BLAS thread): 62 against 72 at 7,050 entries (q = 50,
-# L = 10), 44 against 44 at 8,210 (q = 10, L = 90), 46 against 46 at 9,030
-# (q = L = 30), 52 against 47 at 11,270 (q = 70, L = 10), 57 against 47 at
-# 16,050 (q = 50, L = 30), and 225 against 90 at 81,090 (q = L = 90).
+# is block-delayed (`uoro.block_learner`); smaller ones keep the exact
+# in-place step. Medians of 7 interleaved bench_step_time pairs, exact
+# against block-delayed, in us (2-vCPU Xeon, one BLAS thread): 62 against
+# 72 at 7,050 entries (q = 50, L = 10), 44 against 44 at 8,210 (q = 10,
+# L = 90), 46 against 46 at 9,030 (q = L = 30), 52 against 47 at 11,270
+# (q = 70, L = 10), 57 against 47 at 16,050 (q = 50, L = 30), and 225
+# against 90 at 81,090 (q = L = 90).
 _UORO_BLOCK_MIN = 10_000
-
-# The largest ratio of the expanded ||theta_tilde_ab||^2's triangle bound
-# to its value that a block-delayed step uses; past it the step folds and
-# takes the formed norm. Over the 17 block-delayed shapes of the shipped
-# grid, at eta = 0.05 and 0.2 on two 200 s synthetic records, the ratio
-# never passed 19.
-_UORO_CANCEL_MAX = 2.0 ** 10
 
 # Shipped cross-validation ranges per algorithm.
 DEFAULT_GRIDS: dict[str, dict[str, tuple]] = {
@@ -505,10 +488,10 @@ def _online_learner(
     drawn from `seed`, UORO's signs from [seed, 1].
 
     A UORO learner whose [W_a | W_b] block has at least _UORO_BLOCK_MIN
-    entries, q (q + m + 1), is block-delayed (`_uoro_block_learner`): its
-    steps read the |W|-sized blocks once and write them every _UORO_BLOCK
-    steps. It is not the pure chain bit for bit; each of its steps is
-    within the tolerance that tests/test_harness.py measures
+    entries, q (q + m + 1), is block-delayed (`uoro.block_learner`): its
+    steps read the |W|-sized blocks once and write them every 16 steps.
+    It is not the pure chain bit for bit; each of its steps is within the
+    tolerance that tests/test_harness.py measures
     (`_BLOCK_ORACLE_RTOL`) of `uoro_step` from the same formed state and
     signs: 3.5e-12 relatively in the new weights, 1.6e-7 in x_tilde and
     1.0e-8 in theta_tilde. Every other learner, q = L = 10 among them, is
@@ -537,7 +520,9 @@ def _online_learner(
     params = init_params(dims, hyper.sigma_init, seed)
     eta, tau = hyper.eta, CLIP_TAU
     if algorithm == "uoro" and dims.n_ab >= _UORO_BLOCK_MIN:
-        return _uoro_block_learner(dims, params, eta, tau, seed)
+        return uoro.block_learner(dims, params, eta, tau,
+                                  np.random.default_rng([seed, 1]),
+                                  _SIGN_BLOCK)
     w_a, w_b, w_c = params.w_a, params.w_b, params.w_c
     x = np.zeros(dims.q)
     n_steps = 0
@@ -605,239 +590,6 @@ def _online_learner(
     return step
 
 
-def _uoro_block_learner(
-    dims: RnnDims, params: RnnParams, eta: float, tau: float, seed: int
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float]]:
-    """A UORO learner from the weights `params`, with clip threshold tau,
-    that keeps [W_a | W_b] and theta_tilde_ab in block-delayed form; see
-    `_online_learner` for its interface and for the shapes that take it.
-
-    Both blocks change at every step by terms that need not be formed
-    (the delayed updates of `_lms_learner`): stage 9 scales theta_tilde_ab
-    by 1/rho0 and adds a v^T, and stage 10 subtracts (eta s c)
-    theta_tilde_ab from W_ab, with v = [x; u] and a = (nu / rho1)
-    tanh'(z). So the learner keeps W_0 and T_0, the blocks as of the last
-    fold, two scalars alpha and gamma, and the j pairs pending since, v_s
-    with q-vectors b_s and w_s:
-
-        theta_tilde_ab = alpha T_0 + sum_s b_s v_s^T,
-        W_ab = W_0 + gamma T_0 + sum_s w_s v_s^T.
-
-    A step's SGD subtracts (eta s c) alpha from gamma and (eta s c) b_s
-    from each w_s; its memory update scales alpha and every b_s by 1/rho0
-    and appends the pair (v, a) with w = 0. W_c is updated at every step,
-    as in the pure step. theta_tilde_c is not kept: from `init_memory`'s
-    zeros it is only ever scaled, so it stays +0.0, and g_c is -x_next e^T.
-
-    One product reads the stacked [W_0; T_0] once, against v and against
-    [EPS_PROP x_tilde; 0]; the pending pairs add their terms to both with
-    O(j (q + m)) work. That gives z = W_ab v and W_ab [EPS_PROP x_tilde; 0]
-    = EPS_PROP W_a x_tilde from one read of the weights, and stage 6's
-    shifted pre-activation is their sum, which shares z's W_b u as the
-    pure step shares it. theta_tilde_ab's squared norm is expanded as
-
-        N = alpha^2 ||T_0||^2 + 2 alpha sum_s b_s . (T_0 v_s)
-            + sum_{s,r} (b_s . b_r)(v_s . v_r),
-
-    from ||T_0||^2 (exact at the fold), the T_0 v_s of the steps that
-    appended each pair, and the Gram matrix of the v_s. Every
-    _UORO_BLOCK pairs the learner folds: W_0 += gamma T_0 + sum_s w_s
-    v_s^T and T_0 = alpha T_0 + sum_s b_s v_s^T, each sum one BLAS product
-    of rank j into one spare buffer, and ||T_0||^2 is taken again by one
-    dot. So a step reads the |W|-sized blocks once and writes them only
-    at a fold.
-
-    Clip rule: N's rounding error is at most kappa B, with B = (|alpha|
-    ||T_0|| + sum_s ||b_s|| ||v_s||)^2 the square of its triangle bound and
-    kappa = (q (q+m+1) + 2 _UORO_BLOCK (2q+m+1) + 64) 2^-53, a bound on
-    the rounding of ||T_0||^2, of the products T_0 v_s and v_s . v_r, and
-    of the dots and sums above. A step uses N only when it is finite and
-    positive and B <= _UORO_CANCEL_MAX N; then it shrinks tau by the
-    factor 1 - kappa B / N before `rnn._clipped_rate` shrinks it by its
-    own bound, so the update [(eta s c) theta_tilde_ab; (eta s) g_c] has
-    exact norm at most eta tau, as in `uoro_step`, with theta_tilde_ab
-    the block form above. Otherwise, a negative, non-finite or cancelled
-    N, the step folds first and takes ||T_0||^2 as N, which the fold takes
-    as one dot of the formed T_0, as `uoro_step` does with its
-    theta_tilde (j = 0 needs no shrink either).
-
-    Finiteness, by `uoro_step`'s rules on the formed blocks: a non-finite
-    N makes the step fold, and a non-finite ||T_0||^2 raises "rho0" when
-    every entry of T_0 is finite and goes on to raise "gradient"
-    otherwise; ||g||^2 = (|c| sqrt(N))^2 + ||x_next||^2 ||e||^2 raises
-    "gradient"; rho0, rho1 and x_tilde are checked as in `uoro_step`. When
-    the bound ||theta_tilde|| / rho0 + ||dtheta_g|| / rho1 on the new
-    theta_tilde exceeds half the largest double, the step folds and scans
-    T_0, and raises "theta_tilde" on a non-finite entry. The weights are
-    not scanned, as in `uoro_step`: each update has norm at most eta tau.
-
-    The learner rounds differently from the `uoro_step` chain, which
-    forms both blocks at every step (see `_online_learner`). `state()`
-    forms the weights W_0 + gamma T_0 + sum_s w_s v_s^T in fresh arrays.
-    """
-    q, p, n = dims.q, dims.p, dims.q + dims.m + 1
-    block = _UORO_BLOCK
-    # W_0 over T_0, so that one product reads both.
-    stacked = _aligned_empty(2 * dims.n_ab).reshape(2 * q, n)
-    w0, t0 = stacked[:q], stacked[q:]
-    w0[:, :q], w0[:, q:] = params.w_a, params.w_b
-    t0.fill(0.0)
-    t0_flat = t0.reshape(-1)
-    spare = _aligned_empty(dims.n_ab).reshape(q, n)
-    # W_c transposed, as `Workspace.grad_wc`.
-    wc_rows = params.w_c.T.copy()
-    w_c = wc_rows.T
-    x, x_tilde = np.zeros(q), np.zeros(q)
-    # The pending pairs: v_s in row s of `rows`, b_s, w_s, T_0 v_s, and the
-    # Gram matrix of the v_s. A step writes its v into row j, where it
-    # stays as the new pair's, and [EPS_PROP x_tilde; 0] into row j + 1.
-    rows = np.empty((block + 1, n))
-    bs, ws, t0_vs = (np.empty((block, q)) for _ in range(3))
-    gram = np.empty((block, block))
-    # alpha, gamma, ||T_0||^2, sum_s ||b_s|| ||v_s|| and the pending count.
-    alpha, gamma, t0_squares, spread, j = 1.0, 0.0, 0.0, 0.0, 0
-    kappa = (dims.n_ab + 2 * block * (q + n) + 64) * _UNIT_ROUNDOFF
-    nu_norm = math.sqrt(q)
-    nu_rng = np.random.default_rng([seed, 1])
-    signs = None
-    n_steps = 0
-
-    def fold():
-        nonlocal alpha, gamma, t0_squares, spread, j
-        np.multiply(t0, gamma, out=spare)
-        np.add(w0, spare, out=w0)
-        np.matmul(ws[:j].T, rows[:j], out=spare)
-        np.add(w0, spare, out=w0)
-        np.multiply(t0, alpha, out=t0)
-        np.matmul(bs[:j].T, rows[:j], out=spare)
-        np.add(t0, spare, out=t0)
-        t0_squares = float(t0_flat.dot(t0_flat))
-        alpha, gamma, spread, j = 1.0, 0.0, 0.0, 0
-
-    def step(u, y_star):
-        nonlocal x, alpha, gamma, spread, j, signs, n_steps
-        k = n_steps % _SIGN_BLOCK
-        if not k:
-            signs = 2.0 * nu_rng.integers(0, 2, size=(_SIGN_BLOCK, q)) - 1.0
-        nu = signs[k]
-        eps, eps_prop = uoro.EPS_NORM, uoro.EPS_PROP
-        inputs = rows[j : j + 2]
-        v, shift = inputs
-        v[:q], v[q:], shift[q:] = x, u, 0.0
-        np.multiply(x_tilde, eps_prop, out=shift[:q])
-        both = inputs @ stacked.T
-        z = both[:, q:] * gamma
-        z += both[:, :q]
-        if j:
-            pending = inputs @ rows[:j].T
-            z += pending @ ws[:j]
-        # z is W_ab v over W_ab [eps x_tilde; 0], and their sum the
-        # tangent's pre-activation, in which W_b u is the forward pass's.
-        z[1] += z[0]
-        np.tanh(z, out=z)
-        x_next, shifted = z
-        y = w_c @ x_next
-
-        e = y_star - y
-        loss_value = 0.5 * float(e.dot(e))
-        if not math.isfinite(loss_value):
-            raise NonFiniteError("loss")
-        c = -float((e @ w_c) @ x_tilde)
-        j_in, shrink = j, 0.0
-        if j:
-            ab_squares = (alpha * alpha * t0_squares
-                          + 2.0 * alpha * float(np.vdot(bs[:j], t0_vs[:j]))
-                          + float(np.vdot(bs[:j], gram[:j, :j] @ bs[:j])))
-            bound = abs(alpha) * math.sqrt(t0_squares) + spread
-            bound *= bound
-            if (0.0 < ab_squares < math.inf
-                    and bound <= _UORO_CANCEL_MAX * ab_squares):
-                shrink = kappa * bound / ab_squares
-            else:
-                fold()
-        if not j:
-            ab_squares = t0_squares
-            if not math.isfinite(ab_squares) and np.isfinite(t0_flat).all():
-                raise NonFiniteError("rho0")
-        grad_ab_norm = abs(c) * math.sqrt(ab_squares)
-        grad_squares = (grad_ab_norm * grad_ab_norm
-                        + float(x_next.dot(x_next)) * (2.0 * loss_value))
-        if not math.isfinite(grad_squares):
-            raise NonFiniteError("gradient")
-
-        x_fwd = (shifted - x_next) / eps_prop
-
-        eta_s = _clipped_rate(eta, tau * (1.0 - shrink),
-                              math.sqrt(grad_squares), dims.n_params)
-        rate = eta_s * c
-        gamma -= rate * alpha
-        if j:
-            ws[:j] -= rate * bs[:j]
-        np.add(wc_rows, np.dot(x_next[:, None], (eta_s * e)[None, :]),
-               out=wc_rows)
-
-        d = 1.0 - x_next * x_next
-        d_norm = math.sqrt(d.dot(d))
-        v_squares = float(v.dot(v))
-        if d_norm == 0.0 and np.isfinite(v).all():
-            dtheta_g_norm = 0.0
-        else:
-            dtheta_g_norm = d_norm * math.sqrt(v_squares)
-        theta_tilde_norm = math.sqrt(ab_squares)
-        fwd_norm = math.sqrt(x_fwd.dot(x_fwd)) + eps
-        if not fwd_norm:
-            raise NonFiniteError("rho0")
-        rho0 = math.sqrt(theta_tilde_norm / fwd_norm) + eps
-        rho1 = math.sqrt(dtheta_g_norm / (nu_norm + eps)) + eps
-        if not math.isfinite(rho0):
-            raise NonFiniteError("rho0")
-        if not math.isfinite(rho1):
-            raise NonFiniteError("rho1")
-
-        np.multiply(x_fwd, rho0, out=x_tilde)
-        np.add(x_tilde, rho1 * nu, out=x_tilde)
-        if (not math.isfinite(x_tilde.dot(x_tilde))
-                and not np.isfinite(x_tilde).all()):
-            raise NonFiniteError("x_tilde")
-        if not (rho0 and rho1):
-            raise NonFiniteError("theta_tilde")
-        inv_rho0 = 1.0 / rho0
-        alpha *= inv_rho0
-        if j < j_in:
-            # This step folded: v moves to row 0, against the new T_0.
-            rows[0] = v
-            t0_vs[0] = t0 @ v
-        else:
-            t0_vs[j] = both[0, q:]
-        if j:
-            bs[:j] *= inv_rho0
-            gram[j, :j] = gram[:j, j] = pending[0]
-        np.multiply(nu / rho1, d, out=bs[j])
-        ws[j] = 0.0
-        gram[j, j] = v_squares
-        spread = spread * inv_rho0 + d_norm / rho1 * math.sqrt(v_squares)
-        j += 1
-        if not (theta_tilde_norm * inv_rho0 + dtheta_g_norm / rho1
-                <= _FINITE_BOUND):
-            fold()
-            if not np.isfinite(t0_flat).all():
-                raise NonFiniteError("theta_tilde")
-        elif j == block:
-            fold()
-        x = x_next
-        n_steps += 1
-        return y, loss_value
-
-    def state() -> tuple[int, RnnParams]:
-        w_ab = w0 + gamma * t0 + ws[:j].T @ rows[:j]
-        return n_steps, unflatten_params(
-            np.concatenate((w_ab.T.ravel(), wc_rows.ravel())), dims)
-
-    step.state = state
-    step.fold_period = _UORO_BLOCK
-    return step
-
-
 def _lms_learner(
     etas: list[float], m: int, p: int,
     diverged: dict[int, tuple[int, str]] | None = None,
@@ -894,6 +646,9 @@ def _lms_learner(
     The step at which the last live slot diverges, every other slot
     diverged or stopped, raises its NonFiniteError, as a one-learner step
     does.
+
+    `step.fold_period` is _LMS_BLOCK, over which `bench_step_time` times
+    it.
     """
     n_slots = len(etas)
     etas = list(etas)
@@ -947,6 +702,7 @@ def _lms_learner(
             y[k], losses[k] = math.nan, math.nan
         return y, losses
 
+    step.fold_period = _LMS_BLOCK
     return step
 
 
@@ -1532,7 +1288,7 @@ def bench_step_time(
     unmeasured warm-up steps, then n_steps measured ones) so caches and
     allocator are warm; weights and inputs are drawn from seed 0. The LMS
     learner folds its pending updates once every _LMS_BLOCK steps, and a
-    block-delayed UORO learner once every _UORO_BLOCK (its
+    block-delayed UORO learner once every 16 (each learner's
     `fold_period`), so each is timed over blocks of that many consecutive
     steps (n_steps rounded up to whole blocks), each block holding one
     fold, and the median block time is divided by the block length; the
@@ -1557,10 +1313,9 @@ def bench_step_time(
     hyper = HyperChoice(eta=0.05, sigma_init=0.02, L=L, q=q)
     if algorithm == "lms":
         step = _lms_learner([hyper.eta], m, p)
-        block = _LMS_BLOCK
     else:
         step = _online_learner(algorithm, hyper, m, p, 0)
-        block = step.fold_period
+    block = step.fold_period
     n_blocks = -(-n_steps // block)
     rng = np.random.default_rng([0, 2])
     warmup = 10

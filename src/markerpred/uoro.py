@@ -75,11 +75,13 @@ its shapes once, runs the forward pass inline, as the same three
 products, add and tanh over the same operands, and calls the kernel, so
 its chain is the pure chain bit for bit, for every shape whose
 [W_a | W_b] block has fewer than 10,000 entries (`harness._UORO_BLOCK_MIN`),
-q = L = 10 among them. Larger shapes take a block-delayed learner
-(`harness._uoro_block_learner`) that keeps [W_a | W_b] and theta_tilde_ab
-as their blocks at the last fold plus up to 16 pending rank-one terms,
-reads both once per step and folds them every 16 steps; it does not call
-this module's kernel, only its constants. It is within a measured
+q = L = 10 among them. Larger shapes take this module's block-delayed
+learner (`block_learner`), which keeps [W_a | W_b] and theta_tilde_ab as
+their blocks at the last fold plus up to 16 pending rank-one terms, reads
+both once per step and folds them every 16 steps. It runs its own stages
+2-5, 7 and 10 on that form and shares stage 6's difference quotient,
+stage 8 and stage 9's x_tilde with the kernel (`_memory_scalars`). It is
+within a measured
 tolerance of `uoro_step` one step at a time (3.5e-12 relatively in the
 new weights, 1.6e-7 in x_tilde, 1.0e-8 in theta_tilde, from the same
 formed state and signs), not bit for bit.
@@ -126,10 +128,10 @@ gradient buffer never holds g: its W_c block holds g_c, and its
 4 and 6, after the forward pass), then SGD writes (eta s c) theta_tilde_ab
 into that scratch, scales g_c by eta s in place and subtracts the whole
 buffer from the input weights into the workspace's weights
-(`Workspace.apply_update`). Stage 7 then writes dtheta_g / rho1 over the
-scratch, and stage 9 x_tilde and theta_tilde into the workspace's
-`memory`, over the input memory when it is that one, which no later stage
-reads. A learner allocates one workspace per run and, from its second
+(`Workspace.apply_update`). Stage 9 then writes x_tilde into the
+workspace's `memory`, stage 7 dtheta_g / rho1 over the scratch, and stage
+9 theta_tilde into the memory, each over the input memory when it is that
+one, which no later stage reads. A learner allocates one workspace per run and, from its second
 step on, feeds the workspace's weights and memory straight back into the
 next step, which overwrites both. Called without one,
 `uoro_step` builds a fresh workspace, so it writes to none of its inputs
@@ -150,6 +152,7 @@ generator, in order, so the rows are the signs that B single draws give.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,12 +163,14 @@ from markerpred.rnn import (
     RnnParams,
     Workspace,
     _FINITE_BOUND,
+    _UNIT_ROUNDOFF,
     _ab_rows,
     _aligned_empty,
     _c_rows,
     _clipped_rate,
     forward,
     tanh_prime,
+    unflatten_params,
 )
 
 __all__ = [
@@ -183,12 +188,27 @@ __all__ = [
     "tangent_propagate",
     "uoro_step",
     "uoro_update",
+    "block_learner",
 ]
 
 # Guard added inside and outside the normalizer square roots.
 EPS_NORM = 1e-7
 # Step size of the finite-difference tangent propagation.
 EPS_PROP = 1e-7
+
+# Pairs a block-delayed learner (`block_learner`) keeps pending between its
+# folds. harness.bench_step_time read blocks of 8, 16 and 32 within 4 % of
+# each other at q = L = 30 and 50, and at 99, 93 and 88 us at q = L = 90,
+# where a second pass read 16 and 32 at 90 us each; at q = 90, L = 10, 32
+# was 6 % slower than 16.
+_BLOCK_PAIRS = 16
+
+# The largest ratio of the expanded ||theta_tilde_ab||^2's triangle bound
+# to its value that a block-delayed step uses; past it the step folds and
+# takes the formed norm. Over the 17 block-delayed shapes of the shipped
+# grid, at eta = 0.05 and 0.2 on two 200 s synthetic records, the ratio
+# never passed 19.
+_BLOCK_CANCEL_MAX = 2.0 ** 10
 
 
 @dataclass(frozen=True)
@@ -555,9 +575,9 @@ def uoro_update(
     if nu is None:
         nu = 2.0 * rng.integers(0, 2, size=x_next.size) - 1.0
 
-    # 6. tangent propagation
+    # 6. tangent propagation: the shifted state, whose difference quotient
+    # x_fwd `_memory_scalars` takes with the normalizers.
     shifted = np.tanh(params.w_a @ (x + EPS_PROP * x_tilde) + wb_u)
-    x_fwd = (shifted - x_next) / EPS_PROP
 
     # 10. clipped SGD, by the clip rule (see `uoro_step`): theta_ab -=
     # (eta s c) theta_tilde_ab through the [W_a | W_b] block of the
@@ -568,13 +588,12 @@ def uoro_update(
     grad_c *= eta_s
     workspace.apply_update(params)
 
-    # 7-8. rho1 comes first, from the closed-form norm of dtheta_g
+    # 7-9. rho1 comes from the closed-form norm of dtheta_g
     # (`delta_theta_g_norm` with a = tanh'(z) = 1 - x_next^2), so that
     # stage 7 writes dtheta_g / rho1 directly, as the outer product v a^T of
     # v = [x; u] and a = (nu / rho1) * tanh'(z), into the spent gradient's
-    # `_ab_rows` view; its W_c block is zero and is not formed. The
-    # normalizers are Python floats, with ||nu|| = sqrt(q).
-    eps = EPS_NORM
+    # `_ab_rows` view, once `_memory_scalars` has written x_tilde; its W_c
+    # block is zero and is not formed.
     d = 1.0 - x_next * x_next
     d_norm = math.sqrt(d.dot(d))
     if d_norm == 0.0 and np.isfinite(x).all() and np.isfinite(u).all():
@@ -582,16 +601,9 @@ def uoro_update(
     else:
         dtheta_g_norm = d_norm * math.sqrt(x.dot(x) + u.dot(u))
     theta_tilde_norm = math.sqrt(theta_tilde_squares)
-    fwd_norm = math.sqrt(x_fwd.dot(x_fwd)) + eps
-    if not fwd_norm:
-        # Only with EPS_NORM = 0: numpy's quotient was an inf or a NaN.
-        raise NonFiniteError("rho0")
-    rho0 = math.sqrt(theta_tilde_norm / fwd_norm) + eps
-    rho1 = math.sqrt(dtheta_g_norm / (workspace.nu_norm + eps)) + eps
-    if not math.isfinite(rho0):
-        raise NonFiniteError("rho0")
-    if not math.isfinite(rho1):
-        raise NonFiniteError("rho1")
+    inv_rho0, rho1 = _memory_scalars(shifted, x_next, theta_tilde_norm,
+                                     dtheta_g_norm, nu, workspace.nu_norm,
+                                     workspace.memory.x_tilde)
     v = np.concatenate((x, u), out=workspace.v)
     # Each entry of the BLAS product is the one rounded v_r a_j of
     # np.multiply.outer, 2.7 times as fast at q = 90, but an exact zero is
@@ -599,19 +611,9 @@ def uoro_update(
     a = (nu / rho1) * d
     np.dot(v[:, None], a[None, :], out=workspace.grad_ab)
 
-    # 9. memory update, in place: x_tilde, then theta_tilde
-    # scaled by the reciprocal of rho0, with dtheta_g added into its
-    # [W_a | W_b] rows only, since dtheta_g's W_c block is zero.
-    new_x_tilde = np.multiply(x_fwd, rho0, out=workspace.memory.x_tilde)
-    new_x_tilde += rho1 * nu
-    if (not math.isfinite(new_x_tilde.dot(new_x_tilde))
-            and not np.isfinite(new_x_tilde).all()):
-        raise NonFiniteError("x_tilde")
-    if not (rho0 and rho1):
-        # Only with EPS_NORM = 0: a zero rho scales theta_tilde or dtheta_g
-        # by an infinity, which leaves no entry of theta_tilde finite.
-        raise NonFiniteError("theta_tilde")
-    inv_rho0 = 1.0 / rho0
+    # 9. theta_tilde, in place, scaled by the reciprocal of rho0, with
+    # dtheta_g added into its [W_a | W_b] rows only, since dtheta_g's W_c
+    # block is zero.
     new_theta_tilde = np.multiply(theta_tilde, inv_rho0,
                                   out=workspace.theta_tilde)
     workspace.theta_tilde_ab += workspace.grad_ab
@@ -623,3 +625,274 @@ def uoro_update(
     ):
         raise NonFiniteError("theta_tilde")
     return loss_value
+
+
+def _memory_scalars(
+    shifted: np.ndarray,
+    x_next: np.ndarray,
+    theta_tilde_norm: float,
+    dtheta_g_norm: float,
+    nu: np.ndarray,
+    nu_norm: float,
+    x_tilde_out: np.ndarray,
+) -> tuple[float, float]:
+    """Stage 6's difference quotient, stage 8 and stage 9's x_tilde, which
+    `uoro_update` and `block_learner` share: from `shifted`, the tanh of
+    the shifted pre-activation, x_fwd = (shifted - x_next) / EPS_PROP; the
+    normalizers rho0 and rho1 from ||theta_tilde||, ||x_fwd||,
+    ||dtheta_g|| and ||nu||, as Python floats; and x_tilde' = rho0 x_fwd +
+    rho1 nu, written into `x_tilde_out`. Returns (1 / rho0, rho1), the
+    scalars of theta_tilde's update.
+
+    Raises NonFiniteError, by `uoro_step`'s finiteness rules, in this
+    order: "rho0" for a zero ||x_fwd|| + EPS_NORM (only with EPS_NORM = 0,
+    where numpy's quotient was an inf or a NaN) or a non-finite rho0,
+    "rho1", "x_tilde" (its squared norm, or else a scan), and "theta_tilde"
+    for a zero rho (only with EPS_NORM = 0: it would scale theta_tilde or
+    dtheta_g by an infinity, which leaves no entry of theta_tilde finite).
+    """
+    x_fwd = (shifted - x_next) / EPS_PROP
+    eps = EPS_NORM
+    fwd_norm = math.sqrt(x_fwd.dot(x_fwd)) + eps
+    if not fwd_norm:
+        raise NonFiniteError("rho0")
+    rho0 = math.sqrt(theta_tilde_norm / fwd_norm) + eps
+    rho1 = math.sqrt(dtheta_g_norm / (nu_norm + eps)) + eps
+    if not math.isfinite(rho0):
+        raise NonFiniteError("rho0")
+    if not math.isfinite(rho1):
+        raise NonFiniteError("rho1")
+    new_x_tilde = np.multiply(x_fwd, rho0, out=x_tilde_out)
+    new_x_tilde += rho1 * nu
+    if (not math.isfinite(new_x_tilde.dot(new_x_tilde))
+            and not np.isfinite(new_x_tilde).all()):
+        raise NonFiniteError("x_tilde")
+    if not (rho0 and rho1):
+        raise NonFiniteError("theta_tilde")
+    return 1.0 / rho0, rho1
+
+
+def block_learner(
+    dims: RnnDims,
+    params: RnnParams,
+    eta: float,
+    tau: float,
+    rng: np.random.Generator,
+    sign_block: int,
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float]]:
+    """A UORO learner from the weights `params`, with rate eta and clip
+    threshold tau, that keeps [W_a | W_b] and theta_tilde_ab in
+    block-delayed form: step(u, y_star) -> (y, loss) trains on one
+    sample, and raises NonFiniteError when the learner goes non-finite.
+    It draws its signs from `rng`, `sign_block` steps at a time (see the
+    module docstring). `step.state()` gives the number of steps taken and
+    the current weights, formed as W_0 + gamma T_0 + sum_s w_s v_s^T in
+    fresh arrays, and `step.fold_period` is _BLOCK_PAIRS.
+    `harness._online_learner` hands it the larger shapes.
+
+    Both blocks change at every step by terms that need not be formed
+    (the delayed updates of `harness._lms_learner`): stage 9 scales
+    theta_tilde_ab by 1/rho0 and adds a v^T, and stage 10 subtracts
+    (eta s c) theta_tilde_ab from W_ab, with v = [x; u] and a = (nu / rho1)
+    tanh'(z). So the learner keeps W_0 and T_0, the blocks as of the last
+    fold, two scalars alpha and gamma, and the j pairs pending since, v_s
+    with q-vectors b_s and w_s:
+
+        theta_tilde_ab = alpha T_0 + sum_s b_s v_s^T,
+        W_ab = W_0 + gamma T_0 + sum_s w_s v_s^T.
+
+    A step's SGD subtracts (eta s c) alpha from gamma and (eta s c) b_s
+    from each w_s; its memory update scales alpha and every b_s by 1/rho0
+    and appends the pair (v, a) with w = 0. W_c is updated at every step,
+    as in the pure step. theta_tilde_c is not kept: from `init_memory`'s
+    zeros it is only ever scaled, so it stays +0.0, and g_c is -x_next e^T.
+
+    One product reads the stacked [W_0; T_0] once, against v and against
+    [EPS_PROP x_tilde; 0]; the pending pairs add their terms to both with
+    O(j (q + m)) work. That gives z = W_ab v and W_ab [EPS_PROP x_tilde; 0]
+    = EPS_PROP W_a x_tilde from one read of the weights, and stage 6's
+    shifted pre-activation is their sum, which shares z's W_b u as the
+    pure step shares it. theta_tilde_ab's squared norm is expanded as
+
+        N = alpha^2 ||T_0||^2 + 2 alpha sum_s b_s . (T_0 v_s)
+            + sum_{s,r} (b_s . b_r)(v_s . v_r),
+
+    from ||T_0||^2 (exact at the fold), the T_0 v_s of the steps that
+    appended each pair, and the Gram matrix of the v_s. Every
+    _BLOCK_PAIRS pairs the learner folds: W_0 += gamma T_0 + sum_s w_s
+    v_s^T and T_0 = alpha T_0 + sum_s b_s v_s^T, each sum one BLAS product
+    of rank j into one spare buffer, and ||T_0||^2 is taken again by one
+    dot. So a step reads the |W|-sized blocks once and writes them only
+    at a fold.
+
+    Clip rule: N's rounding error is at most kappa B, with B = (|alpha|
+    ||T_0|| + sum_s ||b_s|| ||v_s||)^2 the square of its triangle bound and
+    kappa = (q (q+m+1) + 2 _BLOCK_PAIRS (2q+m+1) + 64) 2^-53, a bound on
+    the rounding of ||T_0||^2, of the products T_0 v_s and v_s . v_r, and
+    of the dots and sums above. A step uses N only when it is finite and
+    positive and B <= _BLOCK_CANCEL_MAX N; then it shrinks tau by the
+    factor 1 - kappa B / N before `rnn._clipped_rate` shrinks it by its
+    own bound, so the update [(eta s c) theta_tilde_ab; (eta s) g_c] has
+    exact norm at most eta tau, as in `uoro_step`, with theta_tilde_ab
+    the block form above. Otherwise, a negative, non-finite or cancelled
+    N, the step folds first and takes ||T_0||^2 as N, which the fold takes
+    as one dot of the formed T_0, as `uoro_step` does with its
+    theta_tilde (j = 0 needs no shrink either).
+
+    Finiteness, by `uoro_step`'s rules on the formed blocks: a non-finite
+    N makes the step fold, and a non-finite ||T_0||^2 raises "rho0" when
+    every entry of T_0 is finite and goes on to raise "gradient"
+    otherwise; ||g||^2 = (|c| sqrt(N))^2 + ||x_next||^2 ||e||^2 raises
+    "gradient"; rho0, rho1, x_tilde and a zero rho are checked by
+    `uoro_update`'s own rules (`_memory_scalars`). When the bound
+    ||theta_tilde|| / rho0 + ||dtheta_g|| / rho1 on the new theta_tilde
+    exceeds half the largest double, the step folds and scans T_0, and
+    raises "theta_tilde" on a non-finite entry. The weights are not
+    scanned, as in `uoro_step`: each update has norm at most eta tau.
+
+    The learner rounds differently from the `uoro_step` chain, which forms
+    both blocks at every step; each of its steps is within a measured
+    tolerance of `uoro_step` from the same formed state and signs (see the
+    module docstring).
+    """
+    q, n = dims.q, dims.q + dims.m + 1
+    block = _BLOCK_PAIRS
+    # W_0 over T_0, so that one product reads both.
+    stacked = _aligned_empty(2 * dims.n_ab).reshape(2 * q, n)
+    w0, t0 = stacked[:q], stacked[q:]
+    w0[:, :q], w0[:, q:] = params.w_a, params.w_b
+    t0.fill(0.0)
+    t0_flat = t0.reshape(-1)
+    spare = _aligned_empty(dims.n_ab).reshape(q, n)
+    # W_c transposed, as `Workspace.grad_wc`.
+    wc_rows = params.w_c.T.copy()
+    w_c = wc_rows.T
+    x, x_tilde = np.zeros(q), np.zeros(q)
+    # The pending pairs: v_s in row s of `rows`, b_s, w_s, T_0 v_s, and the
+    # Gram matrix of the v_s. A step writes its v into row j, where it
+    # stays as the new pair's, and [EPS_PROP x_tilde; 0] into row j + 1.
+    rows = np.empty((block + 1, n))
+    bs, ws, t0_vs = (np.empty((block, q)) for _ in range(3))
+    gram = np.empty((block, block))
+    # alpha, gamma, ||T_0||^2, sum_s ||b_s|| ||v_s|| and the pending count.
+    alpha, gamma, t0_squares, spread, j = 1.0, 0.0, 0.0, 0.0, 0
+    kappa = (dims.n_ab + 2 * block * (q + n) + 64) * _UNIT_ROUNDOFF
+    nu_norm = math.sqrt(q)
+    signs = None
+    n_steps = 0
+
+    def fold():
+        nonlocal alpha, gamma, t0_squares, spread, j
+        np.multiply(t0, gamma, out=spare)
+        np.add(w0, spare, out=w0)
+        np.matmul(ws[:j].T, rows[:j], out=spare)
+        np.add(w0, spare, out=w0)
+        np.multiply(t0, alpha, out=t0)
+        np.matmul(bs[:j].T, rows[:j], out=spare)
+        np.add(t0, spare, out=t0)
+        t0_squares = float(t0_flat.dot(t0_flat))
+        alpha, gamma, spread, j = 1.0, 0.0, 0.0, 0
+
+    def step(u, y_star):
+        nonlocal x, alpha, gamma, spread, j, signs, n_steps
+        k = n_steps % sign_block
+        if not k:
+            signs = 2.0 * rng.integers(0, 2, size=(sign_block, q)) - 1.0
+        nu = signs[k]
+        inputs = rows[j : j + 2]
+        v, shift = inputs
+        v[:q], v[q:], shift[q:] = x, u, 0.0
+        np.multiply(x_tilde, EPS_PROP, out=shift[:q])
+        both = inputs @ stacked.T
+        z = both[:, q:] * gamma
+        z += both[:, :q]
+        if j:
+            pending = inputs @ rows[:j].T
+            z += pending @ ws[:j]
+        # z is W_ab v over W_ab [EPS_PROP x_tilde; 0], and their sum the
+        # tangent's pre-activation, in which W_b u is the forward pass's.
+        z[1] += z[0]
+        np.tanh(z, out=z)
+        x_next, shifted = z
+        y = w_c @ x_next
+
+        e = y_star - y
+        loss_value = 0.5 * float(e.dot(e))
+        if not math.isfinite(loss_value):
+            raise NonFiniteError("loss")
+        c = -float((e @ w_c) @ x_tilde)
+        j_in, shrink = j, 0.0
+        if j:
+            ab_squares = (alpha * alpha * t0_squares
+                          + 2.0 * alpha * float(np.vdot(bs[:j], t0_vs[:j]))
+                          + float(np.vdot(bs[:j], gram[:j, :j] @ bs[:j])))
+            bound = abs(alpha) * math.sqrt(t0_squares) + spread
+            bound *= bound
+            if (0.0 < ab_squares < math.inf
+                    and bound <= _BLOCK_CANCEL_MAX * ab_squares):
+                shrink = kappa * bound / ab_squares
+            else:
+                fold()
+        if not j:
+            ab_squares = t0_squares
+            if not math.isfinite(ab_squares) and np.isfinite(t0_flat).all():
+                raise NonFiniteError("rho0")
+        grad_ab_norm = abs(c) * math.sqrt(ab_squares)
+        grad_squares = (grad_ab_norm * grad_ab_norm
+                        + float(x_next.dot(x_next)) * (2.0 * loss_value))
+        if not math.isfinite(grad_squares):
+            raise NonFiniteError("gradient")
+
+        eta_s = _clipped_rate(eta, tau * (1.0 - shrink),
+                              math.sqrt(grad_squares), dims.n_params)
+        rate = eta_s * c
+        gamma -= rate * alpha
+        if j:
+            ws[:j] -= rate * bs[:j]
+        np.add(wc_rows, np.dot(x_next[:, None], (eta_s * e)[None, :]),
+               out=wc_rows)
+
+        d = 1.0 - x_next * x_next
+        d_norm = math.sqrt(d.dot(d))
+        v_squares = float(v.dot(v))
+        if d_norm == 0.0 and np.isfinite(v).all():
+            dtheta_g_norm = 0.0
+        else:
+            dtheta_g_norm = d_norm * math.sqrt(v_squares)
+        theta_tilde_norm = math.sqrt(ab_squares)
+        inv_rho0, rho1 = _memory_scalars(shifted, x_next, theta_tilde_norm,
+                                         dtheta_g_norm, nu, nu_norm, x_tilde)
+        alpha *= inv_rho0
+        if j < j_in:
+            # This step folded: v moves to row 0, against the new T_0.
+            rows[0] = v
+            t0_vs[0] = t0 @ v
+        else:
+            t0_vs[j] = both[0, q:]
+        if j:
+            bs[:j] *= inv_rho0
+            gram[j, :j] = gram[:j, j] = pending[0]
+        np.multiply(nu / rho1, d, out=bs[j])
+        ws[j] = 0.0
+        gram[j, j] = v_squares
+        spread = spread * inv_rho0 + d_norm / rho1 * math.sqrt(v_squares)
+        j += 1
+        if not (theta_tilde_norm * inv_rho0 + dtheta_g_norm / rho1
+                <= _FINITE_BOUND):
+            fold()
+            if not np.isfinite(t0_flat).all():
+                raise NonFiniteError("theta_tilde")
+        elif j == block:
+            fold()
+        x = x_next
+        n_steps += 1
+        return y, loss_value
+
+    def state() -> tuple[int, RnnParams]:
+        w_ab = w0 + gamma * t0 + ws[:j].T @ rows[:j]
+        return n_steps, unflatten_params(
+            np.concatenate((w_ab.T.ravel(), wc_rows.ravel())), dims)
+
+    step.state = state
+    step.fold_period = block
+    return step

@@ -855,7 +855,7 @@ def test_lms_learner_equals_block_reference_over_1000_steps(monkeypatch, L,
 
 
 class _BlockUoroReference:
-    """One UORO learner as `harness._uoro_block_learner`'s docstring
+    """One UORO learner as `uoro.block_learner`'s docstring
     states it, composed from lists: W_0 and T_0 as of the last fold, the
     scalars alpha and gamma, the pending v_s with their b_s, w_s and
     T_0 v_s, and the Gram entries v_s . v_r, each taken by the product
@@ -880,7 +880,7 @@ class _BlockUoroReference:
         self.alpha, self.gamma = 1.0, 0.0
         self.t0_squares, self.spread = 0.0, 0.0
         self.vs, self.bs, self.ws, self.t0_vs, self.gram = [], [], [], [], {}
-        self.kappa = ((dims.n_ab + 2 * harness._UORO_BLOCK * (q + n) + 64)
+        self.kappa = ((dims.n_ab + 2 * uoro._BLOCK_PAIRS * (q + n) + 64)
                       * 2.0 ** -53)
         self.nu_rng = np.random.default_rng([seed, 1])
 
@@ -943,7 +943,7 @@ class _BlockUoroReference:
             bound = abs(alpha) * math.sqrt(self.t0_squares) + self.spread
             bound = bound * bound
             if (0.0 < ab_squares < math.inf
-                    and bound <= harness._UORO_CANCEL_MAX * ab_squares):
+                    and bound <= uoro._BLOCK_CANCEL_MAX * ab_squares):
                 shrink = self.kappa * bound / ab_squares
             else:
                 self.fold()
@@ -1013,7 +1013,7 @@ class _BlockUoroReference:
             self.fold()
             if not np.isfinite(self.t0).all():
                 raise NonFiniteError("theta_tilde")
-        elif len(self.vs) == harness._UORO_BLOCK:
+        elif len(self.vs) == uoro._BLOCK_PAIRS:
             self.fold()
         self.x = x_next
         return y, loss_value
@@ -1028,7 +1028,7 @@ def _block_uoro_pair(q, L, eta, tau, n_steps=1000, seed=11):
     hyper = HyperChoice(eta=eta, sigma_init=0.02, L=L, q=q)
     m, p = 3 * record.n_markers * L, 3 * record.n_markers
     step = _online_learner("uoro", hyper, m, p, seed)
-    assert step.fold_period == harness._UORO_BLOCK
+    assert step.fold_period == uoro._BLOCK_PAIRS
     reference = _BlockUoroReference(RnnDims(q=q, m=m, p=p), 0.02, eta, tau,
                                     seed)
     return samples, step, reference
@@ -1349,10 +1349,10 @@ def test_block_uoro_learner_folds_before_an_unusable_norm(monkeypatch,
 def test_block_uoro_learner_allowed_no_cancellation_folds_every_step(
     monkeypatch
 ):
-    # With _UORO_CANCEL_MAX = 0 no expanded norm is usable, so every step
+    # With _BLOCK_CANCEL_MAX = 0 no expanded norm is usable, so every step
     # with a pair pending folds first and takes the formed norm; the
     # learner still equals the reference under that rule, byte for byte.
-    monkeypatch.setattr(harness, "_UORO_CANCEL_MAX", 0.0)
+    monkeypatch.setattr(uoro, "_BLOCK_CANCEL_MAX", 0.0)
     samples, step, reference = _block_uoro_pair(70, 10, 0.1, CLIP_TAU,
                                                 n_steps=100)
     for i, sample in enumerate(samples):
@@ -1369,7 +1369,7 @@ def test_online_learner_is_block_delayed_from_the_crossover():
     # The exact in-place learner keeps every shipped UORO shape whose
     # [W_a | W_b] block is below _UORO_BLOCK_MIN, q = L = 10 among them
     # (the benchmark's stream test holds that shape to the pure chain);
-    # the others, and only they, fold every _UORO_BLOCK steps. RTRL has
+    # the others, and only they, fold every _BLOCK_PAIRS steps. RTRL has
     # one learner.
     p = 9
     grid = DEFAULT_GRIDS["uoro"]
@@ -1379,7 +1379,7 @@ def test_online_learner_is_block_delayed_from_the_crossover():
             hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=L, q=q)
             blocked = q * (q + p * L + 1) >= harness._UORO_BLOCK_MIN
             step = _online_learner("uoro", hyper, p * L, p, 0)
-            assert step.fold_period == (harness._UORO_BLOCK if blocked else 1)
+            assert step.fold_period == (uoro._BLOCK_PAIRS if blocked else 1)
             n_block += blocked
     assert n_block == 17
     hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10)
@@ -1440,10 +1440,25 @@ def test_learner_step_allocates_no_weight_sized_temporary(algorithm, q, L,
         step = _lms_learner([hyper.eta], dims.m, dims.p)
     else:
         step = _online_learner(algorithm, hyper, dims.m, dims.p, seed=0)
-        assert step.fold_period == (harness._UORO_BLOCK
+        assert step.fold_period == (uoro._BLOCK_PAIRS
                                     if algorithm == "uoro" else 1)
     _assert_warm_steps_stay_below(step, dims.m, dims.p, bound(dims),
-                                  n_measured=harness._UORO_BLOCK)
+                                  n_measured=uoro._BLOCK_PAIRS)
+
+
+def test_exact_uoro_learner_step_allocates_no_weight_sized_temporary(
+    monkeypatch
+):
+    # The UORO row above at q = L = 90, with the crossover moved past its
+    # [W_a | W_b] block so that the exact in-place learner (uoro_update)
+    # steps there, under the same bound.
+    dims = RnnDims(q=90, m=9 * 90, p=9)
+    monkeypatch.setattr(harness, "_UORO_BLOCK_MIN", dims.n_ab + 1)
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=90, q=90)
+    step = _online_learner("uoro", hyper, dims.m, dims.p, seed=0)
+    assert step.fold_period == 1
+    _assert_warm_steps_stay_below(step, dims.m, dims.p,
+                                  dims.n_params * 8 // 32)
 
 
 def _assert_warm_steps_stay_below(step, m, p, bound, n_measured=4):
@@ -2245,8 +2260,9 @@ def test_bench_step_time_lms_figure_includes_the_fold(monkeypatch):
     # A stand-in learner whose every _LMS_BLOCK-th step, the one that
     # folds, takes 20 ms and the others almost none: the figure is that
     # cost spread over its block, where a median single step would read
-    # about 0.
+    # about 0. The real learner reports the same fold period.
     block = harness._LMS_BLOCK
+    assert _lms_learner([0.1], 90, 9).fold_period == block
     n_calls = 0
 
     def learner(etas, m, p):
@@ -2256,6 +2272,7 @@ def test_bench_step_time_lms_figure_includes_the_fold(monkeypatch):
             if n_calls % block == 0:
                 time.sleep(0.02)
 
+        step.fold_period = block
         return step
 
     monkeypatch.setattr(harness, "_lms_learner", learner)
@@ -2266,13 +2283,13 @@ def test_bench_step_time_lms_figure_includes_the_fold(monkeypatch):
 
 def test_bench_step_time_uoro_figure_includes_the_fold(monkeypatch):
     # As for LMS, with a stand-in block-delayed UORO learner whose every
-    # _UORO_BLOCK-th step folds in 20 ms: a block-delayed shape is timed
+    # _BLOCK_PAIRS-th step folds in 20 ms: a block-delayed shape is timed
     # over whole fold periods. A shape below the crossover keeps the exact
     # learner, timed step by step.
-    block = harness._UORO_BLOCK
+    block = uoro._BLOCK_PAIRS
     n_calls = 0
 
-    def learner(dims, params, eta, tau, seed):
+    def learner(dims, params, eta, tau, rng, sign_block):
         def step(u, y_star):
             nonlocal n_calls
             n_calls += 1
@@ -2282,7 +2299,7 @@ def test_bench_step_time_uoro_figure_includes_the_fold(monkeypatch):
         step.fold_period = block
         return step
 
-    monkeypatch.setattr(harness, "_uoro_block_learner", learner)
+    monkeypatch.setattr(uoro, "block_learner", learner)
     ms = bench_step_time("uoro", q=90, L=90, n_steps=3 * block)
     assert 20.0 / block <= ms < 20.0
     assert n_calls == 10 + 3 * block
