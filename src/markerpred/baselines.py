@@ -15,9 +15,9 @@ row; it forms no gradient. `fit_linreg` takes W from a Householder R
 factor of the design and its two triangular solves, not from a singular
 value decomposition, which it keeps for rank-deficient designs only.
 
-`lms_step` is the one-step oracle. The harness's LMS learner
-(`harness._lms_learner`) steps B learners that read one (u, y*) stream
-as one block-delayed batch, which folds their rank-one updates into the
+`lms_step` is the one-step oracle. `lms_learner`, the LMS learner the
+harness trains with, steps B learners that read one (u, y*) stream as
+one block-delayed batch, which folds their rank-one updates into the
 weights every few steps rather than at each one. It shares the step's
 scalar rules (`_lms_rates`) and meets the `lms_step` chain within
 rounding.
@@ -27,19 +27,26 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from markerpred.rnn import NonFiniteError, _clipped_rate
+from markerpred.rnn import _FINITE_BOUND, NonFiniteError, _clipped_rate
 from markerpred.signal import MarkerRecord
 
 __all__ = [
     "lms_step",
+    "lms_learner",
     "fit_linreg",
     "predict_linreg",
     "no_prediction",
 ]
+
+# Steps between `lms_learner`'s folds of its pending updates into its
+# weights. Blocks of 4 and 8 read baselines-io wall_s within 2 % of each
+# other; 16 took about 4 % longer per step than 8 (mean over the shipped
+# L, one slot or the shipped 7).
+_LMS_BLOCK = 8
 
 # Finite squared norms of at least this are dot products whose rounding is
 # relative: the squares in them that underflow change them by far less than
@@ -63,7 +70,7 @@ def lms_step(
     tau: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One LMS update of the weights w (p x (m+1)) on the pair (u, y*): the
-    one-step oracle of the harness's block learner.
+    one-step oracle of `lms_learner`.
 
     Predicts y = W u, then descends the instantaneous square loss whose
     gradient in W is -e u^T (e = y* - y), clipped at tau in the norm of the
@@ -75,7 +82,7 @@ def lms_step(
     column and a row, with c = eta * tau' / gn when gn > tau' and c = eta
     otherwise, where tau' = tau * (1 - (p + m + 33) 2^-53)
     (`rnn._clipped_rate`, which the UORO and RTRL steps share). The scalar
-    rules are `_lms_rates`, which the block learner shares.
+    rules are `_lms_rates`, which `lms_learner` shares.
 
     Clip rule: the update added to W, Delta = (c e) u^T as formed in
     doubles, has ||Delta||_F <= eta * tau in exact arithmetic. tau' is tau
@@ -167,6 +174,122 @@ def _lms_rates(
             grad_norm = math.hypot(*e[k]) * math.hypot(*u)
         rates.append(_clipped_rate(eta[k], tau, grad_norm, n_terms))
     return losses, rates, gone
+
+
+def lms_learner(
+    etas: list[float], m: int, p: int, tau: float,
+    diverged: dict[int, tuple[int, str]] | None = None,
+    last: list[int] | None = None,
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, list[float]]]:
+    """B = len(etas) LMS learners from zero weights, one per rate, with
+    clip threshold tau, that step as one block-delayed batch on one
+    stream: step(u, y_star) ->
+    (y, losses), y a B x p array and losses a list of B floats, slot by
+    slot. y_star is one target for every slot, or a B x p array of one
+    target per slot.
+
+    Exact LMS need not form each rank-one update (Benesty & Duhamel, "A
+    fast exact least mean square adaptive algorithm", IEEE Trans. SP
+    40(12), 1992). Let W0 be a slot's weights as of the last fold, u_s the
+    inputs since, and c_s e_s its scaled errors (the clipped rate of
+    `_lms_rates` times the error). Its weights are then
+    W = W0 + sum_s c_s e_s u_s^T, so
+
+        W u = W0 u + P (U u),
+
+    with U the j pending inputs as rows, shared by all slots, and P the
+    p x j block of the slot's c_s e_s as columns. A step makes that
+    prediction with stacked products and appends its u to U and its c e
+    to P. Every _LMS_BLOCK steps, counted from the start of the stream,
+    it folds W0 += P U: one BLAS product per slot into a spare buffer,
+    then one add. So a step reads the weights once, for W0 u, and writes
+    them only at a fold. At L = 90, B = 7 a step that folds takes about
+    70 us against about 30 us for one that does not (2-vCPU Xeon, one
+    BLAS thread). The learner rounds differently from the `lms_step`
+    chain, which forms W at every step.
+
+    Every slot's products are its own gemv or gemm and its scalars are its
+    own Python floats, and the fold schedule never moves, so each slot's
+    bits are those of its one-slot learner whatever slots share its batch.
+
+    Finiteness: after n steps a slot's weight norm is at most n * eta *
+    tau, by the clip rule, and the inputs carry the bias 1, so ||u|| >= 1
+    and each c e has norm at most eta * tau. While n * eta * tau is at most
+    half the largest double the slot's weights are finite; from then on
+    each step checks its W0 + P U in a temporary, which never folds early.
+    A slot whose loss or weights go non-finite is recorded in `diverged`
+    as slot: (step index from 0, quantity) and frozen in place: its rows
+    of W0 and P are zeroed without a fold and its rate and growth set to
+    0, so it predicts 0 and never steps again, and its row of y and its
+    loss are NaN from then on. The batch keeps its shape, and a frozen
+    slot's products stay its own, so no live slot's bits change.
+
+    `last`, when given, holds each slot's last step index. At the step
+    after it the slot is frozen the same way but never recorded, whatever
+    its target (the harness feeds NaN there), and its row of y and its
+    loss are NaN from then on. Up to its last step a slot's bits are
+    those of a learner whose stream ends there.
+
+    The step at which the last live slot diverges, every other slot
+    diverged or stopped, raises its NonFiniteError, as a one-learner step
+    does.
+
+    `step.fold_period` is _LMS_BLOCK.
+    """
+    n_slots = len(etas)
+    etas = list(etas)
+    diverged = {} if diverged is None else diverged
+    # Slots that step no more: diverged, or past their last step.
+    frozen: set[int] = set()
+    # Step index: the slots that stop there.
+    stops: dict[int, list[int]] = {}
+    for k, n in enumerate(last or ()):
+        stops.setdefault(n + 1, []).append(k)
+    w0, spare = np.zeros((n_slots, p, m + 1)), np.empty((n_slots, p, m + 1))
+    pending_u = np.empty((_LMS_BLOCK, m + 1))
+    pending_ce = np.empty((n_slots, p, _LMS_BLOCK))
+    # By the clip rule a step adds at most eta * tau to a slot's weight norm.
+    growth = [eta * tau for eta in etas]
+    n_steps = 0
+
+    def freeze(k):
+        frozen.add(k)
+        w0[k], pending_ce[k], etas[k], growth[k] = 0.0, 0.0, 0.0, 0.0
+
+    def step(u, y_star):
+        nonlocal n_steps
+        for k in stops.get(n_steps, ()):
+            freeze(k)
+        j = n_steps % _LMS_BLOCK
+        y = np.matmul(w0, u)
+        if j:
+            y += np.matmul(pending_ce[:, :, :j], pending_u[:j] @ u)
+        e = y_star - y
+        losses, rates, gone = _lms_rates(e, u, etas, tau)
+        np.multiply(e, np.array(rates)[:, None], out=pending_ce[:, :, j])
+        pending_u[j] = u
+        n_steps += 1
+        lost = [(k, "loss") for k in gone if k not in frozen]
+        if n_steps * max(growth) > _FINITE_BOUND:
+            for k, slot_growth in enumerate(growth):
+                if (n_steps * slot_growth > _FINITE_BOUND and k not in gone
+                        and not np.isfinite(
+                            w0[k] + pending_ce[k, :, :j + 1] @ pending_u[:j + 1]
+                        ).all()):
+                    lost.append((k, "weights"))
+        for k, quantity in lost:
+            diverged[k] = (n_steps - 1, quantity)
+            freeze(k)
+        if lost and len(frozen) == n_slots:
+            raise NonFiniteError(max(lost)[1])
+        if n_steps % _LMS_BLOCK == 0:
+            np.add(w0, np.matmul(pending_ce, pending_u, out=spare), out=w0)
+        for k in frozen:
+            y[k], losses[k] = math.nan, math.nan
+        return y, losses
+
+    step.fold_period = _LMS_BLOCK
+    return step
 
 
 def fit_linreg(

@@ -30,18 +30,20 @@ Each phase of a sequence is one task list (`_task_list`): its runs as
 (horizon, tuple index, run index, seed), grouped into the tasks that
 step as one learner. The cross-validation runs of the LMS tuples that
 share L (one per learning rate and horizon) read one window stream and
-form one batch (`_lms_learner`), each slot training on the target row of
-its own horizon; every other run is a task of its own. The tasks run in
-list order, horizon-major, tuple-major and run-minor by their first run
+form one batch, each slot training on the target row of its own horizon;
+every other run is a task of its own. The tasks run in list order,
+horizon-major, tuple-major and run-minor by their first run
 (`_run_tasks`): a one-run task through `run_sequence_online`, a batch
 through `_run_online`, the one online loop that also drives every single
-online run. Each run becomes its RunRecord as it finishes, and
-`grid_search` and `evaluate` fold the records. A batch keeps its shape:
-a slot that diverges is frozen in place, its outputs NaN from then on,
-while the others step on, and a slot stops at its own horizon's last
-anchor the same way, unrecorded. It keeps each run's predictions, losses
-and divergence step and quantity bit for bit those of the run alone, and
-entries, tie-breaks and files keep the grid's order.
+online run, on the learner that `_learner` builds (`uoro.learner`,
+`rtrl.learner` or `baselines.lms_learner`). Each run becomes its
+RunRecord as it finishes, and `grid_search` and `evaluate` fold the
+records. A batch keeps its shape: a slot that diverges is frozen in
+place, its outputs NaN from then on, while the others step on, and a
+slot stops at its own horizon's last anchor the same way, unrecorded. It
+keeps each run's predictions, losses and divergence step and quantity
+bit for bit those of the run alone, and entries, tie-breaks and files
+keep the grid's order.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ from pathlib import Path
 import numpy as np
 
 import markerpred
-from markerpred import uoro
-from markerpred.baselines import _lms_rates, fit_linreg
+from markerpred import rtrl, uoro
+from markerpred.baselines import fit_linreg, lms_learner
 from markerpred.metrics import (
     CiSummary,
     MetricSet,
@@ -75,14 +77,7 @@ from markerpred.metrics import (
     ci_per_condition,
     compute_metrics,
 )
-from markerpred.rnn import (
-    _FINITE_BOUND,
-    NonFiniteError,
-    RnnDims,
-    RnnParams,
-    init_params,
-)
-from markerpred.rtrl import RtrlWorkspace, rtrl_update
+from markerpred.rnn import NonFiniteError, RnnDims, init_params
 from markerpred.signal import (
     MarkerRecord,
     Normalizer,
@@ -98,12 +93,7 @@ from markerpred.signal import (
 # uoro_step, the pure step the UORO learner's chain equals, is bound here
 # only for the benchmark's tracer test (perfbench/tests), which checks that
 # the tracer restores it in this module.
-from markerpred.uoro import (  # noqa: F401
-    UoroWorkspace,
-    init_memory,
-    uoro_step,
-    uoro_update,
-)
+from markerpred.uoro import uoro_step  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -145,27 +135,6 @@ CLIP_TAU = 2.0
 
 # The largest prediction horizon, in seconds: the paper's largest.
 MAX_HORIZON_S = 2.0
-
-# Steps of Rademacher signs a UORO learner draws at once: enough to make the
-# draw's fixed cost negligible per step; 256 raised uoro-protocol's peak
-# memory by about 0.3 MB.
-_SIGN_BLOCK = 64
-
-# Steps between the LMS learner's folds of its pending updates into its
-# weights. Blocks of 4 and 8 read baselines-io wall_s within 2 % of each
-# other; 16 took about 4 % longer per step than 8 (mean over the shipped
-# L, one slot or the shipped 7).
-_LMS_BLOCK = 8
-
-# The smallest [W_a | W_b] block, q (q + m + 1) entries, whose UORO learner
-# is block-delayed (`uoro.block_learner`); smaller ones keep the exact
-# in-place step. Medians of 7 interleaved bench_step_time pairs, exact
-# against block-delayed, in us (2-vCPU Xeon, one BLAS thread): 62 against
-# 72 at 7,050 entries (q = 50, L = 10), 44 against 44 at 8,210 (q = 10,
-# L = 90), 46 against 46 at 9,030 (q = L = 30), 52 against 47 at 11,270
-# (q = 70, L = 10), 57 against 47 at 16,050 (q = 50, L = 30), and 225
-# against 90 at 81,090 (q = L = 90).
-_UORO_BLOCK_MIN = 10_000
 
 # Shipped cross-validation ranges per algorithm.
 DEFAULT_GRIDS: dict[str, dict[str, tuple]] = {
@@ -478,232 +447,28 @@ def _trace_from_steps(
     return PredictionTrace(pred=pred, true=true, k_min=k_min)
 
 
-def _online_learner(
-    algorithm: str, hyper: HyperChoice, m: int, p: int, seed: int
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float]]:
-    """A fresh "uoro" or "rtrl" learner (the callers check the name):
-    step(u, y_star) -> (y, loss) trains on one sample, u of length m + 1
-    and y_star of length p, keeps the learner state in its closure, and
-    raises NonFiniteError when the learner goes non-finite. Weights are
-    drawn from `seed`, UORO's signs from [seed, 1].
-
-    A UORO learner whose [W_a | W_b] block has at least _UORO_BLOCK_MIN
-    entries, q (q + m + 1), is block-delayed (`uoro.block_learner`): its
-    steps read the |W|-sized blocks once and write them every 16 steps.
-    It is not the pure chain bit for bit; each of its steps is within the
-    tolerance that tests/test_harness.py measures
-    (`_BLOCK_ORACLE_RTOL`) of `uoro_step` from the same formed state and
-    signs: 3.5e-12 relatively in the new weights, 1.6e-7 in x_tilde and
-    1.0e-8 in theta_tilde. Every other learner, q = L = 10 among them, is
-    the split step of the uoro and rtrl modules without the pure step's
-    per-call work. At construction it builds its dimensions (which checks
-    m and p) and one workspace. Each step runs the forward pass inline, as
-    `rnn.forward`'s three products, add and tanh over the same operands in
-    the same order, then the update kernel (`uoro.uoro_update` or
-    `rtrl.rtrl_update`), which steps the weights and the memory or
-    influence in place in the workspace. The first step starts from
-    `init_params`' C-order matrices and UORO's `init_memory` or a zeroed
-    influence buffer of the workspace; every later one from the
-    workspace's weights and memory or influence. It checks no shape per
-    step and builds no result object; its chain is the pure `uoro_step` or
-    `rtrl_step` chain bit for bit. Every y a learner returns is a fresh
-    array. The UORO learners draw their signs _SIGN_BLOCK steps ahead,
-    which gives the signs of one draw per step (see the uoro module
-    docstring).
-
-    `step.state()` gives the number of steps taken and the current
-    weights, and `step.fold_period` the steps between the learner's folds
-    (1 when it has none), over which `bench_step_time` times it. LMS
-    learners are `_lms_learner`'s.
+def _learner(
+    algorithm: str, hypers: tuple[HyperChoice, ...], seeds: tuple[int, ...],
+    m: int, p: int, diverged: dict[int, tuple[int, str]] | None = None,
+    lasts: list[int] | None = None,
+) -> Callable[[np.ndarray, np.ndarray], tuple]:
+    """The learner of one task (`_run_online`) on inputs of m + 1 and
+    targets of p entries, clipped at CLIP_TAU: `baselines.lms_learner`
+    over the rates of `hypers`, with `diverged` and `lasts`, or for "uoro"
+    and "rtrl" the one run of hypers[0] from weights drawn from seeds[0]
+    (`uoro.learner`, `rtrl.learner`). step(u, y_star) -> (y, loss) trains
+    on one sample, with one y row and loss per LMS slot, and
+    `step.fold_period` is the steps between its folds.
     """
+    if algorithm == "lms":
+        return lms_learner([hyper.eta for hyper in hypers], m, p, CLIP_TAU,
+                           diverged, lasts)
+    (hyper,), (seed,) = hypers, seeds
     dims = RnnDims(q=hyper.q, m=m, p=p)
     params = init_params(dims, hyper.sigma_init, seed)
-    eta, tau = hyper.eta, CLIP_TAU
-    if algorithm == "uoro" and dims.n_ab >= _UORO_BLOCK_MIN:
-        return uoro.block_learner(dims, params, eta, tau,
-                                  np.random.default_rng([seed, 1]),
-                                  _SIGN_BLOCK)
-    w_a, w_b, w_c = params.w_a, params.w_b, params.w_c
-    x = np.zeros(dims.q)
-    n_steps = 0
     if algorithm == "uoro":
-        workspace = UoroWorkspace(dims)
-        # The first step reads init_memory's fresh zeros, as the pure chain
-        # does, and writes the workspace's memory. Zeroing the workspace's
-        # memory instead gives the same bits, but uoro-protocol's
-        # peak_rss_mb read about 0.15 MB higher: the freed zeros leave the
-        # heap a |W|-sized hole that later arrays reuse.
-        memory = init_memory(dims)
-        x_tilde, theta_tilde = memory.x_tilde, memory.theta_tilde
-        nu_rng = np.random.default_rng([seed, 1])
-        signs = None
-
-        def step(u, y_star):
-            nonlocal params, w_a, w_b, w_c, x, x_tilde, theta_tilde, signs
-            nonlocal n_steps
-            j = n_steps % _SIGN_BLOCK
-            if not j:
-                signs = 2.0 * nu_rng.integers(0, 2, size=(_SIGN_BLOCK, dims.q)) - 1.0
-            wb_u = w_b @ u
-            z = w_a @ x
-            z += wb_u
-            x_next = np.tanh(z, out=z)
-            y = w_c @ x_next
-            loss_value = uoro_update(workspace, params, x, x_tilde,
-                                     theta_tilde, u, y_star, wb_u, x_next, y,
-                                     signs[j], eta, tau)
-            n_steps += 1
-            x = x_next
-            if params is not workspace.weights:
-                params = workspace.weights
-                w_a, w_b, w_c = params.w_a, params.w_b, params.w_c
-                x_tilde = workspace.memory.x_tilde
-                theta_tilde = workspace.theta_tilde
-            return y, loss_value
-    else:
-        workspace = RtrlWorkspace(dims)
-        influence = workspace.influence[1]
-        influence.fill(0.0)
-
-        def step(u, y_star):
-            nonlocal params, w_a, w_b, w_c, x, influence, n_steps
-            wb_u = w_b @ u
-            z = w_a @ x
-            z += wb_u
-            x_next = np.tanh(z, out=z)
-            y = w_c @ x_next
-            loss_value = rtrl_update(workspace, params, x, influence, u,
-                                     y_star, x_next, y, eta, tau)
-            n_steps += 1
-            x = x_next
-            influence = workspace.influence[workspace.next_slot(influence)]
-            if params is not workspace.weights:
-                params = workspace.weights
-                w_a, w_b, w_c = params.w_a, params.w_b, params.w_c
-            return y, loss_value
-
-    def state() -> tuple[int, RnnParams]:
-        return n_steps, params
-
-    step.state = state
-    step.fold_period = 1
-    return step
-
-
-def _lms_learner(
-    etas: list[float], m: int, p: int,
-    diverged: dict[int, tuple[int, str]] | None = None,
-    last: list[int] | None = None,
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, list[float]]]:
-    """B = len(etas) LMS learners from zero weights, one per rate, that
-    step as one block-delayed batch on one stream: step(u, y_star) ->
-    (y, losses), y a B x p array and losses a list of B floats, slot by
-    slot. y_star is one target for every slot, or a B x p array of one
-    target per slot.
-
-    Exact LMS need not form each rank-one update (Benesty & Duhamel, "A
-    fast exact least mean square adaptive algorithm", IEEE Trans. SP
-    40(12), 1992). Let W0 be a slot's weights as of the last fold, u_s the
-    inputs since, and c_s e_s its scaled errors (the clipped rate of
-    `baselines._lms_rates` times the error). Its weights are then
-    W = W0 + sum_s c_s e_s u_s^T, so
-
-        W u = W0 u + P (U u),
-
-    with U the j pending inputs as rows, shared by all slots, and P the
-    p x j block of the slot's c_s e_s as columns. A step makes that
-    prediction with stacked products and appends its u to U and its c e
-    to P. Every _LMS_BLOCK steps, counted from the start of the stream,
-    it folds W0 += P U: one BLAS product per slot into a spare buffer,
-    then one add. So a step reads the weights once, for W0 u, and writes
-    them only at a fold. At L = 90, B = 7 a step that folds takes about
-    70 us against about 30 us for one that does not (2-vCPU Xeon, one
-    BLAS thread). The learner rounds differently from the `lms_step`
-    chain, which forms W at every step.
-
-    Every slot's products are its own gemv or gemm and its scalars are its
-    own Python floats, and the fold schedule never moves, so each slot's
-    bits are those of its one-slot learner whatever slots share its batch.
-
-    Finiteness: after n steps a slot's weight norm is at most n * eta *
-    tau, by the clip rule, and the inputs carry the bias 1, so ||u|| >= 1
-    and each c e has norm at most eta * tau. While n * eta * tau is at most
-    half the largest double the slot's weights are finite; from then on
-    each step checks its W0 + P U in a temporary, which never folds early.
-    A slot whose loss or weights go non-finite is recorded in `diverged`
-    as slot: (step index from 0, quantity) and frozen in place: its rows
-    of W0 and P are zeroed without a fold and its rate and growth set to
-    0, so it predicts 0 and never steps again, and its row of y and its
-    loss are NaN from then on. The batch keeps its shape, and a frozen
-    slot's products stay its own, so no live slot's bits change.
-
-    `last`, when given, holds each slot's last step index. At the step
-    after it the slot is frozen the same way but never recorded, whatever
-    its target (the harness feeds NaN there), and its row of y and its
-    loss are NaN from then on. Up to its last step a slot's bits are
-    those of a learner whose stream ends there.
-
-    The step at which the last live slot diverges, every other slot
-    diverged or stopped, raises its NonFiniteError, as a one-learner step
-    does.
-
-    `step.fold_period` is _LMS_BLOCK, over which `bench_step_time` times
-    it.
-    """
-    n_slots = len(etas)
-    etas = list(etas)
-    diverged = {} if diverged is None else diverged
-    # Slots that step no more: diverged, or past their last step.
-    frozen: set[int] = set()
-    # Step index: the slots that stop there.
-    stops: dict[int, list[int]] = {}
-    for k, n in enumerate(last or ()):
-        stops.setdefault(n + 1, []).append(k)
-    w0, spare = np.zeros((n_slots, p, m + 1)), np.empty((n_slots, p, m + 1))
-    pending_u = np.empty((_LMS_BLOCK, m + 1))
-    pending_ce = np.empty((n_slots, p, _LMS_BLOCK))
-    # By the clip rule a step adds at most eta * tau to a slot's weight norm.
-    growth = [eta * CLIP_TAU for eta in etas]
-    n_steps = 0
-
-    def freeze(k):
-        frozen.add(k)
-        w0[k], pending_ce[k], etas[k], growth[k] = 0.0, 0.0, 0.0, 0.0
-
-    def step(u, y_star):
-        nonlocal n_steps
-        for k in stops.get(n_steps, ()):
-            freeze(k)
-        j = n_steps % _LMS_BLOCK
-        y = np.matmul(w0, u)
-        if j:
-            y += np.matmul(pending_ce[:, :, :j], pending_u[:j] @ u)
-        e = y_star - y
-        losses, rates, gone = _lms_rates(e, u, etas, CLIP_TAU)
-        np.multiply(e, np.array(rates)[:, None], out=pending_ce[:, :, j])
-        pending_u[j] = u
-        n_steps += 1
-        lost = [(k, "loss") for k in gone if k not in frozen]
-        if n_steps * max(growth) > _FINITE_BOUND:
-            for k, slot_growth in enumerate(growth):
-                if (n_steps * slot_growth > _FINITE_BOUND and k not in gone
-                        and not np.isfinite(
-                            w0[k] + pending_ce[k, :, :j + 1] @ pending_u[:j + 1]
-                        ).all()):
-                    lost.append((k, "weights"))
-        for k, quantity in lost:
-            diverged[k] = (n_steps - 1, quantity)
-            freeze(k)
-        if lost and len(frozen) == n_slots:
-            raise NonFiniteError(max(lost)[1])
-        if n_steps % _LMS_BLOCK == 0:
-            np.add(w0, np.matmul(pending_ce, pending_u, out=spare), out=w0)
-        for k in frozen:
-            y[k], losses[k] = math.nan, math.nan
-        return y, losses
-
-    step.fold_period = _LMS_BLOCK
-    return step
+        return uoro.learner(dims, params, hyper.eta, CLIP_TAU, seed)
+    return rtrl.learner(dims, params, hyper.eta, CLIP_TAU)
 
 
 def _first_scored_step(
@@ -842,8 +607,8 @@ def _run_online(
     scored step k_mins[s] of that slot, over one window stream of the
     record (`_window_stream`), each scoring the predictions of its steps
     k_mins[s] to stop - 1, as `run_sequence_online` states. The hypers share L. LMS
-    runs any number of slots as one batch (`_lms_learner`); a UORO or
-    RTRL run is one slot.
+    runs any number of slots as one batch (`_learner`); a UORO or RTRL
+    run is one slot.
 
     A slot's last anchor is stop - L - h, whose target is step stop - 1.
     The stream runs from anchor 0 to the latest last anchor, the one of
@@ -862,12 +627,7 @@ def _run_online(
     # Slot: (anchor step, quantity). The learners count their steps from
     # anchor 0, where the stream starts, so a step index is an anchor.
     diverged: dict[int, tuple[int, str]] = {}
-    if algorithm == "lms":
-        step = _lms_learner([hyper.eta for hyper in hypers], p * L, p,
-                            diverged, lasts)
-    else:
-        (hyper,), (seed,) = hypers, seeds
-        step = _online_learner(algorithm, hyper, p * L, p, seed)
+    step = _learner(algorithm, hypers, seeds, p * L, p, diverged, lasts)
     # Row n - first of pred holds each slot's prediction at anchor n.
     pred = np.empty((last_n + 1 - first, len(hypers), p))
     losses = np.empty((last_n + 1, len(hypers))) if collect_loss else None
@@ -1281,19 +1041,18 @@ def bench_step_time(
     n_steps: int = 1000,
 ) -> float:
     """Median wall-clock milliseconds per training step of an online
-    learner: "uoro" or "rtrl" with hidden size q, or "lms" (q None).
+    learner: "uoro" or "rtrl" with hidden size q, or "lms" (q None), at L
+    steps of history of n_markers markers.
 
-    Chains real steps of `run_sequence_online`'s learner (for LMS, the
-    batch learner over one slot) on synthetic bounded inputs (10
-    unmeasured warm-up steps, then n_steps measured ones) so caches and
-    allocator are warm; weights and inputs are drawn from seed 0. The LMS
-    learner folds its pending updates once every _LMS_BLOCK steps, and a
-    block-delayed UORO learner once every 16 (each learner's
-    `fold_period`), so each is timed over blocks of that many consecutive
-    steps (n_steps rounded up to whole blocks), each block holding one
-    fold, and the median block time is divided by the block length; the
-    other UORO and RTRL learners are timed step by step. The offline
-    methods have no step to time.
+    Chains real steps of the learner `run_sequence_online` builds
+    (`_learner`: `uoro.learner`, `rtrl.learner` or `baselines.lms_learner`
+    over one slot) on synthetic bounded inputs (10 unmeasured warm-up
+    steps, then n_steps measured ones) so caches and allocator are warm;
+    weights and inputs are drawn from seed 0. A learner that folds its
+    pending updates every `step.fold_period` steps is timed over blocks of
+    that many consecutive steps (n_steps rounded up to whole blocks), each
+    block holding one fold, and the median block time is divided by the
+    block length. The offline methods have no step to time.
     """
     if algorithm not in ("uoro", "rtrl", "lms"):
         raise ValueError(
@@ -1307,14 +1066,15 @@ def bench_step_time(
         )
     if algorithm != "lms" and q is None:
         raise ValueError(f"{algorithm} needs its hidden size q")
+    # An empty shape would time a learner with nothing to learn.
+    for name, value in (("q", q), ("L", L), ("n_markers", n_markers)):
+        if value is not None and not _is_count(value):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     m, p = 3 * n_markers * L, 3 * n_markers
     hyper = HyperChoice(eta=0.05, sigma_init=0.02, L=L, q=q)
-    if algorithm == "lms":
-        step = _lms_learner([hyper.eta], m, p)
-    else:
-        step = _online_learner(algorithm, hyper, m, p, 0)
+    step = _learner(algorithm, (hyper,), (0,), m, p)
     block = step.fold_period
     n_blocks = -(-n_steps // block)
     rng = np.random.default_rng([0, 2])

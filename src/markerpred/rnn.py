@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,6 +224,41 @@ class Workspace:
             np.subtract(params.w_b, grad.w_b, out=weights.w_b)
             np.subtract(params.w_c, grad.w_c, out=weights.w_c)
         return weights
+
+    def learner(
+        self, params: RnnParams, update: Callable[..., float],
+    ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float]]:
+        """An exact learner that steps in place in this workspace, from the
+        weights `params` (`init_params`' C-order matrices) and x = 0:
+        step(u, y_star) -> (y, loss) runs the forward pass inline, as
+        `forward`'s three products, add and tanh over the same operands,
+        then update(params, x, u, y_star, wb_u, x_next, y), a kernel step
+        that writes the new weights here, keeps its learner state and
+        returns the loss or raises NonFiniteError. y is a fresh array.
+        `step.state()` gives the steps taken and the current weights, and
+        `step.fold_period` is 1."""
+        w_a, w_b, w_c = params.w_a, params.w_b, params.w_c
+        x = np.zeros(self.dims.q)
+        n_steps = 0
+
+        def step(u, y_star):
+            nonlocal params, w_a, w_b, w_c, x, n_steps
+            wb_u = w_b @ u
+            z = w_a @ x
+            z += wb_u
+            x_next = np.tanh(z, out=z)
+            y = w_c @ x_next
+            loss_value = update(params, x, u, y_star, wb_u, x_next, y)
+            n_steps += 1
+            x = x_next
+            if params is not self.weights:
+                params = self.weights
+                w_a, w_b, w_c = params.w_a, params.w_b, params.w_c
+            return y, loss_value
+
+        step.state = lambda: (n_steps, params)
+        step.fold_period = 1
+        return step
 
 
 def init_params(dims: RnnDims, sigma_init: float, seed: int) -> RnnParams:

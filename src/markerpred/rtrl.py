@@ -29,10 +29,11 @@ A step is split in two: the forward pass, and the update kernel
 `rtrl_update`, which takes the forward pass's x_next and y, runs (i), (ii)
 and clipped SGD in place in an `RtrlWorkspace`, and returns the loss.
 `rtrl_step` is the pure step: it checks its inputs, calls `rnn.forward`
-and the kernel, and returns an `RtrlStepResult`. The harness's learner
-(`harness._online_learner`) checks its shapes once, runs the forward pass
-inline, as the same products, add and tanh over the same operands, and
-calls the kernel, so its chain is the pure chain bit for bit.
+and the kernel, and returns an `RtrlStepResult`. `learner`, the online
+learner the harness trains with, checks its shapes once, runs the
+forward pass inline, as the same products, add and tanh over the same
+operands, and calls the kernel, so its chain is the pure chain bit for
+bit.
 
 The workspace is the per-run plan of the step: the weight and gradient
 buffers of `Workspace`, and two influence buffers, each with its
@@ -59,6 +60,7 @@ matrix-vector product over a column-major matrix rounds differently.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +84,7 @@ __all__ = [
     "jac_state_theta",
     "rtrl_step",
     "rtrl_update",
+    "learner",
 ]
 
 
@@ -289,3 +292,25 @@ def rtrl_update(
     grad *= _clipped_rate(eta, tau, grad_norm, workspace.dims.n_params)
     workspace.apply_update(params)
     return loss_value
+
+
+def learner(
+    dims: RnnDims, params: RnnParams, eta: float, tau: float,
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float]]:
+    """An RTRL learner from the weights `params` (`init_params`' C-order
+    matrices), with rate eta and clip threshold tau: the learner of an
+    `RtrlWorkspace` (`Workspace.learner`) over `rtrl_update`, the pure
+    `rtrl_step` chain bit for bit; its influence starts from a zeroed
+    buffer of the workspace and alternates between its two."""
+    workspace = RtrlWorkspace(dims)
+    influence = workspace.influence[1]
+    influence.fill(0.0)
+
+    def update(params, x, u, y_star, wb_u, x_next, y):
+        nonlocal influence
+        loss_value = rtrl_update(workspace, params, x, influence, u, y_star,
+                                 x_next, y, eta, tau)
+        influence = workspace.influence[workspace.next_slot(influence)]
+        return loss_value
+
+    return workspace.learner(params, update)

@@ -519,13 +519,20 @@ def whole_steps(duration_s: float, sample_period: float, name: str) -> int:
     """The number of steps, at least one, that duration_s spans.
 
     Raises:
-        ValueError: duration_s / sample_period rounds to less than one, or
-            is not within WHOLE_STEP_RTOL (relative) of a whole number; the
-            message names the duration (as `name`) and the sampling rate.
+        ValueError: the rate 1 / sample_period is not finite and > 0, or
+            duration_s / sample_period is not finite, rounds to less than
+            one, or is not within WHOLE_STEP_RTOL (relative) of a whole
+            number; the message names the duration (as `name`) and the
+            sampling rate.
     """
-    exact = duration_s / sample_period
+    rate_hz = 1.0 / sample_period if sample_period else math.inf
+    exact = duration_s / sample_period if sample_period else math.inf
+    if not (0 < rate_hz < math.inf and math.isfinite(exact)):
+        raise ValueError(
+            f"{name} of {duration_s} seconds at {rate_hz:g} Hz is {exact:g} "
+            f"steps; the duration, the rate and the step count must be "
+            f"finite and the rate > 0")
     steps = round(exact)
-    rate_hz = 1.0 / sample_period
     if steps < 1:
         raise ValueError(f"{name} {duration_s}s is below one step at {rate_hz:g} Hz")
     if abs(exact - steps) > WHOLE_STEP_RTOL * exact:

@@ -18,8 +18,8 @@ One training step runs, in this fixed order:
                                c = grad_x_loss . x_tilde, using the memory
                                from BEFORE this step
     5. sign draw               nu ~ uniform on {-1, +1}^q, as
-                               2 * rng.integers(0, 2, size=q) - 1, or
-                               the nu the caller passes
+                               2 * rng.integers(0, 2, size=q) - 1 (see
+                               the sign source below)
     6. tangent propagation     x_fwd = (tanh(W_a(x + eps*x_tilde) + W_b u)
                                - x_next) / eps
     7. backward sign gradient  dtheta_g = nu-weighted Jacobian row of the
@@ -65,26 +65,26 @@ must match bit for bit. The step that formed g and clipped it with
 `rnn.clip_gradient` stays in the tests as an oracle, met one step at a
 time within a measured tolerance.
 
-A step is split in two: stage 1, the forward pass, and stages 2-10, the
-update kernel `uoro_update`. The kernel takes the forward pass's W_b u,
-x_next and y, steps the weights and the memory in place in a
-`UoroWorkspace`, and returns the loss. `uoro_step` is the pure step: it
-checks its inputs, calls `rnn.forward` and the kernel, and returns a
-`UoroStepResult`. The harness's learner (`harness._online_learner`) checks
-its shapes once, runs the forward pass inline, as the same three
-products, add and tanh over the same operands, and calls the kernel, so
-its chain is the pure chain bit for bit, for every shape whose
-[W_a | W_b] block has fewer than 10,000 entries (`harness._UORO_BLOCK_MIN`),
-q = L = 10 among them. Larger shapes take this module's block-delayed
+A step is split in two: stage 1, the forward pass, and stages 2-4 and
+6-10, the update kernel `uoro_update`. The kernel takes the forward
+pass's W_b u, x_next and y and the signs, steps the weights and the
+memory in place in a `UoroWorkspace`, and returns the loss. `uoro_step`
+is the pure step: it checks its inputs, draws the signs unless it is
+given them, calls `rnn.forward` and the kernel, and returns a
+`UoroStepResult`. `learner` is the online learner the harness trains
+with. For every shape whose [W_a | W_b] block has fewer than
+`_BLOCK_MIN` = 10,000 entries, q = L = 10 among them, it checks its
+shapes once, runs the forward pass inline, as the same three products,
+add and tanh over the same operands, and calls the kernel, so its chain
+is the pure chain bit for bit. Larger shapes take the block-delayed
 learner (`block_learner`), which keeps [W_a | W_b] and theta_tilde_ab as
 their blocks at the last fold plus up to 16 pending rank-one terms, reads
 both once per step and folds them every 16 steps. It runs its own stages
-2-5, 7 and 10 on that form and shares stage 6's difference quotient,
+2-4, 7 and 10 on that form and shares stage 6's difference quotient,
 stage 8 and stage 9's x_tilde with the kernel (`_memory_scalars`). It is
-within a measured
-tolerance of `uoro_step` one step at a time (3.5e-12 relatively in the
-new weights, 1.6e-7 in x_tilde, 1.0e-8 in theta_tilde, from the same
-formed state and signs), not bit for bit.
+within a measured tolerance of `uoro_step` one step at a time (3.5e-12
+relatively in the new weights, 1.6e-7 in x_tilde, 1.0e-8 in
+theta_tilde, from the same formed state and signs), not bit for bit.
 
 The kernel writes the operations of `rnn.loss`, `grad_x_loss` and
 `delta_theta_g_norm` inline, so that at small q a step pays the dispatch
@@ -142,17 +142,18 @@ themselves, not a column-major copy: a matrix-vector product over a
 column-major matrix rounds differently, so only the original layout
 reproduces the pure chain bit for bit.
 
-Stage 5 draws its signs from `rng`, q at a time, unless the caller passes
-them as `nu`. A learner draws them ahead in blocks, as
-`2 * rng.integers(0, 2, size=(B, q)) - 1`, and passes one row per step:
-numpy makes each value of either draw from one 32-bit word of the
-generator, in order, so the rows are the signs that B single draws give.
+Stage 5 runs before the kernel: `uoro_step` draws q signs from `rng`
+unless the caller passes them as `nu`, and a learner takes one row per
+step of `_signs`, which draws `_SIGN_BLOCK` steps ahead from the seed
+[seed, 1], as `2 * rng.integers(0, 2, size=(B, q)) - 1`: numpy makes
+each value of either draw from one 32-bit word of the generator, in
+order, so the rows are the signs that B single draws give.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,7 @@ __all__ = [
     "tangent_propagate",
     "uoro_step",
     "uoro_update",
+    "learner",
     "block_learner",
 ]
 
@@ -195,6 +197,21 @@ __all__ = [
 EPS_NORM = 1e-7
 # Step size of the finite-difference tangent propagation.
 EPS_PROP = 1e-7
+
+# Steps of Rademacher signs a learner draws at once (`_signs`): enough to
+# make the draw's fixed cost negligible per step; 256 raised uoro-protocol's
+# peak memory by about 0.3 MB.
+_SIGN_BLOCK = 64
+
+# The smallest [W_a | W_b] block, q (q + m + 1) entries, whose learner is
+# block-delayed (`block_learner`); smaller ones keep the exact in-place
+# step. Medians of 7 interleaved bench_step_time pairs, exact against
+# block-delayed, in us (2-vCPU Xeon, one BLAS thread): 62 against 72 at
+# 7,050 entries (q = 50, L = 10), 44 against 44 at 8,210 (q = 10, L = 90),
+# 46 against 46 at 9,030 (q = L = 30), 52 against 47 at 11,270 (q = 70,
+# L = 10), 57 against 47 at 16,050 (q = 50, L = 30), and 225 against 90 at
+# 81,090 (q = L = 90).
+_BLOCK_MIN = 10_000
 
 # Pairs a block-delayed learner (`block_learner`) keeps pending between its
 # folds. harness.bench_step_time read blocks of 8, 16 and 32 within 4 % of
@@ -465,7 +482,8 @@ def uoro_step(
         u: input vector, length m+1.
         y_star: normalized target, length p.
         hyper: learning rate, clip threshold and sizes.
-        rng: source of the Rademacher draw; unused when `nu` is given.
+        rng: source of the Rademacher draw, taken after the shape checks;
+            unused when `nu` is given.
         nu: sign vector replacing the draw (see stage 5 in the module
             docstring); estimator tests resample or mirror nu explicitly.
         workspace: buffers to step in place: the new weights, x_tilde and
@@ -491,12 +509,14 @@ def uoro_step(
         # Fresh buffers: the step writes to none of its inputs.
         workspace = UoroWorkspace(params.dims)
     workspace.check(params, x, u, y_star)
-    if nu is not None and nu.shape != x.shape:
+    if nu is None:
+        nu = 2.0 * rng.integers(0, 2, size=x.size) - 1.0
+    elif nu.shape != x.shape:
         raise ValueError(f"nu has shape {nu.shape}, expected {x.shape}")
     cache = forward(params, x, u)
     loss_value = uoro_update(
         workspace, params, x, memory.x_tilde, memory.theta_tilde, u, y_star,
-        cache.wb_u, cache.x_next, cache.y, nu, hyper.eta, hyper.tau, rng,
+        cache.wb_u, cache.x_next, cache.y, nu, hyper.eta, hyper.tau,
     )
     return UoroStepResult(workspace.weights, cache.x_next, workspace.memory,
                           cache.y, loss_value)
@@ -513,17 +533,16 @@ def uoro_update(
     wb_u: np.ndarray,
     x_next: np.ndarray,
     y: np.ndarray,
-    nu: np.ndarray | None,
+    nu: np.ndarray,
     eta: float,
     tau: float,
-    rng: np.random.Generator | None = None,
 ) -> float:
-    """Stages 2-10 of a UORO step, the update kernel, after the forward
-    pass from weights `params` and state x on input u gave wb_u = W_b u,
-    x_next and y. Writes the new weights into `workspace.weights` and the
-    new x_tilde and theta_tilde into `workspace.memory` (x_tilde and
-    theta_tilde may be that memory's own arrays), and returns the loss.
-    nu is the sign vector; when it is None, stage 5 draws it from `rng`.
+    """Stages 2-4 and 6-10 of a UORO step, the update kernel, after the
+    forward pass from weights `params` and state x on input u gave
+    wb_u = W_b u, x_next and y, with the sign vector nu. Writes the new
+    weights into `workspace.weights` and the new x_tilde and theta_tilde
+    into `workspace.memory` (x_tilde and theta_tilde may be that memory's
+    own arrays), and returns the loss.
 
     The caller checks the shapes: `uoro_step` on every call, a learner
     once. The clip rule and the finiteness checks are `uoro_step`'s.
@@ -570,10 +589,6 @@ def uoro_update(
     # every entry of g.
     if not math.isfinite(grad_squares):
         raise NonFiniteError("gradient")
-
-    # 5. sign draw
-    if nu is None:
-        nu = 2.0 * rng.integers(0, 2, size=x_next.size) - 1.0
 
     # 6. tangent propagation: the shifted state, whose difference quotient
     # x_fwd `_memory_scalars` takes with the normalizers.
@@ -672,26 +687,62 @@ def _memory_scalars(
     return 1.0 / rho0, rho1
 
 
+def _signs(q: int, seed: int) -> Iterator[np.ndarray]:
+    """A learner's sign vectors nu, one per step, drawn from [seed, 1]
+    _SIGN_BLOCK steps at a time (see the module docstring)."""
+    rng = np.random.default_rng([seed, 1])
+    while True:
+        yield from 2.0 * rng.integers(0, 2, size=(_SIGN_BLOCK, q)) - 1.0
+
+
+def learner(
+    dims: RnnDims, params: RnnParams, eta: float, tau: float, seed: int,
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float]]:
+    """A UORO learner from the weights `params` (`init_params`' C-order
+    matrices), with rate eta, clip threshold tau and the signs of
+    `_signs(dims.q, seed)`, and `Workspace.learner`'s interface, whose
+    `step.fold_period` is the steps between its folds. A [W_a | W_b] block
+    of at least _BLOCK_MIN entries takes `block_learner`; any other is the
+    exact learner of a `UoroWorkspace` over `uoro_update`, the pure
+    `uoro_step` chain bit for bit.
+    """
+    if dims.n_ab >= _BLOCK_MIN:
+        return block_learner(dims, params, eta, tau, seed)
+    workspace = UoroWorkspace(dims)
+    # The first step reads init_memory's fresh zeros, as the pure chain
+    # does, and writes the workspace's memory. Zeroing the workspace's
+    # memory instead gives the same bits, but uoro-protocol's peak_rss_mb
+    # read about 0.15 MB higher: the freed zeros leave the heap a
+    # |W|-sized hole that later arrays reuse.
+    memory = init_memory(dims)
+    signs = _signs(dims.q, seed)
+
+    def update(params, x, u, y_star, wb_u, x_next, y):
+        nonlocal memory
+        loss_value = uoro_update(workspace, params, x, memory.x_tilde,
+                                 memory.theta_tilde, u, y_star, wb_u, x_next,
+                                 y, next(signs), eta, tau)
+        memory = workspace.memory
+        return loss_value
+
+    return workspace.learner(params, update)
+
+
 def block_learner(
     dims: RnnDims,
     params: RnnParams,
     eta: float,
     tau: float,
-    rng: np.random.Generator,
-    sign_block: int,
+    seed: int,
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, float]]:
-    """A UORO learner from the weights `params`, with rate eta and clip
-    threshold tau, that keeps [W_a | W_b] and theta_tilde_ab in
-    block-delayed form: step(u, y_star) -> (y, loss) trains on one
-    sample, and raises NonFiniteError when the learner goes non-finite.
-    It draws its signs from `rng`, `sign_block` steps at a time (see the
-    module docstring). `step.state()` gives the number of steps taken and
-    the current weights, formed as W_0 + gamma T_0 + sum_s w_s v_s^T in
-    fresh arrays, and `step.fold_period` is _BLOCK_PAIRS.
-    `harness._online_learner` hands it the larger shapes.
+    """The block-delayed UORO learner, with `learner`'s arguments and
+    interface, which keeps [W_a | W_b] and theta_tilde_ab in
+    block-delayed form. `step.state()` forms the current weights as
+    W_0 + gamma T_0 + sum_s w_s v_s^T in fresh arrays, and
+    `step.fold_period` is _BLOCK_PAIRS.
 
     Both blocks change at every step by terms that need not be formed
-    (the delayed updates of `harness._lms_learner`): stage 9 scales
+    (the delayed updates of `baselines.lms_learner`): stage 9 scales
     theta_tilde_ab by 1/rho0 and adds a v^T, and stage 10 subtracts
     (eta s c) theta_tilde_ab from W_ab, with v = [x; u] and a = (nu / rho1)
     tanh'(z). So the learner keeps W_0 and T_0, the blocks as of the last
@@ -778,7 +829,7 @@ def block_learner(
     alpha, gamma, t0_squares, spread, j = 1.0, 0.0, 0.0, 0.0, 0
     kappa = (dims.n_ab + 2 * block * (q + n) + 64) * _UNIT_ROUNDOFF
     nu_norm = math.sqrt(q)
-    signs = None
+    signs = _signs(q, seed)
     n_steps = 0
 
     def fold():
@@ -794,11 +845,8 @@ def block_learner(
         alpha, gamma, spread, j = 1.0, 0.0, 0.0, 0
 
     def step(u, y_star):
-        nonlocal x, alpha, gamma, spread, j, signs, n_steps
-        k = n_steps % sign_block
-        if not k:
-            signs = 2.0 * rng.integers(0, 2, size=(sign_block, q)) - 1.0
-        nu = signs[k]
+        nonlocal x, alpha, gamma, spread, j, n_steps
+        nu = next(signs)
         inputs = rows[j : j + 2]
         v, shift = inputs
         v[:q], v[q:], shift[q:] = x, u, 0.0

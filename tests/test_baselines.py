@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 
 from markerpred.baselines import (
     fit_linreg,
+    lms_learner,
     lms_step,
     no_prediction,
     predict_linreg,
 )
-from markerpred.harness import CLIP_TAU, DEFAULT_GRIDS, _lms_learner
+from markerpred.harness import CLIP_TAU, DEFAULT_GRIDS
 from markerpred.rnn import NonFiniteError, clip_gradient, loss
 from markerpred.signal import (
     MarkerRecord,
@@ -27,6 +29,7 @@ from markerpred.signal import (
     make_partition,
     synthetic_record,
 )
+from test_uoro import _assert_warm_steps_stay_below
 
 
 def _samples(n, m, p, seed=0, w_true=None, noise=0.0):
@@ -347,7 +350,7 @@ def _lms_chains(samples, eta):
     threshold; for each, the index of the step that raised and the
     quantity it named, or None."""
     n_in, p = samples[0].u.size, samples[0].target.size
-    learner = _lms_learner([eta], n_in - 1, p)
+    learner = lms_learner([eta], n_in - 1, p, CLIP_TAU)
 
     def pure(kernel):
         w = np.zeros((p, n_in))
@@ -416,7 +419,7 @@ def test_lms_step_overflowing_weights_raise(eta):
 
 
 def _block_lms_chain(samples, eta, tau=CLIP_TAU, block=8):
-    """One LMS learner as `harness._lms_learner`'s docstring states it,
+    """One LMS learner as `lms_learner`'s docstring states it,
     composed from lists and the closed-form scalars of
     `_closed_form_lms_step`: the weights W0 as of the last fold, the
     pending inputs u_s and scaled errors c_s e_s, the prediction
@@ -457,7 +460,7 @@ def _learner_chain(samples, eta):
     """One rate's one-slot learner over samples: each step's prediction
     and loss, and the (step, quantity) it raised at, or None."""
     p, n_in = samples[0].target.size, samples[0].u.size
-    learner = _lms_learner([eta], n_in - 1, p)
+    learner = lms_learner([eta], n_in - 1, p, CLIP_TAU)
     ys, losses = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for i, s in enumerate(samples):
@@ -501,8 +504,8 @@ def test_lms_batch_equals_single_chains_bit_for_bit(L, etas):
     samples = _lms_samples(L, 600)
     chains = [_block_lms_chain(samples, eta) for eta in etas]
     p, n_in = samples[0].target.size, samples[0].u.size
-    learner = _lms_learner(etas, n_in - 1, p)
-    alone = [_lms_learner([eta], n_in - 1, p) for eta in etas]
+    learner = lms_learner(etas, n_in - 1, p, CLIP_TAU)
+    alone = [lms_learner([eta], n_in - 1, p, CLIP_TAU) for eta in etas]
     for i, s in enumerate(samples):
         y, losses = learner(s.u, s.target)
         for k, (ys, chain_losses, outcome) in enumerate(chains):
@@ -545,7 +548,7 @@ def test_lms_batch_planted_divergence_stays_in_its_slot(eta, plant, quiet,
     assert [chain[2] for chain in chains] == [None] * 3 + [want] + [None] * 4
     p, n_in = samples[0].target.size, samples[0].u.size
     diverged = {}
-    learner = _lms_learner(etas, n_in - 1, p, diverged)
+    learner = lms_learner(etas, n_in - 1, p, CLIP_TAU, diverged)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, s in enumerate(samples):
             y, losses = learner(s.u, s.target)
@@ -564,7 +567,7 @@ def test_lms_batch_whose_every_slot_diverges_raises():
     samples = _lms_samples(10, 10)
     p, n_in = samples[0].target.size, samples[0].u.size
     diverged = {}
-    learner = _lms_learner([1e300, 1e301], n_in - 1, p, diverged)
+    learner = lms_learner([1e300, 1e301], n_in - 1, p, CLIP_TAU, diverged)
     with np.errstate(over="ignore", invalid="ignore"):
         learner(samples[0].u, samples[0].target)
         with pytest.raises(NonFiniteError) as err:
@@ -586,7 +589,7 @@ def test_lms_batch_keeps_a_frozen_slots_record():
     inputs[3] *= 1e158
     targets = rng.uniform(-1.0, 1.0, size=(4, p))
     diverged = {}
-    learner = _lms_learner([1e300, 0.01], m, p, diverged)
+    learner = lms_learner([1e300, 0.01], m, p, CLIP_TAU, diverged)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(3):
             learner(inputs[i], targets[i])
@@ -611,8 +614,9 @@ def test_lms_batch_slot_past_its_last_step_is_frozen_and_never_recorded():
     targets = rng.uniform(-1.0, 1.0, size=(n, p))
     etas = [0.01, 0.05, 0.2]
     diverged = {}
-    learner = _lms_learner(etas, m, p, diverged, last=[n - 1, 11, n - 1])
-    free = _lms_learner(etas, m, p)
+    learner = lms_learner(etas, m, p, CLIP_TAU, diverged,
+                          last=[n - 1, 11, n - 1])
+    free = lms_learner(etas, m, p, CLIP_TAU)
     for i in range(n):
         fed = np.tile(targets[i], (3, 1))
         if i > 11:
@@ -640,13 +644,143 @@ def test_lms_batch_whose_last_live_slot_diverges_after_a_stop_raises():
     inputs[:, 0] = 1.0
     targets = rng.uniform(-1.0, 1.0, size=(2, p))
     diverged = {}
-    learner = _lms_learner([0.01, 1e300], m, p, diverged, last=[0, 5])
+    learner = lms_learner([0.01, 1e300], m, p, CLIP_TAU, diverged,
+                          last=[0, 5])
     learner(inputs[0], targets[0])
     fed = np.stack([np.full(p, np.nan), targets[1]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="loss"):
             learner(inputs[1], fed)
     assert diverged == {1: (1, "loss")}
+
+
+def test_online_learner_equals_direct_step_chain():
+    # The reference is the block reference, which folds its updates in
+    # blocks as the learner does.
+    record = synthetic_record(duration_s=80.0, seed=4)
+    samples = list(iter_windows(record, fit_normalizer(record, range(300)),
+                                10, 4, range(300)))
+    m, p = 3 * record.n_markers * 10, 3 * record.n_markers
+    lms = lms_learner([0.05], m, p, CLIP_TAU)
+    block_ys, block_losses, _ = _block_lms_chain(samples, 0.05)
+    for i, sample in enumerate(samples):
+        (y,), (loss_value,) = lms(sample.u, sample.target)
+        np.testing.assert_array_equal(y, block_ys[i])
+        np.testing.assert_array_equal(loss_value, block_losses[i])
+
+
+# The largest difference of the learner's predictions from the lms_step
+# chain's over the 1000 steps below, relative to the chain's largest
+# prediction, measured 2.7e-11 when clipping (L = 10; 3.7e-16 at L = 1 and
+# 2.3e-14 at L = 90) and 6.9e-15 when not. The block rounds its products
+# its own way and each chain feeds its weights forward; the bounds allow
+# about 30 times that.
+_LMS_CHAIN_RTOL = {True: 1e-9, False: 2e-13}
+
+
+@pytest.mark.parametrize("L", [1, 10, 90])
+@pytest.mark.parametrize("eta, tau, clips", [
+    (0.1, CLIP_TAU, True), (0.005, 1e3, False),
+])
+def test_lms_learner_equals_block_reference_over_1000_steps(L, eta, tau,
+                                                            clips):
+    # The learner's pending products and folds are BLAS products: every
+    # step's prediction and loss must be the block reference's byte for
+    # byte, and within _LMS_CHAIN_RTOL of the lms_step chain, which forms
+    # the weights at every step.
+    record = synthetic_record(duration_s=200.0, seed=4)
+    samples = list(iter_windows(record, fit_normalizer(record, range(300)),
+                                L, 4, range(1000)))
+    m, p = 3 * record.n_markers * L, 3 * record.n_markers
+    step = lms_learner([eta], m, p, tau)
+    want_ys, want_losses, outcome = _block_lms_chain(samples, eta, tau)
+    assert outcome is None
+    w = np.zeros((p, m + 1))
+    n_clipped = 0
+    gap = y_max = 0.0
+    for i, sample in enumerate(samples):
+        (y,), (loss_value,) = step(sample.u, sample.target)
+        assert y.tobytes() == want_ys[i].tobytes()
+        assert loss_value == want_losses[i]
+        n_clipped += (np.linalg.norm(sample.target - w @ sample.u)
+                      * np.linalg.norm(sample.u) > tau)
+        w, chain_y, _ = lms_step(w, sample.u, sample.target, eta, tau)
+        gap = max(gap, np.abs(y - chain_y).max())
+        y_max = max(y_max, np.abs(chain_y).max())
+    assert gap <= _LMS_CHAIN_RTOL[clips] * y_max
+    assert (n_clipped > 0) == clips
+
+
+@pytest.mark.parametrize("L, bound", [
+    # Its new weights, p x (m+1), and less than as much again, so that no
+    # second weight-sized array, nor numpy's outer product buffers, fits in
+    # a step. At L = 90, where the step's small vectors take about 800
+    # bytes, less than a byte per weight: the learner writes its weights
+    # into its own buffers, and the boolean array of a finiteness scan of
+    # them would not fit either.
+    (10, lambda p, m: 2 * p * (m + 1) * 8),
+    (90, lambda p, m: p * (m + 1)),
+])
+def test_learner_step_allocates_no_weight_sized_temporary(L, bound):
+    # After warm-up a learner step writes into the buffers its learner
+    # holds. The peak allocation (numpy's small-array temporaries and
+    # ufunc buffers) must stay below the bound. The measured steps span
+    # two fold periods.
+    p = 9
+    step = lms_learner([0.1], p * L, p, CLIP_TAU)
+    _assert_warm_steps_stay_below(step, p * L, p, bound(p, p * L),
+                                  n_measured=16)
+
+@pytest.mark.parametrize("L, bound", [
+    # The one-slot bounds of the test above, times the B = 7 slots of the
+    # shipped LMS grid.
+    (10, lambda n_weights: 7 * 2 * n_weights * 8),
+    (90, lambda n_weights: 7 * n_weights),
+])
+def test_lms_batch_step_allocates_no_weight_sized_temporary(L, bound):
+    p = 9
+    step = lms_learner(DEFAULT_GRIDS["lms"]["eta"], p * L, p, CLIP_TAU)
+    _assert_warm_steps_stay_below(step, p * L, p, bound(p * (p * L + 1)))
+
+
+def test_lms_batch_freezes_a_diverged_slot_without_allocating():
+    # One slot of the shipped 7 at L = 90 diverges: the targets are zero
+    # until step 5, whose update is vast for the slot with eta = 1e300, so
+    # its loss overflows at step 6. That step and the ten after it, across
+    # two folds, each allocate less than the L = 90 bound of the batch
+    # test above: the slot is frozen in its rows, and the batch re-allocates
+    # no weights, spare or pending buffer without it. A frozen slot never
+    # steps again, so the steps after it raise no floating-point error.
+    p, L = 9, 90
+    m = p * L
+    etas = list(DEFAULT_GRIDS["lms"]["eta"])
+    etas[3] = 1e300
+    diverged = {}
+    step = lms_learner(etas, m, p, CLIP_TAU, diverged)
+    rng = np.random.default_rng(5)
+    inputs = rng.uniform(-1.0, 1.0, size=(17, m + 1))
+    inputs[:, 0] = 1.0
+    targets = rng.uniform(-1.0, 1.0, size=(17, p))
+    targets[:5] = 0.0
+    bound = 7 * p * (m + 1)
+    for i in range(6):
+        step(inputs[i], targets[i])
+    tracemalloc.start()
+    try:
+        for i in range(6, 17):
+            errors = "ignore" if i == 6 else "raise"
+            with np.errstate(over=errors, invalid=errors):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                y, losses = step(inputs[i], targets[i])
+                peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < bound, (i, peak)
+    finally:
+        tracemalloc.stop()
+    assert diverged == {3: (6, "loss")}
+    assert np.isnan(y[3]).all() and math.isnan(losses[3])
+    assert np.isfinite(np.delete(y, 3, axis=0)).all()
+
 
 # --------------------------- linear regression -----------------------------
 

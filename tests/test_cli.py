@@ -347,6 +347,32 @@ def test_bench_command_rejects_non_positive_rate(rate):
               "--rate", rate, "--steps", "5"])
 
 
+@pytest.mark.parametrize("args, shl, rate, steps", [
+    # A NaN history used to fail in round(), an infinite one or one of
+    # 9e308 steps with an OverflowError, and an infinite rate with a
+    # ZeroDivisionError.
+    (["--shl", "nan"], "nan", "10", "nan"),
+    (["--shl", "inf"], "inf", "10", "inf"),
+    (["--shl", "9.0", "--rate", "1e308"], "9.0", "1e+308", "inf"),
+    (["--shl", "9.0", "--rate", "inf"], "9.0", "inf", "inf"),
+])
+def test_bench_command_rejects_non_finite_history_and_rate(args, shl, rate,
+                                                          steps):
+    message = (f"--shl of {shl} seconds at {rate} Hz is {steps} steps; the "
+               f"duration, the rate and the step count must be finite and "
+               f"the rate > 0")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        main(["bench", "--algo", "lms", "--steps", "5", *args])
+
+
+def test_bench_command_rejects_zero_markers(capsys):
+    # Used to time an empty learner: "median 0.018 ms".
+    with pytest.raises(ValueError, match="n_markers must be an integer >= 1, got 0"):
+        main(["bench", "--algo", "lms", "--shl", "9.0", "--markers", "0",
+              "--steps", "5"])
+    assert "median" not in capsys.readouterr().out
+
+
 def test_bench_command_accepts_float_rounded_history(capsys):
     # 0.3 s at 10 Hz is 2.9999999999999996 steps in floating point.
     assert main(["bench", "--algo", "uoro", "--q", "10", "--shl", "0.3",

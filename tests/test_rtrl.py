@@ -1,7 +1,7 @@
 """Tests for RTRL: Jacobian factors against finite differences, the
 influence recursion's exactness along frozen trajectories, the exact
-per-step gradient, and the step against a reference built from the dense
-Jacobians."""
+per-step gradient, the step against a reference built from the dense
+Jacobians, and the learner against the pure chain."""
 
 import math
 from fractions import Fraction
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from markerpred.harness import CLIP_TAU
+from markerpred.harness import CLIP_TAU, HyperChoice
 from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
@@ -32,8 +32,22 @@ from markerpred.rtrl import (
     rtrl_step,
     rtrl_update,
 )
-from markerpred.signal import build_io, fit_normalizer, synthetic_record
+from markerpred.signal import (
+    build_io,
+    fit_normalizer,
+    iter_windows,
+    synthetic_record,
+)
 from markerpred.uoro import delta_theta, grad_x_loss
+from test_uoro import (
+    _assert_diverges_where_pure_chain_diverges,
+    _assert_learner_calls_its_kernel_by_name_once_per_step,
+    _assert_learner_equals_pure_chain_over_1000_steps,
+    _assert_stepped_alternately_equal_stepped_alone,
+    _assert_warm_steps_stay_below,
+    _learner,
+    _quick_record,
+)
 
 
 def _instance(q=4, m=5, p=3, seed=0, sigma=0.4):
@@ -694,3 +708,72 @@ def test_update_kernel_after_forward_is_the_pure_step(q, L):
                            cache.y, loss_value), want)
         params, x = workspace.weights, cache.x_next
         state = (want.params, want.x, want.influence)
+
+
+# ------------------------------ learner -------------------------------------
+
+
+def test_online_learner_equals_direct_step_chain():
+    # The reference chains rtrl_step with the initialization that
+    # run_sequence_online used before it drove it through the learner.
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=5, q=5)
+    record = _quick_record(seed=4)
+    samples = iter_windows(record, fit_normalizer(record, range(300)),
+                           hyper.L, 4, range(300))
+    m, p, seed = 3 * record.n_markers * hyper.L, 3 * record.n_markers, 11
+    step = _learner("rtrl", hyper, m, p, seed)
+    dims = RnnDims(q=hyper.q, m=m, p=p)
+    params, x = init_params(dims, hyper.sigma_init, seed), np.zeros(hyper.q)
+    influence = init_influence(dims)
+    for sample in samples:
+        y, loss_value = step(sample.u, sample.target)
+        want = rtrl_step(params, x, influence, sample.u, sample.target,
+                         eta=hyper.eta, tau=CLIP_TAU)
+        params, x, influence = want.params, want.x, want.influence
+        np.testing.assert_array_equal(y, want.y)
+        np.testing.assert_array_equal(loss_value, want.loss)
+
+
+# The shipped clip threshold clips most steps; at eta = 0.01 no gradient
+# norm on this stream comes near 1e3, so nothing is clipped.
+@pytest.mark.parametrize("q, L", [(5, 5), (8, 3)])
+@pytest.mark.parametrize("eta, tau, clips", [
+    (0.1, CLIP_TAU, True), (0.01, 1e3, False),
+])
+def test_in_place_learner_equals_pure_chain_over_1000_steps(q, L, eta, tau,
+                                                            clips):
+    _assert_learner_equals_pure_chain_over_1000_steps("rtrl", q, L, eta, tau,
+                                                      clips)
+
+
+def test_learners_stepped_alternately_equal_learners_stepped_alone():
+    _assert_stepped_alternately_equal_stepped_alone(
+        "rtrl", HyperChoice(eta=0.1, sigma_init=0.02, L=5, q=5))
+
+
+def test_in_place_learner_diverges_where_pure_chain_diverges(monkeypatch):
+    # A 1e160 mm spike overflows the loss of the sample that targets it
+    # (step 400 - L - h + 1).
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=5, q=5)
+    _assert_diverges_where_pure_chain_diverges(
+        monkeypatch, "rtrl", hyper, None, 1e160, 392, "loss")
+
+
+def test_learner_calls_its_kernel_by_name_once_per_step(monkeypatch):
+    _assert_learner_calls_its_kernel_by_name_once_per_step(
+        monkeypatch, "rtrl", HyperChoice(eta=0.1, sigma_init=0.02, L=5, q=5))
+
+
+def test_learner_step_allocates_no_weight_sized_temporary():
+    # After warm-up a learner step writes its |W|-sized results into its
+    # workspace. The peak allocation must stay below a tenth of the
+    # influence (about 100 KB is reached at q = L = 25, the strided add
+    # into the influence's diagonal buffers), so that any influence-sized
+    # temporary brought back into a step fails here.
+    dims = RnnDims(q=25, m=9 * 25, p=9)
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=25, q=25)
+    step = _learner("rtrl", hyper, dims.m, dims.p, seed=0)
+    assert step.fold_period == 1
+    _assert_warm_steps_stay_below(step, dims.m, dims.p,
+                                  dims.q * dims.n_params * 8 // 10,
+                                  n_measured=16)

@@ -26,6 +26,7 @@ from markerpred.signal import (
     load_record,
     make_partition,
     synthetic_record,
+    whole_steps,
     write_record,
 )
 
@@ -570,6 +571,27 @@ def test_partition_requires_contiguity():
 
 
 # -------------------------- synthetic records ----------------------------
+
+
+@pytest.mark.parametrize("duration_s, sample_period, steps, rate", [
+    # NaN used to fail in round(), infinities and overflowing step counts
+    # with an OverflowError, and a zero period (an infinite rate) with a
+    # ZeroDivisionError.
+    (float("nan"), 0.1, "nan", "10"),
+    (float("inf"), 0.1, "inf", "10"),
+    (-float("inf"), 0.1, "-inf", "10"),
+    (9.0, 1e-308, "inf", "1e+308"),
+    (9.0, 0.0, "inf", "inf"),
+    (9.0, float("nan"), "nan", "nan"),
+])
+def test_whole_steps_rejects_non_finite_durations_rates_and_step_counts(
+    duration_s, sample_period, steps, rate
+):
+    message = (f"shl of {duration_s} seconds at {rate} Hz is {steps} steps; "
+               f"the duration, the rate and the step count must be finite "
+               f"and the rate > 0")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        whole_steps(duration_s, sample_period, "shl")
 
 
 def test_synthetic_record_shape_and_class():

@@ -1,8 +1,10 @@
 """Tests for the UORO trainer: closed-form gradient pieces against
-finite-difference oracles, the frozen step order, estimator properties, and
-the step against a reference composed from the closed forms."""
+finite-difference oracles, the frozen step order, estimator properties, the
+step against a reference composed from the closed forms, and the learners
+against the pure chain and the block reference."""
 
 import math
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -12,8 +14,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from markerpred import uoro
-from markerpred.harness import CLIP_TAU
+from markerpred import harness, rtrl, uoro
+from markerpred.harness import (
+    CLIP_TAU,
+    DEFAULT_GRIDS,
+    HyperChoice,
+    run_sequence_online,
+)
 from markerpred.rnn import (
     NonFiniteError,
     RnnDims,
@@ -26,8 +33,20 @@ from markerpred.rnn import (
     tanh_prime,
     unflatten_params,
 )
-from markerpred.rtrl import jac_state_theta, jac_state_x
-from markerpred.signal import build_io, fit_normalizer, synthetic_record
+from markerpred.rtrl import (
+    init_influence,
+    jac_state_theta,
+    jac_state_x,
+    rtrl_step,
+)
+from markerpred.signal import (
+    MarkerRecord,
+    build_io,
+    fit_normalizer,
+    iter_windows,
+    make_partition,
+    synthetic_record,
+)
 from markerpred.uoro import (
     EPS_NORM,
     EPS_PROP,
@@ -1149,3 +1168,765 @@ def test_update_kernel_reads_its_eps_constants_at_call_time(monkeypatch):
         _assert_same_step(got, want)
         assert workspace.memory.x_tilde.tobytes() != old.tobytes()
         state = (want.params, want.x, want.memory)
+
+
+# ------------------------------ learners ------------------------------------
+
+
+def _quick_record(seed=0, duration=80.0):
+    return synthetic_record(duration_s=duration, seed=seed, label="seq")
+
+
+def _learner(algorithm, hyper, m, p, seed, tau=CLIP_TAU):
+    """The learner of `algorithm` ("uoro" or "rtrl") at the grid point
+    `hyper`, from weights drawn from `seed`, as the harness builds it, with
+    clip threshold tau."""
+    dims = RnnDims(q=hyper.q, m=m, p=p)
+    params = init_params(dims, hyper.sigma_init, seed)
+    if algorithm == "uoro":
+        return uoro.learner(dims, params, hyper.eta, tau, seed)
+    return rtrl.learner(dims, params, hyper.eta, tau)
+
+
+def test_online_learner_equals_direct_step_chain():
+    # The reference chains uoro_step with the initialization that
+    # run_sequence_online used before it drove it through the learner.
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10)
+    record = _quick_record(seed=4)
+    samples = iter_windows(record, fit_normalizer(record, range(300)),
+                           hyper.L, 4, range(300))
+    m, p, seed = 3 * record.n_markers * hyper.L, 3 * record.n_markers, 11
+    step = _learner("uoro", hyper, m, p, seed)
+    dims = RnnDims(q=hyper.q, m=m, p=p)
+    params, x = init_params(dims, hyper.sigma_init, seed), np.zeros(hyper.q)
+    memory = init_memory(dims)
+    uoro_hyper = UoroHyper(eta=hyper.eta, tau=CLIP_TAU,
+                           sigma_init=hyper.sigma_init, L=hyper.L, q=hyper.q)
+    nu_rng = np.random.default_rng([seed, 1])
+    for sample in samples:
+        y, loss_value = step(sample.u, sample.target)
+        want = uoro_step(params, x, memory, sample.u, sample.target,
+                         uoro_hyper, nu_rng)
+        params, x, memory = want.params, want.x, want.memory
+        np.testing.assert_array_equal(y, want.y)
+        np.testing.assert_array_equal(loss_value, want.loss)
+
+
+def _spy(monkeypatch, module, name):
+    """Wrap module.<name> (uoro.uoro_update or rtrl.rtrl_update, which the
+    learners call by that name) so that each call's result is appended to
+    the list returned."""
+    results = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return results
+
+
+def _pure_chain(algorithm, hyper, m, p, seed, tau, oracle_gaps=None,
+                kernel="closed form"):
+    """A step function over the pure kernels, initialized as the learner:
+    for UORO the closed form (`_closed_form_uoro_step`), or with
+    kernel "pure" uoro_step without a workspace; for RTRL rtrl_step
+    without a workspace. Each call returns the kernel's step result. For
+    UORO, each call also runs the formed-gradient oracle from the same
+    state and signs and appends its `_oracle_gaps` to the list
+    `oracle_gaps`, when one is given."""
+    dims = RnnDims(q=hyper.q, m=m, p=p)
+    params, x = init_params(dims, hyper.sigma_init, seed), np.zeros(hyper.q)
+    memory, influence = init_memory(dims), init_influence(dims)
+    uoro_hyper = UoroHyper(eta=hyper.eta, tau=tau, sigma_init=hyper.sigma_init,
+                           L=hyper.L, q=hyper.q)
+    nu_rng = np.random.default_rng([seed, 1])
+
+    def step(u, y_star):
+        nonlocal params, x, memory, influence
+        if algorithm == "uoro":
+            nu = 2.0 * nu_rng.integers(0, 2, size=hyper.q) - 1.0
+            state = (params, x, memory, u, y_star, uoro_hyper, None)
+            uoro_kernel = (uoro_step if kernel == "pure"
+                           else _closed_form_uoro_step)
+            out = uoro_kernel(*state, nu=nu)
+            if oracle_gaps is not None:
+                oracle_gaps.append(
+                    _oracle_gaps(out, _reference_uoro_step(*state, nu=nu)))
+            memory = out.memory
+        else:
+            out = rtrl_step(params, x, influence, u, y_star, eta=hyper.eta,
+                            tau=tau)
+            influence = out.influence
+        params, x = out.params, out.x
+        return out
+
+    return step
+
+
+def _assert_learner_equals_pure_chain_over_1000_steps(algorithm, q, L, eta,
+                                                     tau, clips):
+    """Every prediction, loss and the final weights of the learner equal
+    the pure chain's byte for byte; each UORO step of the pure chain meets
+    the formed-gradient oracle within _ORACLE_RTOL. `clips` says whether
+    any step clips."""
+    record = _quick_record(seed=4, duration=200.0)
+    samples = iter_windows(record, fit_normalizer(record, range(300)), L, 4,
+                           range(1000))
+    hyper = HyperChoice(eta=eta, sigma_init=0.02, L=L, q=q)
+    m, p, seed = 3 * record.n_markers * L, 3 * record.n_markers, 11
+    step = _learner(algorithm, hyper, m, p, seed, tau)
+    assert step.fold_period == 1
+    gaps = []
+    pure = _pure_chain(algorithm, hyper, m, p, seed, tau, gaps)
+    ys, want_ys = [], []
+    theta = flatten_params(init_params(RnnDims(q=q, m=m, p=p), 0.02, seed))
+    n_clipped = 0
+    for sample in samples:
+        y, loss_value = step(sample.u, sample.target)
+        want = pure(sample.u, sample.target)
+        assert y.tobytes() == want.y.tobytes()
+        assert loss_value == want.loss
+        ys.append(y)
+        want_ys.append(want.y)
+        # An unclipped update has norm eta*||grad|| <= eta*tau; a clipped
+        # one lands within rounding of eta*tau.
+        new_theta = flatten_params(want.params)
+        n_clipped += bool(np.linalg.norm(new_theta - theta)
+                          >= eta * tau * (1 - 1e-9))
+        theta = new_theta
+    # Every returned prediction is still its own: later steps wrote into
+    # the workspace, never into an earlier y.
+    assert np.stack(ys).tobytes() == np.stack(want_ys).tobytes()
+    n_steps, final = step.state()
+    assert len(ys) == n_steps == 1000
+    for name in ("w_a", "w_b", "w_c"):
+        assert (getattr(final, name).tobytes()
+                == getattr(want.params, name).tobytes())
+    assert (n_clipped > 0) == clips
+    if algorithm == "uoro":
+        assert len(gaps) == 1000
+        assert (np.max(gaps, axis=0) <= _ORACLE_RTOL[clips]).all()
+
+
+# 1000 steps cross many refills of the learner's sign block; at the odd
+# q = 7, the pure chain's draw of one step ends inside a 64-bit word of the
+# generator. Every shape here is below the block-delayed crossover (q = 50,
+# L = 10 is the largest shipped one); the block-delayed shapes are held to
+# their block reference below. The shipped clip threshold clips most
+# steps; at eta = 0.01 no gradient norm on this stream comes near 1e3, so
+# nothing is clipped.
+@pytest.mark.parametrize("q, L", [(10, 10), (30, 5), (7, 5), (1, 1), (50, 10)])
+@pytest.mark.parametrize("eta, tau, clips", [
+    (0.1, CLIP_TAU, True), (0.01, 1e3, False),
+])
+def test_in_place_learner_equals_pure_chain_over_1000_steps(q, L, eta, tau,
+                                                            clips):
+    _assert_learner_equals_pure_chain_over_1000_steps("uoro", q, L, eta, tau,
+                                                      clips)
+
+
+class _BlockUoroReference:
+    """One UORO learner as `uoro.block_learner`'s docstring
+    states it, composed from lists: W_0 and T_0 as of the last fold, the
+    scalars alpha and gamma, the pending v_s with their b_s, w_s and
+    T_0 v_s, and the Gram entries v_s . v_r, each taken by the product
+    that first holds it. `step` returns the prediction and loss, or raises
+    NonFiniteError; `weights()` forms the weights as `state()` does, and
+    `memory()` forms x_tilde and theta_tilde (theta_tilde_c +0.0). After a
+    step, `nu` holds its signs, `rate` and `c` its eta s and c,
+    `sgd_theta_tilde_ab` the formed theta_tilde_ab its SGD read, `g_c` its
+    W_c block, `expanded` the expanded squared norm of theta_tilde_ab (None
+    with no pair pending), and `folded_first` whether it folded instead of
+    using that norm."""
+
+    def __init__(self, dims, sigma_init, eta, tau, seed):
+        params = init_params(dims, sigma_init, seed)
+        self.dims, self.eta, self.tau = dims, eta, tau
+        q, n = dims.q, dims.q + dims.m + 1
+        self.q, self.n = q, n
+        self.w0 = np.concatenate((params.w_a, params.w_b), axis=1)
+        self.t0 = np.zeros((q, n))
+        self.wc_rows = params.w_c.T.copy()
+        self.x, self.x_tilde = np.zeros(q), np.zeros(q)
+        self.alpha, self.gamma = 1.0, 0.0
+        self.t0_squares, self.spread = 0.0, 0.0
+        self.vs, self.bs, self.ws, self.t0_vs, self.gram = [], [], [], [], {}
+        self.kappa = ((dims.n_ab + 2 * uoro._BLOCK_PAIRS * (q + n) + 64)
+                      * 2.0 ** -53)
+        self.nu_rng = np.random.default_rng([seed, 1])
+
+    def _sum(self, coefficients):
+        if not self.vs:
+            return np.zeros((self.q, self.n))
+        return np.stack(coefficients).T @ np.stack(self.vs)
+
+    def weights(self):
+        w_ab = self.w0 + self.gamma * self.t0 + self._sum(self.ws)
+        return unflatten_params(
+            np.concatenate((w_ab.T.ravel(), self.wc_rows.ravel())), self.dims)
+
+    def theta_tilde_ab(self):
+        return self.alpha * self.t0 + self._sum(self.bs)
+
+    def memory(self):
+        theta_tilde = np.zeros(self.dims.n_params)
+        theta_tilde[: self.dims.n_ab] = self.theta_tilde_ab().T.ravel()
+        return UoroMemory(x_tilde=self.x_tilde.copy(), theta_tilde=theta_tilde)
+
+    def fold(self):
+        self.w0 = self.w0 + self.t0 * self.gamma
+        self.w0 = self.w0 + self._sum(self.ws)
+        self.t0 = self.t0 * self.alpha
+        self.t0 = self.t0 + self._sum(self.bs)
+        self.t0_squares = float(self.t0.ravel().dot(self.t0.ravel()))
+        self.alpha, self.gamma, self.spread = 1.0, 0.0, 0.0
+        self.vs, self.bs, self.ws, self.t0_vs, self.gram = [], [], [], [], {}
+
+    def step(self, u, y_star):
+        q, eps, eps_prop = self.q, uoro.EPS_NORM, uoro.EPS_PROP
+        self.nu = nu = 2.0 * self.nu_rng.integers(0, 2, size=q) - 1.0
+        v = np.concatenate((self.x, u))
+        inputs = np.stack((v, np.concatenate((eps_prop * self.x_tilde,
+                                              np.zeros_like(u)))))
+        both = inputs @ np.concatenate((self.w0, self.t0)).T
+        z = both[:, q:] * self.gamma + both[:, :q]
+        j = len(self.vs)
+        if j:
+            pending = inputs @ np.stack(self.vs).T
+            z = z + pending @ np.stack(self.ws)
+        x_next, shifted = np.tanh((z[0], z[1] + z[0]))
+        y = self.wc_rows.T @ x_next
+        e = y_star - y
+        loss_value = 0.5 * float(e.dot(e))
+        if not math.isfinite(loss_value):
+            raise NonFiniteError("loss")
+        c = -float((e @ self.wc_rows.T) @ self.x_tilde)
+        shrink, self.folded_first, self.expanded = 0.0, False, None
+        if j:
+            b = np.stack(self.bs)
+            gram = np.array([[self.gram[min(s, r), max(s, r)]
+                              for r in range(j)] for s in range(j)])
+            alpha = self.alpha
+            cross = float(np.vdot(b, np.stack(self.t0_vs)))
+            ab_squares = (alpha * alpha * self.t0_squares + 2.0 * alpha * cross
+                          + float(np.vdot(b, gram @ b)))
+            self.expanded = ab_squares
+            bound = abs(alpha) * math.sqrt(self.t0_squares) + self.spread
+            bound = bound * bound
+            if (0.0 < ab_squares < math.inf
+                    and bound <= uoro._BLOCK_CANCEL_MAX * ab_squares):
+                shrink = self.kappa * bound / ab_squares
+            else:
+                self.fold()
+                self.folded_first = True
+        if not self.vs:
+            ab_squares = self.t0_squares
+            if not math.isfinite(ab_squares) and np.isfinite(self.t0).all():
+                raise NonFiniteError("rho0")
+        grad_ab_norm = abs(c) * math.sqrt(ab_squares)
+        grad_squares = (grad_ab_norm * grad_ab_norm
+                        + float(x_next.dot(x_next)) * (2.0 * loss_value))
+        if not math.isfinite(grad_squares):
+            raise NonFiniteError("gradient")
+        x_fwd = (shifted - x_next) / eps_prop
+
+        tau_shrunk = (self.tau * (1.0 - shrink)
+                      * (1.0 - (self.dims.n_params + 32) * 2.0 ** -53))
+        grad_norm = math.sqrt(grad_squares)
+        eta_s = (self.eta * (tau_shrunk / grad_norm) if grad_norm > tau_shrunk
+                 else self.eta)
+        self.rate, self.c = eta_s, c
+        self.sgd_theta_tilde_ab = self.theta_tilde_ab()
+        self.g_c = -np.dot(x_next[:, None], e[None, :])
+        rate = eta_s * c
+        self.gamma -= rate * self.alpha
+        self.ws = [w - rate * b for w, b in zip(self.ws, self.bs)]
+        self.wc_rows = self.wc_rows + np.dot(x_next[:, None],
+                                             (eta_s * e)[None, :])
+
+        d = 1.0 - x_next * x_next
+        d_norm = math.sqrt(d.dot(d))
+        v_squares = float(v.dot(v))
+        if d_norm == 0.0 and np.isfinite(v).all():
+            dtheta_g_norm = 0.0
+        else:
+            dtheta_g_norm = d_norm * math.sqrt(v_squares)
+        theta_tilde_norm = math.sqrt(ab_squares)
+        fwd_norm = math.sqrt(x_fwd.dot(x_fwd)) + eps
+        if not fwd_norm:
+            raise NonFiniteError("rho0")
+        rho0 = math.sqrt(theta_tilde_norm / fwd_norm) + eps
+        rho1 = math.sqrt(dtheta_g_norm / (math.sqrt(q) + eps)) + eps
+        if not math.isfinite(rho0):
+            raise NonFiniteError("rho0")
+        if not math.isfinite(rho1):
+            raise NonFiniteError("rho1")
+        self.x_tilde = x_fwd * rho0 + rho1 * nu
+        if not np.isfinite(self.x_tilde).all():
+            raise NonFiniteError("x_tilde")
+        if not (rho0 and rho1):
+            raise NonFiniteError("theta_tilde")
+        inv_rho0 = 1.0 / rho0
+        self.alpha *= inv_rho0
+        self.bs = [b * inv_rho0 for b in self.bs]
+        j = len(self.vs)
+        for s in range(j):
+            self.gram[s, j] = pending[0][s]
+        self.gram[j, j] = v_squares
+        self.t0_vs.append(self.t0 @ v if self.folded_first else both[0, q:])
+        self.vs.append(v)
+        self.bs.append((nu / rho1) * d)
+        self.ws.append(np.zeros(q))
+        self.spread = (self.spread * inv_rho0
+                       + d_norm / rho1 * math.sqrt(v_squares))
+        if not (theta_tilde_norm * inv_rho0 + dtheta_g_norm / rho1
+                <= 0.5 * sys.float_info.max):
+            self.fold()
+            if not np.isfinite(self.t0).all():
+                raise NonFiniteError("theta_tilde")
+        elif len(self.vs) == uoro._BLOCK_PAIRS:
+            self.fold()
+        self.x = x_next
+        return y, loss_value
+
+
+def _block_uoro_pair(q, L, eta, tau, n_steps=1000, seed=11):
+    """The samples of the 1000-step tests, a block-delayed learner and its
+    reference at (q, L), rate eta and clip threshold tau."""
+    record = _quick_record(seed=4, duration=200.0)
+    samples = iter_windows(record, fit_normalizer(record, range(300)), L, 4,
+                           range(n_steps))
+    hyper = HyperChoice(eta=eta, sigma_init=0.02, L=L, q=q)
+    m, p = 3 * record.n_markers * L, 3 * record.n_markers
+    step = _learner("uoro", hyper, m, p, seed, tau)
+    assert step.fold_period == uoro._BLOCK_PAIRS
+    reference = _BlockUoroReference(RnnDims(q=q, m=m, p=p), 0.02, eta, tau,
+                                    seed)
+    return samples, step, reference
+
+
+# The block-delayed shapes of the tests: the smallest shipped one, a tall
+# one (q > L) and a wide one. 1000 steps cross 62 folds.
+_BLOCK_SHAPES = [(70, 10), (90, 30), (30, 50)]
+
+
+@pytest.mark.parametrize("q, L", _BLOCK_SHAPES)
+@pytest.mark.parametrize("eta, tau, clips", [
+    (0.1, CLIP_TAU, True), (0.01, 1e3, False),
+])
+def test_block_uoro_learner_equals_block_reference_over_1000_steps(
+    q, L, eta, tau, clips
+):
+    # Every prediction and loss of the learner, and its weights at the end,
+    # equal the block reference's byte for byte. Every update has exact
+    # norm at most eta * tau, measured in extended precision against the
+    # reference's formed theta_tilde_ab.
+    samples, step, reference = _block_uoro_pair(q, L, eta, tau)
+    n_clipped = n_folded_first = 0
+    for sample in samples:
+        y, loss_value = step(sample.u, sample.target)
+        want_y, want_loss = reference.step(sample.u, sample.target)
+        assert y.tobytes() == want_y.tobytes()
+        assert loss_value == want_loss
+        theta_ab = reference.sgd_theta_tilde_ab.astype(np.longdouble)
+        g_c = reference.g_c.astype(np.longdouble)
+        update = np.sqrt((reference.rate * reference.c) ** 2
+                         * np.sum(theta_ab * theta_ab)
+                         + reference.rate ** 2 * np.sum(g_c * g_c))
+        assert update <= eta * tau
+        n_clipped += bool(update >= eta * tau * (1 - 1e-9))
+        n_folded_first += reference.folded_first
+    n_steps, final = step.state()
+    assert n_steps == 1000
+    want = reference.weights()
+    for name in ("w_a", "w_b", "w_c"):
+        assert getattr(final, name).tobytes() == getattr(want, name).tobytes()
+    assert (n_clipped > 0) == clips
+    assert n_folded_first == 0
+
+
+# Largest relative gaps (`_rel_gap`; for the loss, of the value) of a
+# block-delayed step from uoro_step run from the block reference's formed
+# state with the same signs: y, loss, new weights, x_tilde and
+# theta_tilde. Measured over the 1000 steps of the three shapes above,
+# under the detected OpenBLAS kernel and Sandybridge: 1.3e-15 for y,
+# 5.8e-15 for the loss, 3.5e-12 for the weights when clipping (the step
+# shrinks tau by its own bound on the expanded norm's rounding, and the
+# norms round differently) and 3.8e-16 when not, 1.6e-7 for x_tilde when
+# clipping and 1.2e-8 when not, and 1.0e-8 for theta_tilde when clipping
+# and 1.5e-9 when not. x_tilde's gap is the finite-difference tangent's:
+# dividing by EPS_PROP = 1e-7 scales the rounding of each pre-activation,
+# which the two steps round differently (uoro_step shifts x before its
+# W_a product, the block step adds W_ab [EPS_PROP x_tilde; 0] to z), by
+# 1e7; theta_tilde inherits it through rho0. The bounds allow about 10
+# times the measured gaps.
+_BLOCK_ORACLE_RTOL = {True: (2e-14, 1e-13, 5e-11, 2e-6, 2e-7),
+                      False: (2e-14, 1e-13, 5e-15, 2e-7, 2e-8)}
+
+
+@pytest.mark.parametrize("q, L", _BLOCK_SHAPES)
+@pytest.mark.parametrize("eta, tau, clips", [
+    (0.1, CLIP_TAU, True), (0.01, 1e3, False),
+])
+def test_block_uoro_learner_meets_uoro_step_one_step_at_a_time(
+    q, L, eta, tau, clips
+):
+    # From the formed state before each step (the weights, x, x_tilde and
+    # theta_tilde of the reference, which the learner equals byte for
+    # byte), uoro_step with the step's signs gives a prediction, loss, new
+    # weights and new memory within _BLOCK_ORACLE_RTOL of the block step's.
+    samples, _, reference = _block_uoro_pair(q, L, eta, tau)
+    hyper = UoroHyper(eta=eta, tau=tau, sigma_init=0.02, L=L, q=q)
+    gaps = np.zeros(5)
+    for sample in samples:
+        state = (reference.weights(), reference.x.copy(), reference.memory())
+        y, loss_value = reference.step(sample.u, sample.target)
+        want = uoro_step(*state, sample.u, sample.target, hyper, None,
+                         nu=reference.nu)
+        memory = reference.memory()
+        gaps = np.maximum(gaps, (
+            _rel_gap(y, want.y), abs(loss_value - want.loss) / want.loss,
+            _rel_gap(flatten_params(reference.weights()),
+                     flatten_params(want.params)),
+            _rel_gap(memory.x_tilde, want.memory.x_tilde),
+            _rel_gap(memory.theta_tilde, want.memory.theta_tilde),
+        ))
+    assert (gaps <= _BLOCK_ORACLE_RTOL[clips]).all(), gaps
+
+
+@pytest.mark.parametrize("q", [1, 7, 10])
+def test_sign_blocks_equal_one_draw_per_step(q):
+    # The UORO learner draws its signs _SIGN_BLOCK steps at a time; its runs
+    # equal the pure chain's, which draws q signs per step, only while
+    # numpy gives a (B, q) draw the values of B size-q draws in order. A
+    # numpy change to that stream fails here.
+    block = uoro._SIGN_BLOCK
+    per_step = np.random.default_rng([11, 1])
+    blocked = np.random.default_rng([11, 1])
+    want = np.stack([per_step.integers(0, 2, size=q) for _ in range(2 * block)])
+    got = np.concatenate(
+        [blocked.integers(0, 2, size=(block, q)) for _ in range(2)]
+    )
+    np.testing.assert_array_equal(got, want)
+    # The generators are in one state after the refill, too.
+    assert blocked.bit_generator.state == per_step.bit_generator.state
+    # The learners' sign source gives those draws, as +-1.
+    signs = uoro._signs(q, 11)
+    np.testing.assert_array_equal(
+        np.stack([next(signs) for _ in range(2 * block)]), 2.0 * want - 1.0)
+
+
+def _assert_stepped_alternately_equal_stepped_alone(algorithm, hyper):
+    """Two learners of one shape would diverge from their solo runs if
+    they shared a buffer."""
+    record = _quick_record(seed=5)
+    samples = list(iter_windows(record, fit_normalizer(record, range(300)),
+                                hyper.L, 4, range(200)))
+    m, p = 3 * record.n_markers * hyper.L, 3 * record.n_markers
+    alone = []
+    for seed in (11, 12):
+        step = _learner(algorithm, hyper, m, p, seed)
+        alone.append([step(s.u, s.target) for s in samples])
+    pair = [_learner(algorithm, hyper, m, p, seed) for seed in (11, 12)]
+    together = ([], [])
+    for s in samples:
+        for step, out in zip(pair, together):
+            out.append(step(s.u, s.target))
+    for got, want in zip(together, alone):
+        for (y, loss_value), (want_y, want_loss) in zip(got, want):
+            np.testing.assert_array_equal(y, want_y)
+            assert loss_value == want_loss
+
+
+@pytest.mark.parametrize("hyper", [
+    HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10),
+    # Block-delayed: 200 steps cross 12 folds.
+    HyperChoice(eta=0.1, sigma_init=0.02, L=30, q=90),
+])
+def test_learners_stepped_alternately_equal_learners_stepped_alone(hyper):
+    _assert_stepped_alternately_equal_stepped_alone("uoro", hyper)
+
+
+def _spiked_record(magnitude, k=400):
+    """_quick_record with one coordinate at step k moved by magnitude mm."""
+    base = _quick_record()
+    positions = base.positions.copy()
+    positions[k, 0, 0] += magnitude
+    return MarkerRecord(positions=positions, sample_period=base.sample_period,
+                        label=base.label, breathing_class=base.breathing_class)
+
+
+@pytest.mark.parametrize("eta, eps_norm, magnitude, at, quantity", [
+    # A 1e160 mm spike overflows the loss of the sample that targets it
+    # (step 400 - L - h + 1).
+    (0.1, None, 1e160, 392, "loss"),
+    # A huge normalizer guard inflates theta_tilde until the gradient
+    # overflows; a tiny one lets rho0 run off.
+    (1e3, 1e300, 0.0, 2, "gradient"),
+    (1e3, 1e-300, 0.0, 5, "rho0"),
+])
+def test_in_place_learner_diverges_where_pure_chain_diverges(
+    monkeypatch, eta, eps_norm, magnitude, at, quantity
+):
+    hyper = HyperChoice(eta=eta, sigma_init=0.02, L=5, q=5)
+    _assert_diverges_where_pure_chain_diverges(
+        monkeypatch, "uoro", hyper, eps_norm, magnitude, at, quantity)
+
+
+# The cases above at q = L = 50, a block-delayed shape. The spike's loss
+# overflows at step 400 - L - h + 1 = 347, 11 steps past the 21st fold;
+# the planted guards raise at steps 2 and 5, with pairs pending and no fold
+# yet, and both make expanded norms that the steps must not use: they
+# underflow to 0 (1e300) or are NaN (1e-300), so the steps fold first
+# (`test_block_uoro_learner_folds_before_an_unusable_norm`).
+@pytest.mark.parametrize("eta, eps_norm, magnitude, at, quantity", [
+    (0.1, None, 1e160, 347, "loss"),
+    (1e3, 1e300, 0.0, 2, "gradient"),
+    (1e3, 1e-300, 0.0, 5, "rho0"),
+])
+def test_block_uoro_learner_diverges_where_pure_chain_diverges(
+    monkeypatch, eta, eps_norm, magnitude, at, quantity
+):
+    hyper = HyperChoice(eta=eta, sigma_init=0.02, L=50, q=50)
+    assert _learner("uoro", hyper, 450, 9, 3).fold_period > 1
+    _assert_diverges_where_pure_chain_diverges(
+        monkeypatch, "uoro", hyper, eps_norm, magnitude, at, quantity)
+
+
+def _assert_diverges_where_pure_chain_diverges(
+    monkeypatch, algorithm, hyper, eps_norm, magnitude, at, quantity
+):
+    """A run of `hyper` on `_spiked_record(magnitude)`, with EPS_NORM
+    planted when eps_norm is not None, diverges at step `at` in
+    `quantity`, and so does the same harness loop over the pure chain."""
+    if eps_norm is not None:
+        monkeypatch.setattr(uoro, "EPS_NORM", eps_norm)
+    record = _spiked_record(magnitude)
+    partition = make_partition(record, "online_30_30")
+
+    def run():
+        return run_sequence_online(algorithm, record, partition, hyper, h=4,
+                                   seed=3)
+
+    in_place = run()
+    # The same harness loop over the pure chain: uoro_step or rtrl_step
+    # without a workspace, in place of the learner.
+    pure_steps = []
+
+    def pure_learner(algorithm, hypers, seeds, m, p, diverged, lasts):
+        (hyper,), (seed,) = hypers, seeds
+        chain = _pure_chain(algorithm, hyper, m, p, seed, harness.CLIP_TAU,
+                            kernel="pure")
+
+        def step(u, y_star):
+            pure_steps.append(None)
+            out = chain(u, y_star)
+            return out.y, out.loss
+
+        return step
+
+    monkeypatch.setattr(harness, "_learner", pure_learner)
+    pure = run()
+    assert in_place.diverged and pure.diverged
+    assert (in_place.diverged_at, in_place.diverged_quantity) == (at, quantity)
+    assert (pure.diverged_at, pure.diverged_quantity) == (at, quantity)
+    # The pure chain ran every step, the one that raised included.
+    assert len(pure_steps) == at + 1
+
+
+@pytest.mark.parametrize("eps_norm, at, quantity", [
+    (1e300, 2, "gradient"), (1e-300, 5, "rho0"),
+])
+def test_block_uoro_learner_folds_before_an_unusable_norm(monkeypatch,
+                                                          eps_norm, at,
+                                                          quantity):
+    # The planted guards of the divergence test above make expanded norms
+    # of 0 or NaN. The learner, like its reference, never uses one: it
+    # folds first and takes the formed T_0's norm. Both are equal byte for
+    # byte up to step `at`, where both raise `quantity`.
+    monkeypatch.setattr(uoro, "EPS_NORM", eps_norm)
+    record = _spiked_record(0.0)
+    normalizer = fit_normalizer(record,
+                                make_partition(record, "online_30_30").train)
+    dims = RnnDims(q=50, m=450, p=9)
+    hyper = HyperChoice(eta=1e3, sigma_init=0.02, L=50, q=50)
+    step = _learner("uoro", hyper, dims.m, dims.p, 3)
+    reference = _BlockUoroReference(dims, 0.02, 1e3, CLIP_TAU, 3)
+    unusable = []
+    with np.errstate(all="ignore"):
+        for i, sample in enumerate(iter_windows(record, normalizer, 50, 4,
+                                                range(at + 1))):
+            if i < at:
+                y, loss_value = step(sample.u, sample.target)
+                want_y, want_loss = reference.step(sample.u, sample.target)
+                assert y.tobytes() == want_y.tobytes()
+                assert loss_value == want_loss
+            else:
+                with pytest.raises(NonFiniteError) as got:
+                    step(sample.u, sample.target)
+                with pytest.raises(NonFiniteError) as want:
+                    reference.step(sample.u, sample.target)
+                assert got.value.quantity == want.value.quantity == quantity
+            if reference.expanded is not None and not (
+                    0.0 < reference.expanded < math.inf):
+                assert reference.folded_first
+                unusable.append(i)
+    assert unusable
+
+
+def test_block_uoro_learner_allowed_no_cancellation_folds_every_step(
+    monkeypatch
+):
+    # With _BLOCK_CANCEL_MAX = 0 no expanded norm is usable, so every step
+    # with a pair pending folds first and takes the formed norm; the
+    # learner still equals the reference under that rule, byte for byte.
+    monkeypatch.setattr(uoro, "_BLOCK_CANCEL_MAX", 0.0)
+    samples, step, reference = _block_uoro_pair(70, 10, 0.1, CLIP_TAU,
+                                                n_steps=100)
+    for i, sample in enumerate(samples):
+        y, loss_value = step(sample.u, sample.target)
+        want_y, want_loss = reference.step(sample.u, sample.target)
+        assert y.tobytes() == want_y.tobytes()
+        assert loss_value == want_loss
+        assert reference.folded_first == (i > 0)
+    assert (step.state()[1].w_b.tobytes()
+            == reference.weights().w_b.tobytes())
+
+
+def test_online_learner_is_block_delayed_from_the_crossover():
+    # The exact in-place learner keeps every shipped UORO shape whose
+    # [W_a | W_b] block is below _BLOCK_MIN, q = L = 10 among them
+    # (the benchmark's stream test holds that shape to the pure chain);
+    # the others, and only they, fold every _BLOCK_PAIRS steps. RTRL has
+    # one learner.
+    p = 9
+    grid = DEFAULT_GRIDS["uoro"]
+    n_block = 0
+    for q in grid["q"]:
+        for L in grid["L"]:
+            hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=L, q=q)
+            blocked = q * (q + p * L + 1) >= uoro._BLOCK_MIN
+            step = _learner("uoro", hyper, p * L, p, 0)
+            assert step.fold_period == (uoro._BLOCK_PAIRS if blocked else 1)
+            n_block += blocked
+    assert n_block == 17
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10)
+    assert _learner("uoro", hyper, 90, p, 0).fold_period == 1
+    assert _learner("rtrl", hyper, 90, p, 0).fold_period == 1
+
+
+def _assert_learner_calls_its_kernel_by_name_once_per_step(
+    monkeypatch, algorithm, hyper
+):
+    """Every learner step of a run runs its update kernel, uoro_update or
+    rtrl_update, which the pure steps share, once, and returns the loss it
+    computed; the other kernel never runs."""
+    calls = {name: _spy(monkeypatch, module, name)
+             for module, name in ((uoro, "uoro_update"),
+                                  (rtrl, "rtrl_update"))}
+    record = _quick_record(seed=6)
+    partition = make_partition(record, "online_30_30")
+    out = run_sequence_online(algorithm, record, partition, hyper, h=4,
+                              seed=0, collect_loss=True)
+    assert calls[f"{algorithm}_update"] == out.losses.tolist()
+    assert len(out.losses) > 0
+    other = "rtrl_update" if algorithm == "uoro" else "uoro_update"
+    assert calls[other] == []
+
+
+def test_learner_calls_its_kernel_by_name_once_per_step(monkeypatch):
+    _assert_learner_calls_its_kernel_by_name_once_per_step(
+        monkeypatch, "uoro", HyperChoice(eta=0.1, sigma_init=0.02, L=10, q=10))
+
+
+def test_learner_step_allocates_no_weight_sized_temporary():
+    # After warm-up a learner step writes its |W|-sized results into its
+    # workspace. The peak allocation (numpy's small-array temporaries and
+    # ufunc buffers) must stay below 1/32 of one |W|-length vector (about
+    # 10 KB is reached at q = L = 90), so that any weight-sized temporary
+    # brought back into a step fails here, as do the ufunc buffers of an
+    # outer product that BLAS can form instead. The measured steps span a
+    # whole fold period of the block-delayed learner, whose fold writes its
+    # rank-16 products into a spare buffer.
+    dims = RnnDims(q=90, m=9 * 90, p=9)
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=90, q=90)
+    step = _learner("uoro", hyper, dims.m, dims.p, seed=0)
+    assert step.fold_period == uoro._BLOCK_PAIRS
+    _assert_warm_steps_stay_below(step, dims.m, dims.p,
+                                  dims.n_params * 8 // 32,
+                                  n_measured=uoro._BLOCK_PAIRS)
+
+
+def test_exact_uoro_learner_step_allocates_no_weight_sized_temporary(
+    monkeypatch
+):
+    # The test above at q = L = 90, with the crossover moved past its
+    # [W_a | W_b] block so that the exact in-place learner (uoro_update)
+    # steps there, under the same bound.
+    dims = RnnDims(q=90, m=9 * 90, p=9)
+    monkeypatch.setattr(uoro, "_BLOCK_MIN", dims.n_ab + 1)
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=90, q=90)
+    step = _learner("uoro", hyper, dims.m, dims.p, seed=0)
+    assert step.fold_period == 1
+    _assert_warm_steps_stay_below(step, dims.m, dims.p,
+                                  dims.n_params * 8 // 32)
+
+
+def _assert_warm_steps_stay_below(step, m, p, bound, n_measured=4):
+    """`n_measured` warm steps of `step`, after four unmeasured ones, each
+    allocate less than `bound` bytes at their peak."""
+    rng = np.random.default_rng(5)
+    n = 4 + n_measured
+    inputs = rng.uniform(-1.0, 1.0, size=(n, m + 1))
+    inputs[:, 0] = 1.0
+    targets = rng.uniform(-1.0, 1.0, size=(n, p))
+    for i in range(4):
+        step(inputs[i], targets[i])
+    tracemalloc.start()
+    try:
+        for i in range(4, n):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            step(inputs[i], targets[i])
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < bound, (i, peak)
+    finally:
+        tracemalloc.stop()
+
+
+def test_zero_normalizer_guard_is_a_nonfinite_rho0_not_a_zero_division(
+    monkeypatch,
+):
+    # With EPS_NORM = 0 the first step's rho0 is 0 / 0: x_tilde starts at
+    # zero, so the tangent x_fwd is exactly zero, as is theta_tilde. The
+    # normalizers are Python floats, which raise ZeroDivisionError where
+    # numpy gave NaN; the step must still report a non-finite rho0.
+    monkeypatch.setattr(uoro, "EPS_NORM", 0.0)
+    record = _quick_record(seed=5)
+    partition = make_partition(record, "online_30_30")
+    hyper = HyperChoice(eta=0.1, sigma_init=0.02, L=3, q=4)
+    out = run_sequence_online("uoro", record, partition, hyper, h=2, seed=0)
+    assert out.diverged and out.diverged_quantity == "rho0"
+    assert out.diverged_at == 0
+
+    dims = RnnDims(q=hyper.q, m=3 * record.n_markers * hyper.L,
+                   p=3 * record.n_markers)
+    u = np.ones(dims.m + 1)
+    uoro_hyper = UoroHyper(eta=0.1, tau=CLIP_TAU, sigma_init=0.02,
+                           L=hyper.L, q=hyper.q)
+    params, x = init_params(dims, 0.02, 0), np.zeros(dims.q)
+    with pytest.raises(NonFiniteError) as info:
+        uoro_step(params, x, init_memory(dims), u, np.zeros(dims.p),
+                  uoro_hyper, np.random.default_rng(0))
+    assert info.value.quantity == "rho0"
+    # A zero theta_tilde beside a non-zero x_tilde makes rho0 itself zero,
+    # and numpy's 1 / rho0 an infinity: the new theta_tilde is reported.
+    memory = UoroMemory(x_tilde=np.ones(dims.q),
+                        theta_tilde=np.zeros(dims.n_params))
+    for step in (uoro_step, _closed_form_uoro_step, _reference_uoro_step):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+            step(params, x, memory, u, np.zeros(dims.p), uoro_hyper,
+                 np.random.default_rng(0))
+        assert info.value.quantity == "theta_tilde"
